@@ -1,4 +1,4 @@
-"""Scale-structured attention: masks over the concatenated pyramid, masked
+"""Scale-structured attention: masks over the low-to-high pyramid sequence, masked
 multi-head attention, and pre-norm transformer blocks.
 
 Three visibility regimes over the token sequence. Full attention sees

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: train, reconstruct, analyze-latent, dump-mask, gradcheck,
-export-latents. Every subcommand takes ``--config FILE`` plus repeatable
-``--set key=value`` overrides. Exit codes: 0 success, 1 usage error,
-2 data/format error, 3 numeric error.
+export-latents. Every subcommand except analyze-latent and gradcheck takes
+``--config FILE`` plus repeatable ``--set key=value`` overrides. dump-mask
+reads only ``scales`` and ``regime`` from them, but still rejects unknown keys.
+Exit codes: 0 success, 1 usage or config error, 2 data/format error
+(including a checkpoint whose embedded config is corrupt), 3 numeric error.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ import sys
 
 import numpy as np
 
-from .attention import AttentionRegime, build_mask
-from .config import ConfigError, load_run_config
+from .attention import build_mask
+from .config import ConfigError, RunConfig, config_from_kv, load_run_config, read_config_kv
 from .data import DataError, load_dataset
 from .gradcheck import model_end_to_end_check, op_library_checks
-from .imageio import FormatError, load_ppm, save_ppm
+from .imageio import FormatError, save_ppm
 from .latent_stats import (
     LatentFormatError,
     analyze_latents,
@@ -134,21 +136,11 @@ def _cmd_analyze_latent(args) -> int:
 def _cmd_dump_mask(args) -> int:
     # The schedule comes from the scales list alone so the mask can be
     # inspected without a full image/patch configuration.
-    kv: dict[str, str] = {}
-    if args.config:
-        from .config import parse_kv_lines
-
-        with open(args.config, "r", encoding="utf-8") as fh:
-            kv.update(parse_kv_lines(fh.read()))
-    for item in args.overrides:
-        if "=" not in item:
-            raise UsageError(f"override must be key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        kv[key.strip()] = value.strip()
-    scales = tuple(int(s) for s in kv.get("scales", "1,2,4,8").split(",") if s.strip())
-    regime = AttentionRegime.parse(kv.get("regime", "scalecausal"))
-    schedule = build_schedule(scales[-1], scales)
-    mask = build_mask(schedule, regime)
+    cfg = config_from_kv(RunConfig, read_config_kv(args.config, args.overrides)).tokenizer
+    if not cfg.scales:
+        raise ConfigError("config key 'scales': needs at least one grid")
+    schedule = build_schedule(cfg.scales[-1], cfg.scales)
+    mask = build_mask(schedule, cfg.attention_regime())
     for row in mask.allow:
         print(" ".join("1" if v else "0" for v in row))
     return 0

@@ -1,13 +1,16 @@
 """Dataclass configs and the line-oriented ``key=value`` config format.
 
 Config files hold one ``key=value`` pair per line; ``#`` starts a comment.
-Unknown keys are rejected so typos fail loudly. Grid lists are comma-separated
-integers (``scales=1,2,4,8``).
+Each value is parsed by the type annotation of its dataclass field: ``int``,
+``float``, ``str``, or a comma-separated tuple (``scales=1,2,4,8``). A value
+that does not parse, and an unknown key, raise ``ConfigError`` naming the key,
+so typos fail loudly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 from .attention import AttentionRegime
 from .pyramid import ScaleSchedule, build_schedule, conv_chain_lengths
@@ -60,7 +63,7 @@ class RunConfig:
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
     data_dir: str = "synthetic:512"
     steps: int = 2000
-    epochs: int = 0                  # when > 0 and steps unset, derives steps
+    epochs: int = 0                  # when > 0, overrides steps with epochs x batches per epoch
     batch_size: int = 64
     lr_start: float = 1e-4
     lr_end: float = 1e-6
@@ -71,8 +74,6 @@ class RunConfig:
     eval_fraction: float = 0.125
     l1_weight: float = 1.0
     mse_weight: float = 0.4
-    lpips_weight: float = 0.0
-    gan_weight: float = 0.0
     scale_weights: tuple[float, ...] = ()
     grad_clip: float = 1.0
 
@@ -82,8 +83,6 @@ class RunConfig:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if not 0.0 <= self.eval_fraction < 1.0:
             raise ConfigError(f"eval_fraction must be in [0, 1), got {self.eval_fraction}")
-        if self.lpips_weight != 0.0 or self.gan_weight != 0.0:
-            raise ConfigError("lpips_weight and gan_weight are config slots only; enabling them is unsupported")
         if self.scale_weights and len(self.scale_weights) != len(self.tokenizer.scales):
             raise ConfigError(
                 f"scale_weights has {len(self.scale_weights)} entries for {len(self.tokenizer.scales)} scales"
@@ -91,29 +90,6 @@ class RunConfig:
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise ConfigError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
         return self
-
-
-_TOKENIZER_KEYS = {f.name for f in fields(TokenizerConfig)}
-_RUN_KEYS = {f.name for f in fields(RunConfig)} - {"tokenizer"}
-
-
-def _parse_scalar(value: str, kind):
-    value = value.strip()
-    if kind is int:
-        return int(value)
-    if kind is float:
-        return float(value)
-    return value
-
-
-def _parse_int_tuple(value: str) -> tuple[int, ...]:
-    parts = [p for p in value.split(",") if p.strip()]
-    return tuple(int(p) for p in parts)
-
-
-def _parse_float_tuple(value: str) -> tuple[float, ...]:
-    parts = [p for p in value.split(",") if p.strip()]
-    return tuple(float(p) for p in parts)
 
 
 def parse_kv_lines(text: str) -> dict[str, str]:
@@ -130,44 +106,46 @@ def parse_kv_lines(text: str) -> dict[str, str]:
     return out
 
 
-def tokenizer_config_from_kv(kv: dict[str, str], base: TokenizerConfig | None = None) -> TokenizerConfig:
-    cfg = base or TokenizerConfig()
+def _field_types(cls) -> dict:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _parse_value(key: str, text: str, kind):
+    """Parse one value as ``int``, ``float``, ``str`` or a comma-separated
+    ``tuple[int, ...]``/``tuple[float, ...]`` (blank items are skipped)."""
+    if kind is str:
+        return text
+    try:
+        if get_origin(kind) is tuple:
+            item = get_args(kind)[0]
+            return tuple(item(p) for p in text.split(",") if p.strip())
+        return kind(text)
+    except ValueError as err:
+        raise ConfigError(f"config key {key!r}: {err}") from None
+
+
+def config_from_kv(cls, kv: dict[str, str], base=None):
+    """Build the config dataclass ``cls`` from string values, each parsed by
+    its field annotation. Keys of a nested config field (``RunConfig.tokenizer``)
+    are routed into it. Unknown keys raise ``ConfigError``; nothing is validated."""
+    cfg = cls() if base is None else base
+    types = _field_types(cls)
     updates = {}
-    for key, value in kv.items():
-        if key not in _TOKENIZER_KEYS:
-            raise ConfigError(f"unknown tokenizer config key {key!r}")
-        if key == "scales":
-            updates[key] = _parse_int_tuple(value)
-        elif key in ("downsample_mode", "regime"):
-            updates[key] = value
-        elif key in ("kl_weight", "drop_path"):
-            updates[key] = float(value)
-        else:
-            updates[key] = int(value)
-    return replace(cfg, **updates).validate()
-
-
-def run_config_from_kv(kv: dict[str, str], base: RunConfig | None = None) -> RunConfig:
-    cfg = base or RunConfig()
-    tok_kv = {k: v for k, v in kv.items() if k in _TOKENIZER_KEYS}
-    rest = {k: v for k, v in kv.items() if k not in _TOKENIZER_KEYS}
-    unknown = set(rest) - _RUN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    tokenizer = tokenizer_config_from_kv(tok_kv, cfg.tokenizer) if tok_kv else cfg.tokenizer
-    updates: dict = {"tokenizer": tokenizer}
-    for key, value in rest.items():
-        if key == "scale_weights":
-            updates[key] = _parse_float_tuple(value)
-        elif key in ("data_dir", "checkpoint"):
-            updates[key] = value
-        elif key in ("lr_start", "lr_end", "warmup_ratio", "eval_fraction", "l1_weight",
-                     "mse_weight", "lpips_weight", "gan_weight", "grad_clip"):
-            updates[key] = float(value)
-        else:
-            updates[key] = int(value)
-    return replace(cfg, **updates).validate()
+    routed: set[str] = set()
+    for name, kind in types.items():
+        if is_dataclass(kind):
+            sub = {k: v for k, v in kv.items() if k in _field_types(kind)}
+            routed |= sub.keys()
+            if sub:
+                updates[name] = config_from_kv(kind, sub, getattr(cfg, name))
+    for key, text in kv.items():
+        if key in routed:
+            continue
+        if key not in types or is_dataclass(types[key]):
+            raise ConfigError(f"unknown config key {key!r}")
+        updates[key] = _parse_value(key, text, types[key])
+    return replace(cfg, **updates)
 
 
 def tokenizer_config_to_kv(cfg: TokenizerConfig) -> str:
@@ -180,8 +158,8 @@ def tokenizer_config_to_kv(cfg: TokenizerConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_run_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
-    """Build a RunConfig from an optional file plus ``key=value`` overrides."""
+def read_config_kv(path: str | None, overrides: list[str] | None = None) -> dict[str, str]:
+    """Merge an optional ``key=value`` file with ``key=value`` overrides."""
     kv: dict[str, str] = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -191,4 +169,9 @@ def load_run_config(path: str | None, overrides: list[str] | None = None) -> Run
             raise ConfigError(f"override must be key=value, got {item!r}")
         key, value = item.split("=", 1)
         kv[key.strip()] = value.strip()
-    return run_config_from_kv(kv)
+    return kv
+
+
+def load_run_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
+    """Build a validated RunConfig from an optional file plus overrides."""
+    return config_from_kv(RunConfig, read_config_kv(path, overrides)).validate()

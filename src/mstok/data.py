@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imageio import FormatError, load_ppm, save_ppm
+from .imageio import load_ppm, save_ppm
 from .tensor import make_rng
 
 # rng stream ids (spawn keys) reserved across the package

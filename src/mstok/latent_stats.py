@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, area_pool, as_tensor, reshape
+from .tensor import area_pool
 
 
 class UndefinedMetricsError(ValueError):
@@ -149,21 +149,22 @@ def analyze_latents(vectors, grid_size: int = 64, bandwidth: float | None = None
                               bandwidth=bandwidth)
 
 
-def commutation_residual(model, x, level_index: int) -> float:
-    """Relative gap between decoding at a scale and downsampling the top
-    decode: ||out_s - pool(out_top)|| / (||pool(out_top)|| + eps), eval mode."""
-    images, _ = model.reconstruct(x, deterministic=True)
-    if not 0 <= level_index < len(images):
-        raise IndexError(f"level {level_index} out of range for {len(images)} scales")
+def commutation_residuals(images: list[np.ndarray]) -> list[float]:
+    """Per-level gap between decoding at a scale and downsampling the top
+    decode: the batch mean of ||out_s - pool(out_top)|| / (||pool(out_top)|| + eps).
+
+    ``images`` are batched (batch x 3 x side x side) decodes, low to high. The
+    top level pools to its own side, an exact identity, so it reads 0.0.
+    """
     top = images[-1]
-    level = images[level_index]
-    side = level.shape[-1]
-    top_b = reshape(top, (1,) + top.shape) if top.ndim == 3 else top
-    pooled = area_pool(top_b, side, side).data
-    lvl = level.data.reshape(pooled.shape)
-    diff = np.linalg.norm((lvl - pooled).ravel())
-    ref = np.linalg.norm(pooled.ravel())
-    return float(diff / (ref + 1e-8))
+    out = []
+    for level in images:
+        side = level.shape[-1]
+        pooled = area_pool(top, side, side).data
+        num = np.linalg.norm((level - pooled).reshape(level.shape[0], -1), axis=1)
+        den = np.linalg.norm(pooled.reshape(level.shape[0], -1), axis=1)
+        out.append(float((num / (den + 1e-8)).mean()))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,16 +14,12 @@ from .tensor import ConfigError, ShapeError, Tensor, add, as_tensor, scale, squa
 class LossWeights:
     l1: float = 1.0
     mse: float = 0.4
-    lpips: float = 0.0            # slot only; must stay 0
-    gan: float = 0.0              # slot only; must stay 0
     kl: float = 1e-6
     scale_weights: tuple[float, ...] = ()
 
     def validate(self, num_scales: int | None = None) -> "LossWeights":
         if min(self.l1, self.mse, self.kl) < 0:
             raise ConfigError("loss weights must be nonnegative")
-        if self.lpips != 0.0 or self.gan != 0.0:
-            raise ConfigError("perceptual/adversarial loss slots must stay at 0 in this build")
         if self.scale_weights:
             if any(w < 0 for w in self.scale_weights):
                 raise ConfigError("scale_weights must be nonnegative")

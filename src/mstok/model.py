@@ -22,11 +22,12 @@ from .attention import (
     build_mask,
     transformer_block,
 )
-from .config import TokenizerConfig, parse_kv_lines, tokenizer_config_from_kv, tokenizer_config_to_kv
+from .config import TokenizerConfig, config_from_kv, parse_kv_lines, tokenizer_config_to_kv
+from .data import STREAM_INIT
 from .pyramid import (
     PEParams,
     ScaleSchedule,
-    TokenPyramid,
+    ScheduleError,
     averaging_kernel,
     conv_chain_lengths,
     downsample_conv,
@@ -179,7 +180,7 @@ class TokenizerModel:
         std = texp(code.logvar * 0.5)
         return add(code.mu, mul(std, Tensor(eps)))
 
-    def build_pyramid(self, z_width: Tensor) -> TokenPyramid:
+    def build_pyramid(self, z_width: Tensor) -> list[Tensor]:
         if self.config.downsample_mode == "conv":
             return downsample_conv(self.down_chains, z_width, self.schedule)
         return downsample_interp(z_width, self.schedule)
@@ -222,8 +223,7 @@ class TokenizerModel:
                 f"decode_pyramid: latent shape {z_latent.shape[1:]} != ({g}, {g}, {self.config.latent_dim})"
             )
         z = add(matmul(z_latent, self.proj_w), self.proj_b)
-        pyramid = self.build_pyramid(z)
-        images = self.decode_levels(pyramid.maps, rng=rng, training=training)
+        images = self.decode_levels(self.build_pyramid(z), rng=rng, training=training)
         if squeeze:
             images = [reshape(im, im.shape[1:]) for im in images]
         return images
@@ -264,7 +264,7 @@ def init_model(config: TokenizerConfig, dtype=np.float32) -> TokenizerModel:
     """Build a freshly initialized model; draw order is fixed, so equal seeds
     give bit-identical parameters."""
     config.validate()
-    rng = make_rng(config.seed, stream=0)
+    rng = make_rng(config.seed, stream=STREAM_INIT)
     schedule = config.schedule()
     g = schedule.base_grid
     ew, dw, dz, p = config.enc_width, config.dec_width, config.latent_dim, config.patch
@@ -375,8 +375,12 @@ def load_checkpoint(path: str) -> TokenizerModel:
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         (config_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        config_text = _read_exact(fh, config_len, "config").decode("utf-8")
-        config = tokenizer_config_from_kv(parse_kv_lines(config_text))
+        config_bytes = _read_exact(fh, config_len, "config")
+        try:
+            kv = parse_kv_lines(config_bytes.decode("utf-8"))
+            config = config_from_kv(TokenizerConfig, kv).validate()
+        except (UnicodeDecodeError, ConfigError, ScheduleError) as err:
+            raise CheckpointError(f"{path}: bad embedded config: {err}") from None
         model = init_model(config)
         params = model.named_parameters()
         (n_records,) = struct.unpack("<I", _read_exact(fh, 4, "record count"))

@@ -1,8 +1,8 @@
 """Multi-scale token pyramid: schedules, downsampling, positional encodings.
 
 Token maps are channel-last (batch x grid x grid x width). Pyramids are built
-from the full-resolution base map, one level per grid entry, and concatenated
-low-to-high into a single token sequence.
+from the full-resolution base map as a list with one level per grid entry,
+ascending; the decoder concatenates them low-to-high into one token sequence.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ConfigError, ShapeError, Tensor, area_pool, as_tensor, concat, conv2d, reshape, transpose
+from .tensor import ConfigError, ShapeError, Tensor, area_pool, as_tensor, conv2d, reshape, slice_axis, transpose
 
 
 class ScheduleError(ValueError):
@@ -40,15 +40,8 @@ class ScaleSchedule:
         return len(self.grids)
 
     def offsets(self) -> tuple[int, ...]:
-        """Start offset of each scale block in the concatenated sequence."""
+        """Start offset of each scale block in the low-to-high token sequence."""
         return tuple(np.cumsum((0,) + self.counts[:-1]).tolist())
-
-    def block_of(self, token_index: int) -> int:
-        """Scale index owning a concatenated-sequence position."""
-        for s, (start, count) in enumerate(zip(self.offsets(), self.counts)):
-            if start <= token_index < start + count:
-                return s
-        raise IndexError(f"token index {token_index} out of range for total {self.total}")
 
     def dyadic(self) -> bool:
         base = self.base_grid
@@ -66,15 +59,6 @@ def build_schedule(base_grid: int, grids: list[int] | tuple[int, ...]) -> ScaleS
     if grids[-1] != base_grid:
         raise ScheduleError(f"last grid {grids[-1]} must equal the base grid {base_grid}")
     return ScaleSchedule(grids)
-
-
-@dataclass
-class TokenPyramid:
-    """Per-scale token maps plus their low-to-high concatenation."""
-
-    maps: list[Tensor]            # each batch x g_s x g_s x d, ascending g_s
-    concatenated: Tensor          # batch x total x d
-    schedule: ScaleSchedule
 
 
 @dataclass
@@ -97,24 +81,16 @@ def _ensure_batched(z) -> tuple[Tensor, bool]:
 
 def _pool_map(z: Tensor, out_side: int) -> Tensor:
     """Area-pool a channel-last map to out_side x out_side."""
-    b, g, _, d = z.shape
     nchw = transpose(z, (0, 3, 1, 2))
     pooled = area_pool(nchw, out_side, out_side)
     return transpose(pooled, (0, 2, 3, 1))
 
 
-def _finish_pyramid(maps: list[Tensor], schedule: ScaleSchedule, squeeze: bool) -> TokenPyramid:
-    if squeeze:
-        maps = [reshape(m, m.shape[1:]) for m in maps]
-        flat = [reshape(m, (m.shape[0] * m.shape[1], m.shape[2])) for m in maps]
-        cat = concat(flat, axis=0)
-    else:
-        flat = [reshape(m, (m.shape[0], m.shape[1] * m.shape[2], m.shape[3])) for m in maps]
-        cat = concat(flat, axis=1)
-    return TokenPyramid(maps=maps, concatenated=cat, schedule=schedule)
+def _finish_pyramid(maps: list[Tensor], squeeze: bool) -> list[Tensor]:
+    return [reshape(m, m.shape[1:]) for m in maps] if squeeze else maps
 
 
-def downsample_interp(z_base, schedule: ScaleSchedule) -> TokenPyramid:
+def downsample_interp(z_base, schedule: ScaleSchedule) -> list[Tensor]:
     """Parameter-free pyramid: each level is the area-pooled base map."""
     z, squeeze = _ensure_batched(z_base)
     if z.shape[1] != schedule.base_grid or z.shape[2] != schedule.base_grid:
@@ -122,7 +98,7 @@ def downsample_interp(z_base, schedule: ScaleSchedule) -> TokenPyramid:
             f"downsample_interp: base map side {z.shape[1]}x{z.shape[2]} != schedule base grid {schedule.base_grid}"
         )
     maps = [z if g == schedule.base_grid else _pool_map(z, g) for g in schedule.grids]
-    return _finish_pyramid(maps, schedule, squeeze)
+    return _finish_pyramid(maps, squeeze)
 
 
 def conv_chain_lengths(schedule: ScaleSchedule) -> dict[int, int]:
@@ -144,7 +120,7 @@ def averaging_kernel(width: int, dtype=np.float32) -> np.ndarray:
     return k
 
 
-def downsample_conv(chains: dict[int, list[Tensor]], z_base, schedule: ScaleSchedule) -> TokenPyramid:
+def downsample_conv(chains: dict[int, list[Tensor]], z_base, schedule: ScaleSchedule) -> list[Tensor]:
     """Learnable pyramid: each non-top level applies its own chain of stride-2
     convolutions to the base map."""
     lengths = conv_chain_lengths(schedule)
@@ -168,7 +144,7 @@ def downsample_conv(chains: dict[int, list[Tensor]], z_base, schedule: ScaleSche
         for kernel in kernels:
             level = conv2d(level, kernel, stride=2)
         maps.append(transpose(level, (0, 2, 3, 1)))
-    return _finish_pyramid(maps, schedule, squeeze)
+    return _finish_pyramid(maps, squeeze)
 
 
 def positional_encoding(pe: PEParams, schedule: ScaleSchedule) -> list[Tensor]:
@@ -186,15 +162,9 @@ def positional_encoding(pe: PEParams, schedule: ScaleSchedule) -> list[Tensor]:
     for s, g in enumerate(schedule.grids):
         level = spatial if g == schedule.base_grid else _pool_map(spatial, g)
         level = reshape(level, (g, g, d))
-        embed = reshape(slice_axis_row(pe.per_scale, s), (1, 1, d))
+        embed = reshape(slice_axis(pe.per_scale, 0, s, s + 1), (1, 1, d))
         out.append(level + embed)
     return out
-
-
-def slice_axis_row(t: Tensor, row: int) -> Tensor:
-    from .tensor import slice_axis
-
-    return slice_axis(t, 0, row, row + 1)
 
 
 def image_pyramid(x, schedule: ScaleSchedule, patch: int) -> list[Tensor]:

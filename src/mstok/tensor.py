@@ -75,9 +75,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Reverse-mode sweep from this node; accumulates into ``.grad``."""
         if not self.requires_grad:
@@ -633,6 +630,30 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.fl
     return (sp_special.ndtri(u) * std).astype(dtype)
 
 
+def central_differences(f, flat: np.ndarray, indices, eps: float) -> np.ndarray:
+    """Central-difference derivatives of the scalar ``f()`` with respect to
+    ``flat[i]`` for each index. ``flat`` is perturbed in place, one coordinate
+    at a time, and restored; ``f`` must read its inputs through it."""
+    numeric = np.empty(len(indices))
+    for k, i in enumerate(indices):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = float(f())
+        flat[i] = orig - eps
+        lo = float(f())
+        flat[i] = orig
+        numeric[k] = (hi - lo) / (2.0 * eps)
+    return numeric
+
+
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Max of |a - n| / max(|a|, |n|, 1e-8); raises on non-finite gradients."""
+    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
+        raise NumericError("gradient check: non-finite gradient")
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
 def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -648,20 +669,7 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     if not np.isfinite(out.data).all():
         raise NumericError("grad_check: non-finite forward output")
     out.backward()
-    analytic = x64.grad.reshape(-1).copy()
 
-    numeric = np.empty_like(analytic)
     flat = base.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(Tensor(base.copy())).data
-        flat[i] = orig - eps
-        lo = f(Tensor(base.copy())).data
-        flat[i] = orig
-        numeric[i] = (float(hi) - float(lo)) / (2.0 * eps)
-    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
-        raise NumericError("grad_check: non-finite gradient")
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    numeric = central_differences(lambda: f(Tensor(base.copy())).data, flat, range(flat.size), eps)
+    return max_relative_error(x64.grad.reshape(-1), numeric)

@@ -13,13 +13,13 @@ import numpy as np
 from .config import RunConfig
 from .data import STREAM_NOISE, Dataset, load_dataset
 from .imageio import quantize_roundtrip
-from .latent_stats import analyze_latents
-from .losses import LossWeights, kl_loss, multiscale_loss
+from .latent_stats import analyze_latents, commutation_residuals
+from .losses import LossWeights, multiscale_loss
 from .metrics import psnr, ssim
 from .model import TokenizerModel, init_model, save_checkpoint
 from .optim import AdamW, clip_grad_norm, cosine_lr
 from .pyramid import image_pyramid
-from .tensor import NumericError, Tensor, area_pool, make_rng
+from .tensor import NumericError, Tensor, make_rng
 
 ADAMW_BETAS = (0.9, 0.95)
 ADAMW_WEIGHT_DECAY = 0.05
@@ -29,8 +29,6 @@ def loss_weights_for(config: RunConfig) -> LossWeights:
     return LossWeights(
         l1=config.l1_weight,
         mse=config.mse_weight,
-        lpips=config.lpips_weight,
-        gan=config.gan_weight,
         kl=config.tokenizer.kl_weight,
         scale_weights=config.scale_weights,
     ).validate(len(config.tokenizer.scales))
@@ -39,20 +37,6 @@ def loss_weights_for(config: RunConfig) -> LossWeights:
 def log_path_for(checkpoint: str) -> str:
     stem, _ = os.path.splitext(checkpoint)
     return stem + ".log.jsonl"
-
-
-def _residuals_per_level(outputs: list[np.ndarray]) -> list[float]:
-    """Mean relative gap between each level and the pooled top decode."""
-    top = outputs[-1]
-    out = []
-    for level in outputs[:-1]:
-        side = level.shape[-1]
-        pooled = area_pool(Tensor(top), side, side).data
-        num = np.linalg.norm((level - pooled).reshape(level.shape[0], -1), axis=1)
-        den = np.linalg.norm(pooled.reshape(level.shape[0], -1), axis=1)
-        out.append(float((num / (den + 1e-8)).mean()))
-    out.append(0.0)
-    return out
 
 
 def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray,
@@ -82,8 +66,7 @@ def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray,
         top = outputs[-1].data
         l1_total += float(np.abs(top - x.data).mean()) * b
         rec_total += breakdown["per_scale"][-1] * b
-        out_np = [o.data for o in outputs]
-        residual_acc += np.array(_residuals_per_level(out_np)) * b
+        residual_acc += np.array(commutation_residuals([o.data for o in outputs])) * b
         for j in range(b):
             quant = quantize_roundtrip(top[j])
             psnr_total += psnr(quant, x.data[j])

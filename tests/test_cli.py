@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mstok.cli import main
+from mstok.cli import E2E_THRESHOLD, OPS_THRESHOLD, main
 from mstok.config import RunConfig, TokenizerConfig
 from mstok.data import generate_synthetic_folder
 from mstok.imageio import load_ppm
@@ -62,6 +62,28 @@ def test_missing_subcommand_usage_error():
 
 def test_unknown_config_key_usage_error(tmp_path):
     assert main(["train", "--set", "not_a_key=1"]) == 1
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["train", "--set", "steps=abc"], "steps"),
+    (["train", "--set", "scales=1,x"], "scales"),
+    (["dump-mask", "--set", "scales="], "scales"),
+    (["dump-mask", "--set", "stepz=3"], "stepz"),
+])
+def test_malformed_config_value_config_error(capsys, argv, key):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
+def test_gradcheck_passes_within_thresholds(capsys):
+    assert main(["gradcheck"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    errors = {line.split(": max_rel_err=")[0]: float(line.split("=")[1])
+              for line in lines if "max_rel_err=" in line}
+    assert len(errors) == len(lines) - 1 and "model end-to-end" in errors
+    for name, err in errors.items():
+        assert err < (E2E_THRESHOLD if name == "model end-to-end" else OPS_THRESHOLD), name
 
 
 def test_train_reconstruct_flow(tmp_path, capsys):

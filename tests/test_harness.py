@@ -111,8 +111,9 @@ def test_run_config_file_and_overrides(tmp_path):
 
 
 def test_run_config_rejects_enabled_lpips():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         load_run_config(None, ["lpips_weight=1.0"])
+    assert "lpips_weight" in str(err.value)
 
 
 def test_run_config_rejects_conv_non_dyadic():

@@ -158,23 +158,26 @@ def test_analyze_latents_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# commutation_residual
+# commutation_residuals
 # ---------------------------------------------------------------------------
 
 TINY = TokenizerConfig(image_size=8, patch=4, enc_layers=1, dec_layers=1, enc_width=8,
                        dec_width=8, heads=2, latent_dim=4, scales=(1, 2), seed=3)
 
 
-def test_commutation_residual_top_level_zero():
+def residuals_of(seed):
     model = init_model(TINY)
-    x = Tensor(make_rng(5).uniform(-1, 1, (3, 8, 8)).astype(np.float32))
-    assert L.commutation_residual(model, x, level_index=1) == 0.0
+    x = Tensor(make_rng(seed).uniform(-1, 1, (2, 3, 8, 8)).astype(np.float32))
+    images, _ = model.reconstruct(x, deterministic=True)
+    return L.commutation_residuals([im.data for im in images])
+
+
+def test_commutation_residual_top_level_zero():
+    assert residuals_of(5)[-1] == 0.0
 
 
 def test_commutation_residual_untrained_finite():
-    model = init_model(TINY)
-    x = Tensor(make_rng(6).uniform(-1, 1, (3, 8, 8)).astype(np.float32))
-    r = L.commutation_residual(model, x, level_index=0)
+    r = residuals_of(6)[0]
     assert np.isfinite(r) and r >= 0.0
 
 

@@ -237,3 +237,20 @@ def test_checkpoint_truncated(tmp_path):
         fh.write(blob[: len(blob) // 2])
     with pytest.raises(CheckpointError):
         load_checkpoint(trunc)
+
+
+@pytest.mark.parametrize("good, bad", [
+    (b"seed=0", b"seed=x"),        # value that does not parse
+    (b"seed=0", b"sexd=0"),        # unknown key
+    (b"heads=2", b"heads=3"),      # fails validation
+])
+def test_checkpoint_bad_embedded_config(tmp_path, good, bad):
+    model = init_model(TINY)
+    path = str(tmp_path / "model.htok")
+    save_checkpoint(model, path)
+    blob = open(path, "rb").read()
+    assert blob.count(good) == 1
+    corrupt = tmp_path / "corrupt.htok"
+    corrupt.write_bytes(blob.replace(good, bad))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(corrupt))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mstok.losses import LossWeights, kl_loss, multiscale_loss, rec_loss
 from mstok.model import LatentCode
 from mstok.optim import AdamW, clip_grad_norm, cosine_lr
-from mstok.tensor import ConfigError, NumericError, ShapeError, Tensor, make_rng
+from mstok.tensor import NumericError, ShapeError, Tensor, make_rng
 
 W = LossWeights()
 
@@ -145,13 +145,6 @@ def test_loss_batch_permutation_invariant():
     a = rec_loss(Tensor(pred), Tensor(target), W).item()
     b = rec_loss(Tensor(pred[perm]), Tensor(target[perm]), W).item()
     assert a == pytest.approx(b, rel=1e-6)
-
-
-def test_loss_weights_reject_enabled_slots():
-    with pytest.raises(ConfigError):
-        LossWeights(lpips=1.0).validate()
-    with pytest.raises(ConfigError):
-        LossWeights(gan=0.6).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def test_interp_constant_map_constant_levels():
     sched = P.build_schedule(4, [1, 2, 4])
     z = Tensor(np.full((4, 4, 3), 1.5))
     pyr = P.downsample_interp(z, sched)
-    for m in pyr.maps:
+    for m in pyr:
         np.testing.assert_allclose(m.data, 1.5, rtol=1e-6)
 
 
@@ -67,15 +67,15 @@ def test_interp_level1_is_block_mean():
     a, b, c, d = 1.0, 2.0, 3.0, 4.0
     z = Tensor(np.array([[[a], [b]], [[c], [d]]]))
     pyr = P.downsample_interp(z, sched)
-    assert pyr.maps[0].data[0, 0, 0] == (a + b + c + d) / 4
+    assert pyr[0].data[0, 0, 0] == (a + b + c + d) / 4
 
 
 def test_interp_degenerate_schedule_identity():
     sched = P.build_schedule(16, [16])
     z = Tensor(make_rng(0).standard_normal((16, 16, 4)).astype(np.float32))
     pyr = P.downsample_interp(z, sched)
-    assert len(pyr.maps) == 1
-    np.testing.assert_array_equal(pyr.maps[0].data, z.data)
+    assert len(pyr) == 1
+    np.testing.assert_array_equal(pyr[0].data, z.data)
 
 
 def test_interp_shape_mismatch():
@@ -92,18 +92,8 @@ def test_interp_levels_preserve_global_mean(seed):
     z = make_rng(seed).integers(-4, 5, size=(8, 8, 2)).astype(np.float64)
     pyr = P.downsample_interp(Tensor(z), sched)
     base_mean = z.mean()
-    for m in pyr.maps:
+    for m in pyr:
         assert m.data.mean() == pytest.approx(base_mean, abs=1e-12)
-
-
-def test_concatenated_slices_reproduce_maps():
-    sched = P.build_schedule(8, [1, 2, 4, 8])
-    z = Tensor(make_rng(1).standard_normal((2, 8, 8, 5)).astype(np.float32))
-    pyr = P.downsample_interp(z, sched)
-    assert pyr.concatenated.shape == (2, sched.total, 5)
-    for m, start, count in zip(pyr.maps, sched.offsets(), sched.counts):
-        block = pyr.concatenated.data[:, start : start + count]
-        np.testing.assert_array_equal(block.reshape(m.shape), m.data)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +116,7 @@ def test_conv_with_averaging_kernels_equals_interp():
     z = Tensor(make_rng(2).standard_normal((1, 8, 8, 3)).astype(np.float64))
     conv_pyr = P.downsample_conv(make_avg_chains(sched, 3), z, sched)
     interp_pyr = P.downsample_interp(z, sched)
-    for a, b in zip(conv_pyr.maps, interp_pyr.maps):
+    for a, b in zip(conv_pyr, interp_pyr):
         np.testing.assert_allclose(a.data, b.data, rtol=1e-10, atol=1e-12)
 
 
@@ -135,16 +125,16 @@ def test_conv_zero_kernels_zero_levels():
     chains = {2: [Tensor(np.zeros((3, 3, 2, 2)))]}
     z = Tensor(make_rng(3).standard_normal((1, 4, 4, 3)).astype(np.float32))
     pyr = P.downsample_conv(chains, z, sched)
-    np.testing.assert_array_equal(pyr.maps[0].data, 0.0)
-    np.testing.assert_array_equal(pyr.maps[1].data, z.data)
+    np.testing.assert_array_equal(pyr[0].data, 0.0)
+    np.testing.assert_array_equal(pyr[1].data, z.data)
 
 
 def test_conv_single_scale_no_kernels():
     sched = P.build_schedule(8, [8])
     z = Tensor(make_rng(4).standard_normal((8, 8, 2)).astype(np.float32))
     pyr = P.downsample_conv({}, z, sched)
-    assert len(pyr.maps) == 1
-    np.testing.assert_array_equal(pyr.maps[0].data, z.data)
+    assert len(pyr) == 1
+    np.testing.assert_array_equal(pyr[0].data, z.data)
 
 
 def test_conv_rejects_non_dyadic_schedule():
