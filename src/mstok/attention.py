@@ -27,7 +27,6 @@ from .tensor import (
     layer_norm,
     matmul,
     reshape,
-    scale,
     softmax,
     transpose,
 )
@@ -55,11 +54,7 @@ class AttentionMask:
     allow: np.ndarray             # T x T boolean
     schedule: ScaleSchedule
     regime: AttentionRegime
-
-    @property
-    def additive(self) -> np.ndarray:
-        """0 where allowed, MASK_VALUE where forbidden (float32)."""
-        return np.where(self.allow, 0.0, MASK_VALUE).astype(np.float32)
+    additive: np.ndarray          # T x T float32: 0 where allowed, MASK_VALUE where forbidden
 
 
 def build_mask(schedule: ScaleSchedule, regime: AttentionRegime) -> AttentionMask:
@@ -71,7 +66,11 @@ def build_mask(schedule: ScaleSchedule, regime: AttentionRegime) -> AttentionMas
         q = scale_of[:, None]
         k = scale_of[None, :]
         allow = (q == k) if regime is AttentionRegime.SCALE_INDEPENDENT else (q >= k)
-    return AttentionMask(allow=allow, schedule=schedule, regime=regime)
+    # Built once per model and shared by every attention call; read-only so
+    # no caller can alter the mask another call sees.
+    additive = np.where(allow, 0.0, MASK_VALUE).astype(np.float32)
+    additive.flags.writeable = False
+    return AttentionMask(allow=allow, schedule=schedule, regime=regime, additive=additive)
 
 
 @dataclass
@@ -124,8 +123,9 @@ def masked_mha(x, params: AttentionParams, heads: int, mask: AttentionMask | Non
     q = split_heads(matmul(x, params.wq))
     k = split_heads(matmul(x, params.wk))
     v = split_heads(matmul(x, params.wv))
-    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-    weights = softmax(scores, axis=-1, additive_mask=None if mask is None else mask.additive)
+    scores = matmul(q, transpose(k, (0, 1, 3, 2)))
+    weights = softmax(scores, axis=-1, additive_mask=None if mask is None else mask.additive,
+                      scale=1.0 / math.sqrt(hd))
     mixed = matmul(weights, v)
     out = reshape(transpose(mixed, (0, 2, 1, 3)), (b, t, d))
     out = matmul(out, params.wo)

@@ -4,6 +4,9 @@ Subcommands: train, reconstruct, analyze-latent, dump-mask, gradcheck,
 export-latents. Every subcommand except analyze-latent and gradcheck takes
 ``--config FILE`` plus repeatable ``--set key=value`` overrides. dump-mask
 reads only ``scales`` and ``regime`` from them, but still rejects unknown keys.
+reconstruct and export-latents run the model under ``tensor.no_grad``: they
+build no autograd graph, so each intermediate array is freed as soon as the
+next op has read it, and their outputs are bit-identical to graph mode.
 Exit codes: 0 success, 1 usage or config error, 2 data/format error
 (including a checkpoint whose embedded config is corrupt), 3 numeric error.
 """
@@ -30,7 +33,7 @@ from .latent_stats import (
 )
 from .model import CheckpointError, load_checkpoint
 from .pyramid import ScheduleError, build_schedule
-from .tensor import NumericError, ShapeError, Tensor
+from .tensor import NumericError, ShapeError, Tensor, no_grad
 from .train import train
 
 OPS_THRESHOLD = 1e-4
@@ -96,7 +99,8 @@ def _cmd_reconstruct(args) -> int:
     dataset = load_dataset(args.input_dir, cfg.image_size, cfg.seed)
     os.makedirs(args.output_dir, exist_ok=True)
     for name, image in zip(dataset.names, dataset.images):
-        outputs, _ = model.reconstruct(Tensor(image[None]), deterministic=True)
+        with no_grad():
+            outputs, _ = model.reconstruct(Tensor(image[None]), deterministic=True)
         stem = os.path.splitext(name)[0]
         for g, out in zip(cfg.scales, outputs):
             side = g * cfg.patch
@@ -113,7 +117,8 @@ def _cmd_export_latents(args) -> int:
     vectors = []
     for start in range(0, len(dataset), run.batch_size):
         x = Tensor(dataset.images[start : start + run.batch_size])
-        mu = model.latent_for_generation(x)
+        with no_grad():
+            mu = model.latent_for_generation(x)
         vectors.append(mu.data.reshape(mu.shape[0], -1))
     arr = np.concatenate(vectors, axis=0)
     write_latents(arr, args.output_path)

@@ -36,6 +36,9 @@ def op_library_checks(eps: float = 1e-5) -> dict[str, float]:
     results["masked_softmax_square_sum"] = T.grad_check(
         lambda t: T.tsum(T.square(T.softmax(t, axis=-1, additive_mask=mask))), x, eps
     )
+    results["scaled_masked_softmax"] = T.grad_check(
+        lambda t: T.tsum(T.square(T.softmax(t, axis=-1, additive_mask=mask, scale=0.7))), x, eps
+    )
 
     kernel = Tensor(rng.standard_normal((3, 2, 2, 2)), dtype=np.float64)
     gain = Tensor(rng.standard_normal(3), dtype=np.float64)

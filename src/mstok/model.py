@@ -8,6 +8,8 @@ before any downsampling, so generation-time codes have single-scale shape.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -338,22 +340,34 @@ def init_model(config: TokenizerConfig, dtype=np.float32) -> TokenizerModel:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: TokenizerModel, path: str) -> None:
+    """Write the checkpoint atomically: the bytes go to ``<path>.tmp``, are
+    fsynced, then replace ``path`` in one rename. A crash or a failed write
+    leaves the previous checkpoint intact and no temporary file behind."""
     config_text = tokenizer_config_to_kv(model.config).encode("utf-8")
     params = model.named_parameters()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(config_text)))
-        fh.write(config_text)
-        fh.write(struct.pack("<I", len(params)))
-        for name, tensor in params.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", tensor.ndim))
-            for dim in tensor.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+    tmp_path = path + ".tmp"
+    try:
+        with open(tmp_path, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(config_text)))
+            fh.write(config_text)
+            fh.write(struct.pack("<I", len(params)))
+            for name, tensor in params.items():
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", tensor.ndim))
+                for dim in tensor.shape:
+                    fh.write(struct.pack("<I", dim))
+                fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
+        raise
 
 
 class CheckpointError(ValueError):

@@ -5,9 +5,17 @@ oracles build float64 tensors (every op preserves the input dtype). A backward
 pass walks the graph in reverse topological order, visiting each node exactly
 once and accumulating (never overwriting) gradients, so DAGs with shared
 subexpressions differentiate correctly.
+
+Inside ``with no_grad():`` ops record no parents and keep no backward
+closures: every result is a plain constant, so each intermediate array is
+freed as soon as nothing reads it. Inference paths use it; their outputs are
+bit-identical to graph mode. The flag is process-wide, nests, and is restored
+on exit, also when the block raises.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 from scipy import special as sp_special
@@ -36,7 +44,7 @@ def _as_array(data, dtype=None) -> np.ndarray:
     arr = np.asarray(data)
     if dtype is not None:
         return arr.astype(dtype)
-    if not np.issubdtype(arr.dtype, np.floating):
+    if arr.dtype.kind != "f":
         return arr.astype(np.float32)
     return arr
 
@@ -178,7 +186,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the enclosed ops without recording an autograd graph."""
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    if not _grad_enabled:
+        return Tensor(data)
     grad_parents = tuple(p for p in parents if p.requires_grad)
     out = Tensor(data, requires_grad=bool(grad_parents))
     if grad_parents:
@@ -424,9 +449,14 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
 # Neural-network primitives
 # ---------------------------------------------------------------------------
 
-def softmax(x, axis: int = -1, additive_mask=None) -> Tensor:
-    """Softmax along ``axis`` with optional additive masking.
+def softmax(x, axis: int = -1, additive_mask=None, scale: float = 1.0) -> Tensor:
+    """Softmax of ``scale * x + additive_mask`` along ``axis``.
 
+    The scaled, masked logits are built in one owned buffer that is then
+    normalized in place, so attention scores cost no intermediate tensors;
+    the result equals ``softmax(scale(x, s), additive_mask=m)`` bit for bit.
+    The result keeps ``x``'s shape and dtype, so the mask must broadcast to
+    ``x``'s shape.
     Masked positions carry an additive value of ``MASK_VALUE``; their weight
     underflows to exactly 0.0. Rows where every position is masked output
     zeros rather than NaN, so a uniform mask-handling path is safe.
@@ -434,17 +464,18 @@ def softmax(x, axis: int = -1, additive_mask=None) -> Tensor:
     x = as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise IndexError(f"softmax: axis {axis} out of range for shape {x.shape}")
+    scale = float(scale)
+    out_data = x.data * scale  # fresh buffer
     mask_data = None
     if additive_mask is not None:
         mask_data = additive_mask.data if isinstance(additive_mask, Tensor) else np.asarray(additive_mask)
-        logits = x.data + mask_data
-    else:
-        logits = x.data
-    shifted = logits - logits.max(axis=axis, keepdims=True)  # fresh buffer
-    np.exp(shifted, out=shifted)
-    denom = shifted.sum(axis=axis, keepdims=True)
-    shifted /= denom
-    out_data = shifted
+        try:
+            out_data += mask_data
+        except ValueError:
+            raise ShapeError(f"softmax: mask shape {mask_data.shape} does not broadcast to {x.shape}") from None
+    out_data -= out_data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
     if mask_data is not None:
         dead_rows = np.all(mask_data <= _MASK_THRESHOLD, axis=axis, keepdims=True)
         if dead_rows.any():
@@ -452,7 +483,9 @@ def softmax(x, axis: int = -1, additive_mask=None) -> Tensor:
 
     def backward(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(x, out_data * (g - inner), fresh=True)
+        gx = out_data * (g - inner)
+        gx *= scale
+        _accumulate(x, gx, fresh=True)
 
     return _result(out_data, (x,), backward)
 

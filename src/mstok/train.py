@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .metrics import psnr, ssim
 from .model import TokenizerModel, init_model, save_checkpoint
 from .optim import AdamW, clip_grad_norm, cosine_lr
 from .pyramid import image_pyramid
-from .tensor import NumericError, Tensor, make_rng
+from .tensor import NumericError, Tensor, make_rng, no_grad
 
 ADAMW_BETAS = (0.9, 0.95)
 ADAMW_WEIGHT_DECAY = 0.05
@@ -39,10 +40,12 @@ def log_path_for(checkpoint: str) -> str:
     return stem + ".log.jsonl"
 
 
+@no_grad()
 def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray,
              weights: LossWeights, batch_size: int = 32) -> dict:
-    """Deterministic eval pass. PSNR/SSIM go through the uint8 quantization a
-    saved PPM would apply, so they match the reconstruct-then-score path."""
+    """Deterministic eval pass, run without an autograd graph. PSNR/SSIM go
+    through the uint8 quantization a saved PPM would apply, so they match the
+    reconstruct-then-score path."""
     schedule = model.schedule
     n = len(indices)
     if n == 0:
@@ -131,6 +134,7 @@ def train(config: RunConfig, echo: bool = False) -> dict:
 
         try:
             for step in range(1, steps + 1):
+                step_start = time.perf_counter()
                 if cursor >= len(order):
                     epoch += 1
                     order = dataset.epoch_order(tok.seed, epoch, train_idx)
@@ -149,9 +153,10 @@ def train(config: RunConfig, echo: bool = False) -> dict:
 
                 model.zero_grad()
                 loss.backward()
-                clip_grad_norm(params, config.grad_clip)
+                grad_norm = clip_grad_norm(params, config.grad_clip)
                 lr = cosine_lr(step, steps, config.warmup_ratio, config.lr_start, config.lr_end)
                 optimizer.step(lr)
+                step_ms = 1000.0 * (time.perf_counter() - step_start)
 
                 if step == 1 or step == steps or (config.log_interval and step % config.log_interval == 0):
                     last_entry = {
@@ -160,13 +165,17 @@ def train(config: RunConfig, echo: bool = False) -> dict:
                         "total": breakdown["total"],
                         "per_scale": breakdown["per_scale"],
                         "kl": breakdown["kl"],
+                        "grad_norm": grad_norm,
+                        "step_ms": step_ms,
                     }
                     emit(last_entry)
                 if config.checkpoint_interval and step % config.checkpoint_interval == 0:
                     save_checkpoint(model, config.checkpoint)
-        except NumericError as err:
-            # Abort: the last interval checkpoint stays on disk untouched.
-            emit({"event": "abort", "error": str(err)})
+        except BaseException as err:
+            # Any failure, interrupts included, is logged before it propagates;
+            # "at_step" is not "step", which marks step entries. The last
+            # interval checkpoint stays on disk untouched.
+            emit({"event": "abort", "at_step": step, "error_type": type(err).__name__, "error": str(err)})
             raise
 
         save_checkpoint(model, config.checkpoint)

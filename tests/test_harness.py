@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from mstok.config import RunConfig, TokenizerConfig, load_run_config
 from mstok.data import generate_synthetic
-from mstok.model import load_checkpoint
+from mstok.model import init_model, load_checkpoint
 from mstok.tensor import ConfigError
 from mstok.train import evaluate, loss_weights_for, train
 
@@ -60,12 +61,48 @@ def test_log_lines_schema(tmp_path):
     train_lines = [l for l in lines if "step" in l]
     assert train_lines, "expected per-interval train entries"
     for entry in train_lines:
-        assert set(entry) == {"step", "lr", "total", "per_scale", "kl"}
+        assert set(entry) == {"step", "lr", "total", "per_scale", "kl", "grad_norm", "step_ms"}
         assert len(entry["per_scale"]) == len(SMALL_TOK.scales)
+        assert math.isfinite(entry["grad_norm"]) and entry["grad_norm"] > 0.0
+        assert entry["step_ms"] > 0.0
     eval_lines = [l for l in lines if l.get("event") == "eval"]
     assert len(eval_lines) == 1
     for key in ("l1", "rec_loss", "psnr", "ssim", "per_scale", "commutation", "uniformity"):
         assert key in eval_lines[0]
+
+
+def test_non_numeric_failure_logs_abort(tmp_path, monkeypatch):
+    import mstok.train as train_mod
+
+    real_lr = train_mod.cosine_lr
+
+    def failing_lr(step, *args):
+        if step == 3:
+            raise RuntimeError("injected failure")
+        return real_lr(step, *args)
+
+    monkeypatch.setattr(train_mod, "cosine_lr", failing_lr)
+    cfg = small_run(tmp_path, log_interval=1)
+    with pytest.raises(RuntimeError, match="injected failure"):
+        train(cfg)
+    lines = [json.loads(l) for l in open(train_mod.log_path_for(cfg.checkpoint), encoding="utf-8")]
+    assert [l["step"] for l in lines if "step" in l] == [1, 2]
+    assert lines[-1] == {"event": "abort", "at_step": 3, "error_type": "RuntimeError",
+                         "error": "injected failure"}
+    # The step-0 checkpoint is still on disk and loads.
+    assert load_checkpoint(cfg.checkpoint).config == SMALL_TOK
+
+
+def test_evaluate_bit_identical_to_graph_mode(tmp_path):
+    # ``evaluate`` runs under no_grad; ``__wrapped__`` is the same body with
+    # the graph recorded, and every metric must match it exactly.
+    model = init_model(SMALL_TOK)
+    ds = generate_synthetic(24, 16, seed=SMALL_TOK.seed)
+    _, eval_idx = ds.split(0.25)
+    weights = loss_weights_for(small_run(tmp_path))
+    graph_free = evaluate(model, ds, eval_idx, weights, batch_size=4)
+    with_graph = evaluate.__wrapped__(model, ds, eval_idx, weights, batch_size=4)
+    assert json.dumps(graph_free, sort_keys=True) == json.dumps(with_graph, sort_keys=True)
 
 
 def test_epochs_derive_steps(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from mstok.config import TokenizerConfig
 from mstok.model import CheckpointError, LatentCode, init_model, load_checkpoint, save_checkpoint
-from mstok.tensor import ShapeError, Tensor, make_rng
+from mstok.tensor import ShapeError, Tensor, make_rng, no_grad
 
 TINY = TokenizerConfig(image_size=8, patch=4, enc_layers=1, dec_layers=1, enc_width=8,
                        dec_width=8, heads=2, latent_dim=4, scales=(1, 2), seed=0)
@@ -101,6 +101,43 @@ def test_reconstruct_top_scale_shape():
     images, code = model.reconstruct(x)
     assert images[-1].shape == x.shape
     assert isinstance(code, LatentCode)
+
+
+def test_reconstruct_no_grad_bit_identical():
+    cfg = TokenizerConfig(image_size=16, patch=4, enc_layers=1, dec_layers=2, enc_width=16,
+                          dec_width=16, heads=2, latent_dim=4, scales=(1, 2, 4), seed=3)
+    model = init_model(cfg)
+    x = rand_image(make_rng(16), cfg, batch=2)
+    graph_out, graph_code = model.reconstruct(x)
+    with no_grad():
+        free_out, free_code = model.reconstruct(x)
+    assert graph_out[-1].requires_grad and not free_out[-1].requires_grad
+    for a, b in zip(graph_out, free_out):
+        np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(graph_code.mu.data, free_code.mu.data)
+    np.testing.assert_array_equal(graph_code.logvar.data, free_code.logvar.data)
+
+
+def test_no_grad_halves_reconstruct_peak_memory():
+    import tracemalloc
+
+    model = init_model(TokenizerConfig())
+    x = rand_image(make_rng(17), model.config, batch=8)
+
+    def peak(graph_free: bool) -> int:
+        tracemalloc.start()
+        try:
+            if graph_free:
+                with no_grad():
+                    out = model.reconstruct(x)
+            else:
+                out = model.reconstruct(x)  # ``out`` keeps the graph alive
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    graph_peak, free_peak = peak(False), peak(True)
+    assert free_peak < graph_peak / 2, (free_peak, graph_peak)
 
 
 def test_zero_pixel_head_outputs_bias():
@@ -218,6 +255,21 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     pa, pb = model.named_parameters(), loaded.named_parameters()
     for name in pa:
         np.testing.assert_array_equal(pa[name].data, pb[name].data)
+
+
+def test_checkpoint_failed_write_keeps_previous(tmp_path):
+    model = init_model(TINY)
+    path = str(tmp_path / "model.htok")
+    save_checkpoint(model, path)
+    blob = open(path, "rb").read()
+    # A parameter that cannot be encoded makes the write fail after the
+    # header and the earlier records have gone out.
+    model.dec_norm.gain.data = np.array(["not a float"] * TINY.dec_width)
+    with pytest.raises(ValueError):
+        save_checkpoint(model, path)
+    assert open(path, "rb").read() == blob
+    assert load_checkpoint(path).config == TINY
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.htok"]
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -128,6 +128,33 @@ def test_softmax_rows_sum_to_one_over_unmasked(logits, data):
     assert (out.data[np.array(masked)] == 0.0).all()
 
 
+@pytest.mark.parametrize("masked", [False, True])
+def test_scaled_softmax_matches_scale_then_softmax_bitwise(masked):
+    # float32, as in the model: the fused op must reproduce the separate
+    # scale op followed by softmax to the last bit, forward and backward.
+    rng = np.random.default_rng(21)
+    shape, s = (2, 3, 17, 17), 1.0 / math.sqrt(6)
+    data = rng.standard_normal(shape).astype(np.float32) * 4
+    seed_grad = rng.standard_normal(shape).astype(np.float32)
+    mask = None
+    if masked:
+        mask = np.where(np.tril(np.ones((17, 17), dtype=bool)), 0.0, T.MASK_VALUE).astype(np.float32)
+    fused_in = Tensor(data.copy(), requires_grad=True)
+    fused = T.softmax(fused_in, axis=-1, additive_mask=mask, scale=s)
+    fused.backward(seed_grad)
+    ref_in = Tensor(data.copy(), requires_grad=True)
+    ref = T.softmax(T.scale(ref_in, s), axis=-1, additive_mask=mask)
+    ref.backward(seed_grad)
+    assert fused.dtype == np.float32 and fused_in.grad.dtype == np.float32
+    np.testing.assert_array_equal(fused.data, ref.data)
+    np.testing.assert_array_equal(fused_in.grad, ref_in.grad)
+
+
+def test_softmax_mask_must_broadcast_to_input():
+    with pytest.raises(T.ShapeError):
+        T.softmax(Tensor(np.zeros(3)), additive_mask=np.zeros((2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # layer_norm
 # ---------------------------------------------------------------------------
@@ -372,6 +399,36 @@ def test_clip_gradient_gate():
     x = Tensor(np.array([-5.0, 0.5, 5.0]), requires_grad=True)
     T.tsum(T.clip(x, -1.0, 1.0)).backward()
     np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+# ---------------------------------------------------------------------------
+
+def test_no_grad_records_no_graph():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with T.no_grad():
+        out = T.tsum(T.softmax(T.mul(x, x), additive_mask=np.zeros(3), scale=0.5))
+    assert not out.requires_grad
+    assert out._parents == () and out._backward_fn is None
+    with pytest.raises(ValueError):
+        out.backward()
+    # Graph mode is back once the block ends.
+    y = T.tsum(T.mul(x, x))
+    assert y.requires_grad and y._parents
+
+
+def test_no_grad_nests_and_restores_on_error():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with T.no_grad():
+        with T.no_grad():
+            assert not T.add(x, x).requires_grad
+        assert not T.add(x, x).requires_grad
+    assert T.add(x, x).requires_grad
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError("boom")
+    assert T.add(x, x).requires_grad
 
 
 # ---------------------------------------------------------------------------
