@@ -52,8 +52,6 @@ class AttentionRegime(str, Enum):
 @dataclass(frozen=True)
 class AttentionMask:
     allow: np.ndarray             # T x T boolean
-    schedule: ScaleSchedule
-    regime: AttentionRegime
     additive: np.ndarray          # T x T float32: 0 where allowed, MASK_VALUE where forbidden
 
 
@@ -70,7 +68,7 @@ def build_mask(schedule: ScaleSchedule, regime: AttentionRegime) -> AttentionMas
     # no caller can alter the mask another call sees.
     additive = np.where(allow, 0.0, MASK_VALUE).astype(np.float32)
     additive.flags.writeable = False
-    return AttentionMask(allow=allow, schedule=schedule, regime=regime, additive=additive)
+    return AttentionMask(allow=allow, additive=additive)
 
 
 @dataclass
@@ -104,12 +102,12 @@ class BlockParams:
 def masked_mha(x, params: AttentionParams, heads: int, mask: AttentionMask | None) -> Tensor:
     """Scaled dot-product multi-head attention with additive masking.
 
-    Accepts tokens x width or batch x tokens x width; no QKV or output biases.
+    Takes batch x tokens x width only (``ShapeError`` otherwise); no QKV or
+    output biases.
     """
     x = as_tensor(x)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = reshape(x, (1,) + x.shape)
+    if x.ndim != 3:
+        raise ShapeError(f"masked_mha: expected batch x tokens x width, got shape {x.shape}")
     b, t, d = x.shape
     if d % heads:
         raise ConfigError(f"width {d} not divisible by {heads} heads")
@@ -124,12 +122,11 @@ def masked_mha(x, params: AttentionParams, heads: int, mask: AttentionMask | Non
     k = split_heads(matmul(x, params.wk))
     v = split_heads(matmul(x, params.wv))
     scores = matmul(q, transpose(k, (0, 1, 3, 2)))
-    weights = softmax(scores, axis=-1, additive_mask=None if mask is None else mask.additive,
+    weights = softmax(scores, additive_mask=None if mask is None else mask.additive,
                       scale=1.0 / math.sqrt(hd))
     mixed = matmul(weights, v)
     out = reshape(transpose(mixed, (0, 2, 1, 3)), (b, t, d))
-    out = matmul(out, params.wo)
-    return reshape(out, (t, d)) if squeeze else out
+    return matmul(out, params.wo)
 
 
 def mlp(x, params: MlpParams) -> Tensor:

@@ -17,6 +17,12 @@ from .pyramid import ScaleSchedule, build_schedule, conv_chain_lengths
 from .tensor import ConfigError
 
 
+def _require_at_least(cfg, low: int, *names: str) -> None:
+    for name in names:
+        if getattr(cfg, name) < low:
+            raise ConfigError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
+
+
 @dataclass(frozen=True)
 class TokenizerConfig:
     image_size: int = 32
@@ -37,6 +43,8 @@ class TokenizerConfig:
     def validate(self) -> "TokenizerConfig":
         if self.image_size <= 0 or self.patch <= 0 or self.image_size % self.patch:
             raise ConfigError(f"image_size {self.image_size} must be a positive multiple of patch {self.patch}")
+        _require_at_least(self, 1, "heads", "enc_width", "dec_width", "latent_dim")
+        _require_at_least(self, 0, "enc_layers", "dec_layers")
         if self.enc_width % self.heads or self.dec_width % self.heads:
             raise ConfigError(f"widths {self.enc_width}/{self.dec_width} must be divisible by heads {self.heads}")
         if self.downsample_mode not in ("interp", "conv"):
@@ -79,8 +87,8 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         self.tokenizer.validate()
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        _require_at_least(self, 1, "batch_size")
+        _require_at_least(self, 0, "steps", "epochs", "log_interval", "checkpoint_interval")
         if not 0.0 <= self.eval_fraction < 1.0:
             raise ConfigError(f"eval_fraction must be in [0, 1), got {self.eval_fraction}")
         if self.scale_weights and len(self.scale_weights) != len(self.tokenizer.scales):

@@ -34,10 +34,10 @@ def op_library_checks(eps: float = 1e-5) -> dict[str, float]:
     mask = np.where(rng.random((4, 4)) < 0.4, T.MASK_VALUE, 0.0)
     mask[:, 1] = 0.0
     results["masked_softmax_square_sum"] = T.grad_check(
-        lambda t: T.tsum(T.square(T.softmax(t, axis=-1, additive_mask=mask))), x, eps
+        lambda t: T.tsum(T.square(T.softmax(t, additive_mask=mask))), x, eps
     )
     results["scaled_masked_softmax"] = T.grad_check(
-        lambda t: T.tsum(T.square(T.softmax(t, axis=-1, additive_mask=mask, scale=0.7))), x, eps
+        lambda t: T.tsum(T.square(T.softmax(t, additive_mask=mask, scale=0.7))), x, eps
     )
 
     kernel = Tensor(rng.standard_normal((3, 2, 2, 2)), dtype=np.float64)
@@ -45,7 +45,7 @@ def op_library_checks(eps: float = 1e-5) -> dict[str, float]:
     bias = Tensor(rng.standard_normal(3), dtype=np.float64)
 
     def conv_ln_mean(t):
-        y = T.conv2d(t, kernel, stride=2)
+        y = T.conv2d(t, kernel)
         y = T.transpose(y, (0, 2, 3, 1))
         y = T.layer_norm(y, gain, bias)
         return T.tmean(y)
@@ -62,7 +62,7 @@ def op_library_checks(eps: float = 1e-5) -> dict[str, float]:
             total = term if total is None else T.add(total, term)
         return total
 
-    results["pyramid_interp"] = T.grad_check(pyramid_weighted_sum, Tensor(rng.standard_normal((4, 4, 3))), eps)
+    results["pyramid_interp"] = T.grad_check(pyramid_weighted_sum, Tensor(rng.standard_normal((1, 4, 4, 3))), eps)
 
     w = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
     results["gelu_mlp"] = T.grad_check(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LatentCode
-from .tensor import ConfigError, ShapeError, Tensor, add, as_tensor, scale, square, sub, tabs, texp, tmean
+from .tensor import ConfigError, NumericError, ShapeError, Tensor, add, as_tensor, scale, square, sub, tabs, texp, tmean
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,6 @@ def rec_loss(pred, target, w: LossWeights) -> Tensor:
 def kl_loss(code: LatentCode) -> Tensor:
     """Mean KL divergence of N(mu, exp(logvar)) from the standard normal."""
     if not np.isfinite(code.logvar.data).all():
-        from .tensor import NumericError
-
         raise NumericError("kl_loss: non-finite logvar")
     inner = sub(add(square(code.mu), texp(code.logvar)), add(code.logvar, 1.0))
     return scale(tmean(inner), 0.5)

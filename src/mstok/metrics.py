@@ -33,14 +33,13 @@ def psnr(a, b) -> float:
 
 
 def ssim(a, b, window: int = 8, c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) -> float:
-    """Mean structural similarity over all valid windows and channels."""
+    """Mean structural similarity of two C x H x W images over all valid
+    windows and channels."""
     x, y = _to_unit(a), _to_unit(b)
     if x.shape != y.shape:
         raise ShapeError(f"ssim: shapes {x.shape} and {y.shape} differ")
-    if x.ndim == 2:
-        x, y = x[None], y[None]
     if x.ndim != 3:
-        raise ShapeError(f"ssim: expected (C x) H x W images, got shape {x.shape}")
+        raise ShapeError(f"ssim: expected C x H x W images, got shape {x.shape}")
     _, h, w = x.shape
     if window > min(h, w):
         raise ConfigError(f"ssim: window {window} exceeds image side {min(h, w)}")

@@ -4,6 +4,8 @@ Pipeline: patch-embed -> full-attention encoder -> Gaussian latent head ->
 latent-to-width projection -> token pyramid -> masked decoder -> shared pixel
 head, one RGB reconstruction per scale. The latent lives at the base grid,
 before any downsampling, so generation-time codes have single-scale shape.
+Inputs are batch-first: images are batch x 3 x H x W and latents batch x
+g x g x d_z; an unbatched input raises ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -149,11 +151,11 @@ class TokenizerModel:
     # ------------------------------------------------------------------
 
     def encode(self, x) -> LatentCode:
-        """Image in [-1, 1] -> Gaussian latent at the base grid."""
-        x, _ = _batched_image(x, self.config)
+        """Image batch in [-1, 1] -> Gaussian latent at the base grid."""
+        x = _batched_image(x, self.config)
         cfg = self.config
         g = cfg.image_size // cfg.patch
-        h = conv2d(x, self.patch_kernel, stride=cfg.patch)
+        h = conv2d(x, self.patch_kernel)
         h = add(h, reshape(self.patch_bias, (1, cfg.enc_width, 1, 1)))
         h = transpose(h, (0, 2, 3, 1))
         h = add(h, self.enc_pos)
@@ -216,46 +218,33 @@ class TokenizerModel:
                        training: bool = False) -> list[Tensor]:
         """Latent (batch x g x g x d_z) -> per-scale RGB images, low to high."""
         z_latent = as_tensor(z_latent)
-        squeeze = z_latent.ndim == 3
-        if squeeze:
-            z_latent = reshape(z_latent, (1,) + z_latent.shape)
         g = self.schedule.base_grid
-        if z_latent.shape[1:] != (g, g, self.config.latent_dim):
+        if z_latent.ndim != 4 or z_latent.shape[1:] != (g, g, self.config.latent_dim):
             raise ShapeError(
-                f"decode_pyramid: latent shape {z_latent.shape[1:]} != ({g}, {g}, {self.config.latent_dim})"
+                f"decode_pyramid: expected a batch x {g} x {g} x {self.config.latent_dim} latent, got {z_latent.shape}"
             )
         z = add(matmul(z_latent, self.proj_w), self.proj_b)
-        images = self.decode_levels(self.build_pyramid(z), rng=rng, training=training)
-        if squeeze:
-            images = [reshape(im, im.shape[1:]) for im in images]
-        return images
+        return self.decode_levels(self.build_pyramid(z), rng=rng, training=training)
 
     def reconstruct(self, x, deterministic: bool = True, rng: np.random.Generator | None = None,
                     training: bool = False) -> tuple[list[Tensor], LatentCode]:
         """encode -> sample -> decode; the last output is the full-resolution one."""
-        _, squeeze = _batched_image(x, self.config)
         code = self.encode(x)
         z = self.sample_latent(code, rng=rng, deterministic=deterministic)
-        images = self.decode_pyramid(z, rng=rng, training=training)
-        if squeeze:
-            images = [reshape(im, im.shape[1:]) for im in images]
-        return images, code
+        return self.decode_pyramid(z, rng=rng, training=training), code
 
     def latent_for_generation(self, x) -> Tensor:
         """Deterministic latent taken before any multi-scale downsampling."""
         return self.encode(x).mu
 
 
-def _batched_image(x, cfg: TokenizerConfig) -> tuple[Tensor, bool]:
+def _batched_image(x, cfg: TokenizerConfig) -> Tensor:
     x = as_tensor(x)
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = reshape(x, (1,) + x.shape)
-    if x.ndim != 4 or x.shape[1] != 3 or x.shape[2] != cfg.image_size or x.shape[3] != cfg.image_size:
+    if x.ndim != 4 or x.shape[1:] != (3, cfg.image_size, cfg.image_size):
         raise ShapeError(
-            f"expected image of shape (batch x) 3x{cfg.image_size}x{cfg.image_size}, got {x.shape}"
+            f"expected an image batch of shape batch x 3x{cfg.image_size}x{cfg.image_size}, got {x.shape}"
         )
-    return x, squeeze
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +389,17 @@ def load_checkpoint(path: str) -> TokenizerModel:
         (n_records,) = struct.unpack("<I", _read_exact(fh, 4, "record count"))
         if n_records != len(params):
             raise CheckpointError(f"{path}: {n_records} records for {len(params)} parameters")
+        # Each record takes its parameter out of ``params``, so a repeated
+        # record cannot stand in for a missing one; a name that is not UTF-8
+        # decodes with escapes and matches no parameter.
         for _ in range(n_records):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            name = _read_exact(fh, name_len, "name").decode("utf-8", errors="backslashreplace")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
-            if name not in params:
-                raise CheckpointError(f"{path}: unknown parameter {name!r}")
-            target = params[name]
+            target = params.pop(name, None)
+            if target is None:
+                raise CheckpointError(f"{path}: unknown or repeated parameter {name!r}")
             if dims != target.shape:
                 raise CheckpointError(f"{path}: parameter {name!r} has shape {dims}, expected {target.shape}")
             count = int(np.prod(dims)) if dims else 1

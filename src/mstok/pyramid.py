@@ -1,8 +1,10 @@
 """Multi-scale token pyramid: schedules, downsampling, positional encodings.
 
-Token maps are channel-last (batch x grid x grid x width). Pyramids are built
-from the full-resolution base map as a list with one level per grid entry,
-ascending; the decoder concatenates them low-to-high into one token sequence.
+Token maps are channel-last (batch x grid x grid x width) and images are
+batch x channels x H x W: every function here takes batched input only and
+raises ``ShapeError`` on an unbatched one. Pyramids are built from the
+full-resolution base map as a list with one level per grid entry, ascending;
+the decoder concatenates them low-to-high into one token sequence.
 """
 
 from __future__ import annotations
@@ -70,13 +72,13 @@ class PEParams:
     per_scale: Tensor             # S x d
 
 
-def _ensure_batched(z) -> tuple[Tensor, bool]:
+def _base_map(z, schedule: ScaleSchedule, op: str) -> Tensor:
+    """Check that ``z`` is a batch x base grid x base grid x width map."""
     z = as_tensor(z)
-    if z.ndim == 3:
-        return reshape(z, (1,) + z.shape), True
-    if z.ndim == 4:
-        return z, False
-    raise ShapeError(f"expected a (batch x) grid x grid x width map, got shape {z.shape}")
+    g = schedule.base_grid
+    if z.ndim != 4 or z.shape[1:3] != (g, g):
+        raise ShapeError(f"{op}: expected a batch x {g} x {g} x width base map, got shape {z.shape}")
+    return z
 
 
 def _pool_map(z: Tensor, out_side: int) -> Tensor:
@@ -86,19 +88,10 @@ def _pool_map(z: Tensor, out_side: int) -> Tensor:
     return transpose(pooled, (0, 2, 3, 1))
 
 
-def _finish_pyramid(maps: list[Tensor], squeeze: bool) -> list[Tensor]:
-    return [reshape(m, m.shape[1:]) for m in maps] if squeeze else maps
-
-
 def downsample_interp(z_base, schedule: ScaleSchedule) -> list[Tensor]:
     """Parameter-free pyramid: each level is the area-pooled base map."""
-    z, squeeze = _ensure_batched(z_base)
-    if z.shape[1] != schedule.base_grid or z.shape[2] != schedule.base_grid:
-        raise ShapeError(
-            f"downsample_interp: base map side {z.shape[1]}x{z.shape[2]} != schedule base grid {schedule.base_grid}"
-        )
-    maps = [z if g == schedule.base_grid else _pool_map(z, g) for g in schedule.grids]
-    return _finish_pyramid(maps, squeeze)
+    z = _base_map(z_base, schedule, "downsample_interp")
+    return [z if g == schedule.base_grid else _pool_map(z, g) for g in schedule.grids]
 
 
 def conv_chain_lengths(schedule: ScaleSchedule) -> dict[int, int]:
@@ -124,11 +117,7 @@ def downsample_conv(chains: dict[int, list[Tensor]], z_base, schedule: ScaleSche
     """Learnable pyramid: each non-top level applies its own chain of stride-2
     convolutions to the base map."""
     lengths = conv_chain_lengths(schedule)
-    z, squeeze = _ensure_batched(z_base)
-    if z.shape[1] != schedule.base_grid or z.shape[2] != schedule.base_grid:
-        raise ShapeError(
-            f"downsample_conv: base map side {z.shape[1]} != schedule base grid {schedule.base_grid}"
-        )
+    z = _base_map(z_base, schedule, "downsample_conv")
     maps = []
     for g in schedule.grids:
         if g == schedule.base_grid:
@@ -142,9 +131,9 @@ def downsample_conv(chains: dict[int, list[Tensor]], z_base, schedule: ScaleSche
             )
         level = transpose(z, (0, 3, 1, 2))
         for kernel in kernels:
-            level = conv2d(level, kernel, stride=2)
+            level = conv2d(level, kernel)
         maps.append(transpose(level, (0, 2, 3, 1)))
-    return _finish_pyramid(maps, squeeze)
+    return maps
 
 
 def positional_encoding(pe: PEParams, schedule: ScaleSchedule) -> list[Tensor]:
@@ -168,19 +157,9 @@ def positional_encoding(pe: PEParams, schedule: ScaleSchedule) -> list[Tensor]:
 
 
 def image_pyramid(x, schedule: ScaleSchedule, patch: int) -> list[Tensor]:
-    """Ground-truth targets: the image area-pooled to each (g_s * patch) square."""
+    """Ground-truth targets: the image batch area-pooled to each (g_s * patch) square."""
     x = as_tensor(x)
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = reshape(x, (1,) + x.shape)
-    if x.ndim != 4:
-        raise ShapeError(f"image_pyramid: expected an image (3xHxW or Bx3xHxW), got {x.shape}")
     side = schedule.base_grid * patch
-    if x.shape[2] != side or x.shape[3] != side:
-        raise ShapeError(f"image_pyramid: image {x.shape[2]}x{x.shape[3]} != base size {side}x{side}")
-    levels = []
-    for g in schedule.grids:
-        target = g * patch
-        level = x if target == side else area_pool(x, target, target)
-        levels.append(reshape(level, level.shape[1:]) if squeeze else level)
-    return levels
+    if x.ndim != 4 or x.shape[2:] != (side, side):
+        raise ShapeError(f"image_pyramid: expected a batch x C x {side} x {side} image, got shape {x.shape}")
+    return [x if g * patch == side else area_pool(x, g * patch, g * patch) for g in schedule.grids]

@@ -148,10 +148,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
 
-def as_tensor(x, dtype=None) -> Tensor:
+def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(x, dtype=dtype)
+    return Tensor(x)
 
 
 def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
@@ -301,29 +301,22 @@ def matmul(a, b) -> Tensor:
     return _result(out_data, (a, b), backward)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = a.data.sum()
 
     def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _result(out_data, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.size if axis is None else a.data.shape[axis] if isinstance(axis, int) else int(
-        np.prod([a.data.shape[i] for i in axis])
-    )
+    out_data = a.data.mean()
 
     def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape) / count)
+        _accumulate(a, np.broadcast_to(g, a.shape) / a.size)
 
     return _result(out_data, (a,), backward)
 
@@ -449,40 +442,37 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
 # Neural-network primitives
 # ---------------------------------------------------------------------------
 
-def softmax(x, axis: int = -1, additive_mask=None, scale: float = 1.0) -> Tensor:
-    """Softmax of ``scale * x + additive_mask`` along ``axis``.
+def softmax(x, additive_mask=None, scale: float = 1.0) -> Tensor:
+    """Softmax of ``scale * x + additive_mask`` along the last axis.
 
     The scaled, masked logits are built in one owned buffer that is then
     normalized in place, so attention scores cost no intermediate tensors;
     the result equals ``softmax(scale(x, s), additive_mask=m)`` bit for bit.
-    The result keeps ``x``'s shape and dtype, so the mask must broadcast to
-    ``x``'s shape.
+    The mask is a numpy array. The result keeps ``x``'s shape and dtype, so
+    the mask must broadcast to ``x``'s shape.
     Masked positions carry an additive value of ``MASK_VALUE``; their weight
     underflows to exactly 0.0. Rows where every position is masked output
     zeros rather than NaN, so a uniform mask-handling path is safe.
     """
     x = as_tensor(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise IndexError(f"softmax: axis {axis} out of range for shape {x.shape}")
     scale = float(scale)
     out_data = x.data * scale  # fresh buffer
-    mask_data = None
     if additive_mask is not None:
-        mask_data = additive_mask.data if isinstance(additive_mask, Tensor) else np.asarray(additive_mask)
+        additive_mask = np.asarray(additive_mask)
         try:
-            out_data += mask_data
+            out_data += additive_mask
         except ValueError:
-            raise ShapeError(f"softmax: mask shape {mask_data.shape} does not broadcast to {x.shape}") from None
-    out_data -= out_data.max(axis=axis, keepdims=True)
+            raise ShapeError(f"softmax: mask shape {additive_mask.shape} does not broadcast to {x.shape}") from None
+    out_data -= out_data.max(axis=-1, keepdims=True)
     np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=axis, keepdims=True)
-    if mask_data is not None:
-        dead_rows = np.all(mask_data <= _MASK_THRESHOLD, axis=axis, keepdims=True)
+    out_data /= out_data.sum(axis=-1, keepdims=True)
+    if additive_mask is not None:
+        dead_rows = np.all(additive_mask <= _MASK_THRESHOLD, axis=-1, keepdims=True)
         if dead_rows.any():
             out_data = np.where(np.broadcast_to(dead_rows, out_data.shape), 0.0, out_data)
 
     def backward(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        inner = (g * out_data).sum(axis=-1, keepdims=True)
         gx = out_data * (g - inner)
         gx *= scale
         _accumulate(x, gx, fresh=True)
@@ -520,60 +510,41 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     return _result(out_data, (x, gain, bias), backward)
 
 
-def conv2d(x, kernel, stride: int) -> Tensor:
-    """2-D cross-correlation, NCHW input against an OCkk kernel."""
+def conv2d(x, kernel) -> Tensor:
+    """2-D cross-correlation, NCHW input against an OCkk kernel.
+
+    Windows do not overlap: the stride is the kernel side k, so each spatial
+    side of the input must be a positive multiple of k (patch embedding and
+    2x2 downsampling are the two uses).
+    """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input and kernel, got {x.shape} and {kernel.shape}")
     b, c, h, w = x.shape
-    o, ck, kh, kw = kernel.shape
-    if kh != kw:
-        raise ShapeError(f"conv2d: kernel must be square, got {kernel.shape}")
-    k = kh
+    o, ck, k, kw = kernel.shape
+    if k != kw or k < 1:
+        raise ShapeError(f"conv2d: kernel must be square and non-empty, got {kernel.shape}")
     if ck != c:
         raise ShapeError(f"conv2d: input channels {c} != kernel channels {ck} (shapes {x.shape}, {kernel.shape})")
-    if stride < 1:
-        raise ShapeError(f"conv2d: stride must be positive, got {stride}")
-    if k == stride and (h % stride or w % stride):
-        raise ShapeError(f"conv2d: spatial dims {h}x{w} not divisible by stride {stride}")
-    if h < k or w < k:
-        raise ShapeError(f"conv2d: kernel {k} larger than input {h}x{w}")
-    hp = (h - k) // stride + 1
-    wp = (w - k) // stride + 1
+    if h < k or w < k or h % k or w % k:
+        raise ShapeError(f"conv2d: spatial dims {h}x{w} not a positive multiple of kernel side {k}")
+    hp, wp = h // k, w // k
 
-    if k == stride:
-        # Non-overlapping windows: a reshape exposes the patches directly and
-        # the input gradient is a single einsum.
-        patches = x.data.reshape(b, c, hp, k, wp, k)
-        out_data = np.ascontiguousarray(
-            np.tensordot(patches, kernel.data, axes=([1, 3, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
-        )
-
-        def backward(g):
-            if kernel.requires_grad:
-                gk = np.tensordot(g, patches, axes=([0, 2, 3], [0, 2, 4]))
-                _accumulate(kernel, gk, fresh=True)
-            if x.requires_grad:
-                gx = np.tensordot(g, kernel.data, axes=([1], [0]))
-                gx = gx.transpose(0, 3, 1, 4, 2, 5).reshape(x.shape)
-                _accumulate(x, np.ascontiguousarray(gx), fresh=True)
-
-        return _result(out_data, (x, kernel), backward)
-
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    out_data = np.einsum("bcpqij,ocij->bopq", windows, kernel.data, optimize=True)
+    # A reshape exposes the patches directly and the input gradient is a
+    # single tensordot.
+    patches = x.data.reshape(b, c, hp, k, wp, k)
+    out_data = np.ascontiguousarray(
+        np.tensordot(patches, kernel.data, axes=([1, 3, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
+    )
 
     def backward(g):
         if kernel.requires_grad:
-            _accumulate(kernel, np.einsum("bcpqij,bopq->ocij", windows, g, optimize=True), fresh=True)
+            gk = np.tensordot(g, patches, axes=([0, 2, 3], [0, 2, 4]))
+            _accumulate(kernel, gk, fresh=True)
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for i in range(k):
-                for j in range(k):
-                    patch = np.einsum("bopq,oc->bcpq", g, kernel.data[:, :, i, j], optimize=True)
-                    gx[:, :, i : i + stride * hp : stride, j : j + stride * wp : stride] += patch
-            _accumulate(x, gx, fresh=True)
+            gx = np.tensordot(g, kernel.data, axes=([1], [0]))
+            gx = gx.transpose(0, 3, 1, 4, 2, 5).reshape(x.shape)
+            _accumulate(x, np.ascontiguousarray(gx), fresh=True)
 
     return _result(out_data, (x, kernel), backward)
 

@@ -103,7 +103,7 @@ def test_regime_parse_roundtrip():
 def test_single_token_returns_value_projection():
     rng = make_rng(0)
     d = 8
-    x = Tensor(rng.standard_normal((1, d)).astype(np.float32))
+    x = Tensor(rng.standard_normal((1, 1, d)).astype(np.float32))
     eye = Tensor(np.eye(d, dtype=np.float32))
     wv = Tensor(rng.standard_normal((d, d)).astype(np.float32))
     params = A.AttentionParams(wq=eye, wk=eye, wv=wv, wo=eye)
@@ -197,7 +197,7 @@ def test_heads_divisibility_error():
     rng = make_rng(6)
     params = random_attn_params(rng, 6)
     with pytest.raises(ConfigError):
-        A.masked_mha(Tensor(np.zeros((2, 6))), params, heads=4, mask=None)
+        A.masked_mha(Tensor(np.zeros((1, 2, 6))), params, heads=4, mask=None)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +231,7 @@ def test_block_grad_check():
     params = random_block_params(rng, d, dtype=np.float64)
     sched = build_schedule(2, [1, 2])
     mask = A.build_mask(sched, A.AttentionRegime.SCALE_CAUSAL)
-    x = Tensor(rng.standard_normal((sched.total, d)))
+    x = Tensor(rng.standard_normal((1, sched.total, d)))
     coeff = Tensor(rng.standard_normal((sched.total, d)))
 
     def f(t):
@@ -244,7 +244,7 @@ def test_block_grad_check_through_params():
     rng = make_rng(10)
     d = 4
     params = random_block_params(rng, d, dtype=np.float64)
-    x = Tensor(rng.standard_normal((3, d)), dtype=np.float64)
+    x = Tensor(rng.standard_normal((1, 3, d)), dtype=np.float64)
 
     def f(t):
         saved = params.attn.wq

@@ -9,7 +9,8 @@ from mstok.config import RunConfig, TokenizerConfig
 from mstok.data import generate_synthetic_folder
 from mstok.imageio import load_ppm
 from mstok.latent_stats import read_latents
-from mstok.train import train
+from mstok.model import load_checkpoint
+from mstok.train import log_path_for, train
 
 SMALL = ["image_size=16", "patch=4", "enc_layers=1", "dec_layers=1", "enc_width=16",
          "dec_width=16", "heads=2", "latent_dim=4", "scales=1,2,4"]
@@ -74,6 +75,57 @@ def test_malformed_config_value_config_error(capsys, argv, key):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+@pytest.mark.parametrize("settings", [
+    ["image_size=30"],                      # not a multiple of patch
+    ["heads=0"],
+    ["enc_width=0"],
+    ["dec_width=0"],
+    ["latent_dim=0"],
+    ["enc_layers=-1"],
+    ["dec_layers=-1"],
+    ["heads=3"],                            # widths not divisible by heads
+    ["downsample_mode=pool"],
+    ["regime=diagonal"],
+    ["scales=1,2,4"],                       # last grid is not the base grid
+    ["downsample_mode=conv", "scales=1,3,8"],  # non-dyadic conv pyramid
+    ["drop_path=1.0"],
+    ["kl_weight=-1"],
+    ["batch_size=0"],
+    ["eval_fraction=1.0"],
+    ["scale_weights=1,1"],                  # 2 weights for 4 scales
+    ["warmup_ratio=1.5"],
+    ["steps=-3"],
+    ["epochs=-1"],
+    ["log_interval=-1"],
+    ["checkpoint_interval=-1"],
+], ids="+".join)
+def test_invalid_config_value_config_error(tmp_path, capsys, settings):
+    assert main(["train"] + sets(settings + [f"checkpoint={tmp_path / 'tok.htok'}"])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not os.path.exists(tmp_path / "tok.htok")
+
+
+def test_zero_steps_still_valid(tmp_path):
+    # Writes the step-0 checkpoint, as the benchmark's set-up does.
+    ckpt = tmp_path / "tok.htok"
+    assert main(["train"] + sets(SMALL + ["steps=0", "data_dir=synthetic:8", "batch_size=4",
+                                          f"checkpoint={ckpt}"])) == 0
+    assert load_checkpoint(str(ckpt)).config.latent_dim == 4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numeric_error_exit_3_logs_abort(tmp_path, capsys):
+    ckpt = str(tmp_path / "tok.htok")
+    argv = ["train"] + sets(["lr_start=1e38", "steps=3", "data_dir=synthetic:8", "batch_size=4",
+                             f"checkpoint={ckpt}"])
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("numeric error: kl_loss: non-finite logvar")
+    with open(log_path_for(ckpt), encoding="utf-8") as fh:
+        last = json.loads(fh.read().splitlines()[-1])
+    assert last["event"] == "abort" and last["error_type"] == "NumericError"
 
 
 def test_gradcheck_passes_within_thresholds(capsys):

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from mstok.attention import masked_mha
+from mstok.cli import main
 from mstok.config import TokenizerConfig
 from mstok.model import CheckpointError, LatentCode, init_model, load_checkpoint, save_checkpoint
+from mstok.pyramid import averaging_kernel, downsample_conv, downsample_interp, image_pyramid
 from mstok.tensor import ShapeError, Tensor, make_rng, no_grad
 
 TINY = TokenizerConfig(image_size=8, patch=4, enc_layers=1, dec_layers=1, enc_width=8,
                        dec_width=8, heads=2, latent_dim=4, scales=(1, 2), seed=0)
 
 
-def rand_image(rng, cfg, batch=None):
-    shape = (3, cfg.image_size, cfg.image_size) if batch is None else (batch, 3, cfg.image_size, cfg.image_size)
+def rand_image(rng, cfg, batch=1):
+    shape = (batch, 3, cfg.image_size, cfg.image_size)
     return Tensor(rng.uniform(-1, 1, size=shape).astype(np.float32))
 
 
@@ -47,7 +50,29 @@ def test_encode_deterministic():
 def test_encode_shape_mismatch():
     model = init_model(TINY)
     with pytest.raises(ShapeError):
-        model.encode(Tensor(np.zeros((3, 16, 16))))
+        model.encode(Tensor(np.zeros((1, 3, 16, 16))))
+
+
+# Each call takes its input with the leading batch shape ``b`` prepended
+# (TINY: 8 px images, base grid 2, latent_dim 4, width 8, 5 decoder tokens).
+BATCH_FIRST_CALLS = {
+    "encode": lambda m, b: m.encode(Tensor(np.zeros(b + (3, 8, 8)))),
+    "decode_pyramid": lambda m, b: m.decode_pyramid(Tensor(np.zeros(b + (2, 2, 4)))),
+    "reconstruct": lambda m, b: m.reconstruct(Tensor(np.zeros(b + (3, 8, 8)))),
+    "downsample_interp": lambda m, b: downsample_interp(Tensor(np.zeros(b + (2, 2, 8))), m.schedule),
+    "downsample_conv": lambda m, b: downsample_conv({1: [Tensor(averaging_kernel(8))]},
+                                                    Tensor(np.zeros(b + (2, 2, 8))), m.schedule),
+    "image_pyramid": lambda m, b: image_pyramid(Tensor(np.zeros(b + (3, 8, 8))), m.schedule, 4),
+    "masked_mha": lambda m, b: masked_mha(Tensor(np.zeros(b + (5, 8))), m.dec_blocks[0].attn, 2, m.mask),
+}
+
+
+@pytest.mark.parametrize("name", list(BATCH_FIRST_CALLS))
+def test_unbatched_input_raises_shape_error(name):
+    model = init_model(TINY)
+    BATCH_FIRST_CALLS[name](model, (1,))  # the batched form is accepted
+    with pytest.raises(ShapeError):
+        BATCH_FIRST_CALLS[name](model, ())
 
 
 # ---------------------------------------------------------------------------
@@ -306,3 +331,22 @@ def test_checkpoint_bad_embedded_config(tmp_path, good, bad):
     corrupt.write_bytes(blob.replace(good, bad))
     with pytest.raises(CheckpointError):
         load_checkpoint(str(corrupt))
+
+
+@pytest.mark.parametrize("bad", [
+    b"enc.0.ln1.gain",       # the gain record repeats; the bias record is missing
+    b"enc.0.ln1.bia\xff",    # a name that is not valid UTF-8
+])
+def test_checkpoint_bad_record_name(tmp_path, capsys, bad):
+    model = init_model(TINY)
+    path = str(tmp_path / "model.htok")
+    save_checkpoint(model, path)
+    blob = open(path, "rb").read()
+    assert blob.count(b"enc.0.ln1.bias") == 1
+    corrupt = str(tmp_path / "corrupt.htok")
+    with open(corrupt, "wb") as fh:
+        fh.write(blob.replace(b"enc.0.ln1.bias", bad))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(corrupt)
+    assert main(["reconstruct", corrupt, str(tmp_path), str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("data error:")

@@ -56,7 +56,7 @@ def test_schedule_rejects_empty():
 
 def test_interp_constant_map_constant_levels():
     sched = P.build_schedule(4, [1, 2, 4])
-    z = Tensor(np.full((4, 4, 3), 1.5))
+    z = Tensor(np.full((1, 4, 4, 3), 1.5))
     pyr = P.downsample_interp(z, sched)
     for m in pyr:
         np.testing.assert_allclose(m.data, 1.5, rtol=1e-6)
@@ -65,14 +65,14 @@ def test_interp_constant_map_constant_levels():
 def test_interp_level1_is_block_mean():
     sched = P.build_schedule(2, [1, 2])
     a, b, c, d = 1.0, 2.0, 3.0, 4.0
-    z = Tensor(np.array([[[a], [b]], [[c], [d]]]))
+    z = Tensor(np.array([[[[a], [b]], [[c], [d]]]]))
     pyr = P.downsample_interp(z, sched)
-    assert pyr[0].data[0, 0, 0] == (a + b + c + d) / 4
+    assert pyr[0].data[0, 0, 0, 0] == (a + b + c + d) / 4
 
 
 def test_interp_degenerate_schedule_identity():
     sched = P.build_schedule(16, [16])
-    z = Tensor(make_rng(0).standard_normal((16, 16, 4)).astype(np.float32))
+    z = Tensor(make_rng(0).standard_normal((1, 16, 16, 4)).astype(np.float32))
     pyr = P.downsample_interp(z, sched)
     assert len(pyr) == 1
     np.testing.assert_array_equal(pyr[0].data, z.data)
@@ -81,7 +81,7 @@ def test_interp_degenerate_schedule_identity():
 def test_interp_shape_mismatch():
     sched = P.build_schedule(4, [1, 4])
     with pytest.raises(ShapeError):
-        P.downsample_interp(Tensor(np.zeros((8, 8, 3))), sched)
+        P.downsample_interp(Tensor(np.zeros((1, 8, 8, 3))), sched)
 
 
 @settings(max_examples=30, deadline=None)
@@ -89,7 +89,7 @@ def test_interp_shape_mismatch():
 def test_interp_levels_preserve_global_mean(seed):
     # Integral dyadic blocks: each level's mean equals the base map's mean.
     sched = P.build_schedule(8, [1, 2, 4, 8])
-    z = make_rng(seed).integers(-4, 5, size=(8, 8, 2)).astype(np.float64)
+    z = make_rng(seed).integers(-4, 5, size=(1, 8, 8, 2)).astype(np.float64)
     pyr = P.downsample_interp(Tensor(z), sched)
     base_mean = z.mean()
     for m in pyr:
@@ -131,7 +131,7 @@ def test_conv_zero_kernels_zero_levels():
 
 def test_conv_single_scale_no_kernels():
     sched = P.build_schedule(8, [8])
-    z = Tensor(make_rng(4).standard_normal((8, 8, 2)).astype(np.float32))
+    z = Tensor(make_rng(4).standard_normal((1, 8, 8, 2)).astype(np.float32))
     pyr = P.downsample_conv({}, z, sched)
     assert len(pyr) == 1
     np.testing.assert_array_equal(pyr[0].data, z.data)
@@ -179,9 +179,9 @@ def test_pe_constant_plus_embedding():
 
 def test_image_pyramid_top_level_unchanged():
     sched = P.build_schedule(8, [2, 8])
-    x = Tensor(make_rng(7).standard_normal((3, 32, 32)).astype(np.float32))
+    x = Tensor(make_rng(7).standard_normal((1, 3, 32, 32)).astype(np.float32))
     levels = P.image_pyramid(x, sched, patch=4)
-    assert levels[0].shape == (3, 8, 8)
+    assert levels[0].shape == (1, 3, 8, 8)
     np.testing.assert_array_equal(levels[-1].data, x.data)
 
 
@@ -195,7 +195,7 @@ def test_image_pyramid_constant():
 def test_image_pyramid_checkerboard_global_mean():
     sched = P.build_schedule(8, [1, 8])
     board = np.indices((8, 8)).sum(axis=0) % 2
-    x = Tensor(np.broadcast_to(board, (3, 8, 8)).astype(np.float64).copy())
+    x = Tensor(np.broadcast_to(board, (1, 3, 8, 8)).astype(np.float64).copy())
     levels = P.image_pyramid(x, sched, patch=1)
     np.testing.assert_allclose(levels[0].data, 0.5)
 
@@ -203,4 +203,4 @@ def test_image_pyramid_checkerboard_global_mean():
 def test_image_pyramid_size_mismatch():
     sched = P.build_schedule(8, [8])
     with pytest.raises(ShapeError):
-        P.image_pyramid(Tensor(np.zeros((3, 16, 16))), sched, patch=4)
+        P.image_pyramid(Tensor(np.zeros((1, 3, 16, 16))), sched, patch=4)

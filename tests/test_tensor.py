@@ -105,14 +105,9 @@ def test_softmax_single_unmasked_entry():
 def test_softmax_fully_masked_row_outputs_zeros():
     mask = np.full((2, 3), T.MASK_VALUE)
     mask[0] = 0.0
-    out = T.softmax(Tensor(np.ones((2, 3))), axis=-1, additive_mask=mask)
+    out = T.softmax(Tensor(np.ones((2, 3))), additive_mask=mask)
     np.testing.assert_allclose(out.data[0], [1 / 3] * 3, rtol=1e-6)
     np.testing.assert_array_equal(out.data[1], [0.0, 0.0, 0.0])
-
-
-def test_softmax_axis_out_of_range():
-    with pytest.raises(IndexError):
-        T.softmax(Tensor([1.0, 2.0]), axis=3)
 
 
 @settings(max_examples=50, deadline=None)
@@ -140,10 +135,10 @@ def test_scaled_softmax_matches_scale_then_softmax_bitwise(masked):
     if masked:
         mask = np.where(np.tril(np.ones((17, 17), dtype=bool)), 0.0, T.MASK_VALUE).astype(np.float32)
     fused_in = Tensor(data.copy(), requires_grad=True)
-    fused = T.softmax(fused_in, axis=-1, additive_mask=mask, scale=s)
+    fused = T.softmax(fused_in, additive_mask=mask, scale=s)
     fused.backward(seed_grad)
     ref_in = Tensor(data.copy(), requires_grad=True)
-    ref = T.softmax(T.scale(ref_in, s), axis=-1, additive_mask=mask)
+    ref = T.softmax(T.scale(ref_in, s), additive_mask=mask)
     ref.backward(seed_grad)
     assert fused.dtype == np.float32 and fused_in.grad.dtype == np.float32
     np.testing.assert_array_equal(fused.data, ref.data)
@@ -214,7 +209,7 @@ def conv2d_oracle(x, kernel, stride):
 def test_conv2d_all_ones_block():
     x = Tensor(np.ones((1, 1, 2, 2)))
     k = Tensor(np.ones((1, 1, 2, 2)))
-    out = T.conv2d(x, k, stride=2)
+    out = T.conv2d(x, k)
     assert out.shape == (1, 1, 1, 1)
     assert out.data[0, 0, 0, 0] == 4.0
 
@@ -225,12 +220,12 @@ def test_conv2d_identity_kernel():
     k = np.zeros((3, 3, 1, 1))
     for i in range(3):
         k[i, i, 0, 0] = 1.0
-    out = T.conv2d(x, Tensor(k), stride=1)
+    out = T.conv2d(x, Tensor(k))
     np.testing.assert_allclose(out.data, x.data, rtol=1e-6)
 
 
 def test_conv2d_patchify_shape():
-    out = T.conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((8, 3, 4, 4))), stride=4)
+    out = T.conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((8, 3, 4, 4))))
     assert out.shape == (1, 8, 1, 1)
 
 
@@ -238,13 +233,13 @@ def test_conv2d_matches_bruteforce_oracle():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 2, 6, 6))
     k = rng.standard_normal((3, 2, 2, 2))
-    out = T.conv2d(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64), stride=2)
+    out = T.conv2d(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64))
     np.testing.assert_allclose(out.data, conv2d_oracle(x, k, 2), rtol=1e-12)
 
 
 def test_conv2d_divisibility_error():
     with pytest.raises(T.ShapeError):
-        T.conv2d(Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros((1, 1, 2, 2))), stride=2)
+        T.conv2d(Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros((1, 1, 2, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +337,7 @@ def test_grad_check_masked_softmax_square_sum():
     mask[:, 0] = 0.0  # keep every row alive
 
     def f(t):
-        return T.tsum(T.square(T.softmax(t, axis=-1, additive_mask=mask)))
+        return T.tsum(T.square(T.softmax(t, additive_mask=mask)))
 
     assert T.grad_check(f, x, eps=1e-4) < 1e-4
 
@@ -357,7 +352,7 @@ def test_grad_check_conv_layernorm_mean():
     bias = Tensor(rng.standard_normal(3), dtype=np.float64)
 
     def f(t):
-        y = T.conv2d(t, kernel, stride=2)           # 1x3x2x2
+        y = T.conv2d(t, kernel)                     # 1x3x2x2
         y = T.reshape(y, (3, 2, 2))
         y = T.transpose(y, (1, 2, 0))               # channels last
         y = T.layer_norm(y, gain, bias)
@@ -375,7 +370,7 @@ def test_grad_check_conv_layernorm_mean():
         ("mean", lambda t: T.square(T.tmean(t)), (4, 2)),
         ("exp", lambda t: T.tsum(T.texp(T.scale(t, 0.3))), (5,)),
         ("gelu", lambda t: T.tsum(T.gelu(t)), (6,)),
-        ("softmax", lambda t: T.tsum(T.square(T.softmax(t, axis=-1))), (3, 4)),
+        ("softmax", lambda t: T.tsum(T.square(T.softmax(t))), (3, 4)),
         ("layer_norm", lambda t: T.tsum(T.square(T.layer_norm(
             t, Tensor(np.arange(1.0, 5.0)), Tensor(np.zeros(4))))), (3, 4)),
         ("area_pool", lambda t: T.tsum(T.square(T.area_pool(t, 3, 3))), (1, 1, 4, 4)),
