@@ -7,8 +7,12 @@ reads only ``scales`` and ``regime`` from them, but still rejects unknown keys.
 reconstruct and export-latents run the model under ``tensor.no_grad``: they
 build no autograd graph, so each intermediate array is freed as soon as the
 next op has read it, and their outputs are bit-identical to graph mode.
-Exit codes: 0 success, 1 usage or config error, 2 data/format error
-(including a checkpoint whose embedded config is corrupt), 3 numeric error.
+Exit codes follow the class of the error, each reported as one stderr line:
+0 success; 1 ``UsageError`` or ``ConfigError`` (a bad option or config
+value); 2 ``DataError`` or ``OSError`` (input that is missing, malformed or
+inconsistent, including a checkpoint whose embedded config is corrupt);
+3 ``NumericError`` (non-finite values; numpy's own floating-point warnings
+are silenced, since the finiteness checks report the fault).
 """
 
 from __future__ import annotations
@@ -22,18 +26,13 @@ import numpy as np
 
 from .attention import build_mask
 from .config import ConfigError, RunConfig, config_from_kv, load_run_config, read_config_kv
-from .data import DataError, load_dataset
+from .data import load_dataset
 from .gradcheck import model_end_to_end_check, op_library_checks
-from .imageio import FormatError, save_ppm
-from .latent_stats import (
-    LatentFormatError,
-    analyze_latents,
-    read_latents,
-    write_latents,
-)
-from .model import CheckpointError, load_checkpoint
-from .pyramid import ScheduleError, build_schedule
-from .tensor import NumericError, ShapeError, Tensor, no_grad
+from .imageio import save_ppm
+from .latent_stats import analyze_latents, read_latents, write_latents
+from .model import load_checkpoint
+from .pyramid import build_schedule
+from .tensor import DataError, NumericError, Tensor, no_grad
 from .train import train
 
 OPS_THRESHOLD = 1e-4
@@ -180,15 +179,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("missing subcommand")
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (ConfigError, ScheduleError) as err:
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except (FormatError, DataError, CheckpointError, LatentFormatError, ShapeError, OSError) as err:
+    except (DataError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except NumericError as err:

@@ -13,13 +13,14 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
 from .attention import AttentionRegime
+from .metrics import SSIM_WINDOW
 from .pyramid import ScaleSchedule, build_schedule, conv_chain_lengths
 from .tensor import ConfigError
 
 
-def _require_at_least(cfg, low: int, *names: str) -> None:
+def _require_at_least(cfg, low: float, *names: str) -> None:
     for name in names:
-        if getattr(cfg, name) < low:
+        if not getattr(cfg, name) >= low:  # NaN fails too
             raise ConfigError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
 
 
@@ -44,7 +45,7 @@ class TokenizerConfig:
         if self.image_size <= 0 or self.patch <= 0 or self.image_size % self.patch:
             raise ConfigError(f"image_size {self.image_size} must be a positive multiple of patch {self.patch}")
         _require_at_least(self, 1, "heads", "enc_width", "dec_width", "latent_dim")
-        _require_at_least(self, 0, "enc_layers", "dec_layers")
+        _require_at_least(self, 0, "enc_layers", "dec_layers", "kl_weight")
         if self.enc_width % self.heads or self.dec_width % self.heads:
             raise ConfigError(f"widths {self.enc_width}/{self.dec_width} must be divisible by heads {self.heads}")
         if self.downsample_mode not in ("interp", "conv"):
@@ -55,8 +56,6 @@ class TokenizerConfig:
             conv_chain_lengths(schedule)  # raises for non-dyadic grids
         if not 0.0 <= self.drop_path < 1.0:
             raise ConfigError(f"drop_path must be in [0, 1), got {self.drop_path}")
-        if self.kl_weight < 0:
-            raise ConfigError(f"kl_weight must be nonnegative, got {self.kl_weight}")
         return self
 
     def schedule(self) -> ScaleSchedule:
@@ -87,14 +86,17 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         self.tokenizer.validate()
+        _require_at_least(self.tokenizer, SSIM_WINDOW, "image_size")  # eval scores SSIM
         _require_at_least(self, 1, "batch_size")
-        _require_at_least(self, 0, "steps", "epochs", "log_interval", "checkpoint_interval")
+        _require_at_least(self, 0, "steps", "epochs", "log_interval", "checkpoint_interval",
+                          "lr_start", "lr_end", "l1_weight", "mse_weight")
+        if not self.grad_clip > 0:
+            raise ConfigError(f"grad_clip must be positive, got {self.grad_clip}")
         if not 0.0 <= self.eval_fraction < 1.0:
             raise ConfigError(f"eval_fraction must be in [0, 1), got {self.eval_fraction}")
-        if self.scale_weights and len(self.scale_weights) != len(self.tokenizer.scales):
-            raise ConfigError(
-                f"scale_weights has {len(self.scale_weights)} entries for {len(self.tokenizer.scales)} scales"
-            )
+        w, n = self.scale_weights, len(self.tokenizer.scales)
+        if w and not (len(w) == n and all(x >= 0 for x in w) and sum(w) > 0):  # losses divide by the sum
+            raise ConfigError(f"scale_weights {w} must be {n} nonnegative weights, one per scale, with a positive sum")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise ConfigError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
         return self
@@ -170,8 +172,11 @@ def read_config_kv(path: str | None, overrides: list[str] | None = None) -> dict
     """Merge an optional ``key=value`` file with ``key=value`` overrides."""
     kv: dict[str, str] = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            kv.update(parse_kv_lines(fh.read()))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                kv.update(parse_kv_lines(fh.read()))
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"config file {path!r} is not UTF-8: {err}") from None
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")

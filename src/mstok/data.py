@@ -13,17 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imageio import load_ppm, save_ppm
-from .tensor import make_rng
+from .tensor import DataError, make_rng
 
 # rng stream ids (spawn keys) reserved across the package
 STREAM_INIT = 0
 STREAM_NOISE = 1
 STREAM_DATA = 2
 STREAM_SYNTH = 3
-
-
-class DataError(ValueError):
-    """Dataset is empty, inconsistent, or cannot be read."""
 
 
 @dataclass
@@ -33,10 +29,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.images.shape[0]
-
-    @property
-    def image_size(self) -> int:
-        return self.images.shape[-1]
 
     def split(self, eval_fraction: float) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic split: the last fraction (by name order) is eval."""

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tensor import DataError
 
-class FormatError(ValueError):
+
+class FormatError(DataError):
     """Malformed image file; the message carries the byte offset."""
 
 

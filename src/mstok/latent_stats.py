@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import area_pool
+from .tensor import ConfigError, DataError, area_pool
 
 
-class UndefinedMetricsError(ValueError):
+class UndefinedMetricsError(DataError):
     """Uniformity metrics are undefined (e.g. all-zero densities)."""
 
 
@@ -48,7 +48,9 @@ def project2d(latents) -> np.ndarray:
     """
     x = np.asarray(latents, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 3:
-        raise ValueError(f"project2d: need at least 3 flattened vectors, got shape {x.shape}")
+        raise DataError(f"project2d: need at least 3 flattened vectors, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DataError("project2d: latent vectors hold non-finite values")
     centered = x - x.mean(axis=0)
     # Right singular vectors of the centered matrix are the covariance
     # eigenvectors; SVD avoids forming the d x d covariance.
@@ -91,10 +93,14 @@ def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"kde_density: expected n x 2 points, got shape {pts.shape}")
+    if grid_size < 1:
+        raise ConfigError(f"kde_density: grid size must be at least 1, got {grid_size}")
+    if not (np.isfinite(pad_bandwidths) and pad_bandwidths >= 0):
+        raise ConfigError(f"kde_density: pad must be finite and nonnegative, got {pad_bandwidths}")
     if bandwidth is None:
         bandwidth = scott_bandwidth(pts)
-    if bandwidth <= 0:
-        raise ValueError(f"kde_density: bandwidth must be positive, got {bandwidth}")
+    if not (np.isfinite(bandwidth) and bandwidth > 0 and bandwidth * bandwidth > 0):
+        raise ConfigError(f"kde_density: bandwidth must be finite and positive with a nonzero square, got {bandwidth}")
     xs, ys = kde_grid(pts, grid_size, bandwidth, pad_bandwidths)
     inv = -0.5 / (bandwidth * bandwidth)
     density = np.zeros((grid_size, grid_size))
@@ -174,7 +180,7 @@ def commutation_residuals(images: list[np.ndarray]) -> list[float]:
 LATENT_MAGIC = b"HLAT"
 
 
-class LatentFormatError(ValueError):
+class LatentFormatError(DataError):
     """Latent dump bytes do not follow the HLAT layout."""
 
 

@@ -7,27 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LatentCode
-from .tensor import ConfigError, NumericError, ShapeError, Tensor, add, as_tensor, scale, square, sub, tabs, texp, tmean
+from .tensor import NumericError, ShapeError, Tensor, add, as_tensor, scale, square, sub, tabs, texp, tmean
 
 
 @dataclass(frozen=True)
 class LossWeights:
+    """Loss term weights; ``RunConfig.validate`` checks the values it is built from."""
+
     l1: float = 1.0
     mse: float = 0.4
     kl: float = 1e-6
     scale_weights: tuple[float, ...] = ()
-
-    def validate(self, num_scales: int | None = None) -> "LossWeights":
-        if min(self.l1, self.mse, self.kl) < 0:
-            raise ConfigError("loss weights must be nonnegative")
-        if self.scale_weights:
-            if any(w < 0 for w in self.scale_weights):
-                raise ConfigError("scale_weights must be nonnegative")
-            if num_scales is not None and len(self.scale_weights) != num_scales:
-                raise ConfigError(
-                    f"scale_weights has {len(self.scale_weights)} entries for {num_scales} scales"
-                )
-        return self
 
 
 def rec_loss(pred, target, w: LossWeights) -> Tensor:
@@ -57,8 +47,6 @@ def multiscale_loss(
     if len(outputs) != len(targets):
         raise ShapeError(f"multiscale_loss: {len(outputs)} outputs for {len(targets)} targets")
     weights = w.scale_weights or tuple(1.0 for _ in outputs)
-    if len(weights) != len(outputs):
-        raise ConfigError(f"multiscale_loss: {len(weights)} scale weights for {len(outputs)} scales")
     norm = sum(weights)
 
     per_scale = [rec_loss(o, t, w) for o, t in zip(outputs, targets)]

@@ -14,6 +14,7 @@ import numpy as np
 from .tensor import ConfigError, ShapeError
 
 PSNR_CAP = 99.0
+SSIM_WINDOW = 8
 
 
 def _to_unit(image) -> np.ndarray:
@@ -32,7 +33,7 @@ def psnr(a, b) -> float:
     return min(10.0 * math.log10(1.0 / mse), PSNR_CAP)
 
 
-def ssim(a, b, window: int = 8, c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) -> float:
+def ssim(a, b, window: int = SSIM_WINDOW, c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) -> float:
     """Mean structural similarity of two C x H x W images over all valid
     windows and channels."""
     x, y = _to_unit(a), _to_unit(b)

@@ -31,7 +31,6 @@ from .data import STREAM_INIT
 from .pyramid import (
     PEParams,
     ScaleSchedule,
-    ScheduleError,
     averaging_kernel,
     conv_chain_lengths,
     downsample_conv,
@@ -40,6 +39,7 @@ from .pyramid import (
 )
 from .tensor import (
     ConfigError,
+    DataError,
     ShapeError,
     Tensor,
     add,
@@ -359,7 +359,7 @@ def save_checkpoint(model: TokenizerModel, path: str) -> None:
         raise
 
 
-class CheckpointError(ValueError):
+class CheckpointError(DataError):
     """Checkpoint bytes do not follow the HTOK layout."""
 
 
@@ -382,7 +382,7 @@ def load_checkpoint(path: str) -> TokenizerModel:
         try:
             kv = parse_kv_lines(config_bytes.decode("utf-8"))
             config = config_from_kv(TokenizerConfig, kv).validate()
-        except (UnicodeDecodeError, ConfigError, ScheduleError) as err:
+        except (UnicodeDecodeError, ConfigError) as err:
             raise CheckpointError(f"{path}: bad embedded config: {err}") from None
         model = init_model(config)
         params = model.named_parameters()

@@ -29,7 +29,7 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
         if p.grad is not None:
             total += float((p.grad.astype(np.float64) ** 2).sum())
     norm = math.sqrt(total)
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         factor = max_norm / norm
         for p in params.values():
             if p.grad is not None:

@@ -16,10 +16,6 @@ import numpy as np
 from .tensor import ConfigError, ShapeError, Tensor, area_pool, as_tensor, conv2d, reshape, slice_axis, transpose
 
 
-class ScheduleError(ValueError):
-    """A scale schedule violates the ascending-grid contract."""
-
-
 @dataclass(frozen=True)
 class ScaleSchedule:
     """Ascending token-grid side lengths, the last equal to the base grid."""
@@ -53,13 +49,13 @@ class ScaleSchedule:
 def build_schedule(base_grid: int, grids: list[int] | tuple[int, ...]) -> ScaleSchedule:
     grids = tuple(int(g) for g in grids)
     if not grids:
-        raise ScheduleError("schedule needs at least one grid")
+        raise ConfigError("schedule needs at least one grid")
     if any(g < 1 for g in grids):
-        raise ScheduleError(f"grids must be positive, got {grids}")
+        raise ConfigError(f"grids must be positive, got {grids}")
     if any(a >= b for a, b in zip(grids, grids[1:])):
-        raise ScheduleError(f"grids must be strictly ascending, got {grids}")
+        raise ConfigError(f"grids must be strictly ascending, got {grids}")
     if grids[-1] != base_grid:
-        raise ScheduleError(f"last grid {grids[-1]} must equal the base grid {base_grid}")
+        raise ConfigError(f"last grid {grids[-1]} must equal the base grid {base_grid}")
     return ScaleSchedule(grids)
 
 

@@ -28,16 +28,21 @@ MASK_VALUE = -1e9
 _MASK_THRESHOLD = -1e8
 
 
-class ShapeError(ValueError):
-    """Operand shapes do not conform for the requested operation."""
-
-
 class ConfigError(ValueError):
-    """A configuration value is invalid or unsupported."""
+    """A configuration value or option is invalid or unsupported (CLI exit 1)."""
+
+
+class DataError(ValueError):
+    """Input data is empty, inconsistent, malformed or cannot be read (CLI
+    exit 2). Every other data error of the package derives from it."""
 
 
 class NumericError(ArithmeticError):
-    """A computation produced or received non-finite values."""
+    """A computation produced or received non-finite values (CLI exit 3)."""
+
+
+class ShapeError(DataError):
+    """Operand shapes do not conform for the requested operation."""
 
 
 def _as_array(data, dtype=None) -> np.ndarray:

@@ -32,7 +32,7 @@ def loss_weights_for(config: RunConfig) -> LossWeights:
         mse=config.mse_weight,
         kl=config.tokenizer.kl_weight,
         scale_weights=config.scale_weights,
-    ).validate(len(config.tokenizer.scales))
+    )
 
 
 def log_path_for(checkpoint: str) -> str:
@@ -99,8 +99,6 @@ def train(config: RunConfig, echo: bool = False) -> dict:
     config.validate()
     tok = config.tokenizer
     dataset = load_dataset(config.data_dir, tok.image_size, tok.seed)
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
     train_idx, eval_idx = dataset.split(config.eval_fraction)
 
     steps = config.steps

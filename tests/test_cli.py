@@ -1,15 +1,21 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
+import struct
 
 import numpy as np
 import pytest
 
-from mstok.cli import E2E_THRESHOLD, OPS_THRESHOLD, main
+import mstok
+from mstok.cli import E2E_THRESHOLD, OPS_THRESHOLD, UsageError, main
 from mstok.config import RunConfig, TokenizerConfig
 from mstok.data import generate_synthetic_folder
 from mstok.imageio import load_ppm
 from mstok.latent_stats import read_latents
 from mstok.model import load_checkpoint
+from mstok.tensor import ConfigError, DataError, NumericError, make_rng
 from mstok.train import log_path_for, train
 
 SMALL = ["image_size=16", "patch=4", "enc_layers=1", "dec_layers=1", "enc_width=16",
@@ -100,6 +106,16 @@ def test_malformed_config_value_config_error(capsys, argv, key):
     ["epochs=-1"],
     ["log_interval=-1"],
     ["checkpoint_interval=-1"],
+    ["lr_start=-1"],
+    ["lr_end=-1"],
+    ["lr_start=nan"],
+    ["grad_clip=0"],
+    ["grad_clip=-1"],
+    ["l1_weight=-1"],
+    ["mse_weight=-1"],
+    ["scale_weights=1,-1,1,1"],
+    ["scale_weights=0,0,0,0"],
+    ["image_size=4", "patch=4", "scales=1"],  # smaller than the SSIM window
 ], ids="+".join)
 def test_invalid_config_value_config_error(tmp_path, capsys, settings):
     assert main(["train"] + sets(settings + [f"checkpoint={tmp_path / 'tok.htok'}"])) == 1
@@ -116,7 +132,7 @@ def test_zero_steps_still_valid(tmp_path):
     assert load_checkpoint(str(ckpt)).config.latent_dim == 4
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numeric_error_exit_3_logs_abort(tmp_path, capsys):
     ckpt = str(tmp_path / "tok.htok")
     argv = ["train"] + sets(["lr_start=1e38", "steps=3", "data_dir=synthetic:8", "batch_size=4",
@@ -126,6 +142,59 @@ def test_numeric_error_exit_3_logs_abort(tmp_path, capsys):
     with open(log_path_for(ckpt), encoding="utf-8") as fh:
         last = json.loads(fh.read().splitlines()[-1])
     assert last["event"] == "abort" and last["error_type"] == "NumericError"
+
+
+def write_hlat(path, count, dim=4, nan=False):
+    vectors = make_rng(0).normal(size=(count, dim)).astype("<f4")
+    if nan:
+        vectors[count // 2, 0] = np.nan
+    path.write_bytes(b"HLAT" + struct.pack("<II", count, dim) + vectors.tobytes())
+    return str(path)
+
+
+@pytest.mark.parametrize("case, code", [
+    ("two_vector_hlat", 2),
+    ("nan_hlat", 2),            # SVD does not converge on it
+    ("non_utf8_config", 1),
+    ("grid=0", 1),
+    ("grid=-3", 1),
+    ("bandwidth=-1", 1),
+    ("bandwidth=1e-300", 1),    # its square underflows to 0
+    ("pad=nan", 1),
+    ("pad=-1", 1),
+])
+def test_bad_input_exit_code_one_line(tmp_path, capsys, case, code):
+    if case == "two_vector_hlat":
+        argv = ["analyze-latent", write_hlat(tmp_path / "two.hlat", 2)]
+    elif case == "nan_hlat":
+        argv = ["analyze-latent", write_hlat(tmp_path / "nan.hlat", 20, nan=True)]
+    elif case == "non_utf8_config":
+        (tmp_path / "bad.cfg").write_bytes(b"steps=3\ncheckpoint=\xff\xfe\n")
+        argv = ["train", "--config", str(tmp_path / "bad.cfg")]
+    else:
+        flag, value = case.split("=")
+        argv = ["analyze-latent", write_hlat(tmp_path / "ok.hlat", 20), f"--{flag}", value]
+    # main() returning at all means no exception escaped as a traceback.
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    prefix = {1: "config error:", 2: "data error:"}[code]
+    assert err.startswith(prefix) and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_every_error_class_maps_to_an_exit_code():
+    bases = (ConfigError, DataError, NumericError)
+    found = []
+    for info in pkgutil.iter_modules(mstok.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"mstok.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                found.append(cls)
+    assert {c.__name__ for c in found} >= {"ConfigError", "DataError", "NumericError", "ShapeError",
+                                           "FormatError", "CheckpointError", "LatentFormatError",
+                                           "UndefinedMetricsError", "UsageError"}
+    assert [c for c in found if c is not UsageError and not issubclass(c, bases)] == []
 
 
 def test_gradcheck_passes_within_thresholds(capsys):

@@ -34,19 +34,19 @@ def test_schedule_total_is_sum_of_squares(grids):
 
 
 def test_schedule_rejects_non_ascending():
-    with pytest.raises(P.ScheduleError):
+    with pytest.raises(ConfigError):
         P.build_schedule(4, [2, 2, 4])
-    with pytest.raises(P.ScheduleError):
+    with pytest.raises(ConfigError):
         P.build_schedule(4, [4, 2])
 
 
 def test_schedule_rejects_base_mismatch():
-    with pytest.raises(P.ScheduleError):
+    with pytest.raises(ConfigError):
         P.build_schedule(16, [1, 2, 8])
 
 
 def test_schedule_rejects_empty():
-    with pytest.raises(P.ScheduleError):
+    with pytest.raises(ConfigError):
         P.build_schedule(4, [])
 
 
