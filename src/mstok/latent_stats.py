@@ -89,7 +89,11 @@ def kde_grid(points: np.ndarray, grid_size: int, bandwidth: float, pad_bandwidth
 
 def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
                 pad_bandwidths: float = 3.0) -> np.ndarray:
-    """Isotropic Gaussian KDE evaluated at grid centers, normalized to sum 1."""
+    """Isotropic Gaussian KDE evaluated at grid centers, normalized to sum 1.
+
+    Raises ``ConfigError`` for a grid size, bandwidth or pad that is invalid
+    or that leaves every grid density underflowed to zero.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"kde_density: expected n x 2 points, got shape {pts.shape}")
@@ -111,7 +115,9 @@ def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
         density[i] = np.exp(inv * (dx2[:, None] + dy2)).sum(axis=0)
     total = density.sum()
     if total <= 0:
-        raise UndefinedMetricsError("kde_density: all densities underflowed to zero")
+        # No grid center is within reach of any point: the caller's flags
+        # cause this, not the points.
+        raise ConfigError("kde_density: all densities underflowed to zero; use a larger bandwidth or grid")
     return density / total
 
 
@@ -203,6 +209,8 @@ def read_latents(path: str) -> np.ndarray:
         if len(header) != 8:
             raise LatentFormatError(f"{path}: truncated header at offset {4 + len(header)}")
         count, dim = struct.unpack("<II", header)
+        if dim == 0:
+            raise LatentFormatError(f"{path}: vector dim 0 in the header at offset 8")
         payload = fh.read(4 * count * dim)
         if len(payload) != 4 * count * dim:
             raise LatentFormatError(f"{path}: truncated payload at offset {12 + len(payload)}")

@@ -162,18 +162,24 @@ def write_hlat(path, count, dim=4, nan=False):
     ("bandwidth=1e-300", 1),    # its square underflows to 0
     ("pad=nan", 1),
     ("pad=-1", 1),
+    ("grid=1,bandwidth=1e-10", 1),  # every density underflows to 0
+    ("zero_dim_hlat", 2),
 ])
 def test_bad_input_exit_code_one_line(tmp_path, capsys, case, code):
     if case == "two_vector_hlat":
         argv = ["analyze-latent", write_hlat(tmp_path / "two.hlat", 2)]
     elif case == "nan_hlat":
         argv = ["analyze-latent", write_hlat(tmp_path / "nan.hlat", 20, nan=True)]
+    elif case == "zero_dim_hlat":
+        argv = ["analyze-latent", write_hlat(tmp_path / "zero.hlat", 5, dim=0)]
     elif case == "non_utf8_config":
         (tmp_path / "bad.cfg").write_bytes(b"steps=3\ncheckpoint=\xff\xfe\n")
         argv = ["train", "--config", str(tmp_path / "bad.cfg")]
     else:
-        flag, value = case.split("=")
-        argv = ["analyze-latent", write_hlat(tmp_path / "ok.hlat", 20), f"--{flag}", value]
+        argv = ["analyze-latent", write_hlat(tmp_path / "ok.hlat", 20)]
+        for option in case.split(","):
+            flag, value = option.split("=")
+            argv += [f"--{flag}", value]
     # main() returning at all means no exception escaped as a traceback.
     assert main(argv) == code
     err = capsys.readouterr().err

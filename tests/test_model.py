@@ -3,10 +3,12 @@ import pytest
 
 from mstok.attention import masked_mha
 from mstok.cli import main
-from mstok.config import TokenizerConfig
+from mstok.config import RunConfig, TokenizerConfig
+from mstok.losses import multiscale_loss
 from mstok.model import CheckpointError, LatentCode, init_model, load_checkpoint, save_checkpoint
 from mstok.pyramid import averaging_kernel, downsample_conv, downsample_interp, image_pyramid
 from mstok.tensor import ShapeError, Tensor, make_rng, no_grad
+from mstok.train import loss_weights_for
 
 TINY = TokenizerConfig(image_size=8, patch=4, enc_layers=1, dec_layers=1, enc_width=8,
                        dec_width=8, heads=2, latent_dim=4, scales=(1, 2), seed=0)
@@ -163,6 +165,35 @@ def test_no_grad_halves_reconstruct_peak_memory():
 
     graph_peak, free_peak = peak(False), peak(True)
     assert free_peak < graph_peak / 2, (free_peak, graph_peak)
+
+
+def test_backward_frees_training_graph():
+    import tracemalloc
+
+    model = init_model(TokenizerConfig())
+    x = rand_image(make_rng(18), model.config, batch=8)
+    weights, rng = loss_weights_for(RunConfig()), make_rng(19)
+
+    def forward():
+        outputs, code = model.reconstruct(x, deterministic=False, rng=rng, training=True)
+        targets = image_pyramid(x, model.schedule, model.config.patch)
+        return multiscale_loss(outputs, targets, weights, code)[0]
+
+    tracemalloc.start()
+    try:
+        loss = forward()
+        after_forward = tracemalloc.get_traced_memory()[0]
+        model.zero_grad()
+        loss.backward()  # ``loss`` stays referenced, as in the training loop
+        after_backward = tracemalloc.get_traced_memory()[0]
+        loss = forward()  # the second step's forward runs while the first loss lives
+        model.zero_grad()
+        loss.backward()
+        two_step_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert after_backward < after_forward / 10, (after_backward, after_forward)
+    assert two_step_peak < 1.5 * after_forward, (two_step_peak, after_forward)
 
 
 def test_zero_pixel_head_outputs_bias():

@@ -83,6 +83,61 @@ def test_backward_accumulates_across_calls():
 
 
 # ---------------------------------------------------------------------------
+# Graph release and gradient ownership
+# ---------------------------------------------------------------------------
+
+def test_backward_releases_graph_keeps_leaf_gradients():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    z = T.square(x)
+    y = T.tsum(z)
+    y.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    for node in (z, y):
+        assert node.grad is None and node._parents == ()
+    np.testing.assert_array_equal(z.data, [1.0, 4.0])  # values stay readable
+
+
+def test_second_backward_on_released_graph_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = T.tsum(T.square(x))
+    y.backward()
+    with pytest.raises(ValueError, match="released by an earlier backward"):
+        y.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_backward_from_second_root_through_released_node_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    w = Tensor([3.0, 5.0], requires_grad=True)
+    z = T.square(x)
+    T.tsum(z).backward()
+    # The new root reaches w directly and x only through the released z.
+    second = T.tsum(T.add(T.mul(z, w), w))
+    with pytest.raises(ValueError, match="released by an earlier backward"):
+        second.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    assert w.grad is None  # raised before any gradient moved
+
+
+def test_add_operands_get_separate_gradient_buffers():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    T.tsum(T.mul(T.add(a, b), Tensor(np.full((2, 3), 3.0)))).backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, np.full((2, 3), 3.0))
+
+
+def test_backward_seed_is_copied_not_aliased():
+    x = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+    y = T.add(x, x)
+    seed = np.arange(6, dtype=np.float32).reshape(2, 3)
+    y.backward(seed)
+    np.testing.assert_array_equal(seed, np.arange(6, dtype=np.float32).reshape(2, 3))
+    np.testing.assert_array_equal(x.grad, 2.0 * seed)
+
+
+# ---------------------------------------------------------------------------
 # softmax
 # ---------------------------------------------------------------------------
 
@@ -394,6 +449,30 @@ def test_clip_gradient_gate():
     x = Tensor(np.array([-5.0, 0.5, 5.0]), requires_grad=True)
     T.tsum(T.clip(x, -1.0, 1.0)).backward()
     np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
+
+
+def test_gelu_matches_textbook_expressions_bitwise():
+    rng = np.random.default_rng(5)
+    x = (3.0 * rng.standard_normal((64, 85, 256))).astype(np.float32)
+    flat = x.reshape(-1)
+    tiny = np.finfo(np.float32).smallest_subnormal
+    special = [0.0, -0.0, tiny, -tiny, 7 * tiny, -1000 * tiny, np.finfo(np.float32).tiny, 30.0, -30.0]
+    flat[: len(special)] = special
+    flat[-1000:] = rng.standard_normal(1000) * np.finfo(np.float32).tiny  # subnormal range
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    c, k = T._GELU_C, T._GELU_K
+    u = np.tanh(c * (x + k * x * x * x))
+    want_out = 0.5 * x * (1.0 + u)
+    du = c * (1.0 + 3.0 * k * x * x) * (1.0 - u * u)
+    want_grad = g * (0.5 * (1.0 + u) + 0.5 * x * du)
+
+    t = Tensor(x, requires_grad=True)
+    out = T.gelu(t)
+    out.backward(g)
+    assert out.dtype == np.float32 and t.grad.dtype == np.float32
+    # Bit patterns, so -0.0 against 0.0 counts as a difference.
+    np.testing.assert_array_equal(out.data.view(np.uint32), want_out.view(np.uint32))
+    np.testing.assert_array_equal(t.grad.view(np.uint32), want_grad.view(np.uint32))
 
 
 # ---------------------------------------------------------------------------
