@@ -27,7 +27,7 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
+            total += float(np.square(p.grad, dtype=np.float64).sum())
     norm = math.sqrt(total)
     if norm > max_norm:
         factor = max_norm / norm

@@ -12,7 +12,9 @@ closure held is freed before the sweep reaches the inputs. Only leaf
 gradients (the parameters') survive ``backward()``, and a later sweep that
 reaches a released node raises. Because a node's gradient dies right after
 its closure runs, one consumer may own that buffer, or a view of it, instead
-of copying it (see ``_accumulate``).
+of copying it (see ``_accumulate``), and the closure itself may write into
+the gradient it is handed: ``softmax`` and ``layer_norm`` build their input
+gradient in that buffer.
 
 Inside ``with no_grad():`` ops record no parents and keep no backward
 closures: every result is a plain constant, so each intermediate array is
@@ -24,6 +26,7 @@ on exit, also when the block raises.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 from scipy import special as sp_special
@@ -196,11 +199,16 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     A closure may set it for an array it allocated, and also for the
     gradient it was given, or a view of it, when no other consumer takes
     that buffer: the sweep releases the gradient right after the closure
-    runs, so the owner may then update it in place. A buffer another
-    consumer also gets, a read-only broadcast view or a caller's array is
-    copied.
+    runs, so the owner may then update it in place. The same holds for the
+    closure itself: it owns the gradient it is handed and may write into it,
+    as ``softmax`` and ``layer_norm`` do. A buffer another consumer also
+    gets, a read-only broadcast view or a caller's array is copied. A 0-d
+    gradient is stored as a 0-d array, never a numpy scalar.
     """
-    reduced = _unbroadcast(g, t.data.shape)
+    # numpy returns a 0-d result as a scalar; store an array, so in-place
+    # updates write into it instead of rebinding.
+    g = np.asarray(g)
+    reduced = np.asarray(_unbroadcast(g, t.data.shape))
     if t.grad is None:
         if reduced is not g:
             # unbroadcast allocated a reduction; safe to own
@@ -319,26 +327,39 @@ def scale(a, s: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes, batched over the leading ones.
+
+    The token-wise ``x @ W`` case (2-D ``b``, ``a`` of 3 or more dims) runs
+    as one ``(rows, n) @ (n, m)`` gemm on ``a`` reshaped to rows, in the
+    forward and in both gradients, instead of one small gemm per batch item;
+    the result, C-contiguous with shape ``a.shape[:-1] + (m,)``, equals the
+    batched product bit for bit.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ for shapes {a.shape} and {b.shape}")
-    out_data = np.matmul(a.data, b.data)
+    flat = b.ndim == 2 and a.ndim > 2
+    if flat:
+        n, m = b.shape
+        rows = math.prod(a.shape[:-1])
+        out_data = np.matmul(a.data.reshape(rows, n), b.data).reshape(a.shape[:-1] + (m,))
+    else:
+        out_data = np.matmul(a.data, b.data)
 
     def backward(g):
+        if flat:
+            g2 = g.reshape(rows, m)
+            if a.requires_grad:
+                _accumulate(a, np.matmul(g2, b.data.T).reshape(a.shape), fresh=True)
+            if b.requires_grad:
+                _accumulate(b, np.matmul(a.data.reshape(rows, n).T, g2), fresh=True)
+            return
         if a.requires_grad:
             _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)), fresh=True)
         if b.requires_grad:
-            if b.ndim == 2 and a.ndim > 2:
-                # x @ W case: collapse the batch dims into one gemm instead of
-                # many small gemms followed by a reduction.
-                n = a.shape[-1]
-                m = g.shape[-1]
-                gb = np.matmul(a.data.reshape(-1, n).T, g.reshape(-1, m))
-                _accumulate(b, gb, fresh=True)
-            else:
-                _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g), fresh=True)
+            _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g), fresh=True)
 
     return _result(out_data, (a, b), backward)
 
@@ -540,16 +561,26 @@ def softmax(x, additive_mask=None, scale: float = 1.0) -> Tensor:
             out_data = np.where(np.broadcast_to(dead_rows, out_data.shape), 0.0, out_data)
 
     def backward(g):
+        # g is this node's own gradient, released right after this closure
+        # runs, so the input gradient is built in its buffer.
         inner = (g * out_data).sum(axis=-1, keepdims=True)
-        gx = out_data * (g - inner)
-        gx *= scale
-        _accumulate(x, gx, fresh=True)
+        g -= inner
+        g *= out_data
+        g *= scale
+        _accumulate(x, g, fresh=True)
 
     return _result(out_data, (x,), backward)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis, then apply an elementwise affine."""
+    """Normalize over the last axis, then apply an elementwise affine.
+
+    The output has ``x``'s dtype. Forward and backward reuse their buffers in
+    place; every float op keeps the operands and order of
+    ``xhat = (x - mu) * (1 / sqrt(var + eps))``, ``out = xhat * gain + bias``
+    and ``gx = (gx - mean(gx) - xhat * mean(gx * xhat)) * inv`` with
+    ``gx = g * gain``, so results equal them bit for bit.
+    """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     n = x.shape[-1] if x.ndim > 0 else 0
     if n == 0:
@@ -558,12 +589,16 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match last axis {n}"
         )
+    # Two buffers: the centred input, scaled in place to xhat, and the
+    # squares, reused for the output.
     mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    out_data = xhat * xhat
+    var = out_data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out_data = xhat * gain.data + bias.data
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out_data)
+    out_data += bias.data
 
     def backward(g):
         if gain.requires_grad:
@@ -571,9 +606,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
         if bias.requires_grad:
             _accumulate(bias, g.reshape(-1, n).sum(axis=0), fresh=True)
         if x.requires_grad:
-            gx = g * gain.data
-            term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, term * inv, fresh=True)
+            gx = g  # this node's own gradient; the affine grads above are done with it
+            gx *= gain.data
+            m1 = gx.mean(axis=-1, keepdims=True)
+            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            gx -= m1
+            gx -= xhat * m2
+            gx *= inv
+            _accumulate(x, gx, fresh=True)
 
     return _result(out_data, (x, gain, bias), backward)
 

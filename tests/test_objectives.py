@@ -205,6 +205,22 @@ def test_clip_grad_norm():
     assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("max_norm", [1e6, 0.5])
+def test_clip_grad_norm_equals_float64_copy_expression(max_norm):
+    rng = np.random.default_rng(2)
+    grads = {f"p{i}": (10 * rng.standard_normal(shape)).astype(np.float32)
+             for i, shape in enumerate([(64, 256), (256,), (3, 8, 8, 16)])}
+    params = {k: Tensor(g, requires_grad=True) for k, g in grads.items()}
+    for k, p in params.items():
+        p.grad = grads[k].copy()
+    want = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()))
+    norm = clip_grad_norm(params, max_norm)
+    assert norm == want
+    factor = max_norm / want if want > max_norm else 1.0
+    for k, p in params.items():
+        np.testing.assert_array_equal(p.grad, grads[k] * factor)
+
+
 # ---------------------------------------------------------------------------
 # cosine_lr
 # ---------------------------------------------------------------------------

@@ -48,6 +48,36 @@ def test_add_shape_mismatch_names_op_and_shapes():
 def test_matmul_inner_dim_mismatch():
     with pytest.raises(T.ShapeError):
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+    with pytest.raises(T.ShapeError, match="inner dimensions"):  # the flat x @ W case
+        T.matmul(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((4, 2))))
+
+
+@pytest.mark.parametrize("lead", [(4, 5), (2, 3, 5)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_matmul_flat_x_at_w_matches_einsum_oracle(lead, transposed):
+    # x @ W with a 3-D or 4-D x runs as one 2-D gemm, forward and backward;
+    # a transposed (non-contiguous) x exercises the reshape copy.
+    rng = np.random.default_rng(13)
+    n, m = 6, 7
+    x = rng.standard_normal(lead + (n,)).astype(np.float32)
+    w = rng.standard_normal((n, m)).astype(np.float32)
+    g = rng.standard_normal(lead + (m,)).astype(np.float32)
+    xt = Tensor(x.swapaxes(0, 1).copy() if transposed else x, requires_grad=True)
+    a = T.transpose(xt, (1, 0) + tuple(range(2, len(lead) + 1))) if transposed else xt
+    wt = Tensor(w, requires_grad=True)
+    out = T.matmul(a, wt)
+    out.backward(g)
+
+    x64, w64, g64 = x.astype(np.float64), w.astype(np.float64), g.astype(np.float64)
+    want_out = np.einsum("...n,nm->...m", x64, w64)
+    want_gx = np.einsum("...m,nm->...n", g64, w64)
+    want_gw = np.einsum("rn,rm->nm", x64.reshape(-1, n), g64.reshape(-1, m))
+    assert out.shape == lead + (m,) and out.data.flags.c_contiguous
+    assert out.dtype == np.float32 and wt.grad.dtype == np.float32
+    gx = xt.grad.swapaxes(0, 1) if transposed else xt.grad
+    np.testing.assert_allclose(out.data, want_out, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(wt.grad, want_gw, rtol=1e-5, atol=1e-4)
 
 
 def test_broadcast_add_reduces_gradient():
@@ -137,6 +167,19 @@ def test_backward_seed_is_copied_not_aliased():
     np.testing.assert_array_equal(x.grad, 2.0 * seed)
 
 
+def test_zero_dim_gradient_is_an_array_updated_in_place():
+    a = Tensor(np.float32(3), requires_grad=True)
+    T.scale(a, 2.0).backward()
+    assert type(a.grad) is np.ndarray and a.grad.shape == () and a.grad == 2.0
+    owned = a.grad
+    T.scale(a, 2.0).backward()
+    assert a.grad is owned and owned == 4.0  # accumulated in place, not rebound
+    # A gradient reduced by broadcasting down to 0-d is an array too.
+    b = Tensor(np.float32(1), requires_grad=True)
+    T.tsum(T.add(b, Tensor(np.ones(3, dtype=np.float32)))).backward()
+    assert type(b.grad) is np.ndarray and b.grad.shape == () and b.grad == 3.0
+
+
 # ---------------------------------------------------------------------------
 # softmax
 # ---------------------------------------------------------------------------
@@ -200,6 +243,27 @@ def test_scaled_softmax_matches_scale_then_softmax_bitwise(masked):
     np.testing.assert_array_equal(fused_in.grad, ref_in.grad)
 
 
+@pytest.mark.parametrize("dtype, shape", [(np.float32, (64, 4, 85, 85)), (np.float64, (2, 3, 17, 17))])
+def test_masked_scaled_softmax_backward_matches_textbook_bitwise(dtype, shape):
+    rng = np.random.default_rng(8)
+    t, s = shape[-1], 1.0 / math.sqrt(24)
+    x = (4 * rng.standard_normal(shape)).astype(dtype)
+    seed = rng.standard_normal(shape).astype(dtype)
+    kept = seed.copy()
+    mask = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, T.MASK_VALUE).astype(dtype)
+    mask[0] = T.MASK_VALUE  # one fully masked row
+    xt = Tensor(x, requires_grad=True)
+    out = T.softmax(xt, additive_mask=mask, scale=s)
+    out.backward(seed)
+    o = out.data
+    want = s * (o * (seed - (seed * o).sum(axis=-1, keepdims=True)))
+    assert xt.grad.dtype == dtype
+    np.testing.assert_array_equal(xt.grad.view(f"u{xt.grad.itemsize}"), want.view(f"u{want.itemsize}"))
+    # The backward builds the input gradient in its own buffer, never in
+    # the caller's seed.
+    np.testing.assert_array_equal(seed, kept)
+
+
 def test_softmax_mask_must_broadcast_to_input():
     with pytest.raises(T.ShapeError):
         T.softmax(Tensor(np.zeros(3)), additive_mask=np.zeros((2, 3)))
@@ -235,6 +299,36 @@ def test_layer_norm_per_row_moments():
     out = T.layer_norm(x, Tensor(np.ones(16), dtype=np.float64), Tensor(np.zeros(16), dtype=np.float64))
     np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.data.var(axis=-1), 1.0, atol=1e-5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_matches_textbook_expressions_bitwise(dtype):
+    rng = np.random.default_rng(4)
+    shape, eps = (64, 85, 64), 1e-6
+    n = shape[-1]
+    x = (2 * rng.standard_normal(shape) + 0.5).astype(dtype)
+    x[0, 0] = 1.5  # a zero-variance row
+    gain = rng.standard_normal(n).astype(dtype)
+    bias = rng.standard_normal(n).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    want_out = xhat * gain + bias
+    want_gain = (g * xhat).reshape(-1, n).sum(axis=0)
+    want_bias = g.reshape(-1, n).sum(axis=0)
+    gx = g * gain
+    want_x = (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv
+
+    xt, gt, bt = (Tensor(v, requires_grad=True) for v in (x, gain, bias))
+    out = T.layer_norm(xt, gt, bt, eps=eps)
+    out.backward(g)
+    bits = f"u{np.dtype(dtype).itemsize}"
+    for got, want in ((out.data, want_out), (xt.grad, want_x), (gt.grad, want_gain), (bt.grad, want_bias)):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(bits), want.view(bits))
 
 
 # ---------------------------------------------------------------------------
