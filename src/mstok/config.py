@@ -159,11 +159,13 @@ def config_from_kv(cls, kv: dict[str, str], base=None):
 
 
 def tokenizer_config_to_kv(cfg: TokenizerConfig) -> str:
+    """The inverse of ``config_from_kv``: one ``key=value`` line per field,
+    a tuple joined with commas."""
     lines = []
     for f in fields(TokenizerConfig):
         value = getattr(cfg, f.name)
-        if f.name == "scales":
-            value = ",".join(str(g) for g in value)
+        if isinstance(value, tuple):
+            value = ",".join(str(item) for item in value)
         lines.append(f"{f.name}={value}")
     return "\n".join(lines) + "\n"
 

@@ -7,8 +7,7 @@ residual and the "HLAT" latent dump format.
 from __future__ import annotations
 
 import struct
-import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,24 +26,19 @@ class LatentStats:
     n_points: int
     grid_size: int
     bandwidth: float
+    projected_axes: int           # projection axes that carry variance, 0 to 2
 
     def to_dict(self) -> dict:
-        return {
-            "density_cv": self.density_cv,
-            "gini": self.gini,
-            "norm_entropy": self.norm_entropy,
-            "n_points": self.n_points,
-            "grid_size": self.grid_size,
-            "bandwidth": self.bandwidth,
-        }
+        return asdict(self)
 
 
-def project2d(latents) -> np.ndarray:
+def project2d(latents) -> tuple[np.ndarray, int]:
     """Deterministic 2-component principal projection of flattened latents.
 
     Centers the data, projects onto the top-2 covariance eigenvectors, and
     fixes each axis sign so its largest-magnitude coordinate is positive.
-    Rank-deficient inputs fill the missing axis with zeros and warn.
+    Returns the n x 2 points and the number of axes that carry variance; a
+    rank-deficient input fills each missing axis with zeros.
     """
     x = np.asarray(latents, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 3:
@@ -56,16 +50,14 @@ def project2d(latents) -> np.ndarray:
     # eigenvectors; SVD avoids forming the d x d covariance.
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     tol = max(x.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+    axes = int(np.count_nonzero(s[:2] > tol))
     out = np.zeros((x.shape[0], 2))
-    for axis in range(2):
-        if axis >= s.size or s[axis] <= tol:
-            warnings.warn("project2d: rank-deficient input, filling degenerate axis with zeros")
-            continue
+    for axis in range(axes):
         v = vt[axis]
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
         out[:, axis] = centered @ v
-    return out
+    return out, axes
 
 
 def scott_bandwidth(points: np.ndarray) -> float:
@@ -122,7 +114,7 @@ def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
 
 
 def uniformity_metrics(densities, n_points: int = 0, grid_size: int | None = None,
-                       bandwidth: float = float("nan")) -> LatentStats:
+                       bandwidth: float = float("nan"), projected_axes: int = 2) -> LatentStats:
     """Density CV, Gini coefficient, and normalized entropy of a density grid."""
     d = np.asarray(densities, dtype=np.float64).reshape(-1)
     if d.size == 0 or (d < 0).any():
@@ -146,19 +138,20 @@ def uniformity_metrics(densities, n_points: int = 0, grid_size: int | None = Non
 
     side = grid_size if grid_size is not None else int(round(np.sqrt(n)))
     return LatentStats(density_cv=cv, gini=gini, norm_entropy=norm_entropy,
-                       n_points=n_points, grid_size=side, bandwidth=float(bandwidth))
+                       n_points=n_points, grid_size=side, bandwidth=float(bandwidth),
+                       projected_axes=projected_axes)
 
 
 def analyze_latents(vectors, grid_size: int = 64, bandwidth: float | None = None,
                     pad_bandwidths: float = 3.0) -> LatentStats:
     """Full pipeline: project to 2-D, estimate density, compute uniformity."""
-    points = project2d(vectors)
+    points, axes = project2d(vectors)
     if bandwidth is None:
         bandwidth = scott_bandwidth(points)
     densities = kde_density(points, grid_size=grid_size, bandwidth=bandwidth,
                             pad_bandwidths=pad_bandwidths)
     return uniformity_metrics(densities, n_points=points.shape[0], grid_size=grid_size,
-                              bandwidth=bandwidth)
+                              bandwidth=bandwidth, projected_axes=axes)
 
 
 def commutation_residuals(images: list[np.ndarray]) -> list[float]:

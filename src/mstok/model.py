@@ -6,6 +6,11 @@ head, one RGB reconstruction per scale. The latent lives at the base grid,
 before any downsampling, so generation-time codes have single-scale shape.
 Inputs are batch-first: images are batch x 3 x H x W and latents batch x
 g x g x d_z; an unbatched input raises ``ShapeError``.
+
+A parameter's HTOK checkpoint record name is its dotted field path in
+``TokenizerModel`` (``enc.0.attn.wq``, ``down.2.0``, ``pe.scale``), and the
+field order is the record order: adding, renaming or moving a field is the
+whole edit to the checkpoint layout.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -75,76 +80,45 @@ class LatentCode:
 
 
 @dataclass
+class Conv:
+    kernel: Tensor
+    bias: Tensor
+
+
+@dataclass
+class Affine:
+    weight: Tensor
+    bias: Tensor
+
+
+@dataclass
 class TokenizerModel:
     config: TokenizerConfig
     schedule: ScaleSchedule
     mask: AttentionMask
-    patch_kernel: Tensor
-    patch_bias: Tensor
+    patch_embed: Conv
     enc_pos: Tensor
-    enc_blocks: list[BlockParams]
+    enc: list[BlockParams]
     enc_norm: LayerNormParams
-    latent_w: Tensor
-    latent_b: Tensor
-    proj_w: Tensor
-    proj_b: Tensor
-    down_chains: dict[int, list[Tensor]]
+    latent_head: Affine
+    latent_proj: Affine
+    down: dict[int, list[Tensor]]
     pe: PEParams
-    dec_blocks: list[BlockParams]
+    dec: list[BlockParams]
     dec_norm: LayerNormParams
-    pixel_w: Tensor
-    pixel_b: Tensor
+    pixel_head: Affine
 
     # ------------------------------------------------------------------
     # Parameter bookkeeping
     # ------------------------------------------------------------------
 
     def named_parameters(self) -> dict[str, Tensor]:
-        """Deterministically ordered name -> parameter map."""
-        params: dict[str, Tensor] = {
-            "patch_embed.kernel": self.patch_kernel,
-            "patch_embed.bias": self.patch_bias,
-            "enc_pos": self.enc_pos,
-        }
-
-        def block_entries(prefix: str, blocks: list[BlockParams]):
-            for i, blk in enumerate(blocks):
-                params[f"{prefix}.{i}.ln1.gain"] = blk.ln1.gain
-                params[f"{prefix}.{i}.ln1.bias"] = blk.ln1.bias
-                params[f"{prefix}.{i}.attn.wq"] = blk.attn.wq
-                params[f"{prefix}.{i}.attn.wk"] = blk.attn.wk
-                params[f"{prefix}.{i}.attn.wv"] = blk.attn.wv
-                params[f"{prefix}.{i}.attn.wo"] = blk.attn.wo
-                params[f"{prefix}.{i}.ln2.gain"] = blk.ln2.gain
-                params[f"{prefix}.{i}.ln2.bias"] = blk.ln2.bias
-                params[f"{prefix}.{i}.mlp.fc1"] = blk.mlp.fc1
-                params[f"{prefix}.{i}.mlp.fc2"] = blk.mlp.fc2
-
-        block_entries("enc", self.enc_blocks)
-        params["enc_norm.gain"] = self.enc_norm.gain
-        params["enc_norm.bias"] = self.enc_norm.bias
-        params["latent_head.weight"] = self.latent_w
-        params["latent_head.bias"] = self.latent_b
-        params["latent_proj.weight"] = self.proj_w
-        params["latent_proj.bias"] = self.proj_b
-        for g in sorted(self.down_chains):
-            for j, kernel in enumerate(self.down_chains[g]):
-                params[f"down.{g}.{j}"] = kernel
-        params["pe.spatial"] = self.pe.spatial
-        params["pe.scale"] = self.pe.per_scale
-        block_entries("dec", self.dec_blocks)
-        params["dec_norm.gain"] = self.dec_norm.gain
-        params["dec_norm.bias"] = self.dec_norm.bias
-        params["pixel_head.weight"] = self.pixel_w
-        params["pixel_head.bias"] = self.pixel_b
-        return params
+        """Dotted field path -> parameter, in field order."""
+        return dict(_named_tensors(self, ""))
 
     def zero_grad(self) -> None:
         for p in self.named_parameters().values():
             p.zero_grad()
-
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.named_parameters().values())
 
     # ------------------------------------------------------------------
     # Forward paths
@@ -155,15 +129,15 @@ class TokenizerModel:
         x = _batched_image(x, self.config)
         cfg = self.config
         g = cfg.image_size // cfg.patch
-        h = conv2d(x, self.patch_kernel)
-        h = add(h, reshape(self.patch_bias, (1, cfg.enc_width, 1, 1)))
+        h = conv2d(x, self.patch_embed.kernel)
+        h = add(h, reshape(self.patch_embed.bias, (1, cfg.enc_width, 1, 1)))
         h = transpose(h, (0, 2, 3, 1))
         h = add(h, self.enc_pos)
         h = reshape(h, (h.shape[0], g * g, cfg.enc_width))
-        for blk in self.enc_blocks:
+        for blk in self.enc:
             h = transformer_block(h, blk, cfg.heads, mask=None, eps=LN_EPS)
         h = layer_norm(h, self.enc_norm.gain, self.enc_norm.bias, LN_EPS)
-        lat = add(matmul(h, self.latent_w), self.latent_b)
+        lat = add(matmul(h, self.latent_head.weight), self.latent_head.bias)
         dz = cfg.latent_dim
         mu = slice_axis(lat, 2, 0, dz)
         logvar = clip(slice_axis(lat, 2, dz, 2 * dz), LOGVAR_MIN, LOGVAR_MAX)
@@ -186,7 +160,7 @@ class TokenizerModel:
 
     def build_pyramid(self, z_width: Tensor) -> list[Tensor]:
         if self.config.downsample_mode == "conv":
-            return downsample_conv(self.down_chains, z_width, self.schedule)
+            return downsample_conv(self.down, z_width, self.schedule)
         return downsample_interp(z_width, self.schedule)
 
     def decode_levels(self, maps: list[Tensor], rng: np.random.Generator | None = None,
@@ -199,11 +173,11 @@ class TokenizerModel:
             level = add(m, pe_s)
             parts.append(reshape(level, (level.shape[0], n, cfg.dec_width)))
         h = concat(parts, axis=1)
-        for blk in self.dec_blocks:
+        for blk in self.dec:
             h = transformer_block(h, blk, cfg.heads, self.mask, eps=LN_EPS,
                                   drop_rate=cfg.drop_path, rng=rng, training=training)
         h = layer_norm(h, self.dec_norm.gain, self.dec_norm.bias, LN_EPS)
-        px = add(matmul(h, self.pixel_w), self.pixel_b)
+        px = add(matmul(h, self.pixel_head.weight), self.pixel_head.bias)
 
         images = []
         p = cfg.patch
@@ -223,7 +197,7 @@ class TokenizerModel:
             raise ShapeError(
                 f"decode_pyramid: expected a batch x {g} x {g} x {self.config.latent_dim} latent, got {z_latent.shape}"
             )
-        z = add(matmul(z_latent, self.proj_w), self.proj_b)
+        z = add(matmul(z_latent, self.latent_proj.weight), self.latent_proj.bias)
         return self.decode_levels(self.build_pyramid(z), rng=rng, training=training)
 
     def reconstruct(self, x, deterministic: bool = True, rng: np.random.Generator | None = None,
@@ -245,6 +219,25 @@ def _batched_image(x, cfg: TokenizerConfig) -> Tensor:
             f"expected an image batch of shape batch x 3x{cfg.image_size}x{cfg.image_size}, got {x.shape}"
         )
     return x
+
+
+def _named_tensors(node, path: str):
+    """Yield (dotted path, tensor) for every ``Tensor`` under ``node``:
+    dataclass fields in order, list items by index, dict items in insertion
+    order. Values that hold no ``Tensor`` yield nothing."""
+    if isinstance(node, Tensor):
+        yield path, node
+        return
+    if is_dataclass(node):
+        children = ((f.name, getattr(node, f.name)) for f in fields(node))
+    elif isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _named_tensors(child, f"{path}.{key}" if path else str(key))
 
 
 # ---------------------------------------------------------------------------
@@ -269,58 +262,45 @@ def init_model(config: TokenizerConfig, dtype=np.float32) -> TokenizerModel:
     def ones(*shape):
         return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
 
+    def norm(width):
+        return LayerNormParams(gain=ones(width), bias=zeros(width))
+
+    def affine(n_in, n_out):
+        return Affine(weight=weight(n_in, n_out), bias=zeros(n_out))
+
     def block(width):
         return BlockParams(
-            ln1=LayerNormParams(gain=ones(width), bias=zeros(width)),
+            ln1=norm(width),
             attn=AttentionParams(wq=weight(width, width), wk=weight(width, width),
                                  wv=weight(width, width), wo=weight(width, width)),
-            ln2=LayerNormParams(gain=ones(width), bias=zeros(width)),
+            ln2=norm(width),
             mlp=MlpParams(fc1=weight(width, MLP_RATIO * width), fc2=weight(MLP_RATIO * width, width)),
         )
 
-    patch_kernel = weight(ew, 3, p, p)
-    patch_bias = zeros(ew)
-    enc_pos = weight(g, g, ew)
-    enc_blocks = [block(ew) for _ in range(config.enc_layers)]
-    enc_norm = LayerNormParams(gain=ones(ew), bias=zeros(ew))
-    latent_w = weight(ew, 2 * dz)
-    latent_b = zeros(2 * dz)
-    proj_w = weight(dz, dw)
-    proj_b = zeros(dw)
-
-    down_chains: dict[int, list[Tensor]] = {}
+    down: dict[int, list[Tensor]] = {}
     if config.downsample_mode == "conv":
         # Averaging init: conv downsampling starts exactly equal to the
         # parameter-free interpolation path, then trains away from it.
         for grid, length in sorted(conv_chain_lengths(schedule).items()):
-            down_chains[grid] = [Tensor(averaging_kernel(dw, dtype), requires_grad=True)
-                                 for _ in range(length)]
+            down[grid] = [Tensor(averaging_kernel(dw, dtype), requires_grad=True) for _ in range(length)]
 
-    pe = PEParams(spatial=weight(g, g, dw), per_scale=weight(schedule.num_scales, dw))
-    dec_blocks = [block(dw) for _ in range(config.dec_layers)]
-    dec_norm = LayerNormParams(gain=ones(dw), bias=zeros(dw))
-    pixel_w = weight(dw, 3 * p * p)
-    pixel_b = zeros(3 * p * p)
-
+    # Keyword arguments evaluate left to right: listed in field order, they
+    # draw in record order, the order fixed since HTOK v1.
     return TokenizerModel(
         config=config,
         schedule=schedule,
         mask=build_mask(schedule, config.attention_regime()),
-        patch_kernel=patch_kernel,
-        patch_bias=patch_bias,
-        enc_pos=enc_pos,
-        enc_blocks=enc_blocks,
-        enc_norm=enc_norm,
-        latent_w=latent_w,
-        latent_b=latent_b,
-        proj_w=proj_w,
-        proj_b=proj_b,
-        down_chains=down_chains,
-        pe=pe,
-        dec_blocks=dec_blocks,
-        dec_norm=dec_norm,
-        pixel_w=pixel_w,
-        pixel_b=pixel_b,
+        patch_embed=Conv(kernel=weight(ew, 3, p, p), bias=zeros(ew)),
+        enc_pos=weight(g, g, ew),
+        enc=[block(ew) for _ in range(config.enc_layers)],
+        enc_norm=norm(ew),
+        latent_head=affine(ew, 2 * dz),
+        latent_proj=affine(dz, dw),
+        down=down,
+        pe=PEParams(spatial=weight(g, g, dw), scale=weight(schedule.num_scales, dw)),
+        dec=[block(dw) for _ in range(config.dec_layers)],
+        dec_norm=norm(dw),
+        pixel_head=affine(dw, 3 * p * p),
     )
 
 

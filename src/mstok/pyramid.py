@@ -65,7 +65,7 @@ class PEParams:
     embedding per scale."""
 
     spatial: Tensor               # g_S x g_S x d
-    per_scale: Tensor             # S x d
+    scale: Tensor                 # S x d
 
 
 def _base_map(z, schedule: ScaleSchedule, op: str) -> Tensor:
@@ -137,9 +137,9 @@ def positional_encoding(pe: PEParams, schedule: ScaleSchedule) -> list[Tensor]:
     side = pe.spatial.shape[0]
     if side != schedule.base_grid:
         raise ShapeError(f"positional_encoding: spatial side {side} != base grid {schedule.base_grid}")
-    if pe.per_scale.shape[0] != schedule.num_scales:
+    if pe.scale.shape[0] != schedule.num_scales:
         raise ShapeError(
-            f"positional_encoding: {pe.per_scale.shape[0]} scale embeddings for {schedule.num_scales} scales"
+            f"positional_encoding: {pe.scale.shape[0]} scale embeddings for {schedule.num_scales} scales"
         )
     d = pe.spatial.shape[2]
     spatial = reshape(pe.spatial, (1,) + pe.spatial.shape)
@@ -147,7 +147,7 @@ def positional_encoding(pe: PEParams, schedule: ScaleSchedule) -> list[Tensor]:
     for s, g in enumerate(schedule.grids):
         level = spatial if g == schedule.base_grid else _pool_map(spatial, g)
         level = reshape(level, (g, g, d))
-        embed = reshape(slice_axis(pe.per_scale, 0, s, s + 1), (1, 1, d))
+        embed = reshape(slice_axis(pe.scale, 0, s, s + 1), (1, 1, d))
         out.append(level + embed)
     return out
 

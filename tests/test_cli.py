@@ -4,6 +4,7 @@ import json
 import os
 import pkgutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mstok.cli import E2E_THRESHOLD, OPS_THRESHOLD, UsageError, main
 from mstok.config import RunConfig, TokenizerConfig
 from mstok.data import generate_synthetic_folder
 from mstok.imageio import load_ppm
-from mstok.latent_stats import read_latents
+from mstok.latent_stats import read_latents, write_latents
 from mstok.model import load_checkpoint
 from mstok.tensor import ConfigError, DataError, NumericError, make_rng
 from mstok.train import log_path_for, train
@@ -250,10 +251,20 @@ def test_export_and_analyze_latents(tmp_path, capsys):
     report_path = str(tmp_path / "stats.json")
     rc = main(["analyze-latent", hlat, "--grid", "16", "--out", report_path])
     assert rc == 0
-    report = json.loads(open(report_path).read())
-    for key in ("density_cv", "gini", "norm_entropy", "n_points", "grid_size", "bandwidth"):
+    report = json.loads(Path(report_path).read_text(encoding="utf-8"))
+    for key in ("density_cv", "gini", "norm_entropy", "n_points", "grid_size", "bandwidth", "projected_axes"):
         assert key in report
     assert report["n_points"] == 12 and report["grid_size"] == 16
+
+
+def test_analyze_latent_rank_deficient_dump_reports_axes_quietly(tmp_path, capfd):
+    hlat = str(tmp_path / "flat.hlat")
+    write_latents(np.full((20, 8), 0.5, dtype=np.float32), hlat)
+    capfd.readouterr()
+    assert main(["analyze-latent", hlat]) == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert json.loads(out)["projected_axes"] == 0
 
 
 def test_reconstruct_bad_checkpoint_data_error(tmp_path):

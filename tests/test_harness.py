@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,22 +43,22 @@ def test_zero_steps_emits_initial_checkpoint(tmp_path):
 def test_same_seed_bit_identical_checkpoints(tmp_path):
     a = train(small_run(tmp_path, checkpoint=str(tmp_path / "a.htok")))
     b = train(small_run(tmp_path, checkpoint=str(tmp_path / "b.htok")))
-    blob_a = open(a["checkpoint"], "rb").read()
-    blob_b = open(b["checkpoint"], "rb").read()
+    blob_a = Path(a["checkpoint"]).read_bytes()
+    blob_b = Path(b["checkpoint"]).read_bytes()
     assert blob_a == blob_b
 
 
 def test_training_reduces_loss(tmp_path):
     summary = train(small_run(tmp_path, steps=60, log_interval=1,
                               data_dir="synthetic:32", batch_size=8))
-    lines = [json.loads(l) for l in open(summary["log"])]
+    lines = [json.loads(l) for l in Path(summary["log"]).read_text(encoding="utf-8").splitlines()]
     steps = [l for l in lines if "step" in l]
     assert steps[-1]["total"] < steps[0]["total"]
 
 
 def test_log_lines_schema(tmp_path):
     summary = train(small_run(tmp_path))
-    lines = [json.loads(l) for l in open(summary["log"], encoding="utf-8")]
+    lines = [json.loads(l) for l in Path(summary["log"]).read_text(encoding="utf-8").splitlines()]
     train_lines = [l for l in lines if "step" in l]
     assert train_lines, "expected per-interval train entries"
     for entry in train_lines:
@@ -85,7 +86,7 @@ def test_non_numeric_failure_logs_abort(tmp_path, monkeypatch):
     cfg = small_run(tmp_path, log_interval=1)
     with pytest.raises(RuntimeError, match="injected failure"):
         train(cfg)
-    lines = [json.loads(l) for l in open(train_mod.log_path_for(cfg.checkpoint), encoding="utf-8")]
+    lines = [json.loads(l) for l in Path(train_mod.log_path_for(cfg.checkpoint)).read_text(encoding="utf-8").splitlines()]
     assert [l["step"] for l in lines if "step" in l] == [1, 2]
     assert lines[-1] == {"event": "abort", "at_step": 3, "error_type": "RuntimeError",
                          "error": "injected failure"}

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,7 +39,7 @@ def test_save_load_save_roundtrip_bytes(tmp_path_factory, w, h, seed):
     b = str(tmp / "b.ppm")
     write_raw_ppm(a, w, h, pixels.tobytes())
     save_ppm(load_ppm(a), b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_roundtrip_preserves_tensor(tmp_path):

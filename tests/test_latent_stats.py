@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ def test_project2d_preserves_2d_structure():
     rng = make_rng(0)
     pts = rng.standard_normal((50, 2))
     pts -= pts.mean(axis=0)
-    proj = L.project2d(pts)
+    proj, axes = L.project2d(pts)
+    assert axes == 2
     # Distances survive an orthogonal change of basis.
     d_in = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
     d_out = np.linalg.norm(proj[:, None] - proj[None, :], axis=-1)
@@ -26,9 +29,17 @@ def test_project2d_preserves_2d_structure():
 
 def test_project2d_identical_points_at_origin():
     pts = np.ones((5, 3))
-    with pytest.warns(UserWarning):
-        proj = L.project2d(pts)
+    proj, axes = L.project2d(pts)
+    assert axes == 0
     np.testing.assert_array_equal(proj, np.zeros((5, 2)))
+
+
+def test_project2d_collinear_points_fill_second_axis_with_zeros():
+    pts = np.outer(np.arange(6.0), [1.0, -2.0, 0.5])
+    proj, axes = L.project2d(pts)
+    assert axes == 1
+    np.testing.assert_array_equal(proj[:, 1], np.zeros(6))
+    assert np.abs(proj[:, 0]).max() > 0
 
 
 def test_project2d_planar_3d_keeps_variance():
@@ -36,7 +47,8 @@ def test_project2d_planar_3d_keeps_variance():
     rng = make_rng(1)
     coeff = rng.standard_normal((2, 3))
     pts = rng.standard_normal((100, 2)) @ coeff
-    proj = L.project2d(pts)
+    proj, axes = L.project2d(pts)
+    assert axes == 2
     cov = np.cov(pts - pts.mean(axis=0), rowvar=False)
     eig = np.sort(np.linalg.eigvalsh(cov))[::-1]
     proj_var = np.var(proj, axis=0, ddof=1).sum()
@@ -47,7 +59,7 @@ def test_project2d_planar_3d_keeps_variance():
 def test_project2d_deterministic():
     rng = make_rng(2)
     pts = rng.standard_normal((30, 6))
-    np.testing.assert_array_equal(L.project2d(pts), L.project2d(pts))
+    np.testing.assert_array_equal(L.project2d(pts)[0], L.project2d(pts)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +205,7 @@ def test_latent_dump_roundtrip(tmp_path):
     got = L.read_latents(path)
     np.testing.assert_array_equal(got, vecs)
     # Canonical header layout.
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob[:4] == b"HLAT"
     assert int.from_bytes(blob[4:8], "little") == 10
     assert int.from_bytes(blob[8:12], "little") == 6

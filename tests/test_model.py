@@ -1,3 +1,6 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -65,7 +68,7 @@ BATCH_FIRST_CALLS = {
     "downsample_conv": lambda m, b: downsample_conv({1: [Tensor(averaging_kernel(8))]},
                                                     Tensor(np.zeros(b + (2, 2, 8))), m.schedule),
     "image_pyramid": lambda m, b: image_pyramid(Tensor(np.zeros(b + (3, 8, 8))), m.schedule, 4),
-    "masked_mha": lambda m, b: masked_mha(Tensor(np.zeros(b + (5, 8))), m.dec_blocks[0].attn, 2, m.mask),
+    "masked_mha": lambda m, b: masked_mha(Tensor(np.zeros(b + (5, 8))), m.dec[0].attn, 2, m.mask),
 }
 
 
@@ -198,8 +201,8 @@ def test_backward_frees_training_graph():
 
 def test_zero_pixel_head_outputs_bias():
     model = init_model(TINY)
-    model.pixel_w.data[:] = 0.0
-    model.pixel_b.data[:] = 0.3
+    model.pixel_head.weight.data[:] = 0.0
+    model.pixel_head.bias.data[:] = 0.3
     images, _ = model.reconstruct(rand_image(make_rng(9), TINY))
     for im in images:
         np.testing.assert_allclose(im.data, 0.3, atol=1e-7)
@@ -287,8 +290,8 @@ def test_init_model_deterministic():
 def test_conv_mode_has_averaging_chains():
     cfg = TokenizerConfig(image_size=32, patch=4, scales=(1, 2, 4, 8), downsample_mode="conv")
     model = init_model(cfg)
-    assert sorted(model.down_chains) == [1, 2, 4]
-    assert [len(model.down_chains[g]) for g in (1, 2, 4)] == [3, 2, 1]
+    assert sorted(model.down) == [1, 2, 4]
+    assert [len(model.down[g]) for g in (1, 2, 4)] == [3, 2, 1]
     x = rand_image(make_rng(14), cfg)
     interp = init_model(TokenizerConfig(**{**cfg.__dict__, "downsample_mode": "interp"}))
     out_conv, _ = model.reconstruct(x)
@@ -313,17 +316,56 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(pa[name].data, pb[name].data)
 
 
+def _record_names(path):
+    """The parameter record names of an HTOK v1 file, in file order."""
+    blob = Path(path).read_bytes()
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    offset = 12 + config_len
+    (count,) = struct.unpack_from("<I", blob, offset)
+    offset += 4
+    names = []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", blob, offset)
+        names.append(blob[offset + 2 : offset + 2 + name_len].decode("utf-8"))
+        offset += 2 + name_len
+        (rank,) = struct.unpack_from("<I", blob, offset)
+        dims = struct.unpack_from(f"<{rank}I", blob, offset + 4)
+        offset += 4 + 4 * rank + 4 * int(np.prod(dims))
+    assert offset == len(blob)
+    return names
+
+
+def test_checkpoint_record_names_pinned(tmp_path):
+    # The on-disk HTOK v1 layout: any change here breaks every saved checkpoint.
+    cfg = TokenizerConfig(**{**TINY.__dict__, "image_size": 16, "scales": (1, 2, 4), "downsample_mode": "conv"})
+    path = str(tmp_path / "model.htok")
+    save_checkpoint(init_model(cfg), path)
+    assert _record_names(path) == [
+        "patch_embed.kernel", "patch_embed.bias", "enc_pos",
+        "enc.0.ln1.gain", "enc.0.ln1.bias", "enc.0.attn.wq", "enc.0.attn.wk", "enc.0.attn.wv",
+        "enc.0.attn.wo", "enc.0.ln2.gain", "enc.0.ln2.bias", "enc.0.mlp.fc1", "enc.0.mlp.fc2",
+        "enc_norm.gain", "enc_norm.bias",
+        "latent_head.weight", "latent_head.bias", "latent_proj.weight", "latent_proj.bias",
+        "down.1.0", "down.1.1", "down.2.0",
+        "pe.spatial", "pe.scale",
+        "dec.0.ln1.gain", "dec.0.ln1.bias", "dec.0.attn.wq", "dec.0.attn.wk", "dec.0.attn.wv",
+        "dec.0.attn.wo", "dec.0.ln2.gain", "dec.0.ln2.bias", "dec.0.mlp.fc1", "dec.0.mlp.fc2",
+        "dec_norm.gain", "dec_norm.bias",
+        "pixel_head.weight", "pixel_head.bias",
+    ]
+
+
 def test_checkpoint_failed_write_keeps_previous(tmp_path):
     model = init_model(TINY)
     path = str(tmp_path / "model.htok")
     save_checkpoint(model, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     # A parameter that cannot be encoded makes the write fail after the
     # header and the earlier records have gone out.
     model.dec_norm.gain.data = np.array(["not a float"] * TINY.dec_width)
     with pytest.raises(ValueError):
         save_checkpoint(model, path)
-    assert open(path, "rb").read() == blob
+    assert Path(path).read_bytes() == blob
     assert load_checkpoint(path).config == TINY
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.htok"]
 
@@ -339,7 +381,7 @@ def test_checkpoint_truncated(tmp_path):
     model = init_model(TINY)
     path = str(tmp_path / "model.htok")
     save_checkpoint(model, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     trunc = str(tmp_path / "trunc.htok")
     with open(trunc, "wb") as fh:
         fh.write(blob[: len(blob) // 2])
@@ -356,7 +398,7 @@ def test_checkpoint_bad_embedded_config(tmp_path, good, bad):
     model = init_model(TINY)
     path = str(tmp_path / "model.htok")
     save_checkpoint(model, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob.count(good) == 1
     corrupt = tmp_path / "corrupt.htok"
     corrupt.write_bytes(blob.replace(good, bad))
@@ -372,7 +414,7 @@ def test_checkpoint_bad_record_name(tmp_path, capsys, bad):
     model = init_model(TINY)
     path = str(tmp_path / "model.htok")
     save_checkpoint(model, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob.count(b"enc.0.ln1.bias") == 1
     corrupt = str(tmp_path / "corrupt.htok")
     with open(corrupt, "wb") as fh:

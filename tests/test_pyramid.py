@@ -150,24 +150,24 @@ def test_conv_rejects_non_dyadic_schedule():
 
 def test_pe_top_scale_with_zero_scale_embedding():
     spatial = Tensor(make_rng(5).standard_normal((4, 4, 6)).astype(np.float32))
-    pe = P.PEParams(spatial=spatial, per_scale=Tensor(np.zeros((2, 6))))
+    pe = P.PEParams(spatial=spatial, scale=Tensor(np.zeros((2, 6))))
     sched = P.build_schedule(4, [2, 4])
     levels = P.positional_encoding(pe, sched)
     np.testing.assert_array_equal(levels[1].data, spatial.data)
 
 
 def test_pe_zero_spatial_is_broadcast_embedding():
-    per_scale = Tensor(make_rng(6).standard_normal((2, 6)).astype(np.float32))
-    pe = P.PEParams(spatial=Tensor(np.zeros((4, 4, 6))), per_scale=per_scale)
+    scale = Tensor(make_rng(6).standard_normal((2, 6)).astype(np.float32))
+    pe = P.PEParams(spatial=Tensor(np.zeros((4, 4, 6))), scale=scale)
     sched = P.build_schedule(4, [2, 4])
     levels = P.positional_encoding(pe, sched)
     for s, level in enumerate(levels):
-        np.testing.assert_array_equal(level.data, np.broadcast_to(per_scale.data[s], level.shape))
+        np.testing.assert_array_equal(level.data, np.broadcast_to(scale.data[s], level.shape))
 
 
 def test_pe_constant_plus_embedding():
     c, v = 0.75, -0.25
-    pe = P.PEParams(spatial=Tensor(np.full((4, 4, 3), c)), per_scale=Tensor(np.full((2, 3), v)))
+    pe = P.PEParams(spatial=Tensor(np.full((4, 4, 3), c)), scale=Tensor(np.full((2, 3), v)))
     sched = P.build_schedule(4, [1, 4])
     for level in P.positional_encoding(pe, sched):
         np.testing.assert_allclose(level.data, c + v, rtol=1e-6)
