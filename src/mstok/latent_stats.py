@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .tensor import ConfigError, DataError, area_pool
+from .tensor import ConfigError, DataError, ShapeError, area_pool
 
 
 class UndefinedMetricsError(DataError):
@@ -35,25 +35,45 @@ class LatentStats:
 def project2d(latents) -> tuple[np.ndarray, int]:
     """Deterministic 2-component principal projection of flattened latents.
 
-    Centers the data, projects onto the top-2 covariance eigenvectors, and
-    fixes each axis sign so its largest-magnitude coordinate is positive.
+    Centers the n x d data and projects it onto its top-2 principal axes,
+    fixing each axis sign so its largest-magnitude coordinate is positive.
+    The axes come from the eigenvectors of the Gram matrix of the smaller
+    side: ``c.T @ c`` (d x d) when d <= n, else ``c @ c.T`` (n x n), whose
+    eigenvectors ``u`` map to the axes ``c.T @ u`` normalised. Both have the
+    squared singular values of ``c`` as eigenvalues, so no SVD is needed.
+
     Returns the n x 2 points and the number of axes that carry variance; a
-    rank-deficient input fills each missing axis with zeros.
+    rank-deficient input fills each missing axis with zeros. An axis carries
+    variance when its eigenvalue exceeds ``max(n, d) * eps * lambda_0``. This
+    is the singular-value rank rule ``s_i > max(n, d) * eps * s_0`` (that of
+    ``np.linalg.matrix_rank``) in eigenvalue form, with the tolerance left
+    unsquared because forming the Gram matrix rounds every eigenvalue by
+    about ``eps * lambda_0``. In singular values the cut is
+    ``sqrt(max(n, d) * eps) * s_0``, under ``1e-6 * s_0`` up to 4500 vectors
+    or dims. The float32 rounding of an HLAT dump adds eigenvalues of about
+    ``1e-15 * lambda_0`` or less, below the cut once n * d is a few hundred,
+    so rank-1 float32 input reports one axis where the singular-value rule
+    counts its rounding as a second.
     """
     x = np.asarray(latents, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 3:
         raise DataError(f"project2d: need at least 3 flattened vectors, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise DataError("project2d: latent vectors hold non-finite values")
+    n, d = x.shape
     centered = x - x.mean(axis=0)
-    # Right singular vectors of the centered matrix are the covariance
-    # eigenvectors; SVD avoids forming the d x d covariance.
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    tol = max(x.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    axes = int(np.count_nonzero(s[:2] > tol))
-    out = np.zeros((x.shape[0], 2))
+    if d <= n:
+        eigvals, eigvecs = np.linalg.eigh(centered.T @ centered)
+        top = eigvecs[:, ::-1][:, :2]
+    else:
+        eigvals, eigvecs = np.linalg.eigh(centered @ centered.T)
+        top = centered.T @ eigvecs[:, ::-1][:, :2]
+    lam = eigvals[::-1][:2]
+    tol = max(n, d) * np.finfo(np.float64).eps * lam[0]
+    axes = int(np.count_nonzero(lam > tol))
+    out = np.zeros((n, 2))
     for axis in range(axes):
-        v = vt[axis]
+        v = top[:, axis] / np.linalg.norm(top[:, axis])
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
         out[:, axis] = centered @ v
@@ -83,12 +103,18 @@ def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
                 pad_bandwidths: float = 3.0) -> np.ndarray:
     """Isotropic Gaussian KDE evaluated at grid centers, normalized to sum 1.
 
-    Raises ``ConfigError`` for a grid size, bandwidth or pad that is invalid
-    or that leaves every grid density underflowed to zero.
+    The kernel is separable, ``exp(inv * (dx^2 + dy^2)) = exp(inv * dx^2) *
+    exp(inv * dy^2)``, so with ``ex`` and ``ey`` the n x grid per-axis
+    kernels, ``density[i, j] = sum_p ex[p, i] * ey[p, j]`` is the one gemm
+    ``ex.T @ ey``.
+
+    Raises ``ShapeError`` for points that are not n x 2, and ``ConfigError``
+    for a grid size, bandwidth or pad that is invalid or that leaves every
+    grid density underflowed to zero.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"kde_density: expected n x 2 points, got shape {pts.shape}")
+        raise ShapeError(f"kde_density: expected n x 2 points, got shape {pts.shape}")
     if grid_size < 1:
         raise ConfigError(f"kde_density: grid size must be at least 1, got {grid_size}")
     if not (np.isfinite(pad_bandwidths) and pad_bandwidths >= 0):
@@ -99,12 +125,9 @@ def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
         raise ConfigError(f"kde_density: bandwidth must be finite and positive with a nonzero square, got {bandwidth}")
     xs, ys = kde_grid(pts, grid_size, bandwidth, pad_bandwidths)
     inv = -0.5 / (bandwidth * bandwidth)
-    density = np.zeros((grid_size, grid_size))
-    # Chunk over grid rows to bound the n_points x grid memory footprint.
-    for i in range(grid_size):
-        dx2 = (xs[i] - pts[:, 0]) ** 2
-        dy2 = (ys[None, :] - pts[:, 1, None]) ** 2
-        density[i] = np.exp(inv * (dx2[:, None] + dy2)).sum(axis=0)
+    ex = np.exp(inv * (xs[None, :] - pts[:, 0, None]) ** 2)
+    ey = np.exp(inv * (ys[None, :] - pts[:, 1, None]) ** 2)
+    density = ex.T @ ey
     total = density.sum()
     if total <= 0:
         # No grid center is within reach of any point: the caller's flags
@@ -186,7 +209,7 @@ class LatentFormatError(DataError):
 def write_latents(vectors, path: str) -> None:
     arr = np.ascontiguousarray(np.asarray(vectors, dtype="<f4"))
     if arr.ndim != 2:
-        raise ValueError(f"write_latents: expected n x dim array, got shape {arr.shape}")
+        raise ShapeError(f"write_latents: expected n x dim array, got shape {arr.shape}")
     with open(path, "wb") as fh:
         fh.write(LATENT_MAGIC)
         fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
@@ -204,9 +227,10 @@ def read_latents(path: str) -> np.ndarray:
         count, dim = struct.unpack("<II", header)
         if dim == 0:
             raise LatentFormatError(f"{path}: vector dim 0 in the header at offset 8")
-        payload = fh.read(4 * count * dim)
-        if len(payload) != 4 * count * dim:
-            raise LatentFormatError(f"{path}: truncated payload at offset {12 + len(payload)}")
-        if fh.read(1):
-            raise LatentFormatError(f"{path}: trailing bytes after {count} vectors")
+        # Read what the file holds, never the size the header claims, so a
+        # corrupt header cannot ask for more memory than the file has.
+        payload = fh.read()
+    if len(payload) != 4 * count * dim:
+        raise LatentFormatError(f"{path}: header at offset 4 claims {count} x {dim} vectors "
+                                f"({4 * count * dim} payload bytes), the file holds {len(payload)}")
     return np.frombuffer(payload, dtype="<f4").reshape(count, dim).astype(np.float32)

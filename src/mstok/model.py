@@ -344,10 +344,12 @@ class CheckpointError(DataError):
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what} at offset {fh.tell()}")
-    return data
+    """Read ``n`` bytes, checking first that the file holds them, so a
+    corrupt length or rank never asks for more memory than the file has."""
+    offset = fh.tell()
+    if n > os.fstat(fh.fileno()).st_size - offset:
+        raise CheckpointError(f"truncated checkpoint while reading {what} at offset {offset}")
+    return fh.read(n)
 
 
 def load_checkpoint(path: str) -> TokenizerModel:

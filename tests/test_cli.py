@@ -155,7 +155,8 @@ def write_hlat(path, count, dim=4, nan=False):
 
 @pytest.mark.parametrize("case, code", [
     ("two_vector_hlat", 2),
-    ("nan_hlat", 2),            # SVD does not converge on it
+    ("nan_hlat", 2),            # non-finite vectors
+    ("huge_header_hlat", 2),    # header claims 0xFFFFFFFF x 0xFFFFFFFF vectors
     ("non_utf8_config", 1),
     ("grid=0", 1),
     ("grid=-3", 1),
@@ -171,6 +172,9 @@ def test_bad_input_exit_code_one_line(tmp_path, capsys, case, code):
         argv = ["analyze-latent", write_hlat(tmp_path / "two.hlat", 2)]
     elif case == "nan_hlat":
         argv = ["analyze-latent", write_hlat(tmp_path / "nan.hlat", 20, nan=True)]
+    elif case == "huge_header_hlat":
+        (tmp_path / "huge.hlat").write_bytes(b"HLAT" + b"\xff" * 8 + b"\x00" * 64)
+        argv = ["analyze-latent", str(tmp_path / "huge.hlat")]
     elif case == "zero_dim_hlat":
         argv = ["analyze-latent", write_hlat(tmp_path / "zero.hlat", 5, dim=0)]
     elif case == "non_utf8_config":

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mstok import latent_stats as L
 from mstok.config import TokenizerConfig
 from mstok.model import init_model
-from mstok.tensor import Tensor, make_rng
+from mstok.tensor import ShapeError, Tensor, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +56,48 @@ def test_project2d_planar_3d_keeps_variance():
     assert eig[2] == pytest.approx(0.0, abs=1e-12)
 
 
+def svd_projection(x):
+    """Oracle: top-2 right singular vectors of the centered data, each
+    signed so its largest-magnitude coordinate is positive."""
+    centered = x - x.mean(axis=0)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    axes = [v if v[np.argmax(np.abs(v))] > 0 else -v for v in vt[:2]]
+    return centered @ np.stack(axes, axis=1)
+
+
+@pytest.mark.parametrize("shape", [(300, 40), (64, 1024)])  # tall; wide, as in the eval sweep
+def test_project2d_matches_svd_oracle(shape):
+    rng = make_rng(8)
+    n, d = shape
+    x = (rng.standard_normal((n, 3)) * [5.0, 2.0, 1.0]) @ rng.standard_normal((3, d))
+    x += 0.1 * rng.standard_normal((n, d)) + rng.standard_normal(d)
+    proj, axes = L.project2d(x)
+    assert axes == 2
+    np.testing.assert_allclose(proj, svd_projection(x), rtol=0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-3, 1.0, 1e3]))
+def test_project2d_counts_rank_one_and_rank_two_axes(n, d, seed, scale):
+    rng = make_rng(seed)
+    offset = rng.standard_normal(d)  # centering removes it
+    rank1 = scale * np.outer(rng.standard_normal(n), rng.standard_normal(d)) + offset
+    assert L.project2d(rank1)[1] == 1
+    if d >= 2:
+        rank2 = scale * rng.standard_normal((n, 2)) @ rng.standard_normal((2, d)) + offset
+        assert L.project2d(rank2)[1] == 2
+
+
+def test_project2d_float32_rank_one_reports_one_axis():
+    # float32 rounding of a rank-1 dump is not a second axis.
+    rng = make_rng(9)
+    x = (np.outer(rng.standard_normal(64), rng.standard_normal(1024)) + 3.0).astype(np.float32)
+    proj, axes = L.project2d(x)
+    assert axes == 1
+    np.testing.assert_array_equal(proj[:, 1], np.zeros(64))
+
+
 def test_project2d_deterministic():
     rng = make_rng(2)
     pts = rng.standard_normal((30, 6))
@@ -99,6 +141,24 @@ def test_kde_two_separated_points_equal_modes():
     right = density[g // 2 + 1 :].max()
     assert left == pytest.approx(right, rel=1e-9)
     assert mode_rows.max() == pytest.approx(max(left, right), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 12), st.floats(0.5, 5.0), st.integers(0, 2**32 - 1))
+def test_kde_separable_equals_direct_kernel_sum(n, grid, bandwidth, seed):
+    # Points in [-3, 3] and bandwidth >= 0.5 keep every kernel value above
+    # exp(-324), far from underflow, so the relative check holds everywhere.
+    pts = make_rng(seed).uniform(-3.0, 3.0, (n, 2))
+    xs, ys = L.kde_grid(pts, grid, bandwidth)
+    direct = np.array([[np.exp(-((x - pts[:, 0]) ** 2 + (y - pts[:, 1]) ** 2) / (2 * bandwidth**2)).sum()
+                        for y in ys] for x in xs])
+    np.testing.assert_allclose(L.kde_density(pts, grid_size=grid, bandwidth=bandwidth),
+                               direct / direct.sum(), rtol=1e-9)
+
+
+def test_kde_rejects_points_that_are_not_n_by_2():
+    with pytest.raises(ShapeError):
+        L.kde_density(np.zeros((4, 3)))
 
 
 def test_kde_rejects_bad_bandwidth():
@@ -216,3 +276,27 @@ def test_latent_dump_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 8)
     with pytest.raises(L.LatentFormatError):
         L.read_latents(str(path))
+
+
+def test_latent_dump_header_larger_than_file(tmp_path):
+    # count = dim = 0xFFFFFFFF claims about 7e19 bytes; the 76-byte file is
+    # rejected before any read is sized from the header.
+    path = tmp_path / "huge.hlat"
+    path.write_bytes(b"HLAT" + b"\xff" * 8 + b"\x00" * 64)
+    with pytest.raises(L.LatentFormatError, match="claims 4294967295 x 4294967295"):
+        L.read_latents(str(path))
+
+
+@pytest.mark.parametrize("extra", [-4, 1])
+def test_latent_dump_size_mismatch(tmp_path, extra):
+    path = tmp_path / "odd.hlat"
+    L.write_latents(np.ones((3, 2), dtype=np.float32), str(path))
+    blob = Path(path).read_bytes()
+    path.write_bytes(blob[:extra] if extra < 0 else blob + b"\x00" * extra)
+    with pytest.raises(L.LatentFormatError):
+        L.read_latents(str(path))
+
+
+def test_write_latents_rejects_non_2d(tmp_path):
+    with pytest.raises(ShapeError):
+        L.write_latents(np.zeros(5), str(tmp_path / "flat.hlat"))

@@ -389,6 +389,23 @@ def test_checkpoint_truncated(tmp_path):
         load_checkpoint(trunc)
 
 
+def test_checkpoint_huge_rank_is_a_checkpoint_error(tmp_path):
+    # A first record claiming rank 0xFFFFFFFF asks for 16 GiB of dims; the
+    # reader must see that the file does not hold them before reading.
+    path = str(tmp_path / "model.htok")
+    save_checkpoint(init_model(TINY), path)
+    blob = bytearray(Path(path).read_bytes())
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    name_at = 12 + config_len + 4
+    (name_len,) = struct.unpack_from("<H", blob, name_at)
+    struct.pack_into("<I", blob, name_at + 2 + name_len, 0xFFFFFFFF)
+    corrupt = tmp_path / "rank.htok"
+    corrupt.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="dims"):
+        load_checkpoint(str(corrupt))
+    assert main(["reconstruct", str(corrupt), str(tmp_path), str(tmp_path / "o")]) == 2
+
+
 @pytest.mark.parametrize("good, bad", [
     (b"seed=0", b"seed=x"),        # value that does not parse
     (b"seed=0", b"sexd=0"),        # unknown key
