@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: train, reconstruct, analyze-latent, dump-mask, gradcheck,
-export-latents. Every subcommand except analyze-latent and gradcheck takes
-``--config FILE`` plus repeatable ``--set key=value`` overrides. dump-mask
-reads only ``scales`` and ``regime`` from them, but still rejects unknown keys.
+export-latents. train, export-latents and dump-mask take ``--config FILE``
+plus repeatable ``--set key=value`` overrides. export-latents rejects a
+tokenizer key that differs from its checkpoint's; dump-mask reads only
+``scales`` and ``regime``. Both still reject unknown keys.
 reconstruct and export-latents run the model under ``tensor.no_grad``: they
 build no autograd graph, so each intermediate array is freed as soon as the
 next op has read it, and their outputs are bit-identical to graph mode.
@@ -61,7 +62,6 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("reconstruct", help="decode every scale of each input image to PPM files")
-    common(p)
     p.add_argument("checkpoint_path")
     p.add_argument("input_dir")
     p.add_argument("output_dir")
@@ -111,7 +111,11 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_export_latents(args) -> int:
     model = load_checkpoint(args.checkpoint_path)
     cfg = model.config
-    run = load_run_config(args.config, args.overrides)
+    kv = read_config_kv(args.config, args.overrides)
+    run = config_from_kv(RunConfig, kv, base=RunConfig(tokenizer=cfg)).validate()
+    for key in kv:
+        if getattr(run.tokenizer, key, None) != getattr(cfg, key, None):
+            raise ConfigError(f"config key {key!r}: {kv[key]} differs from the checkpoint's {getattr(cfg, key)!r}")
     dataset = load_dataset(run.data_dir, cfg.image_size, cfg.seed)
     vectors = []
     for start in range(0, len(dataset), run.batch_size):

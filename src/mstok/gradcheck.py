@@ -45,8 +45,7 @@ def op_library_checks(eps: float = 1e-5) -> dict[str, float]:
     bias = Tensor(rng.standard_normal(3), dtype=np.float64)
 
     def conv_ln_mean(t):
-        y = T.conv2d(t, kernel)
-        y = T.transpose(y, (0, 2, 3, 1))
+        y = T.conv2d(T.transpose(t, (0, 2, 3, 1)), kernel)
         y = T.layer_norm(y, gain, bias)
         return T.tmean(y)
 

@@ -55,13 +55,14 @@ def project2d(latents) -> tuple[np.ndarray, int]:
     so rank-1 float32 input reports one axis where the singular-value rule
     counts its rounding as a second.
     """
-    x = np.asarray(latents, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 3:
-        raise DataError(f"project2d: need at least 3 flattened vectors, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    # The one float64 copy, centred in place; the caller's array is untouched.
+    centered = np.array(latents, dtype=np.float64)
+    if centered.ndim != 2 or centered.shape[0] < 3:
+        raise DataError(f"project2d: need at least 3 flattened vectors, got shape {centered.shape}")
+    if not np.isfinite(centered).all():
         raise DataError("project2d: latent vectors hold non-finite values")
-    n, d = x.shape
-    centered = x - x.mean(axis=0)
+    n, d = centered.shape
+    centered -= centered.mean(axis=0)
     if d <= n:
         eigvals, eigvecs = np.linalg.eigh(centered.T @ centered)
         top = eigvecs[:, ::-1][:, :2]
@@ -217,6 +218,7 @@ def write_latents(vectors, path: str) -> None:
 
 
 def read_latents(path: str) -> np.ndarray:
+    """An HLAT dump's count x dim vectors, a read-only float32 array over its bytes."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != LATENT_MAGIC:
@@ -233,4 +235,4 @@ def read_latents(path: str) -> np.ndarray:
     if len(payload) != 4 * count * dim:
         raise LatentFormatError(f"{path}: header at offset 4 claims {count} x {dim} vectors "
                                 f"({4 * count * dim} payload bytes), the file holds {len(payload)}")
-    return np.frombuffer(payload, dtype="<f4").reshape(count, dim).astype(np.float32)
+    return np.frombuffer(payload, dtype="<f4").reshape(count, dim)

@@ -2,10 +2,11 @@
 
 Pipeline: patch-embed -> full-attention encoder -> Gaussian latent head ->
 latent-to-width projection -> token pyramid -> masked decoder -> shared pixel
-head, one RGB reconstruction per scale. The latent lives at the base grid,
-before any downsampling, so generation-time codes have single-scale shape.
-Inputs are batch-first: images are batch x 3 x H x W and latents batch x
-g x g x d_z; an unbatched input raises ``ShapeError``.
+head, one RGB reconstruction per scale. The patch embedding is ``conv2d`` on
+the image moved to channel-last, and every token map after it is channel-last.
+The latent lives at the base grid, before any downsampling, so generation-time
+codes have single-scale shape. Inputs are batch-first: images are batch x 3 x
+H x W and latents batch x g x g x d_z; an unbatched input raises ``ShapeError``.
 
 A parameter's HTOK checkpoint record name is its dotted field path in
 ``TokenizerModel`` (``enc.0.attn.wq``, ``down.2.0``, ``pe.scale``), and the
@@ -129,9 +130,8 @@ class TokenizerModel:
         x = _batched_image(x, self.config)
         cfg = self.config
         g = cfg.image_size // cfg.patch
-        h = conv2d(x, self.patch_embed.kernel)
-        h = add(h, reshape(self.patch_embed.bias, (1, cfg.enc_width, 1, 1)))
-        h = transpose(h, (0, 2, 3, 1))
+        h = conv2d(transpose(x, (0, 2, 3, 1)), self.patch_embed.kernel)
+        h = add(h, self.patch_embed.bias)
         h = add(h, self.enc_pos)
         h = reshape(h, (h.shape[0], g * g, cfg.enc_width))
         for blk in self.enc:

@@ -2,9 +2,10 @@
 
 Token maps are channel-last (batch x grid x grid x width) and images are
 batch x channels x H x W: every function here takes batched input only and
-raises ``ShapeError`` on an unbatched one. Pyramids are built from the
-full-resolution base map as a list with one level per grid entry, ascending;
-the decoder concatenates them low-to-high into one token sequence.
+raises ``ShapeError`` on an unbatched one; the conv pyramid runs ``conv2d``
+on channel-last maps as they are. Pyramids are built from the full-resolution
+base map as a list with one level per grid entry, ascending; the decoder
+concatenates them low-to-high into one token sequence.
 """
 
 from __future__ import annotations
@@ -125,10 +126,10 @@ def downsample_conv(chains: dict[int, list[Tensor]], z_base, schedule: ScaleSche
                 f"downsample_conv: level {g} needs {lengths[g]} stride-2 kernels, "
                 f"got {0 if kernels is None else len(kernels)}"
             )
-        level = transpose(z, (0, 3, 1, 2))
+        level = z
         for kernel in kernels:
             level = conv2d(level, kernel)
-        maps.append(transpose(level, (0, 2, 3, 1)))
+        maps.append(level)
     return maps
 
 

@@ -16,6 +16,9 @@ of copying it (see ``_accumulate``), and the closure itself may write into
 the gradient it is handed: ``softmax`` and ``layer_norm`` build their input
 gradient in that buffer.
 
+Token maps are channel-last (batch x H x W x C), and ``conv2d`` takes them
+that way; images and ``area_pool`` are batch x C x H x W.
+
 Inside ``with no_grad():`` ops record no parents and keep no backward
 closures: every result is a plain constant, so each intermediate array is
 freed as soon as nothing reads it. Inference paths use it; their outputs are
@@ -619,16 +622,19 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
 
 
 def conv2d(x, kernel) -> Tensor:
-    """2-D cross-correlation, NCHW input against an OCkk kernel.
+    """2-D cross-correlation of a channel-last ``b x H x W x C`` map with an
+    ``O x C x k x k`` kernel, giving a channel-last ``b x H/k x W/k x O`` map.
 
     Windows do not overlap: the stride is the kernel side k, so each spatial
     side of the input must be a positive multiple of k (patch embedding and
-    2x2 downsampling are the two uses).
+    2x2 downsampling are the two uses). The patches, flattened in the kernel's
+    ``(C, k, k)`` order, go through ``matmul``'s one gemm, so the gradients
+    are those of the composed ops.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input and kernel, got {x.shape} and {kernel.shape}")
-    b, c, h, w = x.shape
+    b, h, w, c = x.shape
     o, ck, k, kw = kernel.shape
     if k != kw or k < 1:
         raise ShapeError(f"conv2d: kernel must be square and non-empty, got {kernel.shape}")
@@ -637,24 +643,9 @@ def conv2d(x, kernel) -> Tensor:
     if h < k or w < k or h % k or w % k:
         raise ShapeError(f"conv2d: spatial dims {h}x{w} not a positive multiple of kernel side {k}")
     hp, wp = h // k, w // k
-
-    # A reshape exposes the patches directly and the input gradient is a
-    # single tensordot.
-    patches = x.data.reshape(b, c, hp, k, wp, k)
-    out_data = np.ascontiguousarray(
-        np.tensordot(patches, kernel.data, axes=([1, 3, 5], [1, 2, 3])).transpose(0, 3, 1, 2)
-    )
-
-    def backward(g):
-        if kernel.requires_grad:
-            gk = np.tensordot(g, patches, axes=([0, 2, 3], [0, 2, 4]))
-            _accumulate(kernel, gk, fresh=True)
-        if x.requires_grad:
-            gx = np.tensordot(g, kernel.data, axes=([1], [0]))
-            gx = gx.transpose(0, 3, 1, 4, 2, 5).reshape(x.shape)
-            _accumulate(x, np.ascontiguousarray(gx), fresh=True)
-
-    return _result(out_data, (x, kernel), backward)
+    patches = transpose(reshape(x, (b, hp, k, wp, k, c)), (0, 1, 3, 5, 2, 4))
+    rows = reshape(patches, (b, hp, wp, c * k * k))
+    return matmul(rows, transpose(reshape(kernel, (o, c * k * k)), (1, 0)))
 
 
 def _pool_weights(n_in: int, n_out: int, dtype) -> np.ndarray:

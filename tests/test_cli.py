@@ -261,6 +261,36 @@ def test_export_and_analyze_latents(tmp_path, capsys):
     assert report["n_points"] == 12 and report["grid_size"] == 16
 
 
+def test_reconstruct_rejects_config_options(tmp_path, capsys):
+    # reconstruct takes everything from the checkpoint; config options would be ignored.
+    ckpt = small_checkpoint(tmp_path)
+    in_dir = str(tmp_path / "inputs")
+    generate_synthetic_folder(in_dir, 1, 16, seed=9)
+    capsys.readouterr()
+    argv = ["reconstruct", "--set", "totally_bogus=1", "--config", str(tmp_path / "missing.cfg"),
+            ckpt, in_dir, str(tmp_path / "recon")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments")
+    assert not (tmp_path / "recon").exists()
+
+
+def test_export_latents_config_must_match_checkpoint(tmp_path, capsys):
+    ckpt = small_checkpoint(tmp_path)
+    hlat = tmp_path / "latents.hlat"
+    capsys.readouterr()
+    assert main(["export-latents", ckpt, str(hlat), "--set", "latent_dim=8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'latent_dim'" in err
+    assert not hlat.exists()
+
+    # A training config whose tokenizer keys equal the checkpoint's still works.
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("\n".join(SMALL + ["seed=0", "steps=2", "data_dir=synthetic:6", "batch_size=4"]) + "\n",
+                   encoding="utf-8")
+    assert main(["export-latents", "--config", str(cfg), ckpt, str(hlat)]) == 0
+    assert read_latents(str(hlat)).shape == (6, 4 * 4 * 4)
+
+
 def test_analyze_latent_rank_deficient_dump_reports_axes_quietly(tmp_path, capfd):
     hlat = str(tmp_path / "flat.hlat")
     write_latents(np.full((20, 8), 0.5, dtype=np.float32), hlat)

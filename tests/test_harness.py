@@ -56,6 +56,24 @@ def test_training_reduces_loss(tmp_path):
     assert steps[-1]["total"] < steps[0]["total"]
 
 
+def test_training_shrinks_commutation_residual(tmp_path):
+    # The paper's claim that decoding at a scale stays close to downsampling
+    # the top decode: training must pull every coarse decode toward it.
+    tok = TokenizerConfig(image_size=16, patch=4, enc_layers=1, dec_layers=2, enc_width=32,
+                          dec_width=32, heads=4, latent_dim=8, scales=(1, 2, 4), seed=0)
+
+    def commutation(steps, name):
+        run = RunConfig(tokenizer=tok, data_dir="synthetic:64", steps=steps, batch_size=16,
+                        lr_start=1e-3, lr_end=1e-4, checkpoint=str(tmp_path / name))
+        return train(run)["eval"]["commutation"]
+
+    before = commutation(0, "init.htok")
+    after = commutation(150, "trained.htok")
+    assert before[-1] == after[-1] == 0.0
+    for grid, b, a in zip(tok.scales[:-1], before, after):
+        assert a * 2.0 <= b, f"grid {grid}: residual {b:.3f} -> {a:.3f}, less than a 2x drop"
+
+
 def test_log_lines_schema(tmp_path):
     summary = train(small_run(tmp_path))
     lines = [json.loads(l) for l in Path(summary["log"]).read_text(encoding="utf-8").splitlines()]

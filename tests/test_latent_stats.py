@@ -98,6 +98,14 @@ def test_project2d_float32_rank_one_reports_one_axis():
     np.testing.assert_array_equal(proj[:, 1], np.zeros(64))
 
 
+def test_project2d_leaves_float64_input_unchanged():
+    # project2d centres its own copy; a float64 caller array must not be it.
+    x = make_rng(4).normal(size=(20, 5)) + 3.0
+    before = x.copy()
+    L.project2d(x)
+    np.testing.assert_array_equal(x, before)
+
+
 def test_project2d_deterministic():
     rng = make_rng(2)
     pts = rng.standard_normal((30, 6))

@@ -355,8 +355,17 @@ def conv2d_oracle(x, kernel, stride):
     return out
 
 
+def conv2d_channel_last(x, kernel):
+    # The NCHW oracle on a channel-last map: transpose in, transpose back out.
+    return conv2d_oracle(x.transpose(0, 3, 1, 2), kernel, kernel.shape[-1]).transpose(0, 2, 3, 1)
+
+
+# (batch, side, C, k, O): k=2 with C != O, and the k=4, C=3 patch embedding.
+CONV_CASES = [(2, 6, 2, 2, 3), (2, 8, 3, 4, 5)]
+
+
 def test_conv2d_all_ones_block():
-    x = Tensor(np.ones((1, 1, 2, 2)))
+    x = Tensor(np.ones((1, 2, 2, 1)))
     k = Tensor(np.ones((1, 1, 2, 2)))
     out = T.conv2d(x, k)
     assert out.shape == (1, 1, 1, 1)
@@ -365,7 +374,7 @@ def test_conv2d_all_ones_block():
 
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(1)
-    x = Tensor(rng.standard_normal((2, 3, 5, 5)))
+    x = Tensor(rng.standard_normal((2, 5, 5, 3)))
     k = np.zeros((3, 3, 1, 1))
     for i in range(3):
         k[i, i, 0, 0] = 1.0
@@ -374,21 +383,23 @@ def test_conv2d_identity_kernel():
 
 
 def test_conv2d_patchify_shape():
-    out = T.conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((8, 3, 4, 4))))
-    assert out.shape == (1, 8, 1, 1)
+    out = T.conv2d(Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((8, 3, 4, 4))))
+    assert out.shape == (1, 1, 1, 8)
 
 
 def test_conv2d_matches_bruteforce_oracle():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((2, 2, 6, 6))
-    k = rng.standard_normal((3, 2, 2, 2))
-    out = T.conv2d(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64))
-    np.testing.assert_allclose(out.data, conv2d_oracle(x, k, 2), rtol=1e-12)
+    for b, side, c, k, o in CONV_CASES:
+        x = rng.standard_normal((b, side, side, c))
+        kernel = rng.standard_normal((o, c, k, k))
+        out = T.conv2d(Tensor(x, dtype=np.float64), Tensor(kernel, dtype=np.float64))
+        assert out.shape == (b, side // k, side // k, o)
+        np.testing.assert_allclose(out.data, conv2d_channel_last(x, kernel), rtol=1e-12)
 
 
 def test_conv2d_divisibility_error():
     with pytest.raises(T.ShapeError):
-        T.conv2d(Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros((1, 1, 2, 2))))
+        T.conv2d(Tensor(np.zeros((1, 5, 5, 1))), Tensor(np.zeros((1, 1, 2, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +506,30 @@ def test_grad_check_conv_layernorm_mean():
     # Random affine keeps the composition non-degenerate: with unit gain the
     # normalized rows have fixed sum/sum-of-squares and the gradient vanishes.
     rng = np.random.default_rng(6)
-    x = Tensor(rng.standard_normal((1, 2, 4, 4)))
+    x = Tensor(rng.standard_normal((1, 4, 4, 2)))
     kernel = Tensor(rng.standard_normal((3, 2, 2, 2)), dtype=np.float64)
     gain = Tensor(rng.standard_normal(3), dtype=np.float64)
     bias = Tensor(rng.standard_normal(3), dtype=np.float64)
 
     def f(t):
-        y = T.conv2d(t, kernel)                     # 1x3x2x2
-        y = T.reshape(y, (3, 2, 2))
-        y = T.transpose(y, (1, 2, 0))               # channels last
+        y = T.conv2d(t, kernel)                     # 1x2x2x3, channels last
         y = T.layer_norm(y, gain, bias)
         return T.tmean(y)
 
     assert T.grad_check(f, x, eps=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("b,side,c,k,o", CONV_CASES)
+@pytest.mark.parametrize("wrt", ["kernel", "input"])
+def test_grad_check_conv2d(b, side, c, k, o, wrt):
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((b, side, side, c)), dtype=np.float64)
+    kernel = Tensor(rng.standard_normal((o, c, k, k)), dtype=np.float64)
+    if wrt == "kernel":
+        f, t = lambda kt: T.tsum(T.square(T.conv2d(x, kt))), kernel
+    else:
+        f, t = lambda xt: T.tsum(T.square(T.conv2d(xt, kernel))), x
+    assert T.grad_check(f, t, eps=1e-5) < 1e-6
 
 
 @pytest.mark.parametrize(
