@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .config import TokenizerConfig
-from .losses import LossWeights, multiscale_loss
+from .config import RunConfig, TokenizerConfig
+from .losses import multiscale_loss
 from .model import init_model
 from .pyramid import build_schedule, downsample_interp, image_pyramid
 from .tensor import Tensor, make_rng
@@ -88,13 +88,13 @@ def model_end_to_end_check(eps: float = 1e-4, max_coords_per_param: int = 8) -> 
     rng = make_rng(12)
     x = Tensor(rng.uniform(-1, 1, (2, 3, cfg.image_size, cfg.image_size)))
     targets = image_pyramid(x, model.schedule, cfg.patch)
-    weights = LossWeights(kl=cfg.kl_weight)
+    run = RunConfig(tokenizer=cfg)
 
     def loss_fn() -> Tensor:
         # A fresh same-seed generator draws the same latent noise on every
         # call, so the reparameterized sample is under the check too.
         outputs, code = model.reconstruct(x, deterministic=False, rng=make_rng(13))
-        total, _ = multiscale_loss(outputs, targets, weights, code)
+        total, _ = multiscale_loss(outputs, targets, run, code)
         return total
 
     params = model.named_parameters()

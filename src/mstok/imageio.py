@@ -1,7 +1,8 @@
 """Binary PPM (P6, maxval 255) reader/writer.
 
 Pixels map 8-bit <-> [-1, 1] as x / 127.5 - 1 with the symmetric clamped
-inverse, so load -> save -> load is bit-exact.
+inverse, so load -> save -> load is bit-exact. ``quantize_roundtrip`` applies
+the same pair of maps to an array of any shape.
 """
 
 from __future__ import annotations
@@ -60,16 +61,24 @@ def load_ppm(path: str) -> np.ndarray:
             f"{path}: raster has {len(raster)} bytes at offset {pos}, expected {expected} for {width}x{height}"
         )
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
-    return (pixels.astype(np.float32) / 127.5 - 1.0).transpose(2, 0, 1)
+    return _dequantize(pixels).transpose(2, 0, 1)
+
+
+def _quantize(image) -> np.ndarray:
+    """[-1, 1] floats -> clamped uint8 codes, elementwise."""
+    arr = np.asarray(image, dtype=np.float32)
+    return np.clip(np.rint((arr + 1.0) * 127.5), 0, 255).astype(np.uint8)
+
+
+def _dequantize(codes: np.ndarray) -> np.ndarray:
+    return codes.astype(np.float32) / 127.5 - 1.0
 
 
 def to_uint8(image: np.ndarray) -> np.ndarray:
     """[-1, 1] float image (3 x H x W) -> H x W x 3 uint8 with clamping."""
-    arr = np.asarray(image, dtype=np.float32)
-    if arr.ndim != 3 or arr.shape[0] != 3:
-        raise FormatError(f"expected a 3 x H x W image, got shape {arr.shape}")
-    quant = np.rint((arr + 1.0) * 127.5)
-    return np.clip(quant, 0, 255).astype(np.uint8).transpose(1, 2, 0)
+    if np.ndim(image) != 3 or np.shape(image)[0] != 3:
+        raise FormatError(f"expected a 3 x H x W image, got shape {np.shape(image)}")
+    return _quantize(image).transpose(1, 2, 0)
 
 
 def save_ppm(image: np.ndarray, path: str) -> None:
@@ -81,5 +90,6 @@ def save_ppm(image: np.ndarray, path: str) -> None:
 
 
 def quantize_roundtrip(image: np.ndarray) -> np.ndarray:
-    """The exact pixel values a save -> load cycle would produce."""
-    return (to_uint8(image).astype(np.float32) / 127.5 - 1.0).transpose(2, 0, 1)
+    """The exact pixel values a save -> load cycle would produce, for an array
+    of any shape (a 3 x H x W image or a batch of them)."""
+    return _dequantize(_quantize(image))

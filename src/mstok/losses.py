@@ -1,32 +1,26 @@
-"""Reconstruction, KL, and multi-scale composite losses."""
+"""Reconstruction, KL, and multi-scale composite losses.
+
+The term weights come from the ``RunConfig`` (``l1_weight``, ``mse_weight``,
+``scale_weights`` and the tokenizer's ``kl_weight``); ``RunConfig.validate``
+checks them.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import RunConfig
 from .model import LatentCode
 from .tensor import NumericError, ShapeError, Tensor, add, as_tensor, scale, square, sub, tabs, texp, tmean
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Loss term weights; ``RunConfig.validate`` checks the values it is built from."""
-
-    l1: float = 1.0
-    mse: float = 0.4
-    kl: float = 1e-6
-    scale_weights: tuple[float, ...] = ()
-
-
-def rec_loss(pred, target, w: LossWeights) -> Tensor:
-    """Pixel reconstruction: l1 * mean|err| + mse * mean(err^2)."""
+def rec_loss(pred, target, config: RunConfig) -> Tensor:
+    """Pixel reconstruction: l1_weight * mean|err| + mse_weight * mean(err^2)."""
     pred, target = as_tensor(pred), as_tensor(target)
     if pred.shape != target.shape:
         raise ShapeError(f"rec_loss: prediction {pred.shape} != target {target.shape}")
     diff = sub(pred, target)
-    return add(scale(tmean(tabs(diff)), w.l1), scale(tmean(square(diff)), w.mse))
+    return add(scale(tmean(tabs(diff)), config.l1_weight), scale(tmean(square(diff)), config.mse_weight))
 
 
 def kl_loss(code: LatentCode) -> Tensor:
@@ -38,7 +32,7 @@ def kl_loss(code: LatentCode) -> Tensor:
 
 
 def multiscale_loss(
-    outputs: list, targets: list, w: LossWeights, code: LatentCode | None = None
+    outputs: list, targets: list, config: RunConfig, code: LatentCode | None = None
 ) -> tuple[Tensor, dict]:
     """Weighted mean of per-scale reconstruction losses plus the KL term.
 
@@ -46,10 +40,10 @@ def multiscale_loss(
     """
     if len(outputs) != len(targets):
         raise ShapeError(f"multiscale_loss: {len(outputs)} outputs for {len(targets)} targets")
-    weights = w.scale_weights or tuple(1.0 for _ in outputs)
+    weights = config.scale_weights or tuple(1.0 for _ in outputs)
     norm = sum(weights)
 
-    per_scale = [rec_loss(o, t, w) for o, t in zip(outputs, targets)]
+    per_scale = [rec_loss(o, t, config) for o, t in zip(outputs, targets)]
     total = None
     for term, wt in zip(per_scale, weights):
         piece = scale(term, wt / norm)
@@ -57,7 +51,7 @@ def multiscale_loss(
     breakdown = {"per_scale": [float(t.data) for t in per_scale]}
     if code is not None:
         kl = kl_loss(code)
-        total = add(total, scale(kl, w.kl))
+        total = add(total, scale(kl, config.tokenizer.kl_weight))
         breakdown["kl"] = float(kl.data)
     else:
         breakdown["kl"] = 0.0

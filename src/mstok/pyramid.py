@@ -143,14 +143,9 @@ def positional_encoding(pe: PEParams, schedule: ScaleSchedule) -> list[Tensor]:
             f"positional_encoding: {pe.scale.shape[0]} scale embeddings for {schedule.num_scales} scales"
         )
     d = pe.spatial.shape[2]
-    spatial = reshape(pe.spatial, (1,) + pe.spatial.shape)
-    out = []
-    for s, g in enumerate(schedule.grids):
-        level = spatial if g == schedule.base_grid else _pool_map(spatial, g)
-        level = reshape(level, (g, g, d))
-        embed = reshape(slice_axis(pe.scale, 0, s, s + 1), (1, 1, d))
-        out.append(level + embed)
-    return out
+    levels = downsample_interp(reshape(pe.spatial, (1,) + pe.spatial.shape), schedule)
+    return [reshape(level, (g, g, d)) + reshape(slice_axis(pe.scale, 0, s, s + 1), (1, 1, d))
+            for s, (g, level) in enumerate(zip(schedule.grids, levels))]
 
 
 def image_pyramid(x, schedule: ScaleSchedule, patch: int) -> list[Tensor]:

@@ -15,7 +15,7 @@ from .config import RunConfig
 from .data import STREAM_NOISE, Dataset, load_dataset
 from .imageio import quantize_roundtrip
 from .latent_stats import analyze_latents, commutation_residuals
-from .losses import LossWeights, multiscale_loss
+from .losses import multiscale_loss
 from .metrics import psnr, ssim
 from .model import TokenizerModel, init_model, save_checkpoint
 from .optim import AdamW, clip_grad_norm, cosine_lr
@@ -26,64 +26,56 @@ ADAMW_BETAS = (0.9, 0.95)
 ADAMW_WEIGHT_DECAY = 0.05
 
 
-def loss_weights_for(config: RunConfig) -> LossWeights:
-    return LossWeights(
-        l1=config.l1_weight,
-        mse=config.mse_weight,
-        kl=config.tokenizer.kl_weight,
-        scale_weights=config.scale_weights,
-    )
-
-
 def log_path_for(checkpoint: str) -> str:
     stem, _ = os.path.splitext(checkpoint)
     return stem + ".log.jsonl"
 
 
 @no_grad()
-def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray,
-             weights: LossWeights, batch_size: int = 32) -> dict:
-    """Deterministic eval pass, run without an autograd graph. PSNR/SSIM go
-    through the uint8 quantization a saved PPM would apply, so they match the
-    reconstruct-then-score path."""
+def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray, config: RunConfig) -> dict:
+    """Deterministic eval pass in batches of ``config.batch_size``, run without
+    an autograd graph. Every metric is a mean over images: each batch's mean
+    weighted by its size. PSNR/SSIM score the top-scale decode after the uint8
+    quantization a saved PPM would apply, so they match the
+    reconstruct-then-score path. ``rec_loss`` is the top-scale entry of
+    ``per_scale``."""
     schedule = model.schedule
     n = len(indices)
     if n == 0:
         return {"n_images": 0}
     per_scale = np.zeros(schedule.num_scales)
     residual_acc = np.zeros(schedule.num_scales)
-    l1_total = rec_total = kl_total = psnr_total = ssim_total = 0.0
+    l1_total = kl_total = psnr_total = ssim_total = 0.0
     latents = []
 
-    for start in range(0, n, batch_size):
-        batch_idx = indices[start : start + batch_size]
+    for start in range(0, n, config.batch_size):
+        batch_idx = indices[start : start + config.batch_size]
         x = Tensor(dataset.images[batch_idx])
         outputs, code = model.reconstruct(x, deterministic=True)
         targets = image_pyramid(x, schedule, model.config.patch)
         b = len(batch_idx)
 
-        _, breakdown = multiscale_loss(outputs, targets, weights, code)
+        _, breakdown = multiscale_loss(outputs, targets, config, code)
         per_scale += np.array(breakdown["per_scale"]) * b
         kl_total += breakdown["kl"] * b
 
         top = outputs[-1].data
         l1_total += float(np.abs(top - x.data).mean()) * b
-        rec_total += breakdown["per_scale"][-1] * b
         residual_acc += np.array(commutation_residuals([o.data for o in outputs])) * b
-        for j in range(b):
-            quant = quantize_roundtrip(top[j])
-            psnr_total += psnr(quant, x.data[j])
-            ssim_total += ssim(quant, x.data[j])
+        quant = quantize_roundtrip(top)
+        psnr_total += psnr(quant, x.data) * b
+        ssim_total += ssim(quant, x.data) * b
         latents.append(code.mu.data.reshape(b, -1))
 
+    scale_means = (per_scale / n).tolist()
     metrics = {
         "n_images": int(n),
         "l1": l1_total / n,
-        "rec_loss": rec_total / n,
+        "rec_loss": scale_means[-1],
         "kl": kl_total / n,
         "psnr": psnr_total / n,
         "ssim": ssim_total / n,
-        "per_scale": (per_scale / n).tolist(),
+        "per_scale": scale_means,
         "commutation": (residual_acc / n).tolist(),
     }
     vectors = np.concatenate(latents, axis=0)
@@ -108,7 +100,6 @@ def train(config: RunConfig, echo: bool = False) -> dict:
     model = init_model(tok)
     params = model.named_parameters()
     optimizer = AdamW(params, betas=ADAMW_BETAS, weight_decay=ADAMW_WEIGHT_DECAY)
-    weights = loss_weights_for(config)
     noise_rng = make_rng(tok.seed, stream=STREAM_NOISE)
 
     checkpoint_dir = os.path.dirname(config.checkpoint)
@@ -145,7 +136,7 @@ def train(config: RunConfig, echo: bool = False) -> dict:
                     x, deterministic=False, rng=noise_rng, training=True
                 )
                 targets = image_pyramid(x, model.schedule, tok.patch)
-                loss, breakdown = multiscale_loss(outputs, targets, weights, code)
+                loss, breakdown = multiscale_loss(outputs, targets, config, code)
                 if not np.isfinite(loss.data):
                     raise NumericError(f"non-finite loss at step {step}")
 
@@ -177,7 +168,7 @@ def train(config: RunConfig, echo: bool = False) -> dict:
             raise
 
         save_checkpoint(model, config.checkpoint)
-        eval_metrics = evaluate(model, dataset, eval_idx, weights, batch_size=config.batch_size)
+        eval_metrics = evaluate(model, dataset, eval_idx, config)
         emit({"event": "eval", **eval_metrics})
 
     return {

@@ -10,7 +10,7 @@ from mstok.config import RunConfig, TokenizerConfig, load_run_config
 from mstok.data import generate_synthetic
 from mstok.model import init_model, load_checkpoint
 from mstok.tensor import ConfigError
-from mstok.train import evaluate, loss_weights_for, train
+from mstok.train import evaluate, train
 
 SMALL_TOK = TokenizerConfig(image_size=16, patch=4, enc_layers=1, dec_layers=1,
                             enc_width=16, dec_width=16, heads=2, latent_dim=4,
@@ -118,9 +118,9 @@ def test_evaluate_bit_identical_to_graph_mode(tmp_path):
     model = init_model(SMALL_TOK)
     ds = generate_synthetic(24, 16, seed=SMALL_TOK.seed)
     _, eval_idx = ds.split(0.25)
-    weights = loss_weights_for(small_run(tmp_path))
-    graph_free = evaluate(model, ds, eval_idx, weights, batch_size=4)
-    with_graph = evaluate.__wrapped__(model, ds, eval_idx, weights, batch_size=4)
+    run = small_run(tmp_path)
+    graph_free = evaluate(model, ds, eval_idx, run)
+    with_graph = evaluate.__wrapped__(model, ds, eval_idx, run)
     assert json.dumps(graph_free, sort_keys=True) == json.dumps(with_graph, sort_keys=True)
 
 
@@ -133,21 +133,23 @@ def test_epochs_derive_steps(tmp_path):
 
 def test_evaluate_psnr_matches_file_roundtrip_path(tmp_path):
     from mstok.imageio import quantize_roundtrip
-    from mstok.metrics import psnr
+    from mstok.metrics import psnr, ssim
     from mstok.tensor import Tensor
 
     summary = train(small_run(tmp_path))
     model = load_checkpoint(summary["checkpoint"])
     ds = generate_synthetic(24, 16, seed=SMALL_TOK.seed)
     _, eval_idx = ds.split(0.25)
-    weights = loss_weights_for(small_run(tmp_path))
-    metrics = evaluate(model, ds, eval_idx, weights)
+    metrics = evaluate(model, ds, eval_idx, small_run(tmp_path))
 
-    scores = []
+    scores, structure = [], []
     for i in eval_idx:
         outputs, _ = model.reconstruct(Tensor(ds.images[int(i)][None]), deterministic=True)
-        scores.append(psnr(quantize_roundtrip(outputs[-1].data[0]), ds.images[int(i)]))
+        quant = quantize_roundtrip(outputs[-1].data[0])
+        scores.append(psnr(quant, ds.images[int(i)]))
+        structure.append(ssim(quant, ds.images[int(i)]))
     assert metrics["psnr"] == pytest.approx(float(np.mean(scores)), abs=1e-9)
+    assert metrics["ssim"] == pytest.approx(float(np.mean(structure)), abs=1e-9)
 
 
 def test_run_config_rejects_unknown_keys():

@@ -90,6 +90,15 @@ def test_quantize_roundtrip_matches_file_cycle(tmp_path):
     np.testing.assert_array_equal(load_ppm(path), quantize_roundtrip(img))
 
 
+def test_quantize_roundtrip_batch_matches_per_image_file_cycle(tmp_path):
+    batch = make_rng(3).uniform(-1.3, 1.3, size=(3, 3, 6, 5)).astype(np.float32)
+    quant = quantize_roundtrip(batch)
+    for i, img in enumerate(batch):
+        path = str(tmp_path / f"q{i}.ppm")
+        save_ppm(img, path)
+        np.testing.assert_array_equal(load_ppm(path), quant[i])
+
+
 def test_to_uint8_rejects_bad_shape():
     with pytest.raises(FormatError):
         to_uint8(np.zeros((1, 4, 4)))

@@ -89,6 +89,15 @@ def test_project2d_counts_rank_one_and_rank_two_axes(n, d, seed, scale):
         assert L.project2d(rank2)[1] == 2
 
 
+def test_project2d_one_dimensional_latents():
+    # A 1 x 1 Gram matrix holds a single eigenpair; the second axis is zeros.
+    x = np.array([[3.0], [-1.0], [0.5], [2.0]])
+    proj, axes = L.project2d(x)
+    assert axes == 1
+    np.testing.assert_allclose(proj[:, 0], x[:, 0] - x.mean(), atol=1e-12)
+    np.testing.assert_array_equal(proj[:, 1], np.zeros(4))
+
+
 def test_project2d_float32_rank_one_reports_one_axis():
     # float32 rounding of a rank-1 dump is not a second axis.
     rng = make_rng(9)

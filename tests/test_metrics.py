@@ -72,6 +72,48 @@ def test_ssim_random_pair_matches_oracle():
     assert ssim(a, b) == pytest.approx(ssim_oracle(a, b), abs=1e-10)
 
 
+def test_ssim_two_channel_non_square_matches_oracle():
+    rng = make_rng(4)
+    a = rng.uniform(-1, 1, (2, 9, 13))
+    b = np.clip(a + rng.normal(0, 0.3, a.shape), -1, 1)
+    assert ssim(a, b) == pytest.approx(ssim_oracle(a, b), abs=1e-12)
+
+
 def test_ssim_window_too_large():
     with pytest.raises(ConfigError):
-        ssim(np.zeros((3, 4, 4)), np.zeros((3, 4, 4)), window=8)
+        ssim(np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
+    with pytest.raises(ConfigError):
+        ssim(np.zeros((3, 16, 7)), np.zeros((3, 16, 7)))
+
+
+def batch_pair():
+    # Four different images; the first pair is identical, so psnr averages
+    # its 99 dB cap with finite scores.
+    rng = make_rng(5)
+    a = rng.uniform(-1, 1, (4, 3, 12, 10))
+    noise = np.array([0.0, 0.05, 0.1, 0.3]).reshape(4, 1, 1, 1)
+    return a, np.clip(a + noise * rng.standard_normal(a.shape), -1, 1)
+
+
+@pytest.mark.parametrize("metric", [psnr, ssim])
+def test_batched_metric_is_mean_of_per_image_scores(metric):
+    a, b = batch_pair()
+    per_image = [metric(x, y) for x, y in zip(a, b)]
+    assert per_image[0] == (99.0 if metric is psnr else pytest.approx(1.0, abs=1e-12))
+    assert len(set(per_image)) == len(per_image)
+    assert metric(a, b) == pytest.approx(float(np.mean(per_image)), abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", [psnr, ssim])
+def test_metric_takes_any_leading_batch_axes(metric):
+    a, b = batch_pair()
+    grid = a.reshape((2, 2) + a.shape[1:]), b.reshape((2, 2) + b.shape[1:])
+    assert metric(*grid) == pytest.approx(metric(a, b), abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", [psnr, ssim])
+def test_metric_rejects_shapes(metric):
+    with pytest.raises(ShapeError):
+        metric(np.zeros((2, 3, 8, 8)), np.zeros((1, 3, 8, 8)))
+    with pytest.raises(ShapeError):
+        metric(np.zeros((8, 8)), np.zeros((8, 8)))

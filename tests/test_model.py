@@ -11,7 +11,6 @@ from mstok.losses import multiscale_loss
 from mstok.model import CheckpointError, LatentCode, init_model, load_checkpoint, save_checkpoint
 from mstok.pyramid import averaging_kernel, downsample_conv, downsample_interp, image_pyramid
 from mstok.tensor import ShapeError, Tensor, make_rng, no_grad
-from mstok.train import loss_weights_for
 
 TINY = TokenizerConfig(image_size=8, patch=4, enc_layers=1, dec_layers=1, enc_width=8,
                        dec_width=8, heads=2, latent_dim=4, scales=(1, 2), seed=0)
@@ -175,12 +174,12 @@ def test_backward_frees_training_graph():
 
     model = init_model(TokenizerConfig())
     x = rand_image(make_rng(18), model.config, batch=8)
-    weights, rng = loss_weights_for(RunConfig()), make_rng(19)
+    rng = make_rng(19)
 
     def forward():
         outputs, code = model.reconstruct(x, deterministic=False, rng=rng, training=True)
         targets = image_pyramid(x, model.schedule, model.config.patch)
-        return multiscale_loss(outputs, targets, weights, code)[0]
+        return multiscale_loss(outputs, targets, RunConfig(), code)[0]
 
     tracemalloc.start()
     try:

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstok.losses import LossWeights, kl_loss, multiscale_loss, rec_loss
+from mstok.config import RunConfig
+from mstok.losses import kl_loss, multiscale_loss, rec_loss
 from mstok.model import LatentCode
 from mstok.optim import AdamW, clip_grad_norm, cosine_lr
 from mstok.tensor import NumericError, ShapeError, Tensor, make_rng
 
-W = LossWeights()
+W = RunConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +31,7 @@ def test_rec_loss_constant_offset_closed_form():
 
 
 def test_rec_loss_zero_weights():
-    w = LossWeights(l1=0.0, mse=0.0)
+    w = RunConfig(l1_weight=0.0, mse_weight=0.0)
     pred = Tensor(make_rng(1).uniform(-1, 1, (3, 4, 4)).astype(np.float32))
     assert rec_loss(pred, Tensor(np.zeros((3, 4, 4))), w).item() == 0.0
 
@@ -97,7 +98,7 @@ def test_multiscale_single_level_reduces_to_composite():
     target = Tensor(rng.uniform(-1, 1, (1, 3, 8, 8)).astype(np.float32))
     code = code_of(rng.standard_normal((1, 2, 2, 4)), rng.standard_normal((1, 2, 2, 4)) * 0.1)
     total, breakdown = multiscale_loss([pred], [target], W, code)
-    direct = rec_loss(pred, target, W).item() + W.kl * kl_loss(code).item()
+    direct = rec_loss(pred, target, W).item() + W.tokenizer.kl_weight * kl_loss(code).item()
     assert total.item() == direct
     assert len(breakdown["per_scale"]) == 1
 
@@ -108,7 +109,7 @@ def test_multiscale_perfect_reconstruction_leaves_kl():
     code = code_of(np.ones((1, 1, 1, 2)), np.zeros((1, 1, 1, 2)))
     total, breakdown = multiscale_loss(imgs, imgs, W, code)
     assert breakdown["per_scale"] == [0.0, 0.0]
-    assert total.item() == pytest.approx(W.kl * 0.5, rel=1e-6)
+    assert total.item() == pytest.approx(W.tokenizer.kl_weight * 0.5, rel=1e-6)
 
 
 def test_multiscale_two_levels_equal_weight_mean():
@@ -122,7 +123,7 @@ def test_multiscale_two_levels_equal_weight_mean():
 
 
 def test_multiscale_respects_scale_weight_vector():
-    w = LossWeights(scale_weights=(1.0, 3.0))
+    w = RunConfig(scale_weights=(1.0, 3.0))
     rng = make_rng(5)
     preds = [Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float64)) for s in (4, 8)]
     targets = [Tensor(np.zeros((3, s, s))) for s in (4, 8)]
