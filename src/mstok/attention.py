@@ -51,8 +51,16 @@ class AttentionRegime(str, Enum):
 
 @dataclass(frozen=True)
 class AttentionMask:
-    allow: np.ndarray             # T x T boolean
-    additive: np.ndarray          # T x T float32: 0 where allowed, MASK_VALUE where forbidden
+    """Which keys each query may read, built once per model.
+
+    ``allow[q, k]`` is query-major, as ``dump-mask`` prints it. ``additive``
+    is key-major, the layout of ``masked_mha``'s scores: a C-contiguous
+    ``additive[k, q]`` holding 0 where ``allow[q, k]`` and ``MASK_VALUE``
+    where not, so adding it to the scores reads no strided view.
+    """
+
+    allow: np.ndarray             # T x T boolean, query-major
+    additive: np.ndarray          # T x T float32, key-major
 
 
 def build_mask(schedule: ScaleSchedule, regime: AttentionRegime) -> AttentionMask:
@@ -66,7 +74,7 @@ def build_mask(schedule: ScaleSchedule, regime: AttentionRegime) -> AttentionMas
         allow = (q == k) if regime is AttentionRegime.SCALE_INDEPENDENT else (q >= k)
     # Built once per model and shared by every attention call; read-only so
     # no caller can alter the mask another call sees.
-    additive = np.where(allow, 0.0, MASK_VALUE).astype(np.float32)
+    additive = np.ascontiguousarray(np.where(allow.T, 0.0, MASK_VALUE), dtype=np.float32)
     additive.flags.writeable = False
     return AttentionMask(allow=allow, additive=additive)
 
@@ -103,7 +111,13 @@ def masked_mha(x, params: AttentionParams, heads: int, mask: AttentionMask | Non
     """Scaled dot-product multi-head attention with additive masking.
 
     Takes batch x tokens x width only (``ShapeError`` otherwise); no QKV or
-    output biases.
+    output biases. The scores are key-major, ``k @ q^T`` of shape
+    ``(b, heads, keys, queries)``, normalised over keys with
+    ``softmax(..., axis=-2)``, and each head's output is ``v^T @ weights``.
+    This is ``softmax(q k^T) v`` with the keys on the second-last axis, where
+    numpy's max and sum reduce across the contiguous queries; the sums run
+    in a different order, so results differ from the query-major form in
+    the last float32 bits.
     """
     x = as_tensor(x)
     if x.ndim != 3:
@@ -115,17 +129,20 @@ def masked_mha(x, params: AttentionParams, heads: int, mask: AttentionMask | Non
         raise ShapeError(f"mask is {mask.allow.shape} but sequence has {t} tokens")
     hd = d // heads
 
-    def split_heads(m: Tensor) -> Tensor:
-        return transpose(reshape(m, (b, t, heads, hd)), (0, 2, 1, 3))
+    def split_heads(m: Tensor, axes: tuple[int, ...]) -> Tensor:
+        return transpose(reshape(m, (b, t, heads, hd)), axes)
 
-    q = split_heads(matmul(x, params.wq))
-    k = split_heads(matmul(x, params.wk))
-    v = split_heads(matmul(x, params.wv))
-    scores = matmul(q, transpose(k, (0, 1, 3, 2)))
-    weights = softmax(scores, additive_mask=None if mask is None else mask.additive,
-                      scale=1.0 / math.sqrt(hd))
-    mixed = matmul(weights, v)
-    out = reshape(transpose(mixed, (0, 2, 1, 3)), (b, t, d))
+    # q^T and v^T are (b, heads, hd, t); k is (b, heads, t, hd).
+    q_t = split_heads(matmul(x, params.wq), (0, 2, 3, 1))
+    k = split_heads(matmul(x, params.wk), (0, 2, 1, 3))
+    v_t = split_heads(matmul(x, params.wv), (0, 2, 3, 1))
+    scores_t = matmul(k, q_t)
+    weights_t = softmax(scores_t, additive_mask=None if mask is None else mask.additive,
+                        scale=1.0 / math.sqrt(hd), axis=-2)
+    mixed_t = matmul(v_t, weights_t)  # (b, heads, hd, t)
+    # A strided view: matmul copies it to (b * t, d) rows once, and its
+    # kernel gradient reuses that copy.
+    out = reshape(transpose(mixed_t, (0, 3, 1, 2)), (b, t, d))
     return matmul(out, params.wo)
 
 

@@ -67,10 +67,15 @@ def project2d(latents) -> tuple[np.ndarray, int]:
     # Imported here, not at module level: scipy.linalg adds about 5 MB of
     # resident memory and 0.1 s of start-up to every command that loads it.
     from scipy.linalg import eigh
+    from scipy.linalg.blas import dsyrk
 
-    gram = centered.T @ centered if d <= n else centered @ centered.T
+    # The lower triangle of the Gram matrix from scipy's BLAS, the one eigh
+    # uses: alternating numpy's and scipy's OpenBLAS makes each one's idle
+    # worker threads slow the other's next call. ``centered.T`` is the
+    # Fortran-order d x n view, so dsyrk reads it without a copy.
+    gram = dsyrk(1.0, centered.T, trans=0 if d <= n else 1, lower=1)
     m = gram.shape[0]
-    eigvals, eigvecs = eigh(gram, subset_by_index=[max(m - 2, 0), m - 1])
+    eigvals, eigvecs = eigh(gram, lower=True, subset_by_index=[max(m - 2, 0), m - 1])
     lam, top = eigvals[::-1], eigvecs[:, ::-1]  # descending
     if d > n:
         top = centered.T @ top
@@ -132,7 +137,11 @@ def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
     inv = -0.5 / (bandwidth * bandwidth)
     ex = np.exp(inv * (xs[None, :] - pts[:, 0, None]) ** 2)
     ey = np.exp(inv * (ys[None, :] - pts[:, 1, None]) ** 2)
-    density = ex.T @ ey
+    # ex.T @ ey through scipy's BLAS, as in project2d; the transposes are
+    # the Fortran-order views dgemm reads without a copy.
+    from scipy.linalg.blas import dgemm
+
+    density = dgemm(1.0, ex.T, ey.T, trans_b=1)
     total = density.sum()
     if total <= 0:
         # No grid center is within reach of any point: the caller's flags

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mstok import attention as A
 from mstok.pyramid import build_schedule
-from mstok.tensor import ConfigError, Tensor, grad_check, make_rng, tsum, square
+from mstok.tensor import MASK_VALUE, ConfigError, Tensor, grad_check, make_rng, slice_axis, tsum, square
 
 
 def oracle_mask(grids, regime):
@@ -185,12 +185,66 @@ def test_attention_weights_sum_to_one_over_allowed():
     x = rng.standard_normal((sched.total, d)).astype(np.float32)
     q = (x @ params.wq.data).reshape(-1, heads, hd).transpose(1, 0, 2)
     k = (x @ params.wk.data).reshape(-1, heads, hd).transpose(1, 0, 2)
-    scores = q @ k.transpose(0, 2, 1) / math.sqrt(hd) + mask.additive
+    scores = q @ k.transpose(0, 2, 1) / math.sqrt(hd) + mask.additive.T  # key-major
     w = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
     for h in range(heads):
         assert np.all(w[h][~mask.allow] == 0.0)
+
+
+def mha_oracle(x, params, heads, allow):
+    # Row-major float64 reference: softmax(q k^T / sqrt(hd) + mask) v over the
+    # last axis, per head, from the query-major allow matrix.
+    b, t, d = x.shape
+    hd = d // heads
+
+    def split(w):
+        return (x @ w.data).reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+
+    q, k, v = split(params.wq), split(params.wk), split(params.wv)
+    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(hd) + np.where(allow, 0.0, MASK_VALUE)
+    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return (p @ v).transpose(0, 2, 1, 3).reshape(b, t, d) @ params.wo.data
+
+
+@pytest.mark.parametrize("regime", list(A.AttentionRegime))
+def test_masked_mha_matches_row_major_oracle(regime):
+    rng = make_rng(8)
+    sched = build_schedule(8, [1, 2, 4, 8])
+    d, heads = 16, 4
+    params = random_attn_params(rng, d, dtype=np.float64)
+    mask = A.build_mask(sched, regime)
+    x = rng.standard_normal((2, sched.total, d))
+    out = A.masked_mha(Tensor(x, dtype=np.float64), params, heads, mask)
+    np.testing.assert_allclose(out.data, mha_oracle(x, params, heads, mask.allow), rtol=1e-12, atol=1e-12)
+    # The additive mask is the key-major transpose of allow, C-contiguous.
+    assert mask.additive.flags.c_contiguous and not mask.additive.flags.writeable
+    np.testing.assert_array_equal(mask.additive, np.where(mask.allow.T, 0.0, MASK_VALUE))
+
+
+@pytest.mark.parametrize("regime", [A.AttentionRegime.SCALE_CAUSAL, A.AttentionRegime.FULL])
+def test_scale_causal_gradient_never_reaches_finer_tokens(regime):
+    # The input gradient of every scale's outputs (and coarser ones) is
+    # exactly zero at each finer token under scale-causal attention, through
+    # a whole block; under full attention it is not.
+    rng = make_rng(9)
+    sched = build_schedule(8, [1, 2, 4, 8])
+    d = 16
+    params = random_block_params(rng, d)
+    mask = A.build_mask(sched, regime)
+    x = rng.standard_normal((2, sched.total, d)).astype(np.float32)
+    for start, count in list(zip(sched.offsets(), sched.counts))[:-1]:
+        end = start + count
+        xt = Tensor(x, requires_grad=True)
+        out = A.transformer_block(xt, params, heads=4, mask=mask)
+        tsum(square(slice_axis(out, 1, 0, end))).backward()
+        assert np.abs(xt.grad[:, :end]).max() > 0
+        if regime is A.AttentionRegime.SCALE_CAUSAL:
+            assert (xt.grad[:, end:] == 0.0).all()
+        else:
+            assert np.abs(xt.grad[:, end:]).max() > 0
 
 
 def test_heads_divisibility_error():

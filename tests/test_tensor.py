@@ -264,6 +264,31 @@ def test_masked_scaled_softmax_backward_matches_textbook_bitwise(dtype, shape):
     np.testing.assert_array_equal(seed, kept)
 
 
+@pytest.mark.parametrize("masked", [False, True])
+def test_key_major_softmax_is_transposed_softmax(masked):
+    # softmax over axis -2 is softmax over the last axis of the transpose,
+    # forward and backward; a fully masked column outputs zeros.
+    rng = np.random.default_rng(22)
+    shape, s = (2, 3, 13, 11), 0.4
+    data = 4 * rng.standard_normal(shape)
+    seed = rng.standard_normal(shape)
+    mask = None
+    if masked:
+        mask = np.where(rng.random((13, 11)) < 0.3, T.MASK_VALUE, 0.0)
+        mask[:, 4] = T.MASK_VALUE
+    x = Tensor(data, requires_grad=True)
+    out = T.softmax(x, additive_mask=mask, scale=s, axis=-2)
+    out.backward(seed)
+    x_t = Tensor(np.ascontiguousarray(np.swapaxes(data, -1, -2)), requires_grad=True)
+    ref = T.softmax(x_t, additive_mask=None if mask is None else np.ascontiguousarray(mask.T), scale=s)
+    ref.backward(np.ascontiguousarray(np.swapaxes(seed, -1, -2)))
+    np.testing.assert_allclose(out.data, np.swapaxes(ref.data, -1, -2), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(x.grad, np.swapaxes(x_t.grad, -1, -2), rtol=1e-12, atol=1e-15)
+    if masked:
+        assert (out.data[..., 4] == 0.0).all() and (x.grad[..., 4] == 0.0).all()
+        np.testing.assert_allclose(out.data[..., :4].sum(axis=-2), 1.0, rtol=1e-12)
+
+
 def test_softmax_mask_must_broadcast_to_input():
     with pytest.raises(T.ShapeError):
         T.softmax(Tensor(np.zeros(3)), additive_mask=np.zeros((2, 3)))
@@ -502,6 +527,23 @@ def test_grad_check_masked_softmax_square_sum():
     assert T.grad_check(f, x, eps=1e-4) < 1e-4
 
 
+def test_grad_check_key_major_masked_softmax():
+    # Attention's layout: keys on axis -2, one fully masked query column.
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((2, 5, 4)))
+    mask = np.where(rng.random((5, 4)) < 0.3, T.MASK_VALUE, 0.0)
+    mask[0, :3] = 0.0  # keep the other columns alive
+    mask[:, 3] = T.MASK_VALUE
+
+    def f(t):
+        return T.tsum(T.square(T.softmax(t, additive_mask=mask, scale=0.7, axis=-2)))
+
+    assert T.grad_check(f, x, eps=1e-4) < 1e-4
+    out = T.softmax(x, additive_mask=mask, axis=-2).data
+    assert (out[..., 3] == 0.0).all()
+    np.testing.assert_allclose(out[..., :3].sum(axis=-2), 1.0, rtol=1e-12)
+
+
 def test_grad_check_conv_layernorm_mean():
     # Random affine keeps the composition non-degenerate: with unit gain the
     # normalized rows have fixed sum/sum-of-squares and the gradient vanishes.
@@ -575,20 +617,36 @@ def test_gelu_matches_textbook_expressions_bitwise():
     special = [0.0, -0.0, tiny, -tiny, 7 * tiny, -1000 * tiny, np.finfo(np.float32).tiny, 30.0, -30.0]
     flat[: len(special)] = special
     flat[-1000:] = rng.standard_normal(1000) * np.finfo(np.float32).tiny  # subnormal range
-    g = rng.standard_normal(x.shape).astype(np.float32)
+    block = T._BLOCK_BYTES // 4
+    cases = [
+        x,
+        # Non-contiguous (transposed) input; its gradient arrives transposed too.
+        (3.0 * rng.standard_normal((300, 700))).astype(np.float32).T,
+        (3.0 * rng.standard_normal((5, 7))).astype(np.float32),  # under one block
+        (3.0 * rng.standard_normal(1001)).astype(np.float32),  # 1-D
+        # A row count whose element count is not a multiple of the block.
+        (3.0 * rng.standard_normal((3 * block // 256 + 5, 256))).astype(np.float32),
+    ]
+    assert x.size % block and cases[-1].size % block and cases[2].size < block
     c, k = T._GELU_C, T._GELU_K
-    u = np.tanh(c * (x + k * x * x * x))
-    want_out = 0.5 * x * (1.0 + u)
-    du = c * (1.0 + 3.0 * k * x * x) * (1.0 - u * u)
-    want_grad = g * (0.5 * (1.0 + u) + 0.5 * x * du)
+    for x in cases:
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        u = np.tanh(c * (x + k * x * x * x))
+        want_out = 0.5 * x * (1.0 + u)
+        du = c * (1.0 + 3.0 * k * x * x) * (1.0 - u * u)
+        want_grad = g * (0.5 * (1.0 + u) + 0.5 * x * du)
 
-    t = Tensor(x, requires_grad=True)
-    out = T.gelu(t)
-    out.backward(g)
-    assert out.dtype == np.float32 and t.grad.dtype == np.float32
-    # Bit patterns, so -0.0 against 0.0 counts as a difference.
-    np.testing.assert_array_equal(out.data.view(np.uint32), want_out.view(np.uint32))
-    np.testing.assert_array_equal(t.grad.view(np.uint32), want_grad.view(np.uint32))
+        t = Tensor(x, requires_grad=True)
+        out = T.gelu(t)
+        if x.flags.c_contiguous:
+            out.backward(g)
+        else:
+            T.transpose(out, (1, 0)).backward(g.T)
+        assert out.shape == x.shape and t.grad.shape == x.shape
+        assert out.dtype == np.float32 and t.grad.dtype == np.float32
+        # Bit patterns, so -0.0 against 0.0 counts as a difference.
+        np.testing.assert_array_equal(out.data.view(np.uint32), want_out.view(np.uint32))
+        np.testing.assert_array_equal(t.grad.view(np.uint32), want_grad.view(np.uint32))
 
 
 # ---------------------------------------------------------------------------
