@@ -9,6 +9,7 @@ so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -20,8 +21,9 @@ from .tensor import ConfigError
 
 def _require_at_least(cfg, low: float, *names: str) -> None:
     for name in names:
-        if not getattr(cfg, name) >= low:  # NaN fails too
-            raise ConfigError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value >= low):  # NaN and inf fail too
+            raise ConfigError(f"{name} must be finite and at least {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,10 @@ class RunConfig:
         if not 0.0 <= self.eval_fraction < 1.0:
             raise ConfigError(f"eval_fraction must be in [0, 1), got {self.eval_fraction}")
         w, n = self.scale_weights, len(self.tokenizer.scales)
-        if w and not (len(w) == n and all(x >= 0 for x in w) and sum(w) > 0):  # losses divide by the sum
-            raise ConfigError(f"scale_weights {w} must be {n} nonnegative weights, one per scale, with a positive sum")
+        # The losses divide by the sum.
+        if w and not (len(w) == n and all(math.isfinite(x) and x >= 0 for x in w) and sum(w) > 0):
+            raise ConfigError(f"scale_weights {w} must be {n} finite nonnegative weights, one per scale, "
+                              "with a positive sum")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise ConfigError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
         return self

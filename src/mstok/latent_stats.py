@@ -131,8 +131,8 @@ def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
         raise ConfigError(f"kde_density: pad must be finite and nonnegative, got {pad_bandwidths}")
     if bandwidth is None:
         bandwidth = scott_bandwidth(pts)
-    if not (np.isfinite(bandwidth) and bandwidth > 0 and bandwidth * bandwidth > 0):
-        raise ConfigError(f"kde_density: bandwidth must be finite and positive with a nonzero square, got {bandwidth}")
+    if not (bandwidth > 0 and 0 < bandwidth * bandwidth < np.inf):  # NaN fails too
+        raise ConfigError(f"kde_density: bandwidth must be positive with a finite, nonzero square, got {bandwidth}")
     xs, ys = kde_grid(pts, grid_size, bandwidth, pad_bandwidths)
     inv = -0.5 / (bandwidth * bandwidth)
     ex = np.exp(inv * (xs[None, :] - pts[:, 0, None]) ** 2)
@@ -143,7 +143,7 @@ def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
 
     density = dgemm(1.0, ex.T, ey.T, trans_b=1)
     total = density.sum()
-    if total <= 0:
+    if not total > 0:
         # No grid center is within reach of any point: the caller's flags
         # cause this, not the points.
         raise ConfigError("kde_density: all densities underflowed to zero; use a larger bandwidth or grid")
@@ -196,17 +196,17 @@ def commutation_residuals(images: list[np.ndarray]) -> list[float]:
     decode: the batch mean of ||out_s - pool(out_top)|| / (||pool(out_top)|| + eps).
 
     ``images`` are batched (batch x 3 x side x side) decodes, low to high. The
-    top level pools to its own side, an exact identity, so it reads 0.0.
+    top level is its own pool, so it reads 0.0 without being pooled.
     """
     top = images[-1]
     out = []
-    for level in images:
+    for level in images[:-1]:
         side = level.shape[-1]
         pooled = area_pool(top, side, side).data
         num = np.linalg.norm((level - pooled).reshape(level.shape[0], -1), axis=1)
         den = np.linalg.norm(pooled.reshape(level.shape[0], -1), axis=1)
         out.append(float((num / (den + 1e-8)).mean()))
-    return out
+    return out + [0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ on exit, also when the block raises.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 
 import numpy as np
@@ -694,11 +695,13 @@ def conv2d(x, kernel) -> Tensor:
     return matmul(rows, transpose(reshape(kernel, (o, c * k * k)), (1, 0)))
 
 
+@functools.lru_cache(maxsize=None)
 def _pool_weights(n_in: int, n_out: int, dtype) -> np.ndarray:
     """Row-stochastic matrix mapping n_in source pixels to n_out cell means.
 
     Each source pixel contributes in proportion to its overlap with the
-    output cell, which handles non-integral ratios such as 16 -> 12.
+    output cell, which handles non-integral ratios such as 16 -> 12. Built
+    once per shape and dtype, and read-only, since every caller shares it.
     """
     w = np.zeros((n_out, n_in), dtype=np.float64)
     span = n_in / n_out
@@ -709,41 +712,30 @@ def _pool_weights(n_in: int, n_out: int, dtype) -> np.ndarray:
             overlap = min(hi, r + 1) - max(lo, r)
             if overlap > 0:
                 w[p, r] = overlap
-    return (w / span).astype(dtype)
+    w = (w / span).astype(dtype)
+    w.flags.writeable = False
+    return w
 
 
 def area_pool(x, out_h: int, out_w: int) -> Tensor:
-    """Mean-pool a NCHW map to ``out_h x out_w``; every output cell is the
-    (fractional-area weighted) mean of its source region."""
+    """Mean-pool a ``b x C x H x W`` map to ``b x C x out_h x out_w``.
+
+    Every output cell is the (fractional-area weighted) mean of its source
+    region: the rows, then the columns, go through ``matmul`` with the
+    constant ``_pool_weights`` matrices, so the gradients are those of the
+    composed ``matmul``s. A gemm sums in another order than a block mean, so
+    at integral ratios results can differ from one in the last float32 bits.
+    """
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"area_pool: expected 4-D input, got shape {x.shape}")
-    b, c, h, w = x.shape
+    h, w = x.shape[2:]
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"area_pool: output dims must be positive, got {out_h}x{out_w}")
     if out_h > h or out_w > w:
         raise ShapeError(f"area_pool: output {out_h}x{out_w} exceeds input {h}x{w}")
-
-    if h % out_h == 0 and w % out_w == 0:
-        # Integral ratio: exact block averaging.
-        sh, sw = h // out_h, w // out_w
-        blocked = x.data.reshape(b, c, out_h, sh, out_w, sw)
-        out_data = blocked.mean(axis=(3, 5))
-
-        def backward(g):
-            gx = np.repeat(np.repeat(g, sh, axis=2), sw, axis=3) / (sh * sw)
-            _accumulate(x, gx, fresh=True)
-
-        return _result(out_data, (x,), backward)
-
-    wr = _pool_weights(h, out_h, x.dtype)
-    wc = _pool_weights(w, out_w, x.dtype)
-    out_data = np.einsum("ph,qw,bchw->bcpq", wr, wc, x.data, optimize=True)
-
-    def backward(g):
-        _accumulate(x, np.einsum("ph,qw,bcpq->bchw", wr, wc, g, optimize=True), fresh=True)
-
-    return _result(out_data, (x,), backward)
+    rows = matmul(Tensor(_pool_weights(h, out_h, x.dtype)), x)
+    return matmul(rows, Tensor(_pool_weights(w, out_w, x.dtype).T))
 
 
 def drop_path(x, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:

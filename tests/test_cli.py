@@ -110,12 +110,18 @@ def test_malformed_config_value_config_error(capsys, argv, key):
     ["lr_start=-1"],
     ["lr_end=-1"],
     ["lr_start=nan"],
+    ["lr_start=inf"],
+    ["lr_end=inf"],
     ["grad_clip=0"],
     ["grad_clip=-1"],
     ["l1_weight=-1"],
     ["mse_weight=-1"],
+    ["l1_weight=inf"],
+    ["mse_weight=inf"],
+    ["kl_weight=inf"],
     ["scale_weights=1,-1,1,1"],
     ["scale_weights=0,0,0,0"],
+    ["scale_weights=inf,1,1,1"],
     ["image_size=4", "patch=4", "scales=1"],  # smaller than the SSIM window
 ], ids="+".join)
 def test_invalid_config_value_config_error(tmp_path, capsys, settings):
@@ -162,6 +168,7 @@ def write_hlat(path, count, dim=4, nan=False):
     ("grid=-3", 1),
     ("bandwidth=-1", 1),
     ("bandwidth=1e-300", 1),    # its square underflows to 0
+    ("bandwidth=1e200", 1),     # its square overflows to inf
     ("pad=nan", 1),
     ("pad=-1", 1),
     ("grid=1,bandwidth=1e-10", 1),  # every density underflows to 0

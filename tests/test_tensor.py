@@ -472,18 +472,18 @@ def area_pool_oracle(x, oh, ow):
     return out
 
 
-def test_area_pool_fractional_matches_oracle():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((1, 1, 4, 4))
-    out = T.area_pool(Tensor(x, dtype=np.float64), 3, 3)
-    np.testing.assert_allclose(out.data, area_pool_oracle(x, 3, 3), rtol=1e-12)
-
-
-def test_area_pool_nondyadic_16_to_12():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((1, 1, 16, 16))
-    out = T.area_pool(Tensor(x, dtype=np.float64), 12, 12)
-    np.testing.assert_allclose(out.data, area_pool_oracle(x, 12, 12), rtol=1e-10)
+@pytest.mark.parametrize("size,out", [
+    ((4, 4), (2, 2)),
+    ((8, 8), (1, 1)),
+    ((6, 6), (3, 3)),      # ratio 3
+    ((8, 8), (4, 2)),      # integral, non-square output
+    ((4, 4), (3, 3)),      # fractional
+    ((16, 16), (12, 12)),  # non-dyadic
+], ids=lambda v: "x".join(map(str, v)))
+def test_area_pool_matches_oracle(size, out):
+    x = np.random.default_rng(sum(size + out)).standard_normal((2, 3) + size)
+    got = T.area_pool(Tensor(x, dtype=np.float64), *out)
+    np.testing.assert_allclose(got.data, area_pool_oracle(x, *out), rtol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -590,6 +590,7 @@ def test_grad_check_conv2d(b, side, c, k, o, wrt):
         ("concat_slice", lambda t: T.tsum(T.square(T.slice_axis(
             T.concat([t, T.scale(t, 2.0)], axis=0), 0, 1, 4))), (2, 3)),
         ("transpose", lambda t: T.tsum(T.square(T.transpose(t, (1, 0)))), (2, 4)),
+        ("area_pool_integral", lambda t: T.tsum(T.square(T.area_pool(t, 2, 1))), (1, 2, 4, 4)),
     ],
 )
 def test_grad_check_each_op(name, f, shape):
