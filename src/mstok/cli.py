@@ -8,6 +8,12 @@ tokenizer key that differs from its checkpoint's; dump-mask reads only
 reconstruct and export-latents run the model under ``tensor.no_grad``: they
 build no autograd graph, so each intermediate array is freed as soon as the
 next op has read it, and their outputs are bit-identical to graph mode.
+reconstruct encodes, decodes and saves each image on one of a pool of worker
+threads, one per CPU the process may use, with numpy's BLAS held at one
+thread while they run and its previous thread count restored afterwards;
+each image's files are written by its own worker, so the output bytes do not
+depend on the worker count. Input files whose names differ only in the
+extension's case would write the same outputs and are rejected.
 Exit codes follow the class of the error, each reported as one stderr line:
 0 success; 1 ``UsageError`` or ``ConfigError`` (a bad option or config
 value); 2 ``DataError`` or ``OSError`` (input that is missing, malformed or
@@ -19,12 +25,15 @@ are silenced, since the finiteness checks report the fault).
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import blas
 from .attention import build_mask
 from .config import ConfigError, RunConfig, config_from_kv, load_run_config, read_config_kv
 from .data import load_dataset
@@ -92,18 +101,42 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _worker_count(images: int) -> int:
+    """Reconstruct workers: one per CPU this process may run on, at most one
+    per image."""
+    return min(images, len(os.sched_getaffinity(0)))
+
+
+def _reconstruct_image(model, image: np.ndarray, stem: str, output_dir: str) -> None:
+    outputs, _ = model.reconstruct(Tensor(image[None]), deterministic=True)
+    for g, out in zip(model.config.scales, outputs):
+        save_ppm(out.data[0], os.path.join(output_dir, f"{stem}_s{g * model.config.patch}.ppm"))
+
+
 def _cmd_reconstruct(args) -> int:
     model = load_checkpoint(args.checkpoint_path)
     cfg = model.config
     dataset = load_dataset(args.input_dir, cfg.image_size, cfg.seed)
-    os.makedirs(args.output_dir, exist_ok=True)
-    for name, image in zip(dataset.names, dataset.images):
-        with no_grad():
-            outputs, _ = model.reconstruct(Tensor(image[None]), deterministic=True)
+    stems: dict[str, str] = {}
+    for name in dataset.names:
         stem = os.path.splitext(name)[0]
-        for g, out in zip(cfg.scales, outputs):
-            side = g * cfg.patch
-            save_ppm(out.data[0], os.path.join(args.output_dir, f"{stem}_s{side}.ppm"))
+        if stem in stems:
+            raise DataError(f"{args.input_dir}: {stems[stem]!r} and {name!r} would both be saved "
+                            f"as {stem}_s<side>.ppm")
+        stems[stem] = name
+    os.makedirs(args.output_dir, exist_ok=True)
+    # The worker threads share the graph-mode flag, so it is set once here.
+    # Each task runs in a copy of this context, which holds numpy's errstate.
+    with blas.single_threaded() as pinned, no_grad():
+        pool = ThreadPoolExecutor(_worker_count(len(dataset)) if pinned else 1)
+        try:
+            futures = [pool.submit(contextvars.copy_context().run, _reconstruct_image,
+                                   model, image, stem, args.output_dir)
+                       for stem, image in zip(stems, dataset.images)]
+            for future in futures:  # the first failure in input order is raised
+                future.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
     print(json.dumps({"event": "reconstruct", "images": len(dataset), "scales": list(cfg.scales)}))
     return 0
 

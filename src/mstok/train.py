@@ -1,9 +1,14 @@
 """Training loop: seeded end-to-end runs with JSON-lines logging, periodic
 checkpoints, and a final eval sweep (losses, PSNR/SSIM, commutation
-residuals, latent uniformity)."""
+residuals, latent uniformity).
+
+The log opens with a header entry that says what produced the run: the
+config, the package and numpy versions, the parameter count and the BLAS
+numpy runs on with its thread count (null when it cannot be read)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +16,7 @@ import time
 
 import numpy as np
 
+from . import __version__, blas
 from .config import RunConfig
 from .data import STREAM_NOISE, Dataset, load_dataset
 from .imageio import quantize_roundtrip
@@ -29,6 +35,20 @@ ADAMW_WEIGHT_DECAY = 0.05
 def log_path_for(checkpoint: str) -> str:
     stem, _ = os.path.splitext(checkpoint)
     return stem + ".log.jsonl"
+
+
+def _log_header(config: RunConfig, model: TokenizerModel) -> dict:
+    """The first log entry; it has no ``"step"`` key, which marks step entries."""
+    blas_build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "event": "header",
+        "config": dataclasses.asdict(config),
+        "version": __version__,
+        "parameters": sum(p.data.size for p in model.named_parameters().values()),
+        "numpy": np.__version__,
+        "blas": {"name": blas_build.get("name"), "version": blas_build.get("version"),
+                 "threads": blas.num_threads()},
+    }
 
 
 @no_grad()
@@ -121,6 +141,7 @@ def train(config: RunConfig, echo: bool = False) -> dict:
             if echo:
                 print(line)
 
+        emit(_log_header(config, model))
         try:
             for step in range(1, steps + 1):
                 step_start = time.perf_counter()

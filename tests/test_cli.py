@@ -4,18 +4,21 @@ import json
 import os
 import pkgutil
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mstok
+import mstok.cli as cli
+from mstok import blas
 from mstok.cli import E2E_THRESHOLD, OPS_THRESHOLD, UsageError, main
 from mstok.config import RunConfig, TokenizerConfig
 from mstok.data import generate_synthetic_folder
 from mstok.imageio import load_ppm
 from mstok.latent_stats import read_latents, write_latents
-from mstok.model import load_checkpoint
+from mstok.model import load_checkpoint, save_checkpoint
 from mstok.tensor import ConfigError, DataError, NumericError, make_rng
 from mstok.train import log_path_for, train
 
@@ -326,3 +329,124 @@ def test_reconstruct_malformed_ppm_data_error(tmp_path):
     in_dir.mkdir()
     (in_dir / "x.ppm").write_bytes(b"P6\n4 4\n255\nshort")
     assert main(["reconstruct", ckpt, str(in_dir), str(tmp_path / "o")]) == 2
+
+
+def read_tree(directory):
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
+def test_reconstruct_workers_write_identical_files(tmp_path, monkeypatch):
+    if blas.num_threads() is None:
+        pytest.skip("without numpy's OpenBLAS thread controls reconstruct runs one worker")
+    ckpt = small_checkpoint(tmp_path)
+    in_dir = str(tmp_path / "inputs")
+    generate_synthetic_folder(in_dir, 6, 16, seed=9)
+    monkeypatch.setattr(cli, "_worker_count", lambda images: 1)
+    assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "one")]) == 0
+
+    # Every image waits until three are in flight, so three workers decode at once.
+    barrier = threading.Barrier(3, timeout=30)
+    seen = []
+    real = cli._reconstruct_image
+
+    def concurrent(*args):
+        barrier.wait()
+        seen.append((threading.get_ident(), blas.num_threads()))
+        real(*args)
+
+    monkeypatch.setattr(cli, "_worker_count", lambda images: 3)
+    monkeypatch.setattr(cli, "_reconstruct_image", concurrent)
+    assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "three")]) == 0
+    assert len({ident for ident, _ in seen}) == 3
+    one, three = read_tree(tmp_path / "one"), read_tree(tmp_path / "three")
+    assert len(one) == 6 * 3 and one == three
+    assert {threads for _, threads in seen} == {1}
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """numpy's BLAS at 2 threads for the test, so that a count left at 1 shows."""
+    controls = blas._controls()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    saved = get()
+    set_(2)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
+def test_reconstruct_restores_blas_and_joins_workers_on_error(tmp_path, monkeypatch, capsys,
+                                                              blas_at_two_threads):
+    ckpt = small_checkpoint(tmp_path)
+    in_dir = str(tmp_path / "inputs")
+    generate_synthetic_folder(in_dir, 5, 16, seed=9)
+    threads_before, blas_before = set(threading.enumerate()), blas.num_threads()
+    real_save = cli.save_ppm
+    later_failed = threading.Event()
+
+    def failing_save(image, path):
+        name = os.path.basename(path)
+        if name.startswith("synthetic_00001_"):
+            later_failed.wait(timeout=5)  # let image 3 fail first when it runs concurrently
+            raise OSError("cannot write image 1")
+        if name.startswith("synthetic_00003_"):
+            later_failed.set()
+            raise OSError("cannot write image 3")
+        real_save(image, path)
+
+    monkeypatch.setattr(cli, "_worker_count", lambda images: 2)
+    monkeypatch.setattr(cli, "save_ppm", failing_save)
+    capsys.readouterr()
+    assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "recon")]) == 2
+    # The first failure in input order is reported, whichever worker failed first.
+    assert capsys.readouterr().err == "data error: cannot write image 1\n"
+    assert blas.num_threads() == blas_before
+    assert set(threading.enumerate()) == threads_before
+
+    monkeypatch.setattr(cli, "save_ppm", real_save)
+    assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "recon")]) == 0
+    assert blas.num_threads() == blas_before
+    assert set(threading.enumerate()) == threads_before
+
+
+def test_reconstruct_without_blas_control_runs_one_worker(tmp_path, monkeypatch):
+    monkeypatch.setattr(blas, "_controls", lambda: None)
+    monkeypatch.setattr(cli, "_worker_count", lambda images: pytest.fail("worker count asked for"))
+    assert blas.num_threads() is None
+    ckpt = small_checkpoint(tmp_path)
+    in_dir = str(tmp_path / "inputs")
+    generate_synthetic_folder(in_dir, 2, 16, seed=9)
+    assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "recon")]) == 0
+    assert len(os.listdir(tmp_path / "recon")) == 2 * 3
+
+
+def test_reconstruct_workers_inherit_numpy_errstate(tmp_path, monkeypatch):
+    # Weights past float32's range make the decode overflow and the saved
+    # pixels NaN; main() silences numpy's warnings, and so must every worker
+    # (tier-1 turns a warning into an error).
+    ckpt = small_checkpoint(tmp_path)
+    model = load_checkpoint(ckpt)
+    model.pixel_head.weight.data[...] = 1e38
+    model.pixel_head.weight.data[::2] = -1e38
+    save_checkpoint(model, ckpt)
+    in_dir = str(tmp_path / "inputs")
+    generate_synthetic_folder(in_dir, 4, 16, seed=9)
+    monkeypatch.setattr(cli, "_worker_count", lambda images: 2)
+    assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "recon")]) == 0
+    assert len(os.listdir(tmp_path / "recon")) == 4 * 3
+
+
+def test_reconstruct_rejects_colliding_stems(tmp_path, capsys):
+    ckpt = small_checkpoint(tmp_path)
+    in_dir = tmp_path / "inputs"
+    generate_synthetic_folder(str(in_dir), 2, 16, seed=9)
+    (in_dir / "synthetic_00001.ppm").rename(in_dir / "synthetic_00000.PPM")
+    capsys.readouterr()
+    assert main(["reconstruct", ckpt, str(in_dir), str(tmp_path / "recon")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "'synthetic_00000.PPM' and 'synthetic_00000.ppm'" in err
+    assert not (tmp_path / "recon").exists()

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mstok
+from mstok import blas
 from mstok.config import RunConfig, TokenizerConfig, load_run_config
 from mstok.data import generate_synthetic
 from mstok.model import init_model, load_checkpoint
@@ -77,6 +79,16 @@ def test_training_shrinks_commutation_residual(tmp_path):
 def test_log_lines_schema(tmp_path):
     summary = train(small_run(tmp_path))
     lines = [json.loads(l) for l in Path(summary["log"]).read_text(encoding="utf-8").splitlines()]
+    header = lines[0]
+    assert set(header) == {"event", "config", "version", "parameters", "numpy", "blas"}
+    assert header["event"] == "header" and header["version"] == mstok.__version__
+    assert header["config"]["tokenizer"]["scales"] == list(SMALL_TOK.scales)
+    assert header["config"]["steps"] == 8 and header["config"]["batch_size"] == 4
+    model = load_checkpoint(summary["checkpoint"])
+    assert header["parameters"] == sum(p.data.size for p in model.named_parameters().values())
+    assert header["numpy"] == np.__version__
+    assert set(header["blas"]) == {"name", "version", "threads"}
+    assert header["blas"]["name"] and header["blas"]["threads"] == blas.num_threads()
     train_lines = [l for l in lines if "step" in l]
     assert train_lines, "expected per-interval train entries"
     for entry in train_lines:
