@@ -68,9 +68,8 @@ def build_mask(schedule: ScaleSchedule, regime: AttentionRegime) -> AttentionMas
     if regime is AttentionRegime.FULL:
         allow = np.ones((t, t), dtype=bool)
     else:
-        scale_of = np.repeat(np.arange(schedule.num_scales), schedule.counts)
-        q = scale_of[:, None]
-        k = scale_of[None, :]
+        q = schedule.scale_of()[:, None]
+        k = q.T
         allow = (q == k) if regime is AttentionRegime.SCALE_INDEPENDENT else (q >= k)
     # Built once per model and shared by every attention call; read-only so
     # no caller can alter the mask another call sees.

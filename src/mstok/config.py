@@ -47,7 +47,7 @@ class TokenizerConfig:
         if self.image_size <= 0 or self.patch <= 0 or self.image_size % self.patch:
             raise ConfigError(f"image_size {self.image_size} must be a positive multiple of patch {self.patch}")
         _require_at_least(self, 1, "heads", "enc_width", "dec_width", "latent_dim")
-        _require_at_least(self, 0, "enc_layers", "dec_layers", "kl_weight")
+        _require_at_least(self, 0, "enc_layers", "dec_layers", "kl_weight", "seed")
         if self.enc_width % self.heads or self.dec_width % self.heads:
             raise ConfigError(f"widths {self.enc_width}/{self.dec_width} must be divisible by heads {self.heads}")
         if self.downsample_mode not in ("interp", "conv"):

@@ -52,16 +52,10 @@ def op_library_checks(eps: float = 1e-5) -> dict[str, float]:
     results["conv_layernorm_mean"] = T.grad_check(conv_ln_mean, Tensor(rng.standard_normal((1, 2, 4, 4))), eps)
 
     sched = build_schedule(4, [1, 2, 4])
-    coeffs = [Tensor(rng.standard_normal((g, g, 3)), dtype=np.float64) for g in sched.grids]
-
-    def pyramid_weighted_sum(t):
-        total = None
-        for m, c in zip(downsample_interp(t, sched), coeffs):
-            term = T.tsum(T.mul(m, c))
-            total = term if total is None else T.add(total, term)
-        return total
-
-    results["pyramid_interp"] = T.grad_check(pyramid_weighted_sum, Tensor(rng.standard_normal((1, 4, 4, 3))), eps)
+    coeffs = Tensor(rng.standard_normal((sched.total, 3)), dtype=np.float64)
+    results["pyramid_interp"] = T.grad_check(
+        lambda t: T.tsum(T.mul(downsample_interp(t, sched), coeffs)), Tensor(rng.standard_normal((1, 4, 4, 3))), eps
+    )
 
     w = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
     results["gelu_mlp"] = T.grad_check(

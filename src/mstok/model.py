@@ -1,9 +1,10 @@
 """The end-to-end tokenizer model.
 
 Pipeline: patch-embed -> full-attention encoder -> Gaussian latent head ->
-latent-to-width projection -> token pyramid -> masked decoder -> shared pixel
-head, one RGB reconstruction per scale. The patch embedding is ``conv2d`` on
-the image moved to channel-last, and every token map after it is channel-last.
+latent-to-width projection -> token pyramid, one low-to-high sequence, plus
+positional encoding -> masked decoder -> shared pixel head, one RGB
+reconstruction per scale. The patch embedding is ``conv2d`` on the image
+moved to channel-last, and every token map after it is channel-last.
 The latent lives at the base grid, before any downsampling, so generation-time
 codes have single-scale shape. Inputs are batch-first: images are batch x 3 x
 H x W and latents batch x g x g x d_z; an unbatched input raises ``ShapeError``.
@@ -51,7 +52,6 @@ from .tensor import (
     add,
     as_tensor,
     clip,
-    concat,
     conv2d,
     layer_norm,
     make_rng,
@@ -158,21 +158,18 @@ class TokenizerModel:
         std = texp(code.logvar * 0.5)
         return add(code.mu, mul(std, Tensor(eps)))
 
-    def build_pyramid(self, z_width: Tensor) -> list[Tensor]:
+    def build_pyramid(self, z_width: Tensor) -> Tensor:
+        """Base token map -> batch x T x width low-to-high token sequence."""
         if self.config.downsample_mode == "conv":
             return downsample_conv(self.down, z_width, self.schedule)
         return downsample_interp(z_width, self.schedule)
 
-    def decode_levels(self, maps: list[Tensor], rng: np.random.Generator | None = None,
+    def decode_levels(self, tokens: Tensor, rng: np.random.Generator | None = None,
                       training: bool = False) -> list[Tensor]:
-        """Decode per-scale token maps into per-scale RGB images (low to high)."""
+        """Decode a batch x T x width token sequence, positional encoding not
+        yet added, into per-scale RGB images (low to high)."""
         cfg = self.config
-        pe_levels = positional_encoding(self.pe, self.schedule)
-        parts = []
-        for m, pe_s, (g, n) in zip(maps, pe_levels, zip(self.schedule.grids, self.schedule.counts)):
-            level = add(m, pe_s)
-            parts.append(reshape(level, (level.shape[0], n, cfg.dec_width)))
-        h = concat(parts, axis=1)
+        h = add(tokens, positional_encoding(self.pe, self.schedule))
         for blk in self.dec:
             h = transformer_block(h, blk, cfg.heads, self.mask, eps=LN_EPS,
                                   drop_rate=cfg.drop_path, rng=rng, training=training)

@@ -3,18 +3,19 @@
 Token maps are channel-last (batch x grid x grid x width) and images are
 batch x channels x H x W: every function here takes batched input only and
 raises ``ShapeError`` on an unbatched one; the conv pyramid runs ``conv2d``
-on channel-last maps as they are. Pyramids are built from the full-resolution
-base map as a list with one level per grid entry, ascending; the decoder
-concatenates them low-to-high into one token sequence.
+on channel-last maps as they are. The token pyramid is one batch x T x width
+sequence of the base map's levels, coarse to fine, each a row-major block at
+``ScaleSchedule.offsets``; the image pyramid is a list, one level per grid.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ConfigError, ShapeError, Tensor, area_pool, as_tensor, conv2d, reshape, slice_axis, transpose
+from .tensor import ConfigError, ShapeError, Tensor, _pool_weights, add, area_pool, as_tensor, concat, conv2d, matmul, reshape
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,10 @@ class ScaleSchedule:
     def offsets(self) -> tuple[int, ...]:
         """Start offset of each scale block in the low-to-high token sequence."""
         return tuple(np.cumsum((0,) + self.counts[:-1]).tolist())
+
+    def scale_of(self) -> np.ndarray:
+        """Scale index of each token in the low-to-high token sequence."""
+        return np.repeat(np.arange(self.num_scales), self.counts)
 
     def dyadic(self) -> bool:
         base = self.base_grid
@@ -78,17 +83,25 @@ def _base_map(z, schedule: ScaleSchedule, op: str) -> Tensor:
     return z
 
 
-def _pool_map(z: Tensor, out_side: int) -> Tensor:
-    """Area-pool a channel-last map to out_side x out_side."""
-    nchw = transpose(z, (0, 3, 1, 2))
-    pooled = area_pool(nchw, out_side, out_side)
-    return transpose(pooled, (0, 2, 3, 1))
+@functools.lru_cache(maxsize=None)
+def _pool_matrix(grids: tuple[int, ...], dtype) -> np.ndarray:
+    """The low-to-high token sequence as one ``T x g²`` matrix on the row-major
+    flattened base grid ``g``: each level's block is ``kron(w, w)`` of its
+    ``_pool_weights`` ``w``, the identity at the base grid. Never larger than
+    the ``T x T`` attention mask. Built in float64 and cast once; cached and
+    read-only, since every caller shares it.
+    """
+    weights = [_pool_weights(grids[-1], g, np.float64) for g in grids]
+    m = np.concatenate([np.kron(w, w) for w in weights]).astype(dtype)
+    m.flags.writeable = False
+    return m
 
 
-def downsample_interp(z_base, schedule: ScaleSchedule) -> list[Tensor]:
-    """Parameter-free pyramid: each level is the area-pooled base map."""
+def downsample_interp(z_base, schedule: ScaleSchedule) -> Tensor:
+    """Parameter-free pyramid: the token sequence of area-pooled base maps."""
     z = _base_map(z_base, schedule, "downsample_interp")
-    return [z if g == schedule.base_grid else _pool_map(z, g) for g in schedule.grids]
+    flat = reshape(z, (z.shape[0], schedule.base_grid ** 2, z.shape[3]))
+    return matmul(Tensor(_pool_matrix(schedule.grids, z.dtype)), flat)
 
 
 def conv_chain_lengths(schedule: ScaleSchedule) -> dict[int, int]:
@@ -110,18 +123,16 @@ def averaging_kernel(width: int, dtype=np.float32) -> np.ndarray:
     return k
 
 
-def downsample_conv(chains: dict[int, list[Tensor]], z_base, schedule: ScaleSchedule) -> list[Tensor]:
-    """Learnable pyramid: each non-top level applies its own chain of stride-2
-    convolutions to the base map."""
+def downsample_conv(chains: dict[int, list[Tensor]], z_base, schedule: ScaleSchedule) -> Tensor:
+    """Learnable pyramid: the token sequence whose non-top levels each apply
+    their own chain of stride-2 convolutions to the base map."""
     lengths = conv_chain_lengths(schedule)
     z = _base_map(z_base, schedule, "downsample_conv")
+    b, _, _, d = z.shape
     maps = []
     for g in schedule.grids:
-        if g == schedule.base_grid:
-            maps.append(z)
-            continue
-        kernels = chains.get(g)
-        if kernels is None or len(kernels) != lengths[g]:
+        kernels = chains.get(g) if g != schedule.base_grid else []
+        if kernels is None or len(kernels) != lengths.get(g, 0):
             raise ConfigError(
                 f"downsample_conv: level {g} needs {lengths[g]} stride-2 kernels, "
                 f"got {0 if kernels is None else len(kernels)}"
@@ -129,12 +140,12 @@ def downsample_conv(chains: dict[int, list[Tensor]], z_base, schedule: ScaleSche
         level = z
         for kernel in kernels:
             level = conv2d(level, kernel)
-        maps.append(level)
-    return maps
+        maps.append(reshape(level, (b, g * g, d)))
+    return concat(maps, axis=1)
 
 
-def positional_encoding(pe: PEParams, schedule: ScaleSchedule) -> list[Tensor]:
-    """Per-scale encodings: area-pooled spatial map plus the scale embedding."""
+def positional_encoding(pe: PEParams, schedule: ScaleSchedule) -> Tensor:
+    """T x width encoding: the area-pooled spatial map plus the scale embedding."""
     side = pe.spatial.shape[0]
     if side != schedule.base_grid:
         raise ShapeError(f"positional_encoding: spatial side {side} != base grid {schedule.base_grid}")
@@ -142,10 +153,9 @@ def positional_encoding(pe: PEParams, schedule: ScaleSchedule) -> list[Tensor]:
         raise ShapeError(
             f"positional_encoding: {pe.scale.shape[0]} scale embeddings for {schedule.num_scales} scales"
         )
-    d = pe.spatial.shape[2]
-    levels = downsample_interp(reshape(pe.spatial, (1,) + pe.spatial.shape), schedule)
-    return [reshape(level, (g, g, d)) + reshape(slice_axis(pe.scale, 0, s, s + 1), (1, 1, d))
-            for s, (g, level) in enumerate(zip(schedule.grids, levels))]
+    pooled = downsample_interp(reshape(pe.spatial, (1,) + pe.spatial.shape), schedule)
+    one_hot = np.eye(schedule.num_scales, dtype=pe.scale.dtype)[schedule.scale_of()]
+    return add(reshape(pooled, pooled.shape[1:]), matmul(Tensor(one_hot), pe.scale))
 
 
 def image_pyramid(x, schedule: ScaleSchedule, patch: int) -> list[Tensor]:

@@ -142,6 +142,7 @@ def train(config: RunConfig, echo: bool = False) -> dict:
                 print(line)
 
         emit(_log_header(config, model))
+        step = 0
         try:
             for step in range(1, steps + 1):
                 step_start = time.perf_counter()
@@ -181,15 +182,14 @@ def train(config: RunConfig, echo: bool = False) -> dict:
                     emit(last_entry)
                 if config.checkpoint_interval and step % config.checkpoint_interval == 0:
                     save_checkpoint(model, config.checkpoint)
+            save_checkpoint(model, config.checkpoint)
+            eval_metrics = evaluate(model, dataset, eval_idx, config)
         except BaseException as err:
             # Any failure, interrupts included, is logged before it propagates;
-            # "at_step" is not "step", which marks step entries. The last
-            # interval checkpoint stays on disk untouched.
+            # "at_step" (0 before step 1) is not "step", which marks step
+            # entries. The last checkpoint written stays on disk untouched.
             emit({"event": "abort", "at_step": step, "error_type": type(err).__name__, "error": str(err)})
             raise
-
-        save_checkpoint(model, config.checkpoint)
-        eval_metrics = evaluate(model, dataset, eval_idx, config)
         emit({"event": "eval", **eval_metrics})
 
     return {

@@ -102,6 +102,7 @@ def test_malformed_config_value_config_error(capsys, argv, key):
     ["downsample_mode=conv", "scales=1,3,8"],  # non-dyadic conv pyramid
     ["drop_path=1.0"],
     ["kl_weight=-1"],
+    ["seed=-1"],
     ["batch_size=0"],
     ["eval_fraction=1.0"],
     ["scale_weights=1,1"],                  # 2 weights for 4 scales

@@ -124,6 +124,22 @@ def test_non_numeric_failure_logs_abort(tmp_path, monkeypatch):
     assert load_checkpoint(cfg.checkpoint).config == SMALL_TOK
 
 
+@pytest.mark.parametrize("steps", [0, 2])
+def test_failed_final_eval_logs_abort(tmp_path, monkeypatch, steps):
+    import mstok.train as train_mod
+
+    def failing_evaluate(*args):
+        raise RuntimeError("injected eval failure")
+
+    monkeypatch.setattr(train_mod, "evaluate", failing_evaluate)
+    cfg = small_run(tmp_path, steps=steps)
+    with pytest.raises(RuntimeError, match="injected eval failure"):
+        train(cfg)
+    lines = [json.loads(l) for l in Path(train_mod.log_path_for(cfg.checkpoint)).read_text(encoding="utf-8").splitlines()]
+    assert lines[-1] == {"event": "abort", "at_step": steps, "error_type": "RuntimeError",
+                         "error": "injected eval failure"}
+
+
 def test_evaluate_bit_identical_to_graph_mode(tmp_path):
     # ``evaluate`` runs under no_grad; ``__wrapped__`` is the same body with
     # the graph recorded, and every metric must match it exactly.

@@ -214,12 +214,14 @@ def test_decoder_causality_scale_causal():
                           regime="scalecausal", seed=1)
     model = init_model(cfg)
     rng = make_rng(10)
-    maps = [Tensor(rng.standard_normal((1, g, g, 16)).astype(np.float32)) for g in cfg.scales]
-    base = [im.data.copy() for im in model.decode_levels(maps)]
+    sched = model.schedule
+    tokens = Tensor(rng.standard_normal((1, sched.total, 16)).astype(np.float32))
+    base = [im.data.copy() for im in model.decode_levels(tokens)]
 
     for s_perturbed in range(1, 3):
-        bumped = [Tensor(m.data.copy()) for m in maps]
-        bumped[s_perturbed].data += rng.standard_normal(bumped[s_perturbed].shape).astype(np.float32)
+        bumped = Tensor(tokens.data.copy())
+        start, n = sched.offsets()[s_perturbed], sched.counts[s_perturbed]
+        bumped.data[:, start:start + n] += rng.standard_normal((1, n, 16)).astype(np.float32)
         out = model.decode_levels(bumped)
         for s_low in range(s_perturbed):
             np.testing.assert_array_equal(out[s_low].data, base[s_low])
@@ -231,10 +233,11 @@ def test_decoder_isolation_scale_independent():
                           regime="scaleindependent", seed=1)
     model = init_model(cfg)
     rng = make_rng(11)
-    maps = [Tensor(rng.standard_normal((1, g, g, 16)).astype(np.float32)) for g in cfg.scales]
-    base = [im.data.copy() for im in model.decode_levels(maps)]
-    bumped = [Tensor(m.data.copy()) for m in maps]
-    bumped[1].data += 1.0
+    sched = model.schedule
+    tokens = Tensor(rng.standard_normal((1, sched.total, 16)).astype(np.float32))
+    base = [im.data.copy() for im in model.decode_levels(tokens)]
+    bumped = Tensor(tokens.data.copy())
+    bumped.data[:, sched.offsets()[1]:sched.offsets()[2]] += 1.0
     out = model.decode_levels(bumped)
     np.testing.assert_array_equal(out[0].data, base[0])
     np.testing.assert_array_equal(out[2].data, base[2])
