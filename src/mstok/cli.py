@@ -8,12 +8,11 @@ tokenizer key that differs from its checkpoint's; dump-mask reads only
 reconstruct and export-latents run the model under ``tensor.no_grad``: they
 build no autograd graph, so each intermediate array is freed as soon as the
 next op has read it, and their outputs are bit-identical to graph mode.
-reconstruct encodes, decodes and saves each image on one of a pool of worker
-threads, one per CPU the process may use, with numpy's BLAS held at one
-thread while they run and its previous thread count restored afterwards;
-each image's files are written by its own worker, so the output bytes do not
-depend on the worker count. Input files whose names differ only in the
-extension's case would write the same outputs and are rejected.
+reconstruct encodes, decodes and saves each image as one shard of
+``parallel.run_shards``, on worker threads with numpy's BLAS held at one
+thread; each image's files are written by its own worker, so the output
+bytes do not depend on the worker count. Input files whose names differ only
+in the extension's case would write the same outputs and are rejected.
 Exit codes follow the class of the error, each reported as one stderr line:
 0 success; 1 ``UsageError`` or ``ConfigError`` (a bad option or config
 value); 2 ``DataError`` or ``OSError`` (input that is missing, malformed or
@@ -25,15 +24,12 @@ are silenced, since the finiteness checks report the fault).
 from __future__ import annotations
 
 import argparse
-import contextvars
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import blas
 from .attention import build_mask
 from .config import ConfigError, RunConfig, config_from_kv, load_run_config, read_config_kv
 from .data import load_dataset
@@ -41,6 +37,7 @@ from .gradcheck import model_end_to_end_check, op_library_checks
 from .imageio import save_ppm
 from .latent_stats import analyze_latents, read_latents, write_latents
 from .model import load_checkpoint
+from .parallel import run_shards
 from .pyramid import build_schedule
 from .tensor import DataError, NumericError, Tensor, no_grad
 from .train import train
@@ -101,12 +98,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _worker_count(images: int) -> int:
-    """Reconstruct workers: one per CPU this process may run on, at most one
-    per image."""
-    return min(images, len(os.sched_getaffinity(0)))
-
-
 def _reconstruct_image(model, image: np.ndarray, stem: str, output_dir: str) -> None:
     outputs, _ = model.reconstruct(Tensor(image[None]), deterministic=True)
     for g, out in zip(model.config.scales, outputs):
@@ -126,17 +117,10 @@ def _cmd_reconstruct(args) -> int:
         stems[stem] = name
     os.makedirs(args.output_dir, exist_ok=True)
     # The worker threads share the graph-mode flag, so it is set once here.
-    # Each task runs in a copy of this context, which holds numpy's errstate.
-    with blas.single_threaded() as pinned, no_grad():
-        pool = ThreadPoolExecutor(_worker_count(len(dataset)) if pinned else 1)
-        try:
-            futures = [pool.submit(contextvars.copy_context().run, _reconstruct_image,
-                                   model, image, stem, args.output_dir)
-                       for stem, image in zip(stems, dataset.images)]
-            for future in futures:  # the first failure in input order is raised
-                future.result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+    # The first failure in input order is raised.
+    with no_grad():
+        run_shards(_reconstruct_image, [(model, image, stem, args.output_dir)
+                                        for stem, image in zip(stems, dataset.images)])
     print(json.dumps({"event": "reconstruct", "images": len(dataset), "scales": list(cfg.scales)}))
     return 0
 

@@ -20,6 +20,7 @@ STREAM_INIT = 0
 STREAM_NOISE = 1
 STREAM_DATA = 2
 STREAM_SYNTH = 3
+STREAM_DROP = 4  # keyed further by (step, shard): drop_path masks of one training shard
 
 
 @dataclass

@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -121,6 +121,13 @@ class TokenizerModel:
         for p in self.named_parameters().values():
             p.zero_grad()
 
+    def replica(self) -> "TokenizerModel":
+        """A copy whose parameters share this model's ``.data`` arrays but
+        own their ``.grad``: backward passes on separate replicas never write
+        to one buffer, and in-place updates of this model's parameters show in
+        every replica. Everything that holds no parameter is shared."""
+        return _map_tensors(self, lambda p: Tensor(p.data, requires_grad=p.requires_grad))
+
     # ------------------------------------------------------------------
     # Forward paths
     # ------------------------------------------------------------------
@@ -148,13 +155,16 @@ class TokenizerModel:
         )
 
     def sample_latent(self, code: LatentCode, rng: np.random.Generator | None = None,
-                      deterministic: bool = True) -> Tensor:
-        """Reparameterized draw from the latent Gaussian (mean at eval)."""
+                      deterministic: bool = True, eps: np.ndarray | None = None) -> Tensor:
+        """Reparameterized draw from the latent Gaussian (mean at eval).
+        ``eps`` is a standard-normal draw of ``mu``'s shape made by the
+        caller; without it the draw comes from ``rng``."""
         if deterministic:
             return code.mu
-        if rng is None:
-            raise ConfigError("sample_latent: rng required for stochastic sampling")
-        eps = rng.standard_normal(code.mu.shape).astype(code.mu.dtype)
+        if eps is None:
+            if rng is None:
+                raise ConfigError("sample_latent: rng or eps required for stochastic sampling")
+            eps = rng.standard_normal(code.mu.shape).astype(code.mu.dtype)
         std = texp(code.logvar * 0.5)
         return add(code.mu, mul(std, Tensor(eps)))
 
@@ -198,10 +208,11 @@ class TokenizerModel:
         return self.decode_levels(self.build_pyramid(z), rng=rng, training=training)
 
     def reconstruct(self, x, deterministic: bool = True, rng: np.random.Generator | None = None,
-                    training: bool = False) -> tuple[list[Tensor], LatentCode]:
+                    training: bool = False, eps: np.ndarray | None = None
+                    ) -> tuple[list[Tensor], LatentCode]:
         """encode -> sample -> decode; the last output is the full-resolution one."""
         code = self.encode(x)
-        z = self.sample_latent(code, rng=rng, deterministic=deterministic)
+        z = self.sample_latent(code, rng=rng, deterministic=deterministic, eps=eps)
         return self.decode_pyramid(z, rng=rng, training=training), code
 
     def latent_for_generation(self, x) -> Tensor:
@@ -218,23 +229,45 @@ def _batched_image(x, cfg: TokenizerConfig) -> Tensor:
     return x
 
 
+def _children(node) -> list | None:
+    """``(key, child)`` pairs of a dataclass (fields in order), a dict
+    (insertion order) or a list (by index); None for any other value."""
+    if is_dataclass(node):
+        return [(f.name, getattr(node, f.name)) for f in fields(node)]
+    if isinstance(node, dict):
+        return list(node.items())
+    if isinstance(node, list):
+        return list(enumerate(node))
+    return None
+
+
 def _named_tensors(node, path: str):
-    """Yield (dotted path, tensor) for every ``Tensor`` under ``node``:
-    dataclass fields in order, list items by index, dict items in insertion
-    order. Values that hold no ``Tensor`` yield nothing."""
+    """Yield (dotted path, tensor) for every ``Tensor`` under ``node``.
+    Values that hold no ``Tensor`` yield nothing."""
     if isinstance(node, Tensor):
         yield path, node
         return
-    if is_dataclass(node):
-        children = ((f.name, getattr(node, f.name)) for f in fields(node))
-    elif isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        return
-    for key, child in children:
+    for key, child in _children(node) or ():
         yield from _named_tensors(child, f"{path}.{key}" if path else str(key))
+
+
+def _map_tensors(node, fn):
+    """``node`` with every ``Tensor`` under it replaced by ``fn(tensor)``,
+    walked as ``_named_tensors`` walks it; a value that holds no ``Tensor``
+    is returned as it is."""
+    if isinstance(node, Tensor):
+        return fn(node)
+    children = _children(node)
+    if not children:
+        return node
+    mapped = {key: _map_tensors(child, fn) for key, child in children}
+    if all(mapped[key] is child for key, child in children):
+        return node
+    if isinstance(node, dict):
+        return mapped
+    if isinstance(node, list):
+        return list(mapped.values())
+    return replace(node, **mapped)
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,13 @@ def matmul(a, b) -> Tensor:
     batched product bit for bit. When ``a``'s leading axes do not merge
     into one (a strided view such as merged attention heads), the reshape
     to rows copies, once: the kernel gradient reuses the forward's rows.
+
+    The kernel gradient reduces over the rows in two products: the largest
+    multiple of 32 rows, then the remaining tail. On OpenBLAS 0.3.31 (as
+    bundled with numpy 2.4) a product reduced over ``K`` rows gives the same
+    bits at 1 and 2 BLAS threads whenever ``K`` is a multiple of 32, and for
+    most other ``K`` above a few hundred it does not; with the split,
+    training results do not depend on the BLAS thread count.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -362,7 +369,12 @@ def matmul(a, b) -> Tensor:
             if a.requires_grad:
                 _accumulate(a, np.matmul(g2, b.data.T).reshape(a.shape), fresh=True)
             if b.requires_grad:
-                _accumulate(b, np.matmul(a_rows.T, g2), fresh=True)
+                rows = a_rows.shape[0]
+                k = rows - rows % 32 or rows  # fewer than 32 rows: one product
+                grad_b = np.matmul(a_rows[:k].T, g2[:k])
+                if k < rows:
+                    grad_b += np.matmul(a_rows[k:].T, g2[k:])
+                _accumulate(b, grad_b, fresh=True)
             return
         if a.requires_grad:
             _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)), fresh=True)

@@ -2,13 +2,29 @@
 checkpoints, and a final eval sweep (losses, PSNR/SSIM, commutation
 residuals, latent uniformity).
 
+Each training batch is split into shards of ``SHARD_SIZE`` images, run as
+data-parallel shards on the worker threads of one ``parallel.shard_pool``,
+which stays open for every step and the final eval. A shard runs encode ->
+sample -> decode -> loss -> backward on its own replica of the model (the
+parameters' arrays are shared, their gradients are not), with its loss
+weighted by its share of the batch. The main thread then sums the shard
+gradients in shard order, clips them and takes the AdamW step. The
+reparameterisation noise is drawn once per batch, in the main thread, and
+sliced per shard; each shard's drop_path masks come from its own generator,
+keyed by step and shard. The eval sweep shards each batch the same way, on
+the same workers. The shards depend on the batch alone, so a checkpoint
+does not depend on the worker count.
+
 The log opens with a header entry that says what produced the run: the
-config, the package and numpy versions, the parameter count and the BLAS
-numpy runs on with its thread count (null when it cannot be read)."""
+config, the package and numpy versions, the parameter count, the BLAS numpy
+runs on with its thread count (null when it cannot be read), and the shard
+size and worker count the steps run with.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -18,18 +34,27 @@ import numpy as np
 
 from . import __version__, blas
 from .config import RunConfig
-from .data import STREAM_NOISE, Dataset, load_dataset
+from .data import STREAM_DROP, STREAM_NOISE, Dataset, load_dataset
 from .imageio import quantize_roundtrip
 from .latent_stats import analyze_latents, commutation_residuals
 from .losses import multiscale_loss
 from .metrics import psnr, ssim
 from .model import TokenizerModel, init_model, save_checkpoint
 from .optim import AdamW, clip_grad_norm, cosine_lr
+from .parallel import ShardRunner, pool_size, run_shards, shard_pool
 from .pyramid import image_pyramid
 from .tensor import NumericError, Tensor, make_rng, no_grad
 
 ADAMW_BETAS = (0.9, 0.95)
 ADAMW_WEIGHT_DECAY = 0.05
+# Images per shard of a training or eval batch; a batch's last shard takes
+# the rest. Fixed by the batch alone, never by the CPU count.
+SHARD_SIZE = 32
+
+
+def _shard_bounds(n: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each shard of an ``n``-image batch."""
+    return [(start, min(start + SHARD_SIZE, n)) for start in range(0, n, SHARD_SIZE)]
 
 
 def log_path_for(checkpoint: str) -> str:
@@ -38,7 +63,8 @@ def log_path_for(checkpoint: str) -> str:
 
 
 def _log_header(config: RunConfig, model: TokenizerModel) -> dict:
-    """The first log entry; it has no ``"step"`` key, which marks step entries."""
+    """The first log entry; it has no ``"step"`` key, which marks step entries.
+    ``workers`` is the worker count of a full batch's shards."""
     blas_build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "event": "header",
@@ -48,57 +74,114 @@ def _log_header(config: RunConfig, model: TokenizerModel) -> dict:
         "numpy": np.__version__,
         "blas": {"name": blas_build.get("name"), "version": blas_build.get("version"),
                  "threads": blas.num_threads()},
+        "shard_size": SHARD_SIZE,
+        "workers": pool_size(len(_shard_bounds(config.batch_size))),
     }
+
+
+def _train_shard(model: TokenizerModel, images: np.ndarray, eps: np.ndarray,
+                 drop_rng: np.random.Generator, weight: float, config: RunConfig, step: int) -> dict:
+    """Forward and backward of one shard on its own replica of the model.
+    The backward is seeded with ``weight``, the shard's share of the batch, so
+    the replicas' gradients sum to those of the batch's mean loss. Returns
+    the shard's loss breakdown."""
+    x = Tensor(images)
+    outputs, code = model.reconstruct(x, deterministic=False, rng=drop_rng, training=True, eps=eps)
+    targets = image_pyramid(x, model.schedule, model.config.patch)
+    loss, breakdown = multiscale_loss(outputs, targets, config, code)
+    if not np.isfinite(loss.data):
+        raise NumericError(f"non-finite loss at step {step}")
+    loss.backward(np.array(weight))
+    return breakdown
+
+
+def _batch_gradients(model: TokenizerModel, images: np.ndarray, eps: np.ndarray,
+                     config: RunConfig, step: int, run: ShardRunner) -> dict:
+    """Set each parameter's ``.grad`` to the gradient of the batch's mean
+    loss, computed as data-parallel shards by ``run``, and return the batch's
+    loss breakdown. ``eps`` is the batch's reparameterisation noise. The shard
+    gradients are summed in shard order, as are the shard breakdowns, each
+    weighted by its shard's share of the batch."""
+    b = len(images)
+    bounds = _shard_bounds(b)
+    weights = [(hi - lo) / b for lo, hi in bounds]
+    replicas = [model.replica() for _ in bounds]
+    seed = model.config.seed
+    breakdowns = run(_train_shard, [
+        (replica, images[lo:hi], eps[lo:hi], make_rng(seed, stream=(STREAM_DROP, step, shard)),
+         weight, config, step)
+        for shard, (replica, (lo, hi), weight) in enumerate(zip(replicas, bounds, weights))
+    ])
+    shard_params = [r.named_parameters() for r in replicas]
+    for name, p in model.named_parameters().items():
+        grads = [sp[name].grad for sp in shard_params if sp[name].grad is not None]
+        p.grad = functools.reduce(np.add, grads) if grads else None
+
+    def mix(values) -> float:
+        return sum(w * v for w, v in zip(weights, values))
+
+    return {
+        "total": mix(bd["total"] for bd in breakdowns),
+        "per_scale": [mix(col) for col in zip(*(bd["per_scale"] for bd in breakdowns))],
+        "kl": mix(bd["kl"] for bd in breakdowns),
+    }
+
+
+def _eval_shard(model: TokenizerModel, dataset: Dataset, indices: np.ndarray,
+                config: RunConfig) -> tuple[dict, np.ndarray]:
+    """One eval shard's scores, each summed over its images, and its latent
+    rows."""
+    x = Tensor(dataset.images[indices])
+    outputs, code = model.reconstruct(x, deterministic=True)
+    targets = image_pyramid(x, model.schedule, model.config.patch)
+    _, breakdown = multiscale_loss(outputs, targets, config, code)
+    b = len(indices)
+    top = outputs[-1].data
+    quant = quantize_roundtrip(top)
+    sums = {
+        "per_scale": np.array(breakdown["per_scale"]) * b,
+        "kl": breakdown["kl"] * b,
+        "l1": float(np.abs(top - x.data).mean()) * b,
+        "commutation": np.array(commutation_residuals([o.data for o in outputs])) * b,
+        "psnr": psnr(quant, x.data) * b,
+        "ssim": ssim(quant, x.data) * b,
+    }
+    return sums, code.mu.data.reshape(b, -1)
 
 
 @no_grad()
-def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray, config: RunConfig) -> dict:
-    """Deterministic eval pass in batches of ``config.batch_size``, run without
-    an autograd graph. Every metric is a mean over images: each batch's mean
-    weighted by its size. PSNR/SSIM score the top-scale decode after the uint8
+def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray, config: RunConfig,
+             run: ShardRunner = run_shards) -> dict:
+    """Deterministic eval pass in batches of ``config.batch_size``, each split
+    into shards as in training and computed by ``run`` (by default on a pool
+    opened for the pass), without an autograd graph. Every metric
+    is a mean over images: the shards' sums, added in shard order, over the
+    image count. PSNR/SSIM score the top-scale decode after the uint8
     quantization a saved PPM would apply, so they match the
     reconstruct-then-score path. ``rec_loss`` is the top-scale entry of
     ``per_scale``."""
-    schedule = model.schedule
     n = len(indices)
     if n == 0:
         return {"n_images": 0}
-    per_scale = np.zeros(schedule.num_scales)
-    residual_acc = np.zeros(schedule.num_scales)
-    l1_total = kl_total = psnr_total = ssim_total = 0.0
-    latents = []
-
+    shards = []
     for start in range(0, n, config.batch_size):
         batch_idx = indices[start : start + config.batch_size]
-        x = Tensor(dataset.images[batch_idx])
-        outputs, code = model.reconstruct(x, deterministic=True)
-        targets = image_pyramid(x, schedule, model.config.patch)
-        b = len(batch_idx)
+        shards += [(model, dataset, batch_idx[lo:hi], config) for lo, hi in _shard_bounds(len(batch_idx))]
+    results = run(_eval_shard, shards)
+    totals = {key: sum(sums[key] for sums, _ in results) for key in results[0][0]}
 
-        _, breakdown = multiscale_loss(outputs, targets, config, code)
-        per_scale += np.array(breakdown["per_scale"]) * b
-        kl_total += breakdown["kl"] * b
-
-        top = outputs[-1].data
-        l1_total += float(np.abs(top - x.data).mean()) * b
-        residual_acc += np.array(commutation_residuals([o.data for o in outputs])) * b
-        quant = quantize_roundtrip(top)
-        psnr_total += psnr(quant, x.data) * b
-        ssim_total += ssim(quant, x.data) * b
-        latents.append(code.mu.data.reshape(b, -1))
-
-    scale_means = (per_scale / n).tolist()
+    scale_means = (totals["per_scale"] / n).tolist()
     metrics = {
         "n_images": int(n),
-        "l1": l1_total / n,
+        "l1": totals["l1"] / n,
         "rec_loss": scale_means[-1],
-        "kl": kl_total / n,
-        "psnr": psnr_total / n,
-        "ssim": ssim_total / n,
+        "kl": totals["kl"] / n,
+        "psnr": totals["psnr"] / n,
+        "ssim": totals["ssim"] / n,
         "per_scale": scale_means,
-        "commutation": (residual_acc / n).tolist(),
+        "commutation": (totals["commutation"] / n).tolist(),
     }
-    vectors = np.concatenate(latents, axis=0)
+    vectors = np.concatenate([mu for _, mu in results], axis=0)
     if vectors.shape[0] >= 3:
         metrics["uniformity"] = analyze_latents(vectors).to_dict()
     else:
@@ -121,6 +204,7 @@ def train(config: RunConfig, echo: bool = False) -> dict:
     params = model.named_parameters()
     optimizer = AdamW(params, betas=ADAMW_BETAS, weight_decay=ADAMW_WEIGHT_DECAY)
     noise_rng = make_rng(tok.seed, stream=STREAM_NOISE)
+    grid = model.schedule.base_grid
 
     checkpoint_dir = os.path.dirname(config.checkpoint)
     if checkpoint_dir:
@@ -144,46 +228,41 @@ def train(config: RunConfig, echo: bool = False) -> dict:
         emit(_log_header(config, model))
         step = 0
         try:
-            for step in range(1, steps + 1):
-                step_start = time.perf_counter()
-                if cursor >= len(order):
-                    epoch += 1
-                    order = dataset.epoch_order(tok.seed, epoch, train_idx)
-                    cursor = 0
-                batch_idx = order[cursor : cursor + config.batch_size]
-                cursor += config.batch_size
+            with shard_pool(len(_shard_bounds(config.batch_size))) as run:
+                for step in range(1, steps + 1):
+                    step_start = time.perf_counter()
+                    if cursor >= len(order):
+                        epoch += 1
+                        order = dataset.epoch_order(tok.seed, epoch, train_idx)
+                        cursor = 0
+                    batch_idx = order[cursor : cursor + config.batch_size]
+                    cursor += config.batch_size
 
-                x = Tensor(dataset.images[batch_idx])
-                outputs, code = model.reconstruct(
-                    x, deterministic=False, rng=noise_rng, training=True
-                )
-                targets = image_pyramid(x, model.schedule, tok.patch)
-                loss, breakdown = multiscale_loss(outputs, targets, config, code)
-                if not np.isfinite(loss.data):
-                    raise NumericError(f"non-finite loss at step {step}")
+                    # The noise is drawn for the whole batch, as one draw of
+                    # the latent's shape, and sliced per shard.
+                    noise_shape = (len(batch_idx), grid, grid, tok.latent_dim)
+                    eps = noise_rng.standard_normal(noise_shape).astype(np.float32)
+                    breakdown = _batch_gradients(model, dataset.images[batch_idx], eps, config, step, run)
+                    grad_norm = clip_grad_norm(params, config.grad_clip)
+                    lr = cosine_lr(step, steps, config.warmup_ratio, config.lr_start, config.lr_end)
+                    optimizer.step(lr)
+                    step_ms = 1000.0 * (time.perf_counter() - step_start)
 
-                model.zero_grad()
-                loss.backward()
-                grad_norm = clip_grad_norm(params, config.grad_clip)
-                lr = cosine_lr(step, steps, config.warmup_ratio, config.lr_start, config.lr_end)
-                optimizer.step(lr)
-                step_ms = 1000.0 * (time.perf_counter() - step_start)
-
-                if step == 1 or step == steps or (config.log_interval and step % config.log_interval == 0):
-                    last_entry = {
-                        "step": step,
-                        "lr": lr,
-                        "total": breakdown["total"],
-                        "per_scale": breakdown["per_scale"],
-                        "kl": breakdown["kl"],
-                        "grad_norm": grad_norm,
-                        "step_ms": step_ms,
-                    }
-                    emit(last_entry)
-                if config.checkpoint_interval and step % config.checkpoint_interval == 0:
-                    save_checkpoint(model, config.checkpoint)
-            save_checkpoint(model, config.checkpoint)
-            eval_metrics = evaluate(model, dataset, eval_idx, config)
+                    if step == 1 or step == steps or (config.log_interval and step % config.log_interval == 0):
+                        last_entry = {
+                            "step": step,
+                            "lr": lr,
+                            "total": breakdown["total"],
+                            "per_scale": breakdown["per_scale"],
+                            "kl": breakdown["kl"],
+                            "grad_norm": grad_norm,
+                            "step_ms": step_ms,
+                        }
+                        emit(last_entry)
+                    if config.checkpoint_interval and step % config.checkpoint_interval == 0:
+                        save_checkpoint(model, config.checkpoint)
+                save_checkpoint(model, config.checkpoint)
+                eval_metrics = evaluate(model, dataset, eval_idx, config, run)
         except BaseException as err:
             # Any failure, interrupts included, is logged before it propagates;
             # "at_step" (0 before step 1) is not "step", which marks step

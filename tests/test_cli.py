@@ -12,13 +12,13 @@ import pytest
 
 import mstok
 import mstok.cli as cli
-from mstok import blas
+from mstok import blas, parallel
 from mstok.cli import E2E_THRESHOLD, OPS_THRESHOLD, UsageError, main
 from mstok.config import RunConfig, TokenizerConfig
 from mstok.data import generate_synthetic_folder
 from mstok.imageio import load_ppm
 from mstok.latent_stats import read_latents, write_latents
-from mstok.model import load_checkpoint, save_checkpoint
+from mstok.model import init_model, load_checkpoint, save_checkpoint
 from mstok.tensor import ConfigError, DataError, NumericError, make_rng
 from mstok.train import log_path_for, train
 
@@ -342,7 +342,7 @@ def test_reconstruct_workers_write_identical_files(tmp_path, monkeypatch):
     ckpt = small_checkpoint(tmp_path)
     in_dir = str(tmp_path / "inputs")
     generate_synthetic_folder(in_dir, 6, 16, seed=9)
-    monkeypatch.setattr(cli, "_worker_count", lambda images: 1)
+    monkeypatch.setattr(parallel, "worker_count", lambda shards: 1)
     assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "one")]) == 0
 
     # Every image waits until three are in flight, so three workers decode at once.
@@ -355,7 +355,7 @@ def test_reconstruct_workers_write_identical_files(tmp_path, monkeypatch):
         seen.append((threading.get_ident(), blas.num_threads()))
         real(*args)
 
-    monkeypatch.setattr(cli, "_worker_count", lambda images: 3)
+    monkeypatch.setattr(parallel, "worker_count", lambda shards: 3)
     monkeypatch.setattr(cli, "_reconstruct_image", concurrent)
     assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "three")]) == 0
     assert len({ident for ident, _ in seen}) == 3
@@ -399,7 +399,7 @@ def test_reconstruct_restores_blas_and_joins_workers_on_error(tmp_path, monkeypa
             raise OSError("cannot write image 3")
         real_save(image, path)
 
-    monkeypatch.setattr(cli, "_worker_count", lambda images: 2)
+    monkeypatch.setattr(parallel, "worker_count", lambda shards: 2)
     monkeypatch.setattr(cli, "save_ppm", failing_save)
     capsys.readouterr()
     assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "recon")]) == 2
@@ -414,9 +414,47 @@ def test_reconstruct_restores_blas_and_joins_workers_on_error(tmp_path, monkeypa
     assert set(threading.enumerate()) == threads_before
 
 
+def test_train_nonfinite_shard_loss_aborts_and_joins_workers(tmp_path, monkeypatch, capsys,
+                                                             blas_at_two_threads):
+    import mstok.train as train_mod
+
+    ckpt = str(tmp_path / "tok.htok")
+    sets = ["image_size=16", "patch=4", "enc_layers=1", "dec_layers=1", "enc_width=16",
+            "dec_width=16", "heads=2", "latent_dim=4", "scales=1,2,4", "data_dir=synthetic:96",
+            "batch_size=40", "steps=4", "log_interval=1", f"checkpoint={ckpt}"]
+    threads_before, blas_before = set(threading.enumerate()), blas.num_threads()
+    real_loss = train_mod.multiscale_loss
+    second_shards = []
+
+    def nan_in_second_shard_of_step_2(outputs, targets, config, code):
+        loss, breakdown = real_loss(outputs, targets, config, code)
+        if outputs[0].shape[0] == 8:  # a batch of 40 is shards of 32 + 8
+            second_shards.append(breakdown)
+            if len(second_shards) == 2:
+                loss.data = np.full_like(loss.data, np.nan)
+        return loss, breakdown
+
+    monkeypatch.setattr(train_mod, "multiscale_loss", nan_in_second_shard_of_step_2)
+    monkeypatch.setattr(parallel, "worker_count", lambda shards: 2)
+    capsys.readouterr()
+    assert main(["train", *(arg for kv in sets for arg in ("--set", kv))]) == 3
+    assert capsys.readouterr().err == "numeric error: non-finite loss at step 2\n"
+    assert blas.num_threads() == blas_before
+    assert set(threading.enumerate()) == threads_before
+    lines = [json.loads(l) for l in Path(log_path_for(ckpt)).read_text(encoding="utf-8").splitlines()]
+    assert [l["step"] for l in lines if "step" in l] == [1]
+    assert lines[-1] == {"event": "abort", "at_step": 2, "error_type": "NumericError",
+                         "error": "non-finite loss at step 2"}
+    # The step-0 checkpoint is on disk and loads as the initial model.
+    model = load_checkpoint(ckpt)
+    initial = init_model(model.config).named_parameters()
+    for name, p in model.named_parameters().items():
+        assert np.array_equal(p.data, initial[name].data), name
+
+
 def test_reconstruct_without_blas_control_runs_one_worker(tmp_path, monkeypatch):
     monkeypatch.setattr(blas, "_controls", lambda: None)
-    monkeypatch.setattr(cli, "_worker_count", lambda images: pytest.fail("worker count asked for"))
+    monkeypatch.setattr(parallel, "worker_count", lambda shards: pytest.fail("worker count asked for"))
     assert blas.num_threads() is None
     ckpt = small_checkpoint(tmp_path)
     in_dir = str(tmp_path / "inputs")
@@ -436,7 +474,7 @@ def test_reconstruct_workers_inherit_numpy_errstate(tmp_path, monkeypatch):
     save_checkpoint(model, ckpt)
     in_dir = str(tmp_path / "inputs")
     generate_synthetic_folder(in_dir, 4, 16, seed=9)
-    monkeypatch.setattr(cli, "_worker_count", lambda images: 2)
+    monkeypatch.setattr(parallel, "worker_count", lambda shards: 2)
     assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "recon")]) == 0
     assert len(os.listdir(tmp_path / "recon")) == 4 * 3
 

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -7,12 +9,13 @@ import numpy as np
 import pytest
 
 import mstok
-from mstok import blas
+from mstok import blas, parallel
 from mstok.config import RunConfig, TokenizerConfig, load_run_config
 from mstok.data import generate_synthetic
 from mstok.model import init_model, load_checkpoint
 from mstok.tensor import ConfigError
-from mstok.train import evaluate, train
+import mstok.train as train_mod
+from mstok.train import SHARD_SIZE, evaluate, train
 
 SMALL_TOK = TokenizerConfig(image_size=16, patch=4, enc_layers=1, dec_layers=1,
                             enc_width=16, dec_width=16, heads=2, latent_dim=4,
@@ -80,7 +83,10 @@ def test_log_lines_schema(tmp_path):
     summary = train(small_run(tmp_path))
     lines = [json.loads(l) for l in Path(summary["log"]).read_text(encoding="utf-8").splitlines()]
     header = lines[0]
-    assert set(header) == {"event", "config", "version", "parameters", "numpy", "blas"}
+    assert set(header) == {"event", "config", "version", "parameters", "numpy", "blas",
+                           "shard_size", "workers"}
+    assert header["shard_size"] == SHARD_SIZE
+    assert header["workers"] == parallel.pool_size(1)  # batch 4 is one shard
     assert header["event"] == "header" and header["version"] == mstok.__version__
     assert header["config"]["tokenizer"]["scales"] == list(SMALL_TOK.scales)
     assert header["config"]["steps"] == 8 and header["config"]["batch_size"] == 4
@@ -205,3 +211,121 @@ def test_run_config_rejects_enabled_lpips():
 def test_run_config_rejects_conv_non_dyadic():
     with pytest.raises(ConfigError):
         load_run_config(None, ["image_size=48", "patch=4", "scales=1,12", "downsample_mode=conv"])
+
+
+def test_one_worker_fallback_checkpoint_independent_of_blas_threads(tmp_path, monkeypatch):
+    # Batch 63 is shards of 32 + 31; the last shard's decoder kernel
+    # gradients reduce over 31 x 85 = 2635 rows, not a multiple of 32. Without
+    # the BLAS controls one worker runs the shards at whatever count BLAS has.
+    controls = blas._controls()
+    if controls is None:
+        pytest.skip("numpy's OpenBLAS thread controls are missing")
+    get, set_ = controls  # the real controls, still usable once patched away
+    saved = get()
+    monkeypatch.setattr(blas, "_controls", lambda: None)
+    blobs = []
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            ckpt = tmp_path / f"t{threads}.htok"
+            train(RunConfig(data_dir="synthetic:72", steps=2, batch_size=63, eval_fraction=0.125,
+                            checkpoint=str(ckpt)))
+            assert get() == threads
+            blobs.append(ckpt.read_bytes())
+    finally:
+        set_(saved)
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("kw", [
+    dict(batch_size=64, data_dir="synthetic:80", steps=2),
+    # 60 train images in batches of 40: shards of 32 + 8, then one of 20.
+    dict(batch_size=40, data_dir="synthetic:80", steps=0, epochs=2),
+    dict(batch_size=64, data_dir="synthetic:80", steps=2,
+         tokenizer=dataclasses.replace(SMALL_TOK, drop_path=0.1)),
+], ids=["batch64", "epochs_short_last_batch", "drop_path"])
+def test_checkpoint_independent_of_worker_count(tmp_path, monkeypatch, kw):
+    # One worker, two workers, and one worker taking the shards last to
+    # first: the checkpoint and the eval entry must not change.
+    @contextlib.contextmanager
+    def reversed_pool(shards):
+        with parallel.shard_pool(shards) as run:
+            yield lambda fn, batch: run(fn, batch[::-1])[::-1]
+
+    outputs = []
+    for name, workers, pool in [("one", 1, parallel.shard_pool), ("two", 2, parallel.shard_pool),
+                                ("reversed", 1, reversed_pool)]:
+        monkeypatch.setattr(parallel, "worker_count", lambda shards, n=workers: min(shards, n))
+        monkeypatch.setattr(train_mod, "shard_pool", pool)
+        summary = train(small_run(tmp_path, checkpoint=str(tmp_path / f"{name}.htok"), **kw))
+        eval_line = Path(summary["log"]).read_text(encoding="utf-8").splitlines()[-1]
+        outputs.append((Path(summary["checkpoint"]).read_bytes(), eval_line))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sharded_step_matches_whole_batch_graph(tmp_path):
+    # 40 images are shards of 32 + 8, weighted 0.8 and 0.2.
+    from mstok.losses import multiscale_loss
+    from mstok.pyramid import image_pyramid
+    from mstok.tensor import Tensor
+
+    run = small_run(tmp_path, batch_size=40)
+    model = init_model(SMALL_TOK)
+    images = generate_synthetic(40, 16, seed=3).images
+    g = model.schedule.base_grid
+    eps = np.random.default_rng(4).standard_normal((40, g, g, SMALL_TOK.latent_dim)).astype(np.float32)
+
+    x = Tensor(images)
+    outputs, code = model.reconstruct(x, deterministic=False, training=True, eps=eps)
+    loss, whole = multiscale_loss(outputs, image_pyramid(x, model.schedule, SMALL_TOK.patch), run, code)
+    loss.backward()
+    want = {name: p.grad for name, p in model.named_parameters().items()}
+
+    model.zero_grad()
+    sharded = train_mod._batch_gradients(model, images, eps, run, 1, parallel.run_shards)
+
+    assert sharded["total"] == pytest.approx(whole["total"], rel=1e-5)
+    assert sharded["kl"] == pytest.approx(whole["kl"], rel=1e-5)
+    np.testing.assert_allclose(sharded["per_scale"], whole["per_scale"], rtol=1e-5)
+    for name, p in model.named_parameters().items():
+        # Entries that cancel to near zero are held to the parameter's scale.
+        np.testing.assert_allclose(p.grad, want[name], rtol=1e-5,
+                                   atol=1e-5 * np.abs(want[name]).max(), err_msg=name)
+
+
+def test_sharded_evaluate_matches_whole_batch_expression(tmp_path):
+    # The eval formula before sharding: one whole batch of 40 images.
+    from mstok.imageio import quantize_roundtrip
+    from mstok.latent_stats import analyze_latents, commutation_residuals
+    from mstok.losses import multiscale_loss
+    from mstok.metrics import psnr, ssim
+    from mstok.pyramid import image_pyramid
+    from mstok.tensor import Tensor
+
+    run = small_run(tmp_path, batch_size=40)
+    model = init_model(SMALL_TOK)
+    ds = generate_synthetic(40, 16, seed=3)
+    got = evaluate(model, ds, np.arange(40), run)
+
+    x = Tensor(ds.images)
+    outputs, code = model.reconstruct(x, deterministic=True)
+    _, breakdown = multiscale_loss(outputs, image_pyramid(x, model.schedule, SMALL_TOK.patch), run, code)
+    top = outputs[-1].data
+    quant = quantize_roundtrip(top)
+    want = {
+        "l1": float(np.abs(top - x.data).mean()),
+        "rec_loss": breakdown["per_scale"][-1],
+        "kl": breakdown["kl"],
+        "psnr": psnr(quant, x.data),
+        "ssim": ssim(quant, x.data),
+        "per_scale": breakdown["per_scale"],
+        "commutation": commutation_residuals([o.data for o in outputs]),
+        "uniformity": analyze_latents(code.mu.data.reshape(40, -1)).to_dict(),
+    }
+    assert got["n_images"] == 40
+    for key, value in want.items():
+        if key == "uniformity":
+            for stat in ("density_cv", "gini", "norm_entropy", "bandwidth"):
+                assert got[key][stat] == pytest.approx(value[stat], rel=1e-6), stat
+        else:
+            np.testing.assert_allclose(got[key], value, rtol=1e-6, atol=1e-12, err_msg=key)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mstok import blas
 from mstok import tensor as T
 from mstok.tensor import Tensor
 
@@ -16,6 +17,29 @@ def rand64(rng, *shape):
 # ---------------------------------------------------------------------------
 # Elementwise / linear ops
 # ---------------------------------------------------------------------------
+
+def test_matmul_kernel_gradient_independent_of_blas_threads():
+    # 5355 = 63 x 85 rows, the decoder's row count at batch 63: on OpenBLAS
+    # 0.3.31 one product reduced over them differs between 1 and 2 threads.
+    controls = blas._controls()
+    if controls is None:
+        pytest.skip("numpy's OpenBLAS thread controls are missing")
+    get, set_ = controls
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((63, 85, 64)).astype(np.float32))
+    g = rng.standard_normal((63, 85, 256)).astype(np.float32)
+    grads = []
+    saved = get()
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            w = Tensor(np.ones((64, 256), dtype=np.float32), requires_grad=True)
+            T.matmul(x, w).backward(g)
+            grads.append(w.grad)
+    finally:
+        set_(saved)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
 
 def test_matmul_scalar_product():
     out = T.matmul(Tensor([[2.0]]), Tensor([[3.0]]))
@@ -52,11 +76,12 @@ def test_matmul_inner_dim_mismatch():
         T.matmul(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((4, 2))))
 
 
-@pytest.mark.parametrize("lead", [(4, 5), (2, 3, 5)])
+@pytest.mark.parametrize("lead", [(4, 5), (2, 3, 5), (5, 13)])
 @pytest.mark.parametrize("transposed", [False, True])
 def test_matmul_flat_x_at_w_matches_einsum_oracle(lead, transposed):
     # x @ W with a 3-D or 4-D x runs as one 2-D gemm, forward and backward;
-    # a transposed (non-contiguous) x exercises the reshape copy.
+    # a transposed (non-contiguous) x exercises the reshape copy. 65 rows
+    # split the kernel gradient into 64 rows plus a 1-row tail.
     rng = np.random.default_rng(13)
     n, m = 6, 7
     x = rng.standard_normal(lead + (n,)).astype(np.float32)
