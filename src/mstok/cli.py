@@ -8,11 +8,12 @@ tokenizer key that differs from its checkpoint's; dump-mask reads only
 reconstruct and export-latents run the model under ``tensor.no_grad``: they
 build no autograd graph, so each intermediate array is freed as soon as the
 next op has read it, and their outputs are bit-identical to graph mode.
-reconstruct encodes, decodes and saves each image as one shard of
-``parallel.run_shards``, on worker threads with numpy's BLAS held at one
-thread; each image's files are written by its own worker, so the output
-bytes do not depend on the worker count. Input files whose names differ only
-in the extension's case would write the same outputs and are rejected.
+reconstruct encodes, decodes and saves each image (one PPM per scale, from
+``pyramid.tokens_to_images``) as one shard of ``parallel.run_shards``, on
+worker threads with numpy's BLAS held at one thread; each image's files are
+written by its own worker, so the output bytes do not depend on the worker
+count. Input files whose names differ only in the extension's case would
+write the same outputs and are rejected.
 Exit codes follow the class of the error, each reported as one stderr line:
 0 success; 1 ``UsageError`` or ``ConfigError`` (a bad option or config
 value); 2 ``DataError`` or ``OSError`` (input that is missing, malformed or
@@ -38,7 +39,7 @@ from .imageio import save_ppm
 from .latent_stats import analyze_latents, read_latents, write_latents
 from .model import load_checkpoint
 from .parallel import run_shards
-from .pyramid import build_schedule
+from .pyramid import build_schedule, tokens_to_images
 from .tensor import DataError, NumericError, Tensor, no_grad
 from .train import train
 
@@ -99,9 +100,9 @@ def _cmd_train(args) -> int:
 
 
 def _reconstruct_image(model, image: np.ndarray, stem: str, output_dir: str) -> None:
-    outputs, _ = model.reconstruct(Tensor(image[None]), deterministic=True)
-    for g, out in zip(model.config.scales, outputs):
-        save_ppm(out.data[0], os.path.join(output_dir, f"{stem}_s{g * model.config.patch}.ppm"))
+    px, _ = model.reconstruct(Tensor(image[None]), deterministic=True)
+    for g, out in zip(model.config.scales, tokens_to_images(px.data, model.schedule, model.config.patch)):
+        save_ppm(out[0], os.path.join(output_dir, f"{stem}_s{g * model.config.patch}.ppm"))
 
 
 def _cmd_reconstruct(args) -> int:

@@ -87,8 +87,8 @@ def model_end_to_end_check(eps: float = 1e-4, max_coords_per_param: int = 8) -> 
     def loss_fn() -> Tensor:
         # A fresh same-seed generator draws the same latent noise on every
         # call, so the reparameterized sample is under the check too.
-        outputs, code = model.reconstruct(x, deterministic=False, rng=make_rng(13))
-        total, _ = multiscale_loss(outputs, targets, run, code)
+        px, code = model.reconstruct(x, deterministic=False, rng=make_rng(13))
+        total, _ = multiscale_loss(px, targets, model.schedule, run, code)
         return total
 
     params = model.named_parameters()

@@ -11,7 +11,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .tensor import ConfigError, DataError, ShapeError, area_pool
+from .pyramid import ScaleSchedule, image_pyramid, segment_matrix, tokens_to_images
+from .tensor import ConfigError, DataError, ShapeError
 
 
 class UndefinedMetricsError(DataError):
@@ -191,22 +192,18 @@ def analyze_latents(vectors, grid_size: int = 64, bandwidth: float | None = None
                               bandwidth=bandwidth, projected_axes=axes)
 
 
-def commutation_residuals(images: list[np.ndarray]) -> list[float]:
+def commutation_residuals(px, schedule: ScaleSchedule, patch: int) -> list[float]:
     """Per-level gap between decoding at a scale and downsampling the top
     decode: the batch mean of ||out_s - pool(out_top)|| / (||pool(out_top)|| + eps).
 
-    ``images`` are batched (batch x 3 x side x side) decodes, low to high. The
-    top level is its own pool, so it reads 0.0 without being pooled.
+    ``px`` is a batch x T x 3p² pixel-token decode; the pooled reference is the
+    ``image_pyramid`` of its top-scale image, and both norms are per-scale
+    segment sums. The top level is its own pool and reads 0.0.
     """
-    top = images[-1]
-    out = []
-    for level in images[:-1]:
-        side = level.shape[-1]
-        pooled = area_pool(top, side, side).data
-        num = np.linalg.norm((level - pooled).reshape(level.shape[0], -1), axis=1)
-        den = np.linalg.norm(pooled.reshape(level.shape[0], -1), axis=1)
-        out.append(float((num / (den + 1e-8)).mean()))
-    return out + [0.0]
+    ref = image_pyramid(tokens_to_images(px, schedule, patch)[-1], schedule, patch)
+    seg = segment_matrix(schedule, px.shape[2], px.dtype)
+    num, den = (np.sqrt(np.square(a).reshape(len(px), -1) @ seg) for a in (px - ref, ref))
+    return (num / (den + 1e-8)).mean(axis=0).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Reconstruction, KL, and multi-scale composite losses.
+"""The multi-scale reconstruction loss on pixel tokens, and the KL term.
 
 The term weights come from the ``RunConfig`` (``l1_weight``, ``mse_weight``,
 ``scale_weights`` and the tokenizer's ``kl_weight``); ``RunConfig.validate``
@@ -11,16 +11,9 @@ import numpy as np
 
 from .config import RunConfig
 from .model import LatentCode
-from .tensor import NumericError, ShapeError, Tensor, add, as_tensor, scale, square, sub, tabs, texp, tmean
-
-
-def rec_loss(pred, target, config: RunConfig) -> Tensor:
-    """Pixel reconstruction: l1_weight * mean|err| + mse_weight * mean(err^2)."""
-    pred, target = as_tensor(pred), as_tensor(target)
-    if pred.shape != target.shape:
-        raise ShapeError(f"rec_loss: prediction {pred.shape} != target {target.shape}")
-    diff = sub(pred, target)
-    return add(scale(tmean(tabs(diff)), config.l1_weight), scale(tmean(square(diff)), config.mse_weight))
+from .pyramid import ScaleSchedule, segment_matrix
+from .tensor import (NumericError, ShapeError, Tensor, add, as_tensor, matmul, reshape, scale, square, sub, tabs,
+                     texp, tmean)
 
 
 def kl_loss(code: LatentCode) -> Tensor:
@@ -32,23 +25,32 @@ def kl_loss(code: LatentCode) -> Tensor:
 
 
 def multiscale_loss(
-    outputs: list, targets: list, config: RunConfig, code: LatentCode | None = None
+    px, targets, schedule: ScaleSchedule, config: RunConfig, code: LatentCode | None = None
 ) -> tuple[Tensor, dict]:
     """Weighted mean of per-scale reconstruction losses plus the KL term.
 
-    Returns the scalar total and a plain-float breakdown for logging.
+    ``px`` is the decoder's batch x T x 3p² pixel tokens and ``targets`` their
+    ``image_pyramid``. ``|err|`` and ``err²`` each take their per-image,
+    per-scale means in a matmul with the ``segment_matrix`` scaled to means;
+    weighting them only after that keeps the graph at three full-size arrays.
+    A 1/batch row then makes the per-scale vector of ``l1_weight * mean|err|
+    + mse_weight * mean(err²)``, weighted by ``scale_weights`` over their
+    sum. Returns the scalar total and a plain-float breakdown.
     """
-    if len(outputs) != len(targets):
-        raise ShapeError(f"multiscale_loss: {len(outputs)} outputs for {len(targets)} targets")
-    weights = config.scale_weights or tuple(1.0 for _ in outputs)
-    norm = sum(weights)
-
-    per_scale = [rec_loss(o, t, config) for o, t in zip(outputs, targets)]
-    total = None
-    for term, wt in zip(per_scale, weights):
-        piece = scale(term, wt / norm)
-        total = piece if total is None else add(total, piece)
-    breakdown = {"per_scale": [float(t.data) for t in per_scale]}
+    px = as_tensor(px)
+    if px.shape != np.shape(targets) or px.ndim != 3 or px.shape[1] != schedule.total:
+        raise ShapeError(f"multiscale_loss: prediction {px.shape} and target {np.shape(targets)} "
+                         f"are not both batch x {schedule.total} x width")
+    b, t, d = px.shape
+    err = sub(px, targets)
+    means = Tensor(segment_matrix(schedule, d, px.dtype) / (np.array(schedule.counts) * d), dtype=px.dtype)
+    l1 = matmul(reshape(tabs(err), (b, t * d)), means)
+    l2 = matmul(reshape(square(err), (b, t * d)), means)
+    per_image = add(scale(l1, config.l1_weight), scale(l2, config.mse_weight))
+    per_scale = matmul(Tensor(np.full((1, b), 1.0 / b), dtype=px.dtype), per_image)
+    weights = np.array(config.scale_weights or np.ones(schedule.num_scales))
+    total = reshape(matmul(per_scale, Tensor(weights[:, None] / weights.sum(), dtype=px.dtype)), ())
+    breakdown = {"per_scale": per_scale.data[0].tolist()}
     if code is not None:
         kl = kl_loss(code)
         total = add(total, scale(kl, config.tokenizer.kl_weight))

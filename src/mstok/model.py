@@ -2,9 +2,10 @@
 
 Pipeline: patch-embed -> full-attention encoder -> Gaussian latent head ->
 latent-to-width projection -> token pyramid, one low-to-high sequence, plus
-positional encoding -> masked decoder -> shared pixel head, one RGB
-reconstruction per scale. The patch embedding is ``conv2d`` on the image
-moved to channel-last, and every token map after it is channel-last.
+positional encoding -> masked decoder -> shared pixel head, one batch x T x 3p²
+pixel-token sequence (``pyramid.tokens_to_images`` makes its per-scale RGB
+images). The patch embedding is ``conv2d`` on the image moved to
+channel-last, and every token map after it is channel-last.
 The latent lives at the base grid, before any downsampling, so generation-time
 codes have single-scale shape. Inputs are batch-first: images are batch x 3 x
 H x W and latents batch x g x g x d_z; an unbatched input raises ``ShapeError``.
@@ -175,29 +176,21 @@ class TokenizerModel:
         return downsample_interp(z_width, self.schedule)
 
     def decode_levels(self, tokens: Tensor, rng: np.random.Generator | None = None,
-                      training: bool = False) -> list[Tensor]:
+                      training: bool = False) -> Tensor:
         """Decode a batch x T x width token sequence, positional encoding not
-        yet added, into per-scale RGB images (low to high)."""
+        yet added, into the batch x T x 3p² pixel-token sequence (low to high;
+        ``pyramid.tokens_to_images`` turns it into per-scale images)."""
         cfg = self.config
         h = add(tokens, positional_encoding(self.pe, self.schedule))
         for blk in self.dec:
             h = transformer_block(h, blk, cfg.heads, self.mask, eps=LN_EPS,
                                   drop_rate=cfg.drop_path, rng=rng, training=training)
         h = layer_norm(h, self.dec_norm.gain, self.dec_norm.bias, LN_EPS)
-        px = add(matmul(h, self.pixel_head.weight), self.pixel_head.bias)
-
-        images = []
-        p = cfg.patch
-        for (g, n), start in zip(zip(self.schedule.grids, self.schedule.counts), self.schedule.offsets()):
-            tok = slice_axis(px, 1, start, start + n)
-            tok = reshape(tok, (tok.shape[0], g, g, 3, p, p))
-            tok = transpose(tok, (0, 3, 1, 4, 2, 5))
-            images.append(reshape(tok, (tok.shape[0], 3, g * p, g * p)))
-        return images
+        return add(matmul(h, self.pixel_head.weight), self.pixel_head.bias)
 
     def decode_pyramid(self, z_latent, rng: np.random.Generator | None = None,
-                       training: bool = False) -> list[Tensor]:
-        """Latent (batch x g x g x d_z) -> per-scale RGB images, low to high."""
+                       training: bool = False) -> Tensor:
+        """Latent (batch x g x g x d_z) -> batch x T x 3p² pixel tokens, low to high."""
         z_latent = as_tensor(z_latent)
         g = self.schedule.base_grid
         if z_latent.ndim != 4 or z_latent.shape[1:] != (g, g, self.config.latent_dim):
@@ -209,8 +202,9 @@ class TokenizerModel:
 
     def reconstruct(self, x, deterministic: bool = True, rng: np.random.Generator | None = None,
                     training: bool = False, eps: np.ndarray | None = None
-                    ) -> tuple[list[Tensor], LatentCode]:
-        """encode -> sample -> decode; the last output is the full-resolution one."""
+                    ) -> tuple[Tensor, LatentCode]:
+        """encode -> sample -> decode; the pixel tokens' last scale block is
+        the full-resolution reconstruction."""
         code = self.encode(x)
         z = self.sample_latent(code, rng=rng, deterministic=deterministic, eps=eps)
         return self.decode_pyramid(z, rng=rng, training=training), code

@@ -5,7 +5,10 @@ batch x channels x H x W: every function here takes batched input only and
 raises ``ShapeError`` on an unbatched one; the conv pyramid runs ``conv2d``
 on channel-last maps as they are. The token pyramid is one batch x T x width
 sequence of the base map's levels, coarse to fine, each a row-major block at
-``ScaleSchedule.offsets``; the image pyramid is a list, one level per grid.
+``ScaleSchedule.offsets``. The decoder's output and the image pyramid it is
+scored against share that layout as batch x T x C·p² pixel tokens, each its
+cell's ``C x p x p`` patch; ``image_pyramid`` and ``tokens_to_images`` are
+the only code that maps images to and from it.
 """
 
 from __future__ import annotations
@@ -97,6 +100,17 @@ def _pool_matrix(grids: tuple[int, ...], dtype) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=None)
+def segment_matrix(schedule: ScaleSchedule, width: int, dtype) -> np.ndarray:
+    """``T·width x S`` one-hot scale of each entry of a batch x T x width
+    sequence's flattened rows (at width 1, of each token): a row times it is
+    the row's per-scale sums. Cached and read-only, since every caller shares
+    it."""
+    m = np.eye(schedule.num_scales, dtype=dtype)[np.repeat(schedule.scale_of(), width)]
+    m.flags.writeable = False
+    return m
+
+
 def downsample_interp(z_base, schedule: ScaleSchedule) -> Tensor:
     """Parameter-free pyramid: the token sequence of area-pooled base maps."""
     z = _base_map(z_base, schedule, "downsample_interp")
@@ -154,14 +168,31 @@ def positional_encoding(pe: PEParams, schedule: ScaleSchedule) -> Tensor:
             f"positional_encoding: {pe.scale.shape[0]} scale embeddings for {schedule.num_scales} scales"
         )
     pooled = downsample_interp(reshape(pe.spatial, (1,) + pe.spatial.shape), schedule)
-    one_hot = np.eye(schedule.num_scales, dtype=pe.scale.dtype)[schedule.scale_of()]
-    return add(reshape(pooled, pooled.shape[1:]), matmul(Tensor(one_hot), pe.scale))
+    one_hot = Tensor(segment_matrix(schedule, 1, pe.scale.dtype))
+    return add(reshape(pooled, pooled.shape[1:]), matmul(one_hot, pe.scale))
 
 
-def image_pyramid(x, schedule: ScaleSchedule, patch: int) -> list[Tensor]:
-    """Ground-truth targets: the image batch area-pooled to each (g_s * patch) square."""
-    x = as_tensor(x)
+def image_pyramid(x, schedule: ScaleSchedule, patch: int) -> np.ndarray:
+    """Ground-truth targets: the batch x C x H x W images area-pooled to each
+    (g_s * patch) square, as one batch x T x C·patch² pixel-token array. The
+    pooling reads ``x``'s values as a constant, so it builds no autograd node."""
+    x = Tensor(x.data if isinstance(x, Tensor) else x)
     side = schedule.base_grid * patch
     if x.ndim != 4 or x.shape[2:] != (side, side):
         raise ShapeError(f"image_pyramid: expected a batch x C x {side} x {side} image, got shape {x.shape}")
-    return [x if g * patch == side else area_pool(x, g * patch, g * patch) for g in schedule.grids]
+    b, c = x.shape[:2]
+    levels = [x if g == schedule.base_grid else area_pool(x, g * patch, g * patch) for g in schedule.grids]
+    return np.concatenate([level.data.reshape(b, c, g, patch, g, patch).transpose(0, 2, 4, 1, 3, 5)
+                           .reshape(b, g * g, -1) for g, level in zip(schedule.grids, levels)], axis=1)
+
+
+def tokens_to_images(px, schedule: ScaleSchedule, patch: int) -> list[np.ndarray]:
+    """A batch x T x C·patch² pixel-token array as one batch x C x (g_s·patch)²
+    image per grid, low to high: the inverse of ``image_pyramid``'s layout."""
+    px = np.asarray(px)
+    if px.ndim != 3 or px.shape[1] != schedule.total or px.shape[2] % (patch * patch):
+        raise ShapeError(f"tokens_to_images: expected a batch x {schedule.total} x C·{patch}² array, "
+                         f"got shape {px.shape}")
+    b, c = px.shape[0], px.shape[2] // (patch * patch)
+    return [px[:, start : start + g * g].reshape(b, g, g, c, patch, patch).transpose(0, 3, 1, 4, 2, 5)
+            .reshape(b, c, g * patch, g * patch) for g, start in zip(schedule.grids, schedule.offsets())]

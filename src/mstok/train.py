@@ -16,7 +16,8 @@ the same workers. The shards depend on the batch alone, so a checkpoint
 does not depend on the worker count.
 
 The log opens with a header entry that says what produced the run: the
-config, the package and numpy versions, the parameter count, the BLAS numpy
+config, the package and numpy versions, the git commit of the checkout that
+holds the package (null outside one), the parameter count, the BLAS numpy
 runs on with its thread count (null when it cannot be read), and the shard
 size and worker count the steps run with.
 """
@@ -28,6 +29,7 @@ import functools
 import json
 import math
 import os
+import subprocess
 import time
 
 import numpy as np
@@ -42,7 +44,7 @@ from .metrics import psnr, ssim
 from .model import TokenizerModel, init_model, save_checkpoint
 from .optim import AdamW, clip_grad_norm, cosine_lr
 from .parallel import ShardRunner, pool_size, run_shards, shard_pool
-from .pyramid import image_pyramid
+from .pyramid import image_pyramid, tokens_to_images
 from .tensor import NumericError, Tensor, make_rng, no_grad
 
 ADAMW_BETAS = (0.9, 0.95)
@@ -62,6 +64,16 @@ def log_path_for(checkpoint: str) -> str:
     return stem + ".log.jsonl"
 
 
+def _git_commit() -> str | None:
+    """``HEAD`` of the git checkout that holds this package; None outside one,
+    without git, or when git takes over 5 s."""
+    try:
+        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=os.path.dirname(os.path.abspath(__file__)),
+                              capture_output=True, text=True, timeout=5, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError, subprocess.TimeoutExpired):
+        return None
+
+
 def _log_header(config: RunConfig, model: TokenizerModel) -> dict:
     """The first log entry; it has no ``"step"`` key, which marks step entries.
     ``workers`` is the worker count of a full batch's shards."""
@@ -70,6 +82,7 @@ def _log_header(config: RunConfig, model: TokenizerModel) -> dict:
         "event": "header",
         "config": dataclasses.asdict(config),
         "version": __version__,
+        "git": _git_commit(),
         "parameters": sum(p.data.size for p in model.named_parameters().values()),
         "numpy": np.__version__,
         "blas": {"name": blas_build.get("name"), "version": blas_build.get("version"),
@@ -85,10 +98,9 @@ def _train_shard(model: TokenizerModel, images: np.ndarray, eps: np.ndarray,
     The backward is seeded with ``weight``, the shard's share of the batch, so
     the replicas' gradients sum to those of the batch's mean loss. Returns
     the shard's loss breakdown."""
-    x = Tensor(images)
-    outputs, code = model.reconstruct(x, deterministic=False, rng=drop_rng, training=True, eps=eps)
-    targets = image_pyramid(x, model.schedule, model.config.patch)
-    loss, breakdown = multiscale_loss(outputs, targets, config, code)
+    px, code = model.reconstruct(Tensor(images), deterministic=False, rng=drop_rng, training=True, eps=eps)
+    targets = image_pyramid(images, model.schedule, model.config.patch)
+    loss, breakdown = multiscale_loss(px, targets, model.schedule, config, code)
     if not np.isfinite(loss.data):
         raise NumericError(f"non-finite loss at step {step}")
     loss.backward(np.array(weight))
@@ -131,20 +143,20 @@ def _eval_shard(model: TokenizerModel, dataset: Dataset, indices: np.ndarray,
                 config: RunConfig) -> tuple[dict, np.ndarray]:
     """One eval shard's scores, each summed over its images, and its latent
     rows."""
-    x = Tensor(dataset.images[indices])
-    outputs, code = model.reconstruct(x, deterministic=True)
-    targets = image_pyramid(x, model.schedule, model.config.patch)
-    _, breakdown = multiscale_loss(outputs, targets, config, code)
+    images = dataset.images[indices]
+    schedule, patch = model.schedule, model.config.patch
+    px, code = model.reconstruct(Tensor(images), deterministic=True)
+    _, breakdown = multiscale_loss(px, image_pyramid(images, schedule, patch), schedule, config, code)
     b = len(indices)
-    top = outputs[-1].data
+    top = tokens_to_images(px.data, schedule, patch)[-1]
     quant = quantize_roundtrip(top)
     sums = {
         "per_scale": np.array(breakdown["per_scale"]) * b,
         "kl": breakdown["kl"] * b,
-        "l1": float(np.abs(top - x.data).mean()) * b,
-        "commutation": np.array(commutation_residuals([o.data for o in outputs])) * b,
-        "psnr": psnr(quant, x.data) * b,
-        "ssim": ssim(quant, x.data) * b,
+        "l1": float(np.abs(top - images).mean()) * b,
+        "commutation": np.array(commutation_residuals(px.data, schedule, patch)) * b,
+        "psnr": psnr(quant, images) * b,
+        "ssim": ssim(quant, images) * b,
     }
     return sums, code.mu.data.reshape(b, -1)
 

@@ -426,9 +426,9 @@ def test_train_nonfinite_shard_loss_aborts_and_joins_workers(tmp_path, monkeypat
     real_loss = train_mod.multiscale_loss
     second_shards = []
 
-    def nan_in_second_shard_of_step_2(outputs, targets, config, code):
-        loss, breakdown = real_loss(outputs, targets, config, code)
-        if outputs[0].shape[0] == 8:  # a batch of 40 is shards of 32 + 8
+    def nan_in_second_shard_of_step_2(px, targets, schedule, config, code):
+        loss, breakdown = real_loss(px, targets, schedule, config, code)
+        if px.shape[0] == 8:  # a batch of 40 is shards of 32 + 8
             second_shards.append(breakdown)
             if len(second_shards) == 2:
                 loss.data = np.full_like(loss.data, np.nan)

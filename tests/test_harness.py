@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +84,7 @@ def test_log_lines_schema(tmp_path):
     summary = train(small_run(tmp_path))
     lines = [json.loads(l) for l in Path(summary["log"]).read_text(encoding="utf-8").splitlines()]
     header = lines[0]
-    assert set(header) == {"event", "config", "version", "parameters", "numpy", "blas",
+    assert set(header) == {"event", "config", "version", "git", "parameters", "numpy", "blas",
                            "shard_size", "workers"}
     assert header["shard_size"] == SHARD_SIZE
     assert header["workers"] == parallel.pool_size(1)  # batch 4 is one shard
@@ -106,6 +107,30 @@ def test_log_lines_schema(tmp_path):
     assert len(eval_lines) == 1
     for key in ("l1", "rec_loss", "psnr", "ssim", "per_scale", "commutation", "uniformity"):
         assert key in eval_lines[0]
+
+
+def test_log_header_git_commit_of_package_checkout():
+    package_dir = os.path.dirname(os.path.abspath(mstok.__file__))
+    try:
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=package_dir, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("the package is not in a git checkout")
+    header = train_mod._log_header(RunConfig(), init_model(SMALL_TOK))
+    assert header["git"] == head and len(head) == 40
+
+
+@pytest.mark.parametrize("error", [
+    FileNotFoundError("git"),
+    subprocess.CalledProcessError(128, ["git"]),
+    subprocess.TimeoutExpired(["git"], 5),
+], ids=["no_git", "not_a_checkout", "timeout"])
+def test_log_header_git_commit_null_without_checkout(monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(subprocess, "run", fail)
+    assert train_mod._log_header(RunConfig(), init_model(SMALL_TOK))["git"] is None
 
 
 def test_non_numeric_failure_logs_abort(tmp_path, monkeypatch):
@@ -168,6 +193,7 @@ def test_epochs_derive_steps(tmp_path):
 def test_evaluate_psnr_matches_file_roundtrip_path(tmp_path):
     from mstok.imageio import quantize_roundtrip
     from mstok.metrics import psnr, ssim
+    from mstok.pyramid import tokens_to_images
     from mstok.tensor import Tensor
 
     summary = train(small_run(tmp_path))
@@ -178,8 +204,8 @@ def test_evaluate_psnr_matches_file_roundtrip_path(tmp_path):
 
     scores, structure = [], []
     for i in eval_idx:
-        outputs, _ = model.reconstruct(Tensor(ds.images[int(i)][None]), deterministic=True)
-        quant = quantize_roundtrip(outputs[-1].data[0])
+        px, _ = model.reconstruct(Tensor(ds.images[int(i)][None]), deterministic=True)
+        quant = quantize_roundtrip(tokens_to_images(px.data, model.schedule, SMALL_TOK.patch)[-1][0])
         scores.append(psnr(quant, ds.images[int(i)]))
         structure.append(ssim(quant, ds.images[int(i)]))
     assert metrics["psnr"] == pytest.approx(float(np.mean(scores)), abs=1e-9)
@@ -275,9 +301,9 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
     g = model.schedule.base_grid
     eps = np.random.default_rng(4).standard_normal((40, g, g, SMALL_TOK.latent_dim)).astype(np.float32)
 
-    x = Tensor(images)
-    outputs, code = model.reconstruct(x, deterministic=False, training=True, eps=eps)
-    loss, whole = multiscale_loss(outputs, image_pyramid(x, model.schedule, SMALL_TOK.patch), run, code)
+    px, code = model.reconstruct(Tensor(images), deterministic=False, training=True, eps=eps)
+    targets = image_pyramid(images, model.schedule, SMALL_TOK.patch)
+    loss, whole = multiscale_loss(px, targets, model.schedule, run, code)
     loss.backward()
     want = {name: p.grad for name, p in model.named_parameters().items()}
 
@@ -299,7 +325,7 @@ def test_sharded_evaluate_matches_whole_batch_expression(tmp_path):
     from mstok.latent_stats import analyze_latents, commutation_residuals
     from mstok.losses import multiscale_loss
     from mstok.metrics import psnr, ssim
-    from mstok.pyramid import image_pyramid
+    from mstok.pyramid import image_pyramid, tokens_to_images
     from mstok.tensor import Tensor
 
     run = small_run(tmp_path, batch_size=40)
@@ -307,19 +333,19 @@ def test_sharded_evaluate_matches_whole_batch_expression(tmp_path):
     ds = generate_synthetic(40, 16, seed=3)
     got = evaluate(model, ds, np.arange(40), run)
 
-    x = Tensor(ds.images)
-    outputs, code = model.reconstruct(x, deterministic=True)
-    _, breakdown = multiscale_loss(outputs, image_pyramid(x, model.schedule, SMALL_TOK.patch), run, code)
-    top = outputs[-1].data
+    x, schedule, patch = ds.images, model.schedule, SMALL_TOK.patch
+    px, code = model.reconstruct(Tensor(x), deterministic=True)
+    _, breakdown = multiscale_loss(px, image_pyramid(x, schedule, patch), schedule, run, code)
+    top = tokens_to_images(px.data, schedule, patch)[-1]
     quant = quantize_roundtrip(top)
     want = {
-        "l1": float(np.abs(top - x.data).mean()),
+        "l1": float(np.abs(top - x).mean()),
         "rec_loss": breakdown["per_scale"][-1],
         "kl": breakdown["kl"],
-        "psnr": psnr(quant, x.data),
-        "ssim": ssim(quant, x.data),
+        "psnr": psnr(quant, x),
+        "ssim": ssim(quant, x),
         "per_scale": breakdown["per_scale"],
-        "commutation": commutation_residuals([o.data for o in outputs]),
+        "commutation": commutation_residuals(px.data, schedule, patch),
         "uniformity": analyze_latents(code.mu.data.reshape(40, -1)).to_dict(),
     }
     assert got["n_images"] == 40

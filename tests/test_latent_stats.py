@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from mstok import latent_stats as L
 from mstok.config import TokenizerConfig
 from mstok.model import init_model
-from mstok.tensor import ShapeError, Tensor, make_rng
+from mstok.pyramid import build_schedule, image_pyramid, tokens_to_images
+from mstok.tensor import ShapeError, Tensor, area_pool, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +258,8 @@ TINY = TokenizerConfig(image_size=8, patch=4, enc_layers=1, dec_layers=1, enc_wi
 def residuals_of(seed):
     model = init_model(TINY)
     x = Tensor(make_rng(seed).uniform(-1, 1, (2, 3, 8, 8)).astype(np.float32))
-    images, _ = model.reconstruct(x, deterministic=True)
-    return L.commutation_residuals([im.data for im in images])
+    px, _ = model.reconstruct(x, deterministic=True)
+    return L.commutation_residuals(px.data, model.schedule, TINY.patch)
 
 
 def test_commutation_residual_top_level_zero():
@@ -268,6 +269,32 @@ def test_commutation_residual_top_level_zero():
 def test_commutation_residual_untrained_finite():
     r = residuals_of(6)[0]
     assert np.isfinite(r) and r >= 0.0
+
+
+NON_DYADIC = build_schedule(6, [2, 3, 4, 6])
+
+
+def test_commutation_residual_equals_image_space_formula():
+    px = make_rng(8).uniform(-1, 1, (3, NON_DYADIC.total, 12)).astype(np.float32)
+    images = tokens_to_images(px, NON_DYADIC, 2)
+    top = Tensor(images[-1])
+    want = []
+    for level in images:
+        side = level.shape[-1]
+        pooled = area_pool(top, side, side).data
+        num = np.linalg.norm((level - pooled).reshape(3, -1), axis=1)
+        den = np.linalg.norm(pooled.reshape(3, -1), axis=1)
+        want.append(float((num / (den + 1e-8)).mean()))
+    got = L.commutation_residuals(px, NON_DYADIC, 2)
+    np.testing.assert_allclose(got, want, rtol=1e-5)
+    assert got[-1] == 0.0
+
+
+def test_commutation_residual_zero_for_pooled_top():
+    # Coarse tokens that are the patchified pooled top decode commute exactly.
+    top = make_rng(9).uniform(-1, 1, (2, 3, 12, 12)).astype(np.float32)
+    px = image_pyramid(top, NON_DYADIC, 2)
+    assert L.commutation_residuals(px, NON_DYADIC, 2) == [0.0] * NON_DYADIC.num_scales
 
 
 # ---------------------------------------------------------------------------

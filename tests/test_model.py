@@ -9,7 +9,7 @@ from mstok.cli import main
 from mstok.config import RunConfig, TokenizerConfig
 from mstok.losses import multiscale_loss
 from mstok.model import CheckpointError, LatentCode, init_model, load_checkpoint, save_checkpoint
-from mstok.pyramid import averaging_kernel, downsample_conv, downsample_interp, image_pyramid
+from mstok.pyramid import averaging_kernel, downsample_conv, downsample_interp, image_pyramid, tokens_to_images
 from mstok.tensor import ShapeError, Tensor, make_rng, no_grad
 
 TINY = TokenizerConfig(image_size=8, patch=4, enc_layers=1, dec_layers=1, enc_width=8,
@@ -19,6 +19,11 @@ TINY = TokenizerConfig(image_size=8, patch=4, enc_layers=1, dec_layers=1, enc_wi
 def rand_image(rng, cfg, batch=1):
     shape = (batch, 3, cfg.image_size, cfg.image_size)
     return Tensor(rng.uniform(-1, 1, size=shape).astype(np.float32))
+
+
+def images_of(model, px):
+    """The per-scale images, low to high, of a decode's pixel tokens."""
+    return tokens_to_images(px.data, model.schedule, model.config.patch)
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +125,15 @@ def test_decoder_token_count_paper_grids():
     assert model.schedule.total == 341
     assert model.mask.allow.shape == (341, 341)
     z = Tensor(make_rng(7).standard_normal((1, 16, 16, 4)).astype(np.float32))
-    images = model.decode_pyramid(z)
+    images = images_of(model, model.decode_pyramid(z))
     assert [im.shape[-1] for im in images] == [16, 32, 64, 128, 256]
 
 
 def test_reconstruct_top_scale_shape():
     model = init_model(TINY)
     x = rand_image(make_rng(8), TINY, batch=2)
-    images, code = model.reconstruct(x)
-    assert images[-1].shape == x.shape
+    px, code = model.reconstruct(x)
+    assert images_of(model, px)[-1].shape == x.shape
     assert isinstance(code, LatentCode)
 
 
@@ -140,9 +145,9 @@ def test_reconstruct_no_grad_bit_identical():
     graph_out, graph_code = model.reconstruct(x)
     with no_grad():
         free_out, free_code = model.reconstruct(x)
-    assert graph_out[-1].requires_grad and not free_out[-1].requires_grad
-    for a, b in zip(graph_out, free_out):
-        np.testing.assert_array_equal(a.data, b.data)
+    assert graph_out.requires_grad and not free_out.requires_grad
+    for a, b in zip(images_of(model, graph_out), images_of(model, free_out)):
+        np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(graph_code.mu.data, free_code.mu.data)
     np.testing.assert_array_equal(graph_code.logvar.data, free_code.logvar.data)
 
@@ -177,9 +182,9 @@ def test_backward_frees_training_graph():
     rng = make_rng(19)
 
     def forward():
-        outputs, code = model.reconstruct(x, deterministic=False, rng=rng, training=True)
+        px, code = model.reconstruct(x, deterministic=False, rng=rng, training=True)
         targets = image_pyramid(x, model.schedule, model.config.patch)
-        return multiscale_loss(outputs, targets, RunConfig(), code)[0]
+        return multiscale_loss(px, targets, model.schedule, RunConfig(), code)[0]
 
     tracemalloc.start()
     try:
@@ -202,9 +207,9 @@ def test_zero_pixel_head_outputs_bias():
     model = init_model(TINY)
     model.pixel_head.weight.data[:] = 0.0
     model.pixel_head.bias.data[:] = 0.3
-    images, _ = model.reconstruct(rand_image(make_rng(9), TINY))
-    for im in images:
-        np.testing.assert_allclose(im.data, 0.3, atol=1e-7)
+    px, _ = model.reconstruct(rand_image(make_rng(9), TINY))
+    for im in images_of(model, px):
+        np.testing.assert_allclose(im, 0.3, atol=1e-7)
 
 
 def test_decoder_causality_scale_causal():
@@ -216,15 +221,15 @@ def test_decoder_causality_scale_causal():
     rng = make_rng(10)
     sched = model.schedule
     tokens = Tensor(rng.standard_normal((1, sched.total, 16)).astype(np.float32))
-    base = [im.data.copy() for im in model.decode_levels(tokens)]
+    base = images_of(model, model.decode_levels(tokens))
 
     for s_perturbed in range(1, 3):
         bumped = Tensor(tokens.data.copy())
         start, n = sched.offsets()[s_perturbed], sched.counts[s_perturbed]
         bumped.data[:, start:start + n] += rng.standard_normal((1, n, 16)).astype(np.float32)
-        out = model.decode_levels(bumped)
+        out = images_of(model, model.decode_levels(bumped))
         for s_low in range(s_perturbed):
-            np.testing.assert_array_equal(out[s_low].data, base[s_low])
+            np.testing.assert_array_equal(out[s_low], base[s_low])
 
 
 def test_decoder_isolation_scale_independent():
@@ -235,13 +240,13 @@ def test_decoder_isolation_scale_independent():
     rng = make_rng(11)
     sched = model.schedule
     tokens = Tensor(rng.standard_normal((1, sched.total, 16)).astype(np.float32))
-    base = [im.data.copy() for im in model.decode_levels(tokens)]
+    base = images_of(model, model.decode_levels(tokens))
     bumped = Tensor(tokens.data.copy())
     bumped.data[:, sched.offsets()[1]:sched.offsets()[2]] += 1.0
-    out = model.decode_levels(bumped)
-    np.testing.assert_array_equal(out[0].data, base[0])
-    np.testing.assert_array_equal(out[2].data, base[2])
-    assert not np.array_equal(out[1].data, base[1])
+    out = images_of(model, model.decode_levels(bumped))
+    np.testing.assert_array_equal(out[0], base[0])
+    np.testing.assert_array_equal(out[2], base[2])
+    assert not np.array_equal(out[1], base[1])
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +303,8 @@ def test_conv_mode_has_averaging_chains():
     interp = init_model(TokenizerConfig(**{**cfg.__dict__, "downsample_mode": "interp"}))
     out_conv, _ = model.reconstruct(x)
     out_interp, _ = interp.reconstruct(x)
-    for a, b in zip(out_conv, out_interp):
-        np.testing.assert_allclose(a.data, b.data, rtol=1e-4, atol=1e-6)
+    for a, b in zip(images_of(model, out_conv), images_of(interp, out_interp)):
+        np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-6)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -311,8 +316,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.config == TINY
     after, _ = loaded.reconstruct(x)
-    for a, b in zip(before, after):
-        np.testing.assert_array_equal(a.data, b.data)
+    for a, b in zip(images_of(model, before), images_of(loaded, after)):
+        np.testing.assert_array_equal(a, b)
     pa, pb = model.named_parameters(), loaded.named_parameters()
     for name in pa:
         np.testing.assert_array_equal(pa[name].data, pb[name].data)

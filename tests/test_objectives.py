@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,39 +7,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstok.config import RunConfig
-from mstok.losses import kl_loss, multiscale_loss, rec_loss
+from mstok.losses import kl_loss, multiscale_loss
 from mstok.model import LatentCode
 from mstok.optim import AdamW, clip_grad_norm, cosine_lr
-from mstok.tensor import NumericError, ShapeError, Tensor, make_rng
+from mstok.pyramid import build_schedule, tokens_to_images
+from mstok.tensor import NumericError, ShapeError, Tensor, add, make_rng, scale, square, sub, tabs, tmean
 
 W = RunConfig()
 
 
 # ---------------------------------------------------------------------------
-# rec_loss
+# The reconstruction term: single-scale cases of multiscale_loss
 # ---------------------------------------------------------------------------
 
+ONE_SCALE = build_schedule(4, [4])
+
+
+def rec_loss(pred, target, config):
+    """The reconstruction term of a one-scale pixel-token batch."""
+    return multiscale_loss(pred, target, ONE_SCALE, config)[0]
+
+
 def test_rec_loss_zero_for_identical():
-    x = Tensor(make_rng(0).uniform(-1, 1, (3, 8, 8)).astype(np.float32))
-    assert rec_loss(x, x, W).item() == 0.0
+    x = Tensor(make_rng(0).uniform(-1, 1, (3, 16, 4)).astype(np.float32))
+    assert rec_loss(x, x.data, W).item() == 0.0
 
 
 def test_rec_loss_constant_offset_closed_form():
-    target = Tensor(np.zeros((3, 4, 4)))
-    pred = Tensor(np.full((3, 4, 4), 0.1))
+    target = np.zeros((3, 16, 4))
+    pred = Tensor(np.full((3, 16, 4), 0.1))
     # l1 term 0.1, mse term 0.4 * 0.01
     assert rec_loss(pred, target, W).item() == pytest.approx(0.104, abs=1e-6)
 
 
 def test_rec_loss_zero_weights():
     w = RunConfig(l1_weight=0.0, mse_weight=0.0)
-    pred = Tensor(make_rng(1).uniform(-1, 1, (3, 4, 4)).astype(np.float32))
-    assert rec_loss(pred, Tensor(np.zeros((3, 4, 4))), w).item() == 0.0
+    pred = Tensor(make_rng(1).uniform(-1, 1, (3, 16, 4)).astype(np.float32))
+    assert rec_loss(pred, np.zeros((3, 16, 4)), w).item() == 0.0
 
 
 def test_rec_loss_shape_mismatch():
     with pytest.raises(ShapeError):
-        rec_loss(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((3, 8, 8))), W)
+        rec_loss(Tensor(np.zeros((3, 16, 4))), np.zeros((3, 16, 8)), W)
 
 
 # ---------------------------------------------------------------------------
@@ -92,59 +102,106 @@ def test_kl_rejects_non_finite():
 # multiscale_loss
 # ---------------------------------------------------------------------------
 
+def image_rec_loss(pred, target, config):
+    """Reference: one scale's loss on images, l1_weight * mean|err| + mse_weight * mean(err^2)."""
+    diff = sub(pred, target)
+    return add(scale(tmean(tabs(diff)), config.l1_weight), scale(tmean(square(diff)), config.mse_weight))
+
+
+def image_multiscale_loss(preds, targets, config):
+    """Reference: the per-scale image losses, weighted by scale_weights over their sum."""
+    weights = config.scale_weights or (1.0,) * len(preds)
+    per_scale = [image_rec_loss(p, t, config) for p, t in zip(preds, targets)]
+    total = functools.reduce(add, [scale(term, wt / sum(weights)) for term, wt in zip(per_scale, weights)])
+    return total, [t.item() for t in per_scale]
+
+
+def pixel_tokens(images, patch):
+    """Per-scale images, low to high, as one batch x T x C·patch² array."""
+    return np.concatenate([
+        im.reshape(im.shape[0], im.shape[1], im.shape[2] // patch, patch, -1, patch)
+        .transpose(0, 2, 4, 1, 3, 5).reshape(im.shape[0], -1, im.shape[1] * patch * patch)
+        for im in images], axis=1)
+
+
+@pytest.mark.parametrize("grids,weights", [((2, 3, 4, 6), (0.5, 1.0, 2.0, 4.0)), ((1, 2, 4), ())])
+def test_multiscale_matches_per_scale_image_expression(grids, weights):
+    # Total, per-scale breakdown and the prediction's gradient equal the
+    # per-scale image-space expression to float32 tolerance; the first
+    # schedule is non-dyadic with non-uniform scale weights.
+    config = RunConfig(scale_weights=weights)
+    sched, patch = build_schedule(grids[-1], grids), 2
+    rng = make_rng(8)
+    px = rng.uniform(-1, 1, (3, sched.total, 12)).astype(np.float32)
+    targets = rng.uniform(-1, 1, px.shape).astype(np.float32)
+    pred = Tensor(px, requires_grad=True)
+    total, breakdown = multiscale_loss(pred, targets, sched, config)
+    total.backward()
+
+    images = [Tensor(im.copy(), requires_grad=True) for im in tokens_to_images(px, sched, patch)]
+    ref_total, ref_per_scale = image_multiscale_loss(images, tokens_to_images(targets, sched, patch), config)
+    ref_total.backward()
+    assert total.item() == pytest.approx(ref_total.item(), rel=1e-6)
+    np.testing.assert_allclose(breakdown["per_scale"], ref_per_scale, rtol=1e-6)
+    np.testing.assert_allclose(pred.grad, pixel_tokens([im.grad for im in images], patch), rtol=1e-6)
+
+
 def test_multiscale_single_level_reduces_to_composite():
     rng = make_rng(2)
-    pred = Tensor(rng.uniform(-1, 1, (1, 3, 8, 8)).astype(np.float32))
-    target = Tensor(rng.uniform(-1, 1, (1, 3, 8, 8)).astype(np.float32))
+    sched = build_schedule(2, [2])
+    pred = rng.uniform(-1, 1, (1, 3, 8, 8))
+    target = rng.uniform(-1, 1, (1, 3, 8, 8))
     code = code_of(rng.standard_normal((1, 2, 2, 4)), rng.standard_normal((1, 2, 2, 4)) * 0.1)
-    total, breakdown = multiscale_loss([pred], [target], W, code)
-    direct = rec_loss(pred, target, W).item() + W.tokenizer.kl_weight * kl_loss(code).item()
-    assert total.item() == direct
+    total, breakdown = multiscale_loss(pixel_tokens([pred], 4), pixel_tokens([target], 4), sched, W, code)
+    direct = image_rec_loss(Tensor(pred), Tensor(target), W).item() + W.tokenizer.kl_weight * kl_loss(code).item()
+    # The sums run in another order than the image expression's means.
+    assert total.item() == pytest.approx(direct, rel=1e-12)
     assert len(breakdown["per_scale"]) == 1
 
 
 def test_multiscale_perfect_reconstruction_leaves_kl():
     rng = make_rng(3)
-    imgs = [Tensor(rng.uniform(-1, 1, (1, 3, s, s)).astype(np.float32)) for s in (4, 8)]
+    px = pixel_tokens([rng.uniform(-1, 1, (1, 3, s, s)).astype(np.float32) for s in (4, 8)], 4)
     code = code_of(np.ones((1, 1, 1, 2)), np.zeros((1, 1, 1, 2)))
-    total, breakdown = multiscale_loss(imgs, imgs, W, code)
+    total, breakdown = multiscale_loss(px, px, build_schedule(2, [1, 2]), W, code)
     assert breakdown["per_scale"] == [0.0, 0.0]
     assert total.item() == pytest.approx(W.tokenizer.kl_weight * 0.5, rel=1e-6)
 
 
 def test_multiscale_two_levels_equal_weight_mean():
     rng = make_rng(4)
-    preds = [Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float64)) for s in (4, 8)]
-    targets = [Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float64)) for s in (4, 8)]
-    a = rec_loss(preds[0], targets[0], W).item()
-    b = rec_loss(preds[1], targets[1], W).item()
-    total, _ = multiscale_loss(preds, targets, W)
+    preds = [rng.uniform(-1, 1, (1, 3, s, s)) for s in (4, 8)]
+    targets = [rng.uniform(-1, 1, (1, 3, s, s)) for s in (4, 8)]
+    a = image_rec_loss(Tensor(preds[0]), Tensor(targets[0]), W).item()
+    b = image_rec_loss(Tensor(preds[1]), Tensor(targets[1]), W).item()
+    total, _ = multiscale_loss(pixel_tokens(preds, 4), pixel_tokens(targets, 4), build_schedule(2, [1, 2]), W)
     assert total.item() == pytest.approx((a + b) / 2, rel=1e-12)
 
 
 def test_multiscale_respects_scale_weight_vector():
     w = RunConfig(scale_weights=(1.0, 3.0))
     rng = make_rng(5)
-    preds = [Tensor(rng.uniform(-1, 1, (3, s, s)).astype(np.float64)) for s in (4, 8)]
-    targets = [Tensor(np.zeros((3, s, s))) for s in (4, 8)]
-    a = rec_loss(preds[0], targets[0], w).item()
-    b = rec_loss(preds[1], targets[1], w).item()
-    total, _ = multiscale_loss(preds, targets, w)
+    preds = [rng.uniform(-1, 1, (1, 3, s, s)) for s in (4, 8)]
+    targets = [np.zeros((1, 3, s, s)) for s in (4, 8)]
+    a = image_rec_loss(Tensor(preds[0]), Tensor(targets[0]), w).item()
+    b = image_rec_loss(Tensor(preds[1]), Tensor(targets[1]), w).item()
+    total, _ = multiscale_loss(pixel_tokens(preds, 4), pixel_tokens(targets, 4), build_schedule(2, [1, 2]), w)
     assert total.item() == pytest.approx((a + 3 * b) / 4, rel=1e-12)
 
 
 def test_multiscale_level_count_mismatch():
+    # A sequence with one scale's tokens, scored against a two-scale schedule.
     with pytest.raises(ShapeError):
-        multiscale_loss([Tensor(np.zeros((3, 4, 4)))], [], W)
+        multiscale_loss(np.zeros((1, 4, 48)), np.zeros((1, 4, 48)), build_schedule(2, [1, 2]), W)
 
 
 def test_loss_batch_permutation_invariant():
     rng = make_rng(6)
-    pred = rng.uniform(-1, 1, (4, 3, 8, 8))
-    target = rng.uniform(-1, 1, (4, 3, 8, 8))
+    pred = rng.uniform(-1, 1, (4, 16, 12))
+    target = rng.uniform(-1, 1, (4, 16, 12))
     perm = [2, 0, 3, 1]
-    a = rec_loss(Tensor(pred), Tensor(target), W).item()
-    b = rec_loss(Tensor(pred[perm]), Tensor(target[perm]), W).item()
+    a = rec_loss(Tensor(pred), target, W).item()
+    b = rec_loss(Tensor(pred[perm]), target[perm], W).item()
     assert a == pytest.approx(b, rel=1e-6)
 
 

@@ -205,30 +205,102 @@ def test_pe_is_pooled_spatial_plus_scale_embedding_non_dyadic():
 # image_pyramid
 # ---------------------------------------------------------------------------
 
+def image_levels(x, sched, patch):
+    return P.tokens_to_images(P.image_pyramid(x, sched, patch), sched, patch)
+
+
 def test_image_pyramid_top_level_unchanged():
     sched = P.build_schedule(8, [2, 8])
     x = Tensor(make_rng(7).standard_normal((1, 3, 32, 32)).astype(np.float32))
-    levels = P.image_pyramid(x, sched, patch=4)
+    levels = image_levels(x, sched, patch=4)
     assert levels[0].shape == (1, 3, 8, 8)
-    np.testing.assert_array_equal(levels[-1].data, x.data)
+    np.testing.assert_array_equal(levels[-1], x.data)
 
 
 def test_image_pyramid_constant():
     sched = P.build_schedule(4, [1, 2, 4])
     x = Tensor(np.full((1, 3, 16, 16), -0.5))
-    for level in P.image_pyramid(x, sched, patch=4):
-        np.testing.assert_allclose(level.data, -0.5, rtol=1e-6)
+    for level in image_levels(x, sched, patch=4):
+        np.testing.assert_allclose(level, -0.5, rtol=1e-6)
 
 
 def test_image_pyramid_checkerboard_global_mean():
     sched = P.build_schedule(8, [1, 8])
     board = np.indices((8, 8)).sum(axis=0) % 2
     x = Tensor(np.broadcast_to(board, (1, 3, 8, 8)).astype(np.float64).copy())
-    levels = P.image_pyramid(x, sched, patch=1)
-    np.testing.assert_allclose(levels[0].data, 0.5)
+    levels = image_levels(x, sched, patch=1)
+    np.testing.assert_allclose(levels[0], 0.5)
 
 
 def test_image_pyramid_size_mismatch():
     sched = P.build_schedule(8, [8])
     with pytest.raises(ShapeError):
         P.image_pyramid(Tensor(np.zeros((1, 3, 16, 16))), sched, patch=4)
+
+
+@pytest.mark.parametrize("grids", [(2, 3, 4, 6), (1, 2, 4, 8)])
+def test_image_pyramid_tokens_are_per_level_area_pool(grids):
+    # The pixel-token layout, pinned: each level of the token array turns back
+    # into the image batch area-pooled on its own; the base level is the image.
+    sched = P.build_schedule(grids[-1], grids)
+    patch = 2
+    side = grids[-1] * patch
+    x = make_rng(21).standard_normal((2, 3, side, side))
+    px = P.image_pyramid(x, sched, patch)
+    assert px.shape == (2, sched.total, 3 * patch * patch)
+    levels = P.tokens_to_images(px, sched, patch)
+    for g, level in zip(grids, levels):
+        ref = area_pool(Tensor(x), g * patch, g * patch).data
+        np.testing.assert_allclose(level, ref, rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(levels[-1], x)
+
+
+def test_image_pyramid_builds_no_autograd_node(monkeypatch):
+    from mstok import tensor
+
+    real, nodes = tensor._result, []
+
+    def recording(*args):
+        out = real(*args)
+        nodes.append(out._backward_fn is not None)
+        return out
+
+    monkeypatch.setattr(tensor, "_result", recording)
+    sched = P.build_schedule(4, [1, 2, 4])
+    x = Tensor(make_rng(22).standard_normal((1, 3, 8, 8)), requires_grad=True)
+    assert isinstance(P.image_pyramid(x, sched, patch=2), np.ndarray)
+    assert not any(nodes)
+
+
+def test_tokens_to_images_matches_slice_reshape_transpose_assembly():
+    # Reference: each scale block sliced, reshaped and transposed as graph ops.
+    from mstok.config import TokenizerConfig
+    from mstok.model import init_model
+    from mstok.tensor import reshape, slice_axis, transpose
+
+    cfg = TokenizerConfig(image_size=16, patch=4, enc_layers=1, dec_layers=1, enc_width=8,
+                          dec_width=8, heads=2, latent_dim=4, scales=(1, 2, 4), seed=2)
+    model = init_model(cfg)
+    sched, p = model.schedule, cfg.patch
+    px = model.decode_pyramid(Tensor(make_rng(23).standard_normal((2, 4, 4, 4)).astype(np.float32)))
+    for g, start, n, image in zip(sched.grids, sched.offsets(), sched.counts,
+                                  P.tokens_to_images(px.data, sched, p)):
+        tok = reshape(slice_axis(px, 1, start, start + n), (2, g, g, 3, p, p))
+        ref = reshape(transpose(tok, (0, 3, 1, 4, 2, 5)), (2, 3, g * p, g * p))
+        np.testing.assert_array_equal(image, ref.data)
+
+
+def test_tokens_to_images_shape_mismatch():
+    sched = P.build_schedule(4, [2, 4])
+    with pytest.raises(ShapeError):
+        P.tokens_to_images(np.zeros((1, 19, 12)), sched, patch=2)
+    with pytest.raises(ShapeError):
+        P.tokens_to_images(np.zeros((1, 20, 10)), sched, patch=2)
+
+
+def test_segment_matrix_sums_each_scale_block():
+    sched = P.build_schedule(3, [1, 3])
+    seq = make_rng(24).standard_normal((2, sched.total, 4))
+    sums = seq.reshape(2, -1) @ P.segment_matrix(sched, 4, np.float64)
+    for s, (start, n) in enumerate(zip(sched.offsets(), sched.counts)):
+        np.testing.assert_allclose(sums[:, s], seq[:, start:start + n].sum(axis=(1, 2)), rtol=1e-12)
