@@ -7,7 +7,7 @@ other threads alone (in 0.3.31 its ``_local`` setter changes the count that
 every thread sees).
 A numpy built against another BLAS, or a wheel laid out differently, has no
 such library; then ``num_threads`` returns None and ``single_threaded``
-changes nothing and reports that it could not.
+changes nothing.
 """
 
 from __future__ import annotations
@@ -53,18 +53,18 @@ def num_threads() -> int | None:
 
 
 @contextlib.contextmanager
-def single_threaded() -> Iterator[bool]:
+def single_threaded() -> Iterator[None]:
     """Run the block with numpy's BLAS at one thread, restoring the previous
-    count on the way out, also on error. Yields whether the count could be
-    set; when it could not, the block runs with BLAS as it was."""
+    count on the way out, also on error. Without the thread controls the
+    block runs with BLAS as it was."""
     controls = _controls()
     if controls is None:
-        yield False
+        yield
         return
     get, set_ = controls
     saved = get()
     set_(1)
     try:
-        yield True
+        yield
     finally:
         set_(saved)

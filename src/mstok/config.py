@@ -10,6 +10,7 @@ so typos fail loudly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -103,6 +104,8 @@ class RunConfig:
                               "with a positive sum")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise ConfigError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
+        if not os.path.basename(self.checkpoint):
+            raise ConfigError(f"checkpoint must name a file, got {self.checkpoint!r}")
         return self
 
 

@@ -59,6 +59,7 @@ from .tensor import (
     matmul,
     mul,
     reshape,
+    scale,
     slice_axis,
     texp,
     transpose,
@@ -166,7 +167,7 @@ class TokenizerModel:
             if rng is None:
                 raise ConfigError("sample_latent: rng or eps required for stochastic sampling")
             eps = rng.standard_normal(code.mu.shape).astype(code.mu.dtype)
-        std = texp(code.logvar * 0.5)
+        std = texp(scale(code.logvar, 0.5))
         return add(code.mu, mul(std, Tensor(eps)))
 
     def build_pyramid(self, z_width: Tensor) -> Tensor:

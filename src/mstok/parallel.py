@@ -7,8 +7,9 @@ thread (``blas.single_threaded``) until the block ends. It yields
 on those workers. numpy releases the interpreter lock in its ufuncs,
 reductions and BLAS calls, so the shards' single-threaded passes overlap on
 the CPUs. Each task runs in a copy of the caller's context, which holds
-numpy's errstate. When the BLAS thread count cannot be set, BLAS keeps its
-own threads and one worker runs the shards one after another.
+numpy's errstate. When the BLAS thread count cannot be read or set
+(``blas.num_threads`` is None), BLAS keeps its own threads and one worker
+runs the shards one after another.
 
 A loop over batches keeps one pool open for all of them: the same threads
 run every batch, so memory one batch freed is reused by the next, and no
@@ -34,15 +35,13 @@ from . import blas
 ShardRunner = Callable[[Callable[..., Any], Sequence[tuple]], list]
 
 
-def worker_count(shards: int) -> int:
-    """Workers for ``shards`` shards when BLAS is held at one thread: one per
-    CPU this process may run on, at most one per shard."""
-    return min(shards, len(os.sched_getaffinity(0)))
-
-
 def pool_size(shards: int) -> int:
-    """Workers ``shard_pool`` starts for batches of ``shards`` shards."""
-    return worker_count(shards) if blas.num_threads() is not None else 1
+    """Workers ``shard_pool`` starts for batches of ``shards`` shards: one per
+    CPU this process may run on, at most one per shard, or 1 when BLAS
+    cannot be held at one thread."""
+    if blas.num_threads() is None:
+        return 1
+    return min(shards, len(os.sched_getaffinity(0)))
 
 
 @contextlib.contextmanager

@@ -4,16 +4,21 @@ residuals, latent uniformity).
 
 Each training batch is split into shards of ``SHARD_SIZE`` images, run as
 data-parallel shards on the worker threads of one ``parallel.shard_pool``,
-which stays open for every step and the final eval. A shard runs encode ->
-sample -> decode -> loss -> backward on its own replica of the model (the
-parameters' arrays are shared, their gradients are not), with its loss
-weighted by its share of the batch. The main thread then sums the shard
+which stays open for every step and the final eval. Every shard, of a
+training batch or of the eval set, is a function of the model and its
+images that returns its scores summed over those images; ``_image_means``
+turns the shards' sums into the per-image means the log reports. A training
+shard runs encode -> sample -> decode -> loss -> backward on a replica of
+the model it builds itself (the parameters' arrays are shared, their
+gradients are not), with its loss weighted by its share of the batch, and
+also returns the replica's gradients. The main thread then sums the shard
 gradients in shard order, clips them and takes the AdamW step. The
 reparameterisation noise is drawn once per batch, in the main thread, and
 sliced per shard; each shard's drop_path masks come from its own generator,
-keyed by step and shard. The eval sweep shards each batch the same way, on
-the same workers. The shards depend on the batch alone, so a checkpoint
-does not depend on the worker count.
+keyed by step and shard. The eval sweep splits the eval set into shards of
+the same size, on the same workers. The shards depend on the batch or the
+eval set alone, so neither a checkpoint nor the eval depends on the worker
+count.
 
 The log opens with a header entry that says what produced the run: the
 config, the package and numpy versions, the git commit of the checkout that
@@ -47,8 +52,6 @@ from .parallel import ShardRunner, pool_size, run_shards, shard_pool
 from .pyramid import image_pyramid, tokens_to_images
 from .tensor import NumericError, Tensor, make_rng, no_grad
 
-ADAMW_BETAS = (0.9, 0.95)
-ADAMW_WEIGHT_DECAY = 0.05
 # Images per shard of a training or eval batch; a batch's last shard takes
 # the rest. Fixed by the batch alone, never by the CPU count.
 SHARD_SIZE = 32
@@ -92,51 +95,49 @@ def _log_header(config: RunConfig, model: TokenizerModel) -> dict:
     }
 
 
+def _image_means(sums: list[dict], n: int) -> dict:
+    """Per-image means of shard sums: for each key, the shards' sums added in
+    shard order, over the image count ``n``. Arrays come back as lists."""
+    return {key: np.divide(sum(s[key] for s in sums), n).tolist() for key in sums[0]}
+
+
 def _train_shard(model: TokenizerModel, images: np.ndarray, eps: np.ndarray,
-                 drop_rng: np.random.Generator, weight: float, config: RunConfig, step: int) -> dict:
-    """Forward and backward of one shard on its own replica of the model.
-    The backward is seeded with ``weight``, the shard's share of the batch, so
-    the replicas' gradients sum to those of the batch's mean loss. Returns
-    the shard's loss breakdown."""
-    px, code = model.reconstruct(Tensor(images), deterministic=False, rng=drop_rng, training=True, eps=eps)
+                 drop_rng: np.random.Generator, batch: int, config: RunConfig,
+                 step: int) -> tuple[dict, list]:
+    """Forward and backward of one shard of a ``batch``-image batch on a
+    replica of the model built here. The backward is seeded with the shard's
+    share of the batch, so the shards' gradients sum to those of the batch's
+    mean loss. Returns the shard's loss breakdown summed over its images, and
+    the replica's gradients in record order."""
+    replica = model.replica()
+    px, code = replica.reconstruct(Tensor(images), deterministic=False, rng=drop_rng, training=True, eps=eps)
     targets = image_pyramid(images, model.schedule, model.config.patch)
     loss, breakdown = multiscale_loss(px, targets, model.schedule, config, code)
     if not np.isfinite(loss.data):
         raise NumericError(f"non-finite loss at step {step}")
-    loss.backward(np.array(weight))
-    return breakdown
+    b = len(images)
+    loss.backward(np.array(b / batch))
+    sums = {"total": breakdown["total"] * b, "per_scale": np.array(breakdown["per_scale"]) * b,
+            "kl": breakdown["kl"] * b}
+    return sums, [p.grad for p in replica.named_parameters().values()]
 
 
 def _batch_gradients(model: TokenizerModel, images: np.ndarray, eps: np.ndarray,
                      config: RunConfig, step: int, run: ShardRunner) -> dict:
     """Set each parameter's ``.grad`` to the gradient of the batch's mean
     loss, computed as data-parallel shards by ``run``, and return the batch's
-    loss breakdown. ``eps`` is the batch's reparameterisation noise. The shard
-    gradients are summed in shard order, as are the shard breakdowns, each
-    weighted by its shard's share of the batch."""
+    loss breakdown as per-image means. ``eps`` is the batch's
+    reparameterisation noise. The shard gradients are summed in shard order."""
     b = len(images)
-    bounds = _shard_bounds(b)
-    weights = [(hi - lo) / b for lo, hi in bounds]
-    replicas = [model.replica() for _ in bounds]
     seed = model.config.seed
-    breakdowns = run(_train_shard, [
-        (replica, images[lo:hi], eps[lo:hi], make_rng(seed, stream=(STREAM_DROP, step, shard)),
-         weight, config, step)
-        for shard, (replica, (lo, hi), weight) in enumerate(zip(replicas, bounds, weights))
+    results = run(_train_shard, [
+        (model, images[lo:hi], eps[lo:hi], make_rng(seed, stream=(STREAM_DROP, step, shard)), b, config, step)
+        for shard, (lo, hi) in enumerate(_shard_bounds(b))
     ])
-    shard_params = [r.named_parameters() for r in replicas]
-    for name, p in model.named_parameters().items():
-        grads = [sp[name].grad for sp in shard_params if sp[name].grad is not None]
+    for p, shard_grads in zip(model.named_parameters().values(), zip(*(grads for _, grads in results))):
+        grads = [g for g in shard_grads if g is not None]
         p.grad = functools.reduce(np.add, grads) if grads else None
-
-    def mix(values) -> float:
-        return sum(w * v for w, v in zip(weights, values))
-
-    return {
-        "total": mix(bd["total"] for bd in breakdowns),
-        "per_scale": [mix(col) for col in zip(*(bd["per_scale"] for bd in breakdowns))],
-        "kl": mix(bd["kl"] for bd in breakdowns),
-    }
+    return _image_means([sums for sums, _ in results], b)
 
 
 def _eval_shard(model: TokenizerModel, dataset: Dataset, indices: np.ndarray,
@@ -151,12 +152,12 @@ def _eval_shard(model: TokenizerModel, dataset: Dataset, indices: np.ndarray,
     top = tokens_to_images(px.data, schedule, patch)[-1]
     quant = quantize_roundtrip(top)
     sums = {
-        "per_scale": np.array(breakdown["per_scale"]) * b,
-        "kl": breakdown["kl"] * b,
         "l1": float(np.abs(top - images).mean()) * b,
-        "commutation": np.array(commutation_residuals(px.data, schedule, patch)) * b,
+        "kl": breakdown["kl"] * b,
         "psnr": psnr(quant, images) * b,
         "ssim": ssim(quant, images) * b,
+        "per_scale": np.array(breakdown["per_scale"]) * b,
+        "commutation": np.array(commutation_residuals(px.data, schedule, patch)) * b,
     }
     return sums, code.mu.data.reshape(b, -1)
 
@@ -164,35 +165,21 @@ def _eval_shard(model: TokenizerModel, dataset: Dataset, indices: np.ndarray,
 @no_grad()
 def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray, config: RunConfig,
              run: ShardRunner = run_shards) -> dict:
-    """Deterministic eval pass in batches of ``config.batch_size``, each split
-    into shards as in training and computed by ``run`` (by default on a pool
-    opened for the pass), without an autograd graph. Every metric
-    is a mean over images: the shards' sums, added in shard order, over the
-    image count. PSNR/SSIM score the top-scale decode after the uint8
-    quantization a saved PPM would apply, so they match the
-    reconstruct-then-score path. ``rec_loss`` is the top-scale entry of
-    ``per_scale``."""
+    """Deterministic eval pass over ``indices``, split into shards of
+    ``SHARD_SIZE`` images as a training batch is and computed by ``run`` (by
+    default on a pool opened for the pass), without an autograd graph. The
+    shards follow the eval set alone, not ``config.batch_size``. Every metric
+    is a mean over images (``_image_means``). PSNR/SSIM score the top-scale
+    decode after the uint8 quantization a saved PPM would apply, so they
+    match the reconstruct-then-score path. ``rec_loss`` is the top-scale
+    entry of ``per_scale``."""
     n = len(indices)
     if n == 0:
         return {"n_images": 0}
-    shards = []
-    for start in range(0, n, config.batch_size):
-        batch_idx = indices[start : start + config.batch_size]
-        shards += [(model, dataset, batch_idx[lo:hi], config) for lo, hi in _shard_bounds(len(batch_idx))]
-    results = run(_eval_shard, shards)
-    totals = {key: sum(sums[key] for sums, _ in results) for key in results[0][0]}
-
-    scale_means = (totals["per_scale"] / n).tolist()
-    metrics = {
-        "n_images": int(n),
-        "l1": totals["l1"] / n,
-        "rec_loss": scale_means[-1],
-        "kl": totals["kl"] / n,
-        "psnr": totals["psnr"] / n,
-        "ssim": totals["ssim"] / n,
-        "per_scale": scale_means,
-        "commutation": (totals["commutation"] / n).tolist(),
-    }
+    results = run(_eval_shard, [(model, dataset, indices[lo:hi], config) for lo, hi in _shard_bounds(n)])
+    means = _image_means([sums for sums, _ in results], n)
+    # The log keeps l1 first, then rec_loss, then the other means in order.
+    metrics = {"n_images": n, "l1": means["l1"], "rec_loss": means["per_scale"][-1], **means}
     vectors = np.concatenate([mu for _, mu in results], axis=0)
     if vectors.shape[0] >= 3:
         metrics["uniformity"] = analyze_latents(vectors).to_dict()
@@ -214,7 +201,7 @@ def train(config: RunConfig, echo: bool = False) -> dict:
 
     model = init_model(tok)
     params = model.named_parameters()
-    optimizer = AdamW(params, betas=ADAMW_BETAS, weight_decay=ADAMW_WEIGHT_DECAY)
+    optimizer = AdamW(params)
     noise_rng = make_rng(tok.seed, stream=STREAM_NOISE)
     grid = model.schedule.base_grid
 

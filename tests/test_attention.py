@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mstok import attention as A
 from mstok.pyramid import build_schedule
-from mstok.tensor import MASK_VALUE, ConfigError, Tensor, grad_check, make_rng, slice_axis, tsum, square
+from mstok.tensor import MASK_VALUE, ConfigError, Tensor, grad_check, make_rng, mul, slice_axis, square, tsum
 
 
 def oracle_mask(grids, regime):
@@ -289,7 +289,7 @@ def test_block_grad_check():
     coeff = Tensor(rng.standard_normal((sched.total, d)))
 
     def f(t):
-        return tsum(square(A.transformer_block(t, params, heads=2, mask=mask) * coeff))
+        return tsum(square(mul(A.transformer_block(t, params, heads=2, mask=mask), coeff)))
 
     assert grad_check(f, x, eps=1e-5) < 1e-4
 

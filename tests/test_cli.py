@@ -135,6 +135,16 @@ def test_invalid_config_value_config_error(tmp_path, capsys, settings):
     assert not os.path.exists(tmp_path / "tok.htok")
 
 
+@pytest.mark.parametrize("checkpoint", ["", "sub/"], ids=["empty", "directory"])
+def test_checkpoint_without_file_name_config_error(tmp_path, monkeypatch, capsys, checkpoint):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train"] + sets(SMALL + ["steps=1", "data_dir=synthetic:8", "batch_size=4",
+                                          f"checkpoint={checkpoint}"])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_zero_steps_still_valid(tmp_path):
     # Writes the step-0 checkpoint, as the benchmark's set-up does.
     ckpt = tmp_path / "tok.htok"
@@ -342,7 +352,7 @@ def test_reconstruct_workers_write_identical_files(tmp_path, monkeypatch):
     ckpt = small_checkpoint(tmp_path)
     in_dir = str(tmp_path / "inputs")
     generate_synthetic_folder(in_dir, 6, 16, seed=9)
-    monkeypatch.setattr(parallel, "worker_count", lambda shards: 1)
+    monkeypatch.setattr(parallel, "pool_size", lambda shards: 1)
     assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "one")]) == 0
 
     # Every image waits until three are in flight, so three workers decode at once.
@@ -355,7 +365,7 @@ def test_reconstruct_workers_write_identical_files(tmp_path, monkeypatch):
         seen.append((threading.get_ident(), blas.num_threads()))
         real(*args)
 
-    monkeypatch.setattr(parallel, "worker_count", lambda shards: 3)
+    monkeypatch.setattr(parallel, "pool_size", lambda shards: 3)
     monkeypatch.setattr(cli, "_reconstruct_image", concurrent)
     assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "three")]) == 0
     assert len({ident for ident, _ in seen}) == 3
@@ -399,7 +409,7 @@ def test_reconstruct_restores_blas_and_joins_workers_on_error(tmp_path, monkeypa
             raise OSError("cannot write image 3")
         real_save(image, path)
 
-    monkeypatch.setattr(parallel, "worker_count", lambda shards: 2)
+    monkeypatch.setattr(parallel, "pool_size", lambda shards: 2)
     monkeypatch.setattr(cli, "save_ppm", failing_save)
     capsys.readouterr()
     assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "recon")]) == 2
@@ -435,7 +445,7 @@ def test_train_nonfinite_shard_loss_aborts_and_joins_workers(tmp_path, monkeypat
         return loss, breakdown
 
     monkeypatch.setattr(train_mod, "multiscale_loss", nan_in_second_shard_of_step_2)
-    monkeypatch.setattr(parallel, "worker_count", lambda shards: 2)
+    monkeypatch.setattr(parallel, "pool_size", lambda shards: 2)
     capsys.readouterr()
     assert main(["train", *(arg for kv in sets for arg in ("--set", kv))]) == 3
     assert capsys.readouterr().err == "numeric error: non-finite loss at step 2\n"
@@ -454,8 +464,9 @@ def test_train_nonfinite_shard_loss_aborts_and_joins_workers(tmp_path, monkeypat
 
 def test_reconstruct_without_blas_control_runs_one_worker(tmp_path, monkeypatch):
     monkeypatch.setattr(blas, "_controls", lambda: None)
-    monkeypatch.setattr(parallel, "worker_count", lambda shards: pytest.fail("worker count asked for"))
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: pytest.fail("CPU set asked for"))
     assert blas.num_threads() is None
+    assert parallel.pool_size(2) == 1
     ckpt = small_checkpoint(tmp_path)
     in_dir = str(tmp_path / "inputs")
     generate_synthetic_folder(in_dir, 2, 16, seed=9)
@@ -474,7 +485,7 @@ def test_reconstruct_workers_inherit_numpy_errstate(tmp_path, monkeypatch):
     save_checkpoint(model, ckpt)
     in_dir = str(tmp_path / "inputs")
     generate_synthetic_folder(in_dir, 4, 16, seed=9)
-    monkeypatch.setattr(parallel, "worker_count", lambda shards: 2)
+    monkeypatch.setattr(parallel, "pool_size", lambda shards: 2)
     assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "recon")]) == 0
     assert len(os.listdir(tmp_path / "recon")) == 4 * 3
 

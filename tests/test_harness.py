@@ -281,7 +281,7 @@ def test_checkpoint_independent_of_worker_count(tmp_path, monkeypatch, kw):
     outputs = []
     for name, workers, pool in [("one", 1, parallel.shard_pool), ("two", 2, parallel.shard_pool),
                                 ("reversed", 1, reversed_pool)]:
-        monkeypatch.setattr(parallel, "worker_count", lambda shards, n=workers: min(shards, n))
+        monkeypatch.setattr(parallel, "pool_size", lambda shards, n=workers: min(shards, n))
         monkeypatch.setattr(train_mod, "shard_pool", pool)
         summary = train(small_run(tmp_path, checkpoint=str(tmp_path / f"{name}.htok"), **kw))
         eval_line = Path(summary["log"]).read_text(encoding="utf-8").splitlines()[-1]
@@ -355,3 +355,14 @@ def test_sharded_evaluate_matches_whole_batch_expression(tmp_path):
                 assert got[key][stat] == pytest.approx(value[stat], rel=1e-6), stat
         else:
             np.testing.assert_allclose(got[key], value, rtol=1e-6, atol=1e-12, err_msg=key)
+
+
+def test_evaluate_independent_of_batch_size(tmp_path):
+    # The eval shards follow the eval set alone: 80 images are 32 + 32 + 16
+    # whatever the training batch size.
+    tok = dataclasses.replace(SMALL_TOK, downsample_mode="interp", seed=5)
+    model = init_model(tok)
+    ds = generate_synthetic(80, 16, seed=5)
+    got = [json.dumps(evaluate(model, ds, np.arange(80), small_run(tmp_path, tokenizer=tok, batch_size=b)))
+           for b in (40, 64, 7)]
+    assert got[0] == got[1] == got[2]

@@ -1,11 +1,14 @@
-"""Static check: no module of the package imports a name it never uses."""
+"""Static checks: no module of the package imports a name it never uses,
+and every top-level definition of the package is named somewhere."""
 
 import ast
 import pathlib
+import re
 
 import mstok
 
 PACKAGE = pathlib.Path(mstok.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,3 +34,50 @@ def test_package_has_no_unused_imports():
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def top_level_definitions(source: str) -> dict[str, int]:
+    """Module-level function, class and constant names -> line, without
+    ``__all__`` and ``__version__``."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        found[name.id] = node.lineno
+    return {name: line for name, line in found.items() if name not in ("__all__", "__version__")}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a source reads: loaded names, attribute names, and the
+    identifiers in its string literals (``setattr(m, "f", ...)``, dotted span
+    names), docstrings and other bare strings excepted."""
+    tree = ast.parse(source)
+    bare = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in bare:
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def test_package_has_no_unreferenced_definitions():
+    source = 'A, B = 1, 2\nC: int = 3\ndef f():\n    "uses D"\nclass D: pass\n__all__ = []\n__version__ = "0"\n'
+    assert top_level_definitions(source) == {"A": 1, "B": 1, "C": 2, "f": 3, "D": 5}
+    assert referenced_names(source) == {"int"}
+    assert referenced_names('import m\nm.f(A)\nsetattr(m, "x.C", 1)\n') == {"m", "f", "A", "setattr", "x", "C"}
+    sources = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").rglob("*.py")),
+               *sorted((ROOT / "tests").rglob("*.py"))]
+    referenced = set().union(*(referenced_names(path.read_text(encoding="utf-8")) for path in sources))
+    unreferenced = {path.name: [f"{name} (line {line})"
+                                for name, line in top_level_definitions(path.read_text(encoding="utf-8")).items()
+                                if name not in referenced]
+                    for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in unreferenced.items() if names} == {}

@@ -7,7 +7,7 @@ from mstok.train import train
 
 
 def test_run_shards_returns_results_in_shard_order(monkeypatch):
-    monkeypatch.setattr(parallel, "worker_count", lambda shards: min(shards, 2))
+    monkeypatch.setattr(parallel, "pool_size", lambda shards: min(shards, 2))
     threads_before = set(threading.enumerate())
     assert parallel.run_shards(lambda i, j: i * j, [(i, i) for i in range(5)]) == [0, 1, 4, 9, 16]
     assert set(threading.enumerate()) == threads_before
@@ -24,7 +24,7 @@ def test_more_workers_than_cores_give_the_one_worker_checkpoint(tmp_path, monkey
     try:
         sys.setswitchinterval(1e-6)
         for workers in (1, 4):
-            monkeypatch.setattr(parallel, "worker_count", lambda shards, n=workers: min(shards, n))
+            monkeypatch.setattr(parallel, "pool_size", lambda shards, n=workers: min(shards, n))
             ckpt = tmp_path / f"w{workers}.htok"
             train(RunConfig(tokenizer=tok, data_dir="synthetic:136", steps=2, batch_size=128,
                             eval_fraction=0.05, checkpoint=str(ckpt)))
