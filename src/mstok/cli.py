@@ -5,9 +5,10 @@ export-latents. train, export-latents and dump-mask take ``--config FILE``
 plus repeatable ``--set key=value`` overrides. export-latents rejects a
 tokenizer key that differs from its checkpoint's; dump-mask reads only
 ``scales`` and ``regime``. Both still reject unknown keys.
-reconstruct and export-latents run the model under ``tensor.no_grad``: they
-build no autograd graph, so each intermediate array is freed as soon as the
-next op has read it, and their outputs are bit-identical to graph mode.
+reconstruct and export-latents run a replica of the checkpoint's model whose
+parameters do not require grad (``TokenizerModel.replica``): they build no
+autograd graph, so each intermediate array is freed as soon as the next op
+has read it, and their outputs are bit-identical to graph mode.
 reconstruct encodes, decodes and saves each image (one PPM per scale, from
 ``pyramid.tokens_to_images``) as one shard of ``parallel.run_shards``, on
 worker threads with numpy's BLAS held at one thread; each image's files are
@@ -40,7 +41,7 @@ from .latent_stats import analyze_latents, read_latents, write_latents
 from .model import load_checkpoint
 from .parallel import run_shards
 from .pyramid import build_schedule, tokens_to_images
-from .tensor import DataError, NumericError, Tensor, no_grad
+from .tensor import DataError, NumericError, Tensor
 from .train import train
 
 OPS_THRESHOLD = 1e-4
@@ -106,7 +107,7 @@ def _reconstruct_image(model, image: np.ndarray, stem: str, output_dir: str) -> 
 
 
 def _cmd_reconstruct(args) -> int:
-    model = load_checkpoint(args.checkpoint_path)
+    model = load_checkpoint(args.checkpoint_path).replica(requires_grad=False)
     cfg = model.config
     dataset = load_dataset(args.input_dir, cfg.image_size, cfg.seed)
     stems: dict[str, str] = {}
@@ -117,17 +118,15 @@ def _cmd_reconstruct(args) -> int:
                             f"as {stem}_s<side>.ppm")
         stems[stem] = name
     os.makedirs(args.output_dir, exist_ok=True)
-    # The worker threads share the graph-mode flag, so it is set once here.
     # The first failure in input order is raised.
-    with no_grad():
-        run_shards(_reconstruct_image, [(model, image, stem, args.output_dir)
-                                        for stem, image in zip(stems, dataset.images)])
+    run_shards(_reconstruct_image, [(model, image, stem, args.output_dir)
+                                    for stem, image in zip(stems, dataset.images)])
     print(json.dumps({"event": "reconstruct", "images": len(dataset), "scales": list(cfg.scales)}))
     return 0
 
 
 def _cmd_export_latents(args) -> int:
-    model = load_checkpoint(args.checkpoint_path)
+    model = load_checkpoint(args.checkpoint_path).replica(requires_grad=False)
     cfg = model.config
     kv = read_config_kv(args.config, args.overrides)
     run = config_from_kv(RunConfig, kv, base=RunConfig(tokenizer=cfg)).validate()
@@ -138,8 +137,7 @@ def _cmd_export_latents(args) -> int:
     vectors = []
     for start in range(0, len(dataset), run.batch_size):
         x = Tensor(dataset.images[start : start + run.batch_size])
-        with no_grad():
-            mu = model.latent_for_generation(x)
+        mu = model.latent_for_generation(x)
         vectors.append(mu.data.reshape(mu.shape[0], -1))
     arr = np.concatenate(vectors, axis=0)
     write_latents(arr, args.output_path)

@@ -92,7 +92,6 @@ def model_end_to_end_check(eps: float = 1e-4, max_coords_per_param: int = 8) -> 
         return total
 
     params = model.named_parameters()
-    model.zero_grad()
     loss_fn().backward()
     analytic = {name: p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
                 for name, p in params.items()}

@@ -119,16 +119,14 @@ class TokenizerModel:
         """Dotted field path -> parameter, in field order."""
         return dict(_named_tensors(self, ""))
 
-    def zero_grad(self) -> None:
-        for p in self.named_parameters().values():
-            p.zero_grad()
-
-    def replica(self) -> "TokenizerModel":
+    def replica(self, requires_grad: bool = True) -> "TokenizerModel":
         """A copy whose parameters share this model's ``.data`` arrays but
         own their ``.grad``: backward passes on separate replicas never write
         to one buffer, and in-place updates of this model's parameters show in
-        every replica. Everything that holds no parameter is shared."""
-        return _map_tensors(self, lambda p: Tensor(p.data, requires_grad=p.requires_grad))
+        every replica. Everything that holds no parameter is shared. With
+        ``requires_grad=False`` no parameter requires grad, so a forward pass
+        on the replica records no graph: the inference paths run on one."""
+        return _map_tensors(self, lambda p: Tensor(p.data, requires_grad=requires_grad))
 
     # ------------------------------------------------------------------
     # Forward paths

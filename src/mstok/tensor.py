@@ -19,16 +19,16 @@ their input gradient in that buffer.
 Token maps are channel-last (batch x H x W x C), and ``conv2d`` takes them
 that way; images and ``area_pool`` are batch x C x H x W.
 
-Inside ``with no_grad():`` ops record no parents and keep no backward
-closures: every result is a plain constant, so each intermediate array is
-freed as soon as nothing reads it. Inference paths use it; their outputs are
-bit-identical to graph mode. The flag is process-wide, nests, and is restored
-on exit, also when the block raises.
+The inputs alone decide whether an op records a graph: an op whose inputs
+do not require grad returns a constant and keeps no closure, so each
+intermediate array is freed as soon as nothing reads it. Inference runs on a
+model replica whose parameters do not require grad
+(``TokenizerModel.replica(requires_grad=False)``); its outputs are
+bit-identical to graph mode.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 
@@ -99,9 +99,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Reverse-mode sweep from this node; accumulates into ``.grad``.
@@ -218,24 +215,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-_grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Run the enclosed ops without recording an autograd graph."""
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = saved
-
-
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if not _grad_enabled:
-        return Tensor(data)
     grad_parents = tuple(p for p in parents if p.requires_grad)
     out = Tensor(data, requires_grad=bool(grad_parents))
     if grad_parents:

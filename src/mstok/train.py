@@ -16,9 +16,10 @@ gradients in shard order, clips them and takes the AdamW step. The
 reparameterisation noise is drawn once per batch, in the main thread, and
 sliced per shard; each shard's drop_path masks come from its own generator,
 keyed by step and shard. The eval sweep splits the eval set into shards of
-the same size, on the same workers. The shards depend on the batch or the
-eval set alone, so neither a checkpoint nor the eval depends on the worker
-count.
+the same size, on the same workers, and runs them on one replica whose
+parameters do not require grad, so its forward passes record no graph. The
+shards depend on the batch or the eval set alone, so neither a checkpoint
+nor the eval depends on the worker count.
 
 The log opens with a header entry that says what produced the run: the
 config, the package and numpy versions, the git commit of the checkout that
@@ -50,7 +51,7 @@ from .model import TokenizerModel, init_model, save_checkpoint
 from .optim import AdamW, clip_grad_norm, cosine_lr
 from .parallel import ShardRunner, pool_size, run_shards, shard_pool
 from .pyramid import image_pyramid, tokens_to_images
-from .tensor import NumericError, Tensor, make_rng, no_grad
+from .tensor import NumericError, Tensor, make_rng
 
 # Images per shard of a training or eval batch; a batch's last shard takes
 # the rest. Fixed by the batch alone, never by the CPU count.
@@ -162,12 +163,12 @@ def _eval_shard(model: TokenizerModel, dataset: Dataset, indices: np.ndarray,
     return sums, code.mu.data.reshape(b, -1)
 
 
-@no_grad()
 def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray, config: RunConfig,
              run: ShardRunner = run_shards) -> dict:
     """Deterministic eval pass over ``indices``, split into shards of
     ``SHARD_SIZE`` images as a training batch is and computed by ``run`` (by
-    default on a pool opened for the pass), without an autograd graph. The
+    default on a pool opened for the pass), on one replica of the model whose
+    parameters do not require grad, so no autograd graph is recorded. The
     shards follow the eval set alone, not ``config.batch_size``. Every metric
     is a mean over images (``_image_means``). PSNR/SSIM score the top-scale
     decode after the uint8 quantization a saved PPM would apply, so they
@@ -176,7 +177,8 @@ def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray, confi
     n = len(indices)
     if n == 0:
         return {"n_images": 0}
-    results = run(_eval_shard, [(model, dataset, indices[lo:hi], config) for lo, hi in _shard_bounds(n)])
+    replica = model.replica(requires_grad=False)
+    results = run(_eval_shard, [(replica, dataset, indices[lo:hi], config) for lo, hi in _shard_bounds(n)])
     means = _image_means([sums for sums, _ in results], n)
     # The log keeps l1 first, then rec_loss, then the other means in order.
     metrics = {"n_images": n, "l1": means["l1"], "rec_loss": means["per_scale"][-1], **means}

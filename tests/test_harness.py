@@ -4,6 +4,7 @@ import json
 import math
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ import mstok
 from mstok import blas, parallel
 from mstok.config import RunConfig, TokenizerConfig, load_run_config
 from mstok.data import generate_synthetic
-from mstok.model import init_model, load_checkpoint
-from mstok.tensor import ConfigError
+from mstok.model import TokenizerModel, init_model, load_checkpoint
+from mstok.tensor import ConfigError, make_rng
 import mstok.train as train_mod
 from mstok.train import SHARD_SIZE, evaluate, train
 
@@ -171,15 +172,17 @@ def test_failed_final_eval_logs_abort(tmp_path, monkeypatch, steps):
                          "error": "injected eval failure"}
 
 
-def test_evaluate_bit_identical_to_graph_mode(tmp_path):
-    # ``evaluate`` runs under no_grad; ``__wrapped__`` is the same body with
-    # the graph recorded, and every metric must match it exactly.
+def test_evaluate_bit_identical_to_graph_mode(tmp_path, monkeypatch):
+    # ``evaluate`` runs on a grad-free replica; with ``replica`` returning the
+    # model itself, the same body records the graph, and every metric must
+    # match the graph-free run exactly.
     model = init_model(SMALL_TOK)
     ds = generate_synthetic(24, 16, seed=SMALL_TOK.seed)
     _, eval_idx = ds.split(0.25)
     run = small_run(tmp_path)
     graph_free = evaluate(model, ds, eval_idx, run)
-    with_graph = evaluate.__wrapped__(model, ds, eval_idx, run)
+    monkeypatch.setattr(TokenizerModel, "replica", lambda self, requires_grad=True: self)
+    with_graph = evaluate(model, ds, eval_idx, run)
     assert json.dumps(graph_free, sort_keys=True) == json.dumps(with_graph, sort_keys=True)
 
 
@@ -307,7 +310,6 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
     loss.backward()
     want = {name: p.grad for name, p in model.named_parameters().items()}
 
-    model.zero_grad()
     sharded = train_mod._batch_gradients(model, images, eps, run, 1, parallel.run_shards)
 
     assert sharded["total"] == pytest.approx(whole["total"], rel=1e-5)
@@ -317,6 +319,41 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
         # Entries that cancel to near zero are held to the parameter's scale.
         np.testing.assert_allclose(p.grad, want[name], rtol=1e-5,
                                    atol=1e-5 * np.abs(want[name]).max(), err_msg=name)
+
+
+def test_training_shard_beside_graph_free_shards_is_unchanged(tmp_path, monkeypatch):
+    # One ``run_shards`` call runs a training shard, which records its graph
+    # on its own replica, beside eval shards on a grad-free replica, on more
+    # workers than cores, switching threads as often as the interpreter
+    # allows. The training shard's sums and gradients must be those it gives
+    # alone.
+    monkeypatch.setattr(parallel, "pool_size", lambda shards: min(shards, 3))
+    run = small_run(tmp_path)
+    model = init_model(SMALL_TOK)
+    ds = generate_synthetic(16, 16, seed=3)
+    g = model.schedule.base_grid
+    eps = np.random.default_rng(4).standard_normal((8, g, g, SMALL_TOK.latent_dim)).astype(np.float32)
+
+    def train_shard():
+        return (train_mod._train_shard, model, ds.images[:8], eps, make_rng(5), 8, run, 1)
+
+    graph_free = model.replica(requires_grad=False)
+    (alone_sums, alone_grads), = parallel.run_shards(lambda fn, *args: fn(*args), [train_shard()])
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        (sums, grads), _, _ = parallel.run_shards(lambda fn, *args: fn(*args), [
+            train_shard(),
+            (train_mod._eval_shard, graph_free, ds, np.arange(8, 16), run),
+            (train_mod._eval_shard, graph_free, ds, np.arange(0, 8), run),
+        ])
+    finally:
+        sys.setswitchinterval(interval)
+    assert sums["total"] == alone_sums["total"] and sums["kl"] == alone_sums["kl"]
+    np.testing.assert_array_equal(sums["per_scale"], alone_sums["per_scale"])
+    assert len(grads) == len(alone_grads) == len(model.named_parameters())
+    for got, want in zip(grads, alone_grads):
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_sharded_evaluate_matches_whole_batch_expression(tmp_path):

@@ -1,5 +1,6 @@
 """Static checks: no module of the package imports a name it never uses,
-and every top-level definition of the package is named somewhere."""
+every top-level definition of the package is named somewhere, and no
+function rebinds a module-level name."""
 
 import ast
 import pathlib
@@ -81,3 +82,19 @@ def test_package_has_no_unreferenced_definitions():
                                 if name not in referenced]
                     for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in unreferenced.items() if names} == {}
+
+
+def global_statements(source: str) -> list[str]:
+    """``name (line)`` for each name a ``global`` statement declares."""
+    return [f"{name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Global) for name in node.names]
+
+
+def test_package_rebinds_no_module_state():
+    # A module global that a function rebinds is state every worker thread
+    # of ``parallel.shard_pool`` would read; the inputs of a call decide
+    # what it does instead.
+    assert global_statements("x = 0\ndef f():\n    global x, y\n    x = 1\n") == ["x (line 3)", "y (line 3)"]
+    found = {path.name: global_statements(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

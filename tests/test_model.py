@@ -10,7 +10,7 @@ from mstok.config import RunConfig, TokenizerConfig
 from mstok.losses import multiscale_loss
 from mstok.model import CheckpointError, LatentCode, init_model, load_checkpoint, save_checkpoint
 from mstok.pyramid import averaging_kernel, downsample_conv, downsample_interp, image_pyramid, tokens_to_images
-from mstok.tensor import ShapeError, Tensor, make_rng, no_grad
+from mstok.tensor import ShapeError, Tensor, make_rng
 
 TINY = TokenizerConfig(image_size=8, patch=4, enc_layers=1, dec_layers=1, enc_width=8,
                        dec_width=8, heads=2, latent_dim=4, scales=(1, 2), seed=0)
@@ -143,8 +143,7 @@ def test_reconstruct_no_grad_bit_identical():
     model = init_model(cfg)
     x = rand_image(make_rng(16), cfg, batch=2)
     graph_out, graph_code = model.reconstruct(x)
-    with no_grad():
-        free_out, free_code = model.reconstruct(x)
+    free_out, free_code = model.replica(requires_grad=False).reconstruct(x)
     assert graph_out.requires_grad and not free_out.requires_grad
     for a, b in zip(images_of(model, graph_out), images_of(model, free_out)):
         np.testing.assert_array_equal(a, b)
@@ -156,21 +155,18 @@ def test_no_grad_halves_reconstruct_peak_memory():
     import tracemalloc
 
     model = init_model(TokenizerConfig())
+    graph_free = model.replica(requires_grad=False)
     x = rand_image(make_rng(17), model.config, batch=8)
 
-    def peak(graph_free: bool) -> int:
+    def peak(m) -> int:
         tracemalloc.start()
         try:
-            if graph_free:
-                with no_grad():
-                    out = model.reconstruct(x)
-            else:
-                out = model.reconstruct(x)  # ``out`` keeps the graph alive
+            out = m.reconstruct(x)  # on ``model``, ``out`` keeps the graph alive
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    graph_peak, free_peak = peak(False), peak(True)
+    graph_peak, free_peak = peak(model), peak(graph_free)
     assert free_peak < graph_peak / 2, (free_peak, graph_peak)
 
 
@@ -190,11 +186,9 @@ def test_backward_frees_training_graph():
     try:
         loss = forward()
         after_forward = tracemalloc.get_traced_memory()[0]
-        model.zero_grad()
         loss.backward()  # ``loss`` stays referenced, as in the training loop
         after_backward = tracemalloc.get_traced_memory()[0]
         loss = forward()  # the second step's forward runs while the first loss lives
-        model.zero_grad()
         loss.backward()
         two_step_peak = tracemalloc.get_traced_memory()[1]
     finally:
