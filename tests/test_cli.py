@@ -434,17 +434,21 @@ def test_train_nonfinite_shard_loss_aborts_and_joins_workers(tmp_path, monkeypat
             "batch_size=40", "steps=4", "log_interval=1", f"checkpoint={ckpt}"]
     threads_before, blas_before = set(threading.enumerate()), blas.num_threads()
     real_loss = train_mod.multiscale_loss
-    second_shards = []
+    # A batch of 40 is shards of 16 + 16 + 8: the 8-image shard is the last
+    # one, and the only one of its size.
+    sizes = [hi - lo for lo, hi in train_mod._shard_bounds(40)]
+    assert len(sizes) > 1 and sizes.count(sizes[-1]) == 1
+    last_shards = []
 
-    def nan_in_second_shard_of_step_2(px, targets, schedule, config, code):
+    def nan_in_last_shard_of_step_2(px, targets, schedule, config, code):
         loss, breakdown = real_loss(px, targets, schedule, config, code)
-        if px.shape[0] == 8:  # a batch of 40 is shards of 32 + 8
-            second_shards.append(breakdown)
-            if len(second_shards) == 2:
+        if px.shape[0] == sizes[-1]:
+            last_shards.append(breakdown)
+            if len(last_shards) == 2:
                 loss.data = np.full_like(loss.data, np.nan)
         return loss, breakdown
 
-    monkeypatch.setattr(train_mod, "multiscale_loss", nan_in_second_shard_of_step_2)
+    monkeypatch.setattr(train_mod, "multiscale_loss", nan_in_last_shard_of_step_2)
     monkeypatch.setattr(parallel, "pool_size", lambda shards: 2)
     capsys.readouterr()
     assert main(["train", *(arg for kv in sets for arg in ("--set", kv))]) == 3

@@ -100,10 +100,13 @@ def test_log_lines_schema(tmp_path):
     train_lines = [l for l in lines if "step" in l]
     assert train_lines, "expected per-interval train entries"
     for entry in train_lines:
-        assert set(entry) == {"step", "lr", "total", "per_scale", "kl", "grad_norm", "step_ms"}
+        assert set(entry) == {"step", "lr", "total", "per_scale", "kl", "grad_norm", "step_ms", "rss_mb"}
         assert len(entry["per_scale"]) == len(SMALL_TOK.scales)
         assert math.isfinite(entry["grad_norm"]) and entry["grad_norm"] > 0.0
         assert entry["step_ms"] > 0.0
+    # rss_mb is the process's peak so far: positive, and it never falls.
+    rss = [entry["rss_mb"] for entry in train_lines]
+    assert rss[0] > 0.0 and rss == sorted(rss)
     eval_lines = [l for l in lines if l.get("event") == "eval"]
     assert len(eval_lines) == 1
     for key in ("l1", "rec_loss", "psnr", "ssim", "per_scale", "commutation", "uniformity"):
@@ -243,9 +246,13 @@ def test_run_config_rejects_conv_non_dyadic():
 
 
 def test_one_worker_fallback_checkpoint_independent_of_blas_threads(tmp_path, monkeypatch):
-    # Batch 63 is shards of 32 + 31; the last shard's decoder kernel
-    # gradients reduce over 31 x 85 = 2635 rows, not a multiple of 32. Without
-    # the BLAS controls one worker runs the shards at whatever count BLAS has.
+    # Batch 63 is shards of 16 + 16 + 16 + 15; the last shard's decoder
+    # kernel gradients reduce over 15 x 85 = 1275 rows, not a multiple of 32.
+    # Without the BLAS controls one worker runs the shards at whatever count
+    # BLAS has.
+    tokens = RunConfig().tokenizer.schedule().total  # 85
+    bounds = train_mod._shard_bounds(63)
+    assert len(bounds) > 1 and (bounds[-1][1] - bounds[-1][0]) * tokens % 32 != 0
     controls = blas._controls()
     if controls is None:
         pytest.skip("numpy's OpenBLAS thread controls are missing")
@@ -268,7 +275,7 @@ def test_one_worker_fallback_checkpoint_independent_of_blas_threads(tmp_path, mo
 
 @pytest.mark.parametrize("kw", [
     dict(batch_size=64, data_dir="synthetic:80", steps=2),
-    # 60 train images in batches of 40: shards of 32 + 8, then one of 20.
+    # 60 train images in batches of 40: shards of 16 + 16 + 8, then 16 + 4.
     dict(batch_size=40, data_dir="synthetic:80", steps=0, epochs=2),
     dict(batch_size=64, data_dir="synthetic:80", steps=2,
          tokenizer=dataclasses.replace(SMALL_TOK, drop_path=0.1)),
@@ -276,6 +283,8 @@ def test_one_worker_fallback_checkpoint_independent_of_blas_threads(tmp_path, mo
 def test_checkpoint_independent_of_worker_count(tmp_path, monkeypatch, kw):
     # One worker, two workers, and one worker taking the shards last to
     # first: the checkpoint and the eval entry must not change.
+    assert len(train_mod._shard_bounds(kw["batch_size"])) > 1
+
     @contextlib.contextmanager
     def reversed_pool(shards):
         with parallel.shard_pool(shards) as run:
@@ -293,10 +302,12 @@ def test_checkpoint_independent_of_worker_count(tmp_path, monkeypatch, kw):
 
 
 def test_sharded_step_matches_whole_batch_graph(tmp_path):
-    # 40 images are shards of 32 + 8, weighted 0.8 and 0.2.
+    # 40 images are shards of 16 + 16 + 8, weighted 0.4, 0.4 and 0.2.
     from mstok.losses import multiscale_loss
     from mstok.pyramid import image_pyramid
     from mstok.tensor import Tensor
+
+    assert len({hi - lo for lo, hi in train_mod._shard_bounds(40)}) > 1
 
     run = small_run(tmp_path, batch_size=40)
     model = init_model(SMALL_TOK)
@@ -319,6 +330,31 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
         # Entries that cancel to near zero are held to the parameter's scale.
         np.testing.assert_allclose(p.grad, want[name], rtol=1e-5,
                                    atol=1e-5 * np.abs(want[name]).max(), err_msg=name)
+
+
+def test_training_shard_peak_memory_grows_with_its_images(tmp_path):
+    # Two shards run at once and each holds its graph until its backward, so
+    # a step's peak follows SHARD_SIZE only if a shard's graph grows with its
+    # images and its fixed overhead stays small.
+    import tracemalloc
+
+    run = small_run(tmp_path)
+    model = init_model(SMALL_TOK)
+    images = generate_synthetic(16, 16, seed=3).images
+    g = model.schedule.base_grid
+    eps = np.random.default_rng(4).standard_normal((16, g, g, SMALL_TOK.latent_dim)).astype(np.float32)
+
+    def peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            train_mod._train_shard(model, images[:n], eps[:n], make_rng(5), 16, run, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # fills the caches the first shard builds
+    half, full = peak(8), peak(16)
+    assert half < 0.6 * full, (half, full)
 
 
 def test_training_shard_beside_graph_free_shards_is_unchanged(tmp_path, monkeypatch):
@@ -357,13 +393,16 @@ def test_training_shard_beside_graph_free_shards_is_unchanged(tmp_path, monkeypa
 
 
 def test_sharded_evaluate_matches_whole_batch_expression(tmp_path):
-    # The eval formula before sharding: one whole batch of 40 images.
+    # The eval formula before sharding: one whole batch of 40 images, which
+    # evaluate splits into more than one shard.
     from mstok.imageio import quantize_roundtrip
     from mstok.latent_stats import analyze_latents, commutation_residuals
     from mstok.losses import multiscale_loss
     from mstok.metrics import psnr, ssim
     from mstok.pyramid import image_pyramid, tokens_to_images
     from mstok.tensor import Tensor
+
+    assert len(train_mod._shard_bounds(40)) > 1
 
     run = small_run(tmp_path, batch_size=40)
     model = init_model(SMALL_TOK)
@@ -395,8 +434,9 @@ def test_sharded_evaluate_matches_whole_batch_expression(tmp_path):
 
 
 def test_evaluate_independent_of_batch_size(tmp_path):
-    # The eval shards follow the eval set alone: 80 images are 32 + 32 + 16
-    # whatever the training batch size.
+    # The eval shards follow the eval set alone: 80 images are five shards
+    # of 16 whatever the training batch size.
+    assert len(train_mod._shard_bounds(80)) > 1
     tok = dataclasses.replace(SMALL_TOK, downsample_mode="interp", seed=5)
     model = init_model(tok)
     ds = generate_synthetic(80, 16, seed=5)
