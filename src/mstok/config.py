@@ -74,7 +74,7 @@ class RunConfig:
     data_dir: str = "synthetic:512"
     steps: int = 2000
     epochs: int = 0                  # when > 0, overrides steps with epochs x batches per epoch
-    batch_size: int = 64
+    batch_size: int = 64             # images per training step; only train reads it
     lr_start: float = 1e-4
     lr_end: float = 1e-6
     warmup_ratio: float = 0.03

@@ -1,4 +1,10 @@
-"""Data-parallel shards of a batch on worker threads.
+"""Data-parallel shards of a batch on worker threads, and the shard layout
+every pass over an image set uses.
+
+``shard_bounds(n)`` splits ``n`` images into shards of ``SHARD_SIZE``: the
+train step splits a batch by it, the eval sweep the eval set, and
+``export-latents`` its dataset, so the layout of the latent rows follows the
+image set alone.
 
 ``shard_pool`` opens a pool of worker threads, one per CPU the process may
 use and at most one per shard of a batch, with numpy's BLAS held at one
@@ -33,6 +39,17 @@ from typing import Any
 from . import blas
 
 ShardRunner = Callable[[Callable[..., Any], Sequence[tuple]], list]
+
+# Images per shard; a set's last shard takes the rest. Fixed by the image
+# set alone, never by the CPU count. 16, not 32: a train step runs two shards
+# at once and each holds its graph until its backward, so halving the shard
+# halves the graphs a step holds (see ``mstok.train``).
+SHARD_SIZE = 16
+
+
+def shard_bounds(n: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each shard of an ``n``-image set."""
+    return [(start, min(start + SHARD_SIZE, n)) for start in range(0, n, SHARD_SIZE)]
 
 
 def pool_size(shards: int) -> int:

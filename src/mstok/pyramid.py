@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ConfigError, ShapeError, Tensor, _pool_weights, add, area_pool, as_tensor, concat, conv2d, matmul, reshape
+from .tensor import ConfigError, ShapeError, Tensor, add, area_pool, as_tensor, concat, conv2d, matmul, pool_weights, reshape
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,11 @@ def _base_map(z, schedule: ScaleSchedule, op: str) -> Tensor:
 def _pool_matrix(grids: tuple[int, ...], dtype) -> np.ndarray:
     """The low-to-high token sequence as one ``T x g²`` matrix on the row-major
     flattened base grid ``g``: each level's block is ``kron(w, w)`` of its
-    ``_pool_weights`` ``w``, the identity at the base grid. Never larger than
+    ``pool_weights`` ``w``, the identity at the base grid. Never larger than
     the ``T x T`` attention mask. Built in float64 and cast once; cached and
     read-only, since every caller shares it.
     """
-    weights = [_pool_weights(grids[-1], g, np.float64) for g in grids]
+    weights = [pool_weights(grids[-1], g, np.float64) for g in grids]
     m = np.concatenate([np.kron(w, w) for w in weights]).astype(dtype)
     m.flags.writeable = False
     return m

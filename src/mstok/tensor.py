@@ -666,7 +666,7 @@ def conv2d(x, kernel) -> Tensor:
 
 
 @functools.lru_cache(maxsize=None)
-def _pool_weights(n_in: int, n_out: int, dtype) -> np.ndarray:
+def pool_weights(n_in: int, n_out: int, dtype) -> np.ndarray:
     """Row-stochastic matrix mapping n_in source pixels to n_out cell means.
 
     Each source pixel contributes in proportion to its overlap with the
@@ -692,7 +692,7 @@ def area_pool(x, out_h: int, out_w: int) -> Tensor:
 
     Every output cell is the (fractional-area weighted) mean of its source
     region: the rows, then the columns, go through ``matmul`` with the
-    constant ``_pool_weights`` matrices, so the gradients are those of the
+    constant ``pool_weights`` matrices, so the gradients are those of the
     composed ``matmul``s. A gemm sums in another order than a block mean, so
     at integral ratios results can differ from one in the last float32 bits.
     """
@@ -704,8 +704,8 @@ def area_pool(x, out_h: int, out_w: int) -> Tensor:
         raise ShapeError(f"area_pool: output dims must be positive, got {out_h}x{out_w}")
     if out_h > h or out_w > w:
         raise ShapeError(f"area_pool: output {out_h}x{out_w} exceeds input {h}x{w}")
-    rows = matmul(Tensor(_pool_weights(h, out_h, x.dtype)), x)
-    return matmul(rows, Tensor(_pool_weights(w, out_w, x.dtype).T))
+    rows = matmul(Tensor(pool_weights(h, out_h, x.dtype)), x)
+    return matmul(rows, Tensor(pool_weights(w, out_w, x.dtype).T))
 
 
 def drop_path(x, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:

@@ -2,7 +2,7 @@
 checkpoints, and a final eval sweep (losses, PSNR/SSIM, commutation
 residuals, latent uniformity).
 
-Each training batch is split into shards of ``SHARD_SIZE`` images, run as
+Each training batch is split into shards by ``parallel.shard_bounds``, run as
 data-parallel shards on the worker threads of one ``parallel.shard_pool``,
 which stays open for every step and the final eval. Every shard, of a
 training batch or of the eval set, is a function of the model and its
@@ -15,19 +15,19 @@ also returns the replica's gradients. The main thread then sums the shard
 gradients in shard order, clips them and takes the AdamW step. The
 reparameterisation noise is drawn once per batch, in the main thread, and
 sliced per shard; each shard's drop_path masks come from its own generator,
-keyed by step and shard. The eval sweep splits the eval set into shards of
-the same size, on the same workers, and runs them on one replica whose
+keyed by step and shard. The eval sweep splits the eval set into shards the
+same way, on the same workers, and runs them on one replica whose
 parameters do not require grad, so its forward passes record no graph. The
 shards depend on the batch or the eval set alone, so neither a checkpoint
 nor the eval depends on the worker count.
 
-``SHARD_SIZE`` sets the memory of a step more than its speed. The pool runs
-two shards at once on two CPUs, and each holds its whole autograd graph
-until its backward, so a step's peak holds about two shard graphs; the graph
-grows with the shard's images. At the default config one shard run alone has
-a tracemalloc peak of 140.6 MB at 32 images and 70.7 MB at 16. On a 2-vCPU
-Xeon, shards of 16 cut a default run's peak resident memory from about 360
-to 225 MB, for a step 4-8% slower than with shards of 32.
+``parallel.SHARD_SIZE`` sets the memory of a step more than its speed. The
+pool runs two shards at once on two CPUs, and each holds its whole autograd
+graph until its backward, so a step's peak holds about two shard graphs; the
+graph grows with the shard's images. At the default config one shard run
+alone has a tracemalloc peak of 140.6 MB at 32 images and 70.7 MB at 16. On
+a 2-vCPU Xeon, shards of 16 cut a default run's peak resident memory from
+about 360 to 225 MB, for a step 4-8% slower than with shards of 32.
 
 The log opens with a header entry that says what produced the run: the
 config, the package and numpy versions, the git commit of the checkout that
@@ -59,21 +59,9 @@ from .losses import multiscale_loss
 from .metrics import psnr, ssim
 from .model import TokenizerModel, init_model, save_checkpoint
 from .optim import AdamW, clip_grad_norm, cosine_lr
-from .parallel import ShardRunner, pool_size, run_shards, shard_pool
+from .parallel import SHARD_SIZE, ShardRunner, pool_size, run_shards, shard_bounds, shard_pool
 from .pyramid import image_pyramid, tokens_to_images
 from .tensor import NumericError, Tensor, make_rng
-
-# Images per shard of a training or eval batch; a batch's last shard takes
-# the rest. Fixed by the batch alone, never by the CPU count. 16, not 32:
-# two shards run at once and each holds its graph until its backward, so
-# halving the shard halves the graphs a step holds (module docstring).
-SHARD_SIZE = 16
-
-
-def _shard_bounds(n: int) -> list[tuple[int, int]]:
-    """``(start, stop)`` of each shard of an ``n``-image batch."""
-    return [(start, min(start + SHARD_SIZE, n)) for start in range(0, n, SHARD_SIZE)]
-
 
 def log_path_for(checkpoint: str) -> str:
     stem, _ = os.path.splitext(checkpoint)
@@ -104,7 +92,7 @@ def _log_header(config: RunConfig, model: TokenizerModel) -> dict:
         "blas": {"name": blas_build.get("name"), "version": blas_build.get("version"),
                  "threads": blas.num_threads()},
         "shard_size": SHARD_SIZE,
-        "workers": pool_size(len(_shard_bounds(config.batch_size))),
+        "workers": pool_size(len(shard_bounds(config.batch_size))),
     }
 
 
@@ -145,7 +133,7 @@ def _batch_gradients(model: TokenizerModel, images: np.ndarray, eps: np.ndarray,
     seed = model.config.seed
     results = run(_train_shard, [
         (model, images[lo:hi], eps[lo:hi], make_rng(seed, stream=(STREAM_DROP, step, shard)), b, config, step)
-        for shard, (lo, hi) in enumerate(_shard_bounds(b))
+        for shard, (lo, hi) in enumerate(shard_bounds(b))
     ])
     for p, shard_grads in zip(model.named_parameters().values(), zip(*(grads for _, grads in results))):
         grads = [g for g in shard_grads if g is not None]
@@ -177,20 +165,20 @@ def _eval_shard(model: TokenizerModel, dataset: Dataset, indices: np.ndarray,
 
 def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray, config: RunConfig,
              run: ShardRunner = run_shards) -> dict:
-    """Deterministic eval pass over ``indices``, split into shards of
-    ``SHARD_SIZE`` images as a training batch is and computed by ``run`` (by
-    default on a pool opened for the pass), on one replica of the model whose
-    parameters do not require grad, so no autograd graph is recorded. The
-    shards follow the eval set alone, not ``config.batch_size``. Every metric
-    is a mean over images (``_image_means``). PSNR/SSIM score the top-scale
-    decode after the uint8 quantization a saved PPM would apply, so they
-    match the reconstruct-then-score path. ``rec_loss`` is the top-scale
-    entry of ``per_scale``."""
+    """Deterministic eval pass over ``indices``, split by ``shard_bounds`` as
+    a training batch is and computed by ``run`` (by default on a pool opened
+    for the pass), on one replica of the model whose parameters do not
+    require grad, so no autograd graph is recorded. The shards follow the
+    eval set alone, not ``config.batch_size``. Every metric is a mean over
+    images (``_image_means``). PSNR/SSIM score the top-scale decode after the
+    uint8 quantization a saved PPM would apply, so they match the
+    reconstruct-then-score path. ``rec_loss`` is the top-scale entry of
+    ``per_scale``."""
     n = len(indices)
     if n == 0:
         return {"n_images": 0}
     replica = model.replica(requires_grad=False)
-    results = run(_eval_shard, [(replica, dataset, indices[lo:hi], config) for lo, hi in _shard_bounds(n)])
+    results = run(_eval_shard, [(replica, dataset, indices[lo:hi], config) for lo, hi in shard_bounds(n)])
     means = _image_means([sums for sums, _ in results], n)
     # The log keeps l1 first, then rec_loss, then the other means in order.
     metrics = {"n_images": n, "l1": means["l1"], "rec_loss": means["per_scale"][-1], **means}
@@ -241,7 +229,7 @@ def train(config: RunConfig, echo: bool = False) -> dict:
         emit(_log_header(config, model))
         step = 0
         try:
-            with shard_pool(len(_shard_bounds(config.batch_size))) as run:
+            with shard_pool(len(shard_bounds(config.batch_size))) as run:
                 for step in range(1, steps + 1):
                     step_start = time.perf_counter()
                     if cursor >= len(order):

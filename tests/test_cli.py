@@ -15,12 +15,12 @@ import mstok.cli as cli
 from mstok import blas, parallel
 from mstok.cli import E2E_THRESHOLD, OPS_THRESHOLD, UsageError, main
 from mstok.config import RunConfig, TokenizerConfig
-from mstok.data import generate_synthetic_folder
+from mstok.data import generate_synthetic_folder, load_dataset
 from mstok.imageio import load_ppm
-from mstok.latent_stats import read_latents, write_latents
+from mstok.latent_stats import analyze_latents, read_latents, write_latents
 from mstok.model import init_model, load_checkpoint, save_checkpoint
-from mstok.tensor import ConfigError, DataError, NumericError, make_rng
-from mstok.train import log_path_for, train
+from mstok.tensor import ConfigError, DataError, NumericError, Tensor, make_rng
+from mstok.train import evaluate, log_path_for, train
 
 SMALL = ["image_size=16", "patch=4", "enc_layers=1", "dec_layers=1", "enc_width=16",
          "dec_width=16", "heads=2", "latent_dim=4", "scales=1,2,4"]
@@ -282,6 +282,36 @@ def test_export_and_analyze_latents(tmp_path, capsys):
     assert report["n_points"] == 12 and report["grid_size"] == 16
 
 
+def test_export_latents_independent_of_batch_size(tmp_path):
+    # 40 images are shards of 16 + 16 + 8 whatever the batch size; the rows
+    # are those of one encoder pass over all 40 images.
+    assert [hi - lo for lo, hi in parallel.shard_bounds(40)] == [16, 16, 8]
+    ckpt = small_checkpoint(tmp_path)
+    blobs = []
+    for b in (4, 64):
+        hlat = tmp_path / f"b{b}.hlat"
+        assert main(["export-latents", ckpt, str(hlat), "--set", "data_dir=synthetic:40",
+                     "--set", f"batch_size={b}"]) == 0
+        blobs.append(hlat.read_bytes())
+    assert blobs[0] == blobs[1]
+    model = load_checkpoint(ckpt).replica(requires_grad=False)
+    images = load_dataset("synthetic:40", model.config.image_size, model.config.seed).images
+    whole = model.latent_for_generation(Tensor(images)).data.reshape(40, -1)
+    np.testing.assert_array_equal(read_latents(str(tmp_path / "b4.hlat")), whole)
+
+
+def test_eval_uniformity_matches_analyze_latent_of_export(tmp_path):
+    # The train eval and analyze-latent on an export score the paper's
+    # uniformity on the same latent rows.
+    ckpt = small_checkpoint(tmp_path, steps=3)
+    model = load_checkpoint(ckpt)
+    hlat = str(tmp_path / "latents.hlat")
+    assert main(["export-latents", ckpt, hlat, "--set", "data_dir=synthetic:40"]) == 0
+    ds = load_dataset("synthetic:40", model.config.image_size, model.config.seed)
+    got = evaluate(model, ds, np.arange(40), RunConfig(tokenizer=model.config))["uniformity"]
+    assert got == analyze_latents(read_latents(hlat)).to_dict()
+
+
 def test_reconstruct_rejects_config_options(tmp_path, capsys):
     # reconstruct takes everything from the checkpoint; config options would be ignored.
     ckpt = small_checkpoint(tmp_path)
@@ -436,7 +466,7 @@ def test_train_nonfinite_shard_loss_aborts_and_joins_workers(tmp_path, monkeypat
     real_loss = train_mod.multiscale_loss
     # A batch of 40 is shards of 16 + 16 + 8: the 8-image shard is the last
     # one, and the only one of its size.
-    sizes = [hi - lo for lo, hi in train_mod._shard_bounds(40)]
+    sizes = [hi - lo for lo, hi in parallel.shard_bounds(40)]
     assert len(sizes) > 1 and sizes.count(sizes[-1]) == 1
     last_shards = []
 

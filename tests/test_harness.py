@@ -17,7 +17,7 @@ from mstok.data import generate_synthetic
 from mstok.model import TokenizerModel, init_model, load_checkpoint
 from mstok.tensor import ConfigError, make_rng
 import mstok.train as train_mod
-from mstok.train import SHARD_SIZE, evaluate, train
+from mstok.train import evaluate, train
 
 SMALL_TOK = TokenizerConfig(image_size=16, patch=4, enc_layers=1, dec_layers=1,
                             enc_width=16, dec_width=16, heads=2, latent_dim=4,
@@ -87,7 +87,7 @@ def test_log_lines_schema(tmp_path):
     header = lines[0]
     assert set(header) == {"event", "config", "version", "git", "parameters", "numpy", "blas",
                            "shard_size", "workers"}
-    assert header["shard_size"] == SHARD_SIZE
+    assert header["shard_size"] == parallel.SHARD_SIZE
     assert header["workers"] == parallel.pool_size(1)  # batch 4 is one shard
     assert header["event"] == "header" and header["version"] == mstok.__version__
     assert header["config"]["tokenizer"]["scales"] == list(SMALL_TOK.scales)
@@ -251,7 +251,7 @@ def test_one_worker_fallback_checkpoint_independent_of_blas_threads(tmp_path, mo
     # Without the BLAS controls one worker runs the shards at whatever count
     # BLAS has.
     tokens = RunConfig().tokenizer.schedule().total  # 85
-    bounds = train_mod._shard_bounds(63)
+    bounds = parallel.shard_bounds(63)
     assert len(bounds) > 1 and (bounds[-1][1] - bounds[-1][0]) * tokens % 32 != 0
     controls = blas._controls()
     if controls is None:
@@ -283,7 +283,7 @@ def test_one_worker_fallback_checkpoint_independent_of_blas_threads(tmp_path, mo
 def test_checkpoint_independent_of_worker_count(tmp_path, monkeypatch, kw):
     # One worker, two workers, and one worker taking the shards last to
     # first: the checkpoint and the eval entry must not change.
-    assert len(train_mod._shard_bounds(kw["batch_size"])) > 1
+    assert len(parallel.shard_bounds(kw["batch_size"])) > 1
 
     @contextlib.contextmanager
     def reversed_pool(shards):
@@ -307,7 +307,7 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
     from mstok.pyramid import image_pyramid
     from mstok.tensor import Tensor
 
-    assert len({hi - lo for lo, hi in train_mod._shard_bounds(40)}) > 1
+    assert len({hi - lo for lo, hi in parallel.shard_bounds(40)}) > 1
 
     run = small_run(tmp_path, batch_size=40)
     model = init_model(SMALL_TOK)
@@ -334,8 +334,8 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
 
 def test_training_shard_peak_memory_grows_with_its_images(tmp_path):
     # Two shards run at once and each holds its graph until its backward, so
-    # a step's peak follows SHARD_SIZE only if a shard's graph grows with its
-    # images and its fixed overhead stays small.
+    # a step's peak follows parallel.SHARD_SIZE only if a shard's graph grows
+    # with its images and its fixed overhead stays small.
     import tracemalloc
 
     run = small_run(tmp_path)
@@ -402,7 +402,7 @@ def test_sharded_evaluate_matches_whole_batch_expression(tmp_path):
     from mstok.pyramid import image_pyramid, tokens_to_images
     from mstok.tensor import Tensor
 
-    assert len(train_mod._shard_bounds(40)) > 1
+    assert len(parallel.shard_bounds(40)) > 1
 
     run = small_run(tmp_path, batch_size=40)
     model = init_model(SMALL_TOK)
@@ -436,7 +436,7 @@ def test_sharded_evaluate_matches_whole_batch_expression(tmp_path):
 def test_evaluate_independent_of_batch_size(tmp_path):
     # The eval shards follow the eval set alone: 80 images are five shards
     # of 16 whatever the training batch size.
-    assert len(train_mod._shard_bounds(80)) > 1
+    assert len(parallel.shard_bounds(80)) > 1
     tok = dataclasses.replace(SMALL_TOK, downsample_mode="interp", seed=5)
     model = init_model(tok)
     ds = generate_synthetic(80, 16, seed=5)

@@ -1,6 +1,6 @@
-"""Static checks: no module of the package imports a name it never uses,
-every top-level definition of the package is named somewhere, and no
-function rebinds a module-level name."""
+"""Static checks: no module of the package imports a name it never uses or
+another module's private name, every top-level definition of the package is
+named somewhere, and no function rebinds a module-level name."""
 
 import ast
 import pathlib
@@ -33,6 +33,40 @@ def test_package_has_no_unused_imports():
     assert unused_imports("import os\nfrom x import a, b as c\nprint(a)\n") == ["os (line 1)", "c (line 2)"]
     assert unused_imports("from .t import T\n__all__ = ['T']\n") == []
     found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """``module.name (line)`` for each ``_``-prefixed name, dunders excepted,
+    that a source takes from a package module: by ``from .m import _x`` or
+    as ``m._x`` of a module bound by ``from . import m``."""
+    tree = ast.parse(source)
+    modules = {}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "mstok"):
+            for alias in node.names:
+                if node.module is None or node.module == "mstok":
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.append(f"{node.module}.{alias.name} (line {node.lineno})")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append(f"{modules[node.value.id]}.{node.attr} (line {node.lineno})")
+    return found
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_package_imports_no_private_names():
+    source = ("from . import blas, __version__\nfrom .tensor import _w, Tensor\nfrom mstok.t import _v\n"
+              "from x import _y\nblas._controls()\nblas.__name__\n")
+    assert private_imports(source) == ["tensor._w (line 2)", "mstok.t._v (line 3)", "blas._controls (line 5)"]
+    found = {path.name: private_imports(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 
