@@ -4,7 +4,11 @@ every pass over an image set uses.
 ``shard_bounds(n)`` splits ``n`` images into shards of ``SHARD_SIZE``: the
 train step splits a batch by it, the eval sweep the eval set, and
 ``export-latents`` its dataset, so the layout of the latent rows follows the
-image set alone.
+image set alone. ``export-latents`` runs its shards through ``run_shards``,
+and each writes its rows into its own slice of one array the caller
+allocated before the pool opened; a shard that returns large arrays instead
+leaves them to be freed into its worker's malloc arena, which the calling
+thread's next allocations do not reuse.
 
 ``shard_pool`` opens a pool of worker threads, one per CPU the process may
 use and at most one per shard of a batch, with numpy's BLAS held at one

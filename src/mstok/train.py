@@ -34,7 +34,8 @@ config, the package and numpy versions, the git commit of the checkout that
 holds the package (null outside one), the parameter count, the BLAS numpy
 runs on with its thread count (null when it cannot be read), and the shard
 size and worker count the steps run with. Each step entry records the
-process's peak resident memory so far, ``rss_mb``.
+process's peak resident memory so far, ``rss_mb``; the eval entry records it
+too, after the eval sweep, with the sweep's wall time, ``eval_ms``.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ def _log_header(config: RunConfig, model: TokenizerModel) -> dict:
         "shard_size": SHARD_SIZE,
         "workers": pool_size(len(shard_bounds(config.batch_size))),
     }
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident memory so far (``ru_maxrss``), in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _image_means(sums: list[dict], n: int) -> dict:
@@ -258,20 +264,22 @@ def train(config: RunConfig, echo: bool = False) -> dict:
                             "kl": breakdown["kl"],
                             "grad_norm": grad_norm,
                             "step_ms": step_ms,
-                            "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                            "rss_mb": _peak_rss_mb(),
                         }
                         emit(last_entry)
                     if config.checkpoint_interval and step % config.checkpoint_interval == 0:
                         save_checkpoint(model, config.checkpoint)
                 save_checkpoint(model, config.checkpoint)
+                eval_start = time.perf_counter()
                 eval_metrics = evaluate(model, dataset, eval_idx, config, run)
+                eval_ms = 1000.0 * (time.perf_counter() - eval_start)
         except BaseException as err:
             # Any failure, interrupts included, is logged before it propagates;
             # "at_step" (0 before step 1) is not "step", which marks step
             # entries. The last checkpoint written stays on disk untouched.
             emit({"event": "abort", "at_step": step, "error_type": type(err).__name__, "error": str(err)})
             raise
-        emit({"event": "eval", **eval_metrics})
+        emit({"event": "eval", **eval_metrics, "eval_ms": eval_ms, "rss_mb": _peak_rss_mb()})
 
     return {
         "checkpoint": config.checkpoint,

@@ -18,7 +18,7 @@ from mstok.config import RunConfig, TokenizerConfig
 from mstok.data import generate_synthetic_folder, load_dataset
 from mstok.imageio import load_ppm
 from mstok.latent_stats import analyze_latents, read_latents, write_latents
-from mstok.model import init_model, load_checkpoint, save_checkpoint
+from mstok.model import TokenizerModel, init_model, load_checkpoint, save_checkpoint
 from mstok.tensor import ConfigError, DataError, NumericError, Tensor, make_rng
 from mstok.train import evaluate, log_path_for, train
 
@@ -494,6 +494,64 @@ def test_train_nonfinite_shard_loss_aborts_and_joins_workers(tmp_path, monkeypat
     initial = init_model(model.config).named_parameters()
     for name, p in model.named_parameters().items():
         assert np.array_equal(p.data, initial[name].data), name
+
+
+def test_export_latents_workers_write_identical_rows(tmp_path, monkeypatch):
+    if blas.num_threads() is None:
+        pytest.skip("without numpy's OpenBLAS thread controls export-latents runs one worker")
+    ckpt = small_checkpoint(tmp_path)
+    data = ["--set", "data_dir=synthetic:40"]
+    monkeypatch.setattr(parallel, "pool_size", lambda shards: 1)
+    assert main(["export-latents", ckpt, str(tmp_path / "one.hlat"), *data]) == 0
+
+    # 40 images are three shards, and each waits until all three are in
+    # flight, so three workers write their rows at once.
+    assert len(parallel.shard_bounds(40)) == 3
+    barrier = threading.Barrier(3, timeout=30)
+    seen = []
+    real = cli._encode_rows
+
+    def concurrent(*args):
+        barrier.wait()
+        seen.append((threading.get_ident(), blas.num_threads()))
+        real(*args)
+
+    monkeypatch.setattr(parallel, "pool_size", lambda shards: 3)
+    monkeypatch.setattr(cli, "_encode_rows", concurrent)
+    assert main(["export-latents", ckpt, str(tmp_path / "three.hlat"), *data]) == 0
+    assert len({ident for ident, _ in seen}) == 3
+    assert {threads for _, threads in seen} == {1}
+    assert (tmp_path / "one.hlat").read_bytes() == (tmp_path / "three.hlat").read_bytes()
+    # The rows are those of one encoder pass over all 40 images.
+    model = load_checkpoint(ckpt).replica(requires_grad=False)
+    images = load_dataset("synthetic:40", model.config.image_size, model.config.seed).images
+    whole = model.latent_for_generation(Tensor(images)).data.reshape(40, -1)
+    np.testing.assert_array_equal(read_latents(str(tmp_path / "three.hlat")), whole)
+
+
+def test_export_latents_failing_shard_writes_nothing_and_joins_workers(tmp_path, monkeypatch, capsys,
+                                                                       blas_at_two_threads):
+    ckpt = small_checkpoint(tmp_path)
+    cfg = load_checkpoint(ckpt).config
+    lo, hi = parallel.shard_bounds(40)[1]
+    second = load_dataset("synthetic:40", cfg.image_size, cfg.seed).images[lo:hi]
+    threads_before, blas_before = set(threading.enumerate()), blas.num_threads()
+    real = TokenizerModel.latent_for_generation
+
+    def failing_second_shard(model, x):
+        if np.array_equal(x.data, second):
+            raise NumericError("non-finite latent in the second shard")
+        return real(model, x)
+
+    monkeypatch.setattr(TokenizerModel, "latent_for_generation", failing_second_shard)
+    monkeypatch.setattr(parallel, "pool_size", lambda shards: 2)
+    hlat = tmp_path / "latents.hlat"
+    capsys.readouterr()
+    assert main(["export-latents", ckpt, str(hlat), "--set", "data_dir=synthetic:40"]) == 3
+    assert capsys.readouterr().err == "numeric error: non-finite latent in the second shard\n"
+    assert not hlat.exists()
+    assert blas.num_threads() == blas_before
+    assert set(threading.enumerate()) == threads_before
 
 
 def test_reconstruct_without_blas_control_runs_one_worker(tmp_path, monkeypatch):

@@ -109,8 +109,11 @@ def test_log_lines_schema(tmp_path):
     assert rss[0] > 0.0 and rss == sorted(rss)
     eval_lines = [l for l in lines if l.get("event") == "eval"]
     assert len(eval_lines) == 1
-    for key in ("l1", "rec_loss", "psnr", "ssim", "per_scale", "commutation", "uniformity"):
+    for key in ("l1", "rec_loss", "psnr", "ssim", "per_scale", "commutation", "uniformity", "eval_ms", "rss_mb"):
         assert key in eval_lines[0]
+    assert eval_lines[0]["eval_ms"] > 0.0
+    # The eval entry's rss_mb is the same running peak, read after the sweep.
+    assert eval_lines[0]["rss_mb"] >= rss[-1]
 
 
 def test_log_header_git_commit_of_package_checkout():
@@ -296,8 +299,10 @@ def test_checkpoint_independent_of_worker_count(tmp_path, monkeypatch, kw):
         monkeypatch.setattr(parallel, "pool_size", lambda shards, n=workers: min(shards, n))
         monkeypatch.setattr(train_mod, "shard_pool", pool)
         summary = train(small_run(tmp_path, checkpoint=str(tmp_path / f"{name}.htok"), **kw))
-        eval_line = Path(summary["log"]).read_text(encoding="utf-8").splitlines()[-1]
-        outputs.append((Path(summary["checkpoint"]).read_bytes(), eval_line))
+        eval_entry = json.loads(Path(summary["log"]).read_text(encoding="utf-8").splitlines()[-1])
+        # The sweep's time and the memory peak measure the run, not its results.
+        del eval_entry["eval_ms"], eval_entry["rss_mb"]
+        outputs.append((Path(summary["checkpoint"]).read_bytes(), eval_entry))
     assert outputs[0] == outputs[1] == outputs[2]
 
 

@@ -77,6 +77,41 @@ def test_project2d_matches_svd_oracle(shape):
     np.testing.assert_allclose(proj, svd_projection(x), rtol=0, atol=1e-9)
 
 
+def copying_eigh_projection(x):
+    """Oracle: project2d's arithmetic, with eigh working on its own copy of
+    the Gram matrix, as scipy does by default."""
+    from scipy.linalg import eigh
+    from scipy.linalg.blas import dsyrk
+
+    c = np.array(x, dtype=np.float64)
+    n, d = c.shape
+    c -= c.mean(axis=0)
+    gram = dsyrk(1.0, c.T, trans=0 if d <= n else 1, lower=1)
+    m = gram.shape[0]
+    _, top = eigh(gram, lower=True, subset_by_index=[m - 2, m - 1])
+    top = top[:, ::-1]
+    if d > n:
+        top = c.T @ top
+    out = np.zeros((n, 2))
+    for axis in range(2):
+        v = top[:, axis] / np.linalg.norm(top[:, axis])
+        out[:, axis] = c @ (-v if v[np.argmax(np.abs(v))] < 0 else v)
+    return out
+
+
+@pytest.mark.parametrize("shape, dtype", [((300, 40), np.float64), ((64, 1024), np.float32)],
+                         ids=["d_le_n", "d_gt_n_float32"])
+def test_project2d_overwriting_eigh_gives_the_same_bits(shape, dtype):
+    # project2d lets eigh work in its Gram matrix; that must change no bit,
+    # and the caller's array is never written.
+    x = make_rng(21).standard_normal(shape).astype(dtype)
+    before = x.copy()
+    proj, axes = L.project2d(x)
+    assert axes == 2
+    np.testing.assert_array_equal(proj, copying_eigh_projection(x))
+    np.testing.assert_array_equal(x, before)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
        st.sampled_from([1e-3, 1.0, 1e3]))
