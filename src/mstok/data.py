@@ -12,15 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imageio import load_ppm, save_ppm
+from .imageio import load_ppm
 from .tensor import DataError, make_rng
 
 # rng stream ids (spawn keys) reserved across the package
 STREAM_INIT = 0
-STREAM_NOISE = 1
 STREAM_DATA = 2
 STREAM_SYNTH = 3
-STREAM_DROP = 4  # keyed further by (step, shard): drop_path masks of one training shard
+# Keyed further by (step, shard): one training shard's latent noise, drawn
+# first, then its drop_path masks.
+STREAM_SHARD = 4
 
 
 @dataclass
@@ -88,18 +89,6 @@ def generate_synthetic(count: int, size: int, seed: int) -> Dataset:
         images[i] = _synthetic_image(rng, size)
     names = [f"synthetic_{i:05d}" for i in range(count)]
     return Dataset(images=images, names=names)
-
-
-def generate_synthetic_folder(directory: str, count: int, size: int, seed: int) -> list[str]:
-    """Write synthetic images as PPM files; returns the paths."""
-    os.makedirs(directory, exist_ok=True)
-    ds = generate_synthetic(count, size, seed)
-    paths = []
-    for name, image in zip(ds.names, ds.images):
-        path = os.path.join(directory, f"{name}.ppm")
-        save_ppm(image, path)
-        paths.append(path)
-    return paths
 
 
 def load_folder(directory: str, image_size: int) -> Dataset:

@@ -227,7 +227,7 @@ def write_latents(vectors, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(LATENT_MAGIC)
         fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes())
+        fh.write(memoryview(arr))  # the array's own buffer, not a copy of it
 
 
 def read_latents(path: str) -> np.ndarray:

@@ -155,16 +155,15 @@ class TokenizerModel:
         )
 
     def sample_latent(self, code: LatentCode, rng: np.random.Generator | None = None,
-                      deterministic: bool = True, eps: np.ndarray | None = None) -> Tensor:
-        """Reparameterized draw from the latent Gaussian (mean at eval).
-        ``eps`` is a standard-normal draw of ``mu``'s shape made by the
-        caller; without it the draw comes from ``rng``."""
+                      deterministic: bool = True) -> Tensor:
+        """Reparameterized draw from the latent Gaussian (mean at eval): the
+        standard-normal noise, of ``mu``'s shape, is the next draw of
+        ``rng``."""
         if deterministic:
             return code.mu
-        if eps is None:
-            if rng is None:
-                raise ConfigError("sample_latent: rng or eps required for stochastic sampling")
-            eps = rng.standard_normal(code.mu.shape).astype(code.mu.dtype)
+        if rng is None:
+            raise ConfigError("sample_latent: rng required for stochastic sampling")
+        eps = rng.standard_normal(code.mu.shape).astype(code.mu.dtype)
         std = texp(scale(code.logvar, 0.5))
         return add(code.mu, mul(std, Tensor(eps)))
 
@@ -200,12 +199,12 @@ class TokenizerModel:
         return self.decode_levels(self.build_pyramid(z), rng=rng, training=training)
 
     def reconstruct(self, x, deterministic: bool = True, rng: np.random.Generator | None = None,
-                    training: bool = False, eps: np.ndarray | None = None
-                    ) -> tuple[Tensor, LatentCode]:
+                    training: bool = False) -> tuple[Tensor, LatentCode]:
         """encode -> sample -> decode; the pixel tokens' last scale block is
-        the full-resolution reconstruction."""
+        the full-resolution reconstruction. ``rng`` gives the latent noise
+        first, then the drop_path masks."""
         code = self.encode(x)
-        z = self.sample_latent(code, rng=rng, deterministic=deterministic, eps=eps)
+        z = self.sample_latent(code, rng=rng, deterministic=deterministic)
         return self.decode_pyramid(z, rng=rng, training=training), code
 
     def latent_for_generation(self, x) -> Tensor:

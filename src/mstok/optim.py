@@ -46,13 +46,12 @@ class AdamW:
         self.beta1, self.beta2 = betas
         self.weight_decay = weight_decay
         self.eps = eps
-        self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
-    def step(self, lr: float) -> None:
-        self.step_count += 1
-        t = self.step_count
+    def step(self, lr: float, t: int) -> None:
+        """Update every parameter from its ``.grad`` as optimizer step ``t``
+        (1 for the first), which sets the moments' bias correction."""
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         for name, p in self.params.items():

@@ -2,21 +2,24 @@
 checkpoints, and a final eval sweep (losses, PSNR/SSIM, commutation
 residuals, latent uniformity).
 
-Each training batch is split into shards by ``parallel.shard_bounds``, run as
-data-parallel shards on the worker threads of one ``parallel.shard_pool``,
-which stays open for every step and the final eval. Every shard, of a
-training batch or of the eval set, is a function of the model and its
-images that returns its scores summed over those images; ``_image_means``
-turns the shards' sums into the per-image means the log reports. A training
-shard runs encode -> sample -> decode -> loss -> backward on a replica of
-the model it builds itself (the parameters' arrays are shared, their
-gradients are not), with its loss weighted by its share of the batch, and
-also returns the replica's gradients. The main thread then sums the shard
-gradients in shard order, clips them and takes the AdamW step. The
-reparameterisation noise is drawn once per batch, in the main thread, and
-sliced per shard; each shard's drop_path masks come from its own generator,
-keyed by step and shard. The eval sweep splits the eval set into shards the
-same way, on the same workers, and runs them on one replica whose
+Each training batch is split into shards by ``parallel.shard_bounds``, run
+as data-parallel shards on the worker threads of one
+``parallel.shard_pool``, which stays open for every step and the final eval.
+Every shard, of a training batch or of the eval set, is a function of the
+model and its images that returns its scores summed over those images;
+``_image_means`` turns the shards' sums into the per-image means the log
+reports. A training shard runs encode -> sample -> decode -> loss ->
+backward on a replica of the model it builds itself (the parameters' arrays
+are shared, their gradients are not), with its loss weighted by its share of
+the batch, and also returns the replica's gradients. The main thread then
+sums the shard gradients in shard order, clips them and takes the AdamW
+step. A step is a function of the model, AdamW's moments, the seed and the
+step number alone: the batch is a slice of the epoch's shuffle, which is
+keyed by the epoch; each shard draws its reparameterisation noise, then its
+drop_path masks, from its own generator, keyed by step and shard; and
+AdamW's bias correction reads the step number. The loop keeps no generator
+or data cursor between steps. The eval sweep splits the eval set into shards
+the same way, on the same workers, and runs them on one replica whose
 parameters do not require grad, so its forward passes record no graph. The
 shards depend on the batch or the eval set alone, so neither a checkpoint
 nor the eval depends on the worker count.
@@ -53,7 +56,7 @@ import numpy as np
 
 from . import __version__, blas
 from .config import RunConfig
-from .data import STREAM_DROP, STREAM_NOISE, Dataset, load_dataset
+from .data import STREAM_SHARD, Dataset, load_dataset
 from .imageio import quantize_roundtrip
 from .latent_stats import analyze_latents, commutation_residuals
 from .losses import multiscale_loss
@@ -108,16 +111,16 @@ def _image_means(sums: list[dict], n: int) -> dict:
     return {key: np.divide(sum(s[key] for s in sums), n).tolist() for key in sums[0]}
 
 
-def _train_shard(model: TokenizerModel, images: np.ndarray, eps: np.ndarray,
-                 drop_rng: np.random.Generator, batch: int, config: RunConfig,
-                 step: int) -> tuple[dict, list]:
+def _train_shard(model: TokenizerModel, images: np.ndarray, rng: np.random.Generator,
+                 batch: int, config: RunConfig, step: int) -> tuple[dict, list]:
     """Forward and backward of one shard of a ``batch``-image batch on a
-    replica of the model built here. The backward is seeded with the shard's
+    replica of the model built here; ``rng`` gives the shard's latent noise,
+    then its drop_path masks. The backward is seeded with the shard's
     share of the batch, so the shards' gradients sum to those of the batch's
     mean loss. Returns the shard's loss breakdown summed over its images, and
     the replica's gradients in record order."""
     replica = model.replica()
-    px, code = replica.reconstruct(Tensor(images), deterministic=False, rng=drop_rng, training=True, eps=eps)
+    px, code = replica.reconstruct(Tensor(images), deterministic=False, rng=rng, training=True)
     targets = image_pyramid(images, model.schedule, model.config.patch)
     loss, breakdown = multiscale_loss(px, targets, model.schedule, config, code)
     if not np.isfinite(loss.data):
@@ -129,16 +132,17 @@ def _train_shard(model: TokenizerModel, images: np.ndarray, eps: np.ndarray,
     return sums, [p.grad for p in replica.named_parameters().values()]
 
 
-def _batch_gradients(model: TokenizerModel, images: np.ndarray, eps: np.ndarray,
-                     config: RunConfig, step: int, run: ShardRunner) -> dict:
+def _batch_gradients(model: TokenizerModel, images: np.ndarray, config: RunConfig,
+                     step: int, run: ShardRunner) -> dict:
     """Set each parameter's ``.grad`` to the gradient of the batch's mean
     loss, computed as data-parallel shards by ``run``, and return the batch's
-    loss breakdown as per-image means. ``eps`` is the batch's
-    reparameterisation noise. The shard gradients are summed in shard order."""
+    loss breakdown as per-image means. Each shard's generator is keyed by
+    (seed, step, shard), so its noise follows the step and the shard alone.
+    The shard gradients are summed in shard order."""
     b = len(images)
     seed = model.config.seed
     results = run(_train_shard, [
-        (model, images[lo:hi], eps[lo:hi], make_rng(seed, stream=(STREAM_DROP, step, shard)), b, config, step)
+        (model, images[lo:hi], make_rng(seed, stream=(STREAM_SHARD, step, shard)), b, config, step)
         for shard, (lo, hi) in enumerate(shard_bounds(b))
     ])
     for p, shard_grads in zip(model.named_parameters().values(), zip(*(grads for _, grads in results))):
@@ -203,15 +207,12 @@ def train(config: RunConfig, echo: bool = False) -> dict:
     dataset = load_dataset(config.data_dir, tok.image_size, tok.seed)
     train_idx, eval_idx = dataset.split(config.eval_fraction)
 
-    steps = config.steps
-    if config.epochs > 0:
-        steps = config.epochs * math.ceil(len(train_idx) / config.batch_size)
+    per_epoch = math.ceil(len(train_idx) / config.batch_size)
+    steps = config.epochs * per_epoch if config.epochs > 0 else config.steps
 
     model = init_model(tok)
     params = model.named_parameters()
     optimizer = AdamW(params)
-    noise_rng = make_rng(tok.seed, stream=STREAM_NOISE)
-    grid = model.schedule.base_grid
 
     checkpoint_dir = os.path.dirname(config.checkpoint)
     if checkpoint_dir:
@@ -219,9 +220,6 @@ def train(config: RunConfig, echo: bool = False) -> dict:
     log_path = log_path_for(config.checkpoint)
     save_checkpoint(model, config.checkpoint)  # step-0 state is always on disk
 
-    epoch = 0
-    order = dataset.epoch_order(tok.seed, epoch, train_idx)
-    cursor = 0
     last_entry = None
 
     with open(log_path, "w", encoding="utf-8") as log:
@@ -238,21 +236,13 @@ def train(config: RunConfig, echo: bool = False) -> dict:
             with shard_pool(len(shard_bounds(config.batch_size))) as run:
                 for step in range(1, steps + 1):
                     step_start = time.perf_counter()
-                    if cursor >= len(order):
-                        epoch += 1
-                        order = dataset.epoch_order(tok.seed, epoch, train_idx)
-                        cursor = 0
-                    batch_idx = order[cursor : cursor + config.batch_size]
-                    cursor += config.batch_size
-
-                    # The noise is drawn for the whole batch, as one draw of
-                    # the latent's shape, and sliced per shard.
-                    noise_shape = (len(batch_idx), grid, grid, tok.latent_dim)
-                    eps = noise_rng.standard_normal(noise_shape).astype(np.float32)
-                    breakdown = _batch_gradients(model, dataset.images[batch_idx], eps, config, step, run)
+                    epoch, k = divmod(step - 1, per_epoch)
+                    lo = k * config.batch_size
+                    batch_idx = dataset.epoch_order(tok.seed, epoch, train_idx)[lo : lo + config.batch_size]
+                    breakdown = _batch_gradients(model, dataset.images[batch_idx], config, step, run)
                     grad_norm = clip_grad_norm(params, config.grad_clip)
                     lr = cosine_lr(step, steps, config.warmup_ratio, config.lr_start, config.lr_end)
-                    optimizer.step(lr)
+                    optimizer.step(lr, step)
                     step_ms = 1000.0 * (time.perf_counter() - step_start)
 
                     if step == 1 or step == steps or (config.log_interval and step % config.log_interval == 0):

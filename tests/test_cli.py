@@ -15,12 +15,13 @@ import mstok.cli as cli
 from mstok import blas, parallel
 from mstok.cli import E2E_THRESHOLD, OPS_THRESHOLD, UsageError, main
 from mstok.config import RunConfig, TokenizerConfig
-from mstok.data import generate_synthetic_folder, load_dataset
+from mstok.data import load_dataset
 from mstok.imageio import load_ppm
 from mstok.latent_stats import analyze_latents, read_latents, write_latents
 from mstok.model import TokenizerModel, init_model, load_checkpoint, save_checkpoint
 from mstok.tensor import ConfigError, DataError, NumericError, Tensor, make_rng
 from mstok.train import evaluate, log_path_for, train
+from synthetic_folder import generate_synthetic_folder
 
 SMALL = ["image_size=16", "patch=4", "enc_layers=1", "dec_layers=1", "enc_width=16",
          "dec_width=16", "heads=2", "latent_dim=4", "scales=1,2,4"]

@@ -5,11 +5,11 @@ from mstok.data import (
     DataError,
     Dataset,
     generate_synthetic,
-    generate_synthetic_folder,
     load_dataset,
     load_folder,
 )
 from mstok.imageio import save_ppm
+from synthetic_folder import generate_synthetic_folder
 
 
 def test_synthetic_deterministic_and_in_range():

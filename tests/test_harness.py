@@ -13,7 +13,7 @@ import pytest
 import mstok
 from mstok import blas, parallel
 from mstok.config import RunConfig, TokenizerConfig, load_run_config
-from mstok.data import generate_synthetic
+from mstok.data import STREAM_SHARD, generate_synthetic
 from mstok.model import TokenizerModel, init_model, load_checkpoint
 from mstok.tensor import ConfigError, make_rng
 import mstok.train as train_mod
@@ -310,7 +310,7 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
     # 40 images are shards of 16 + 16 + 8, weighted 0.4, 0.4 and 0.2.
     from mstok.losses import multiscale_loss
     from mstok.pyramid import image_pyramid
-    from mstok.tensor import Tensor
+    from mstok.tensor import Tensor, add, mul, scale, texp
 
     assert len({hi - lo for lo, hi in parallel.shard_bounds(40)}) > 1
 
@@ -318,15 +318,23 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
     model = init_model(SMALL_TOK)
     images = generate_synthetic(40, 16, seed=3).images
     g = model.schedule.base_grid
-    eps = np.random.default_rng(4).standard_normal((40, g, g, SMALL_TOK.latent_dim)).astype(np.float32)
+    # Step 1's noise: each shard's first draw from its (seed, step, shard)
+    # generator, in shard order.
+    eps = np.concatenate([
+        make_rng(SMALL_TOK.seed, stream=(STREAM_SHARD, 1, shard))
+        .standard_normal((hi - lo, g, g, SMALL_TOK.latent_dim)).astype(np.float32)
+        for shard, (lo, hi) in enumerate(parallel.shard_bounds(40))
+    ])
 
-    px, code = model.reconstruct(Tensor(images), deterministic=False, training=True, eps=eps)
+    code = model.encode(Tensor(images))
+    z = add(code.mu, mul(texp(scale(code.logvar, 0.5)), Tensor(eps)))
+    px = model.decode_pyramid(z, training=True)
     targets = image_pyramid(images, model.schedule, SMALL_TOK.patch)
     loss, whole = multiscale_loss(px, targets, model.schedule, run, code)
     loss.backward()
     want = {name: p.grad for name, p in model.named_parameters().items()}
 
-    sharded = train_mod._batch_gradients(model, images, eps, run, 1, parallel.run_shards)
+    sharded = train_mod._batch_gradients(model, images, run, 1, parallel.run_shards)
 
     assert sharded["total"] == pytest.approx(whole["total"], rel=1e-5)
     assert sharded["kl"] == pytest.approx(whole["kl"], rel=1e-5)
@@ -335,6 +343,60 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
         # Entries that cancel to near zero are held to the parameter's scale.
         np.testing.assert_allclose(p.grad, want[name], rtol=1e-5,
                                    atol=1e-5 * np.abs(want[name]).max(), err_msg=name)
+
+
+def cursor_walk(dataset, seed, train_idx, batch_size, steps):
+    """The batches a loop that carries its epoch, shuffle and cursor from one
+    step to the next would take."""
+    epoch, order, cursor = 0, dataset.epoch_order(seed, 0, train_idx), 0
+    for _ in range(steps):
+        if cursor >= len(order):
+            epoch += 1
+            order, cursor = dataset.epoch_order(seed, epoch, train_idx), 0
+        yield order[cursor : cursor + batch_size]
+        cursor += batch_size
+
+
+# 18 training images: batches of 4 leave a short fifth batch of 2 in every
+# epoch, and a batch of 32 is larger than the whole split.
+@pytest.mark.parametrize("batch_size, steps, sizes", [(4, 13, {4, 2}), (32, 3, {18})])
+def test_step_batches_match_cursor_walk(tmp_path, monkeypatch, batch_size, steps, sizes):
+    cfg = small_run(tmp_path, batch_size=batch_size, steps=steps)
+    dataset = generate_synthetic(24, 16, seed=SMALL_TOK.seed)
+    train_idx, _ = dataset.split(cfg.eval_fraction)
+    want = list(cursor_walk(dataset, SMALL_TOK.seed, train_idx, batch_size, steps))
+    assert {len(idx) for idx in want} == sizes
+
+    seen = []
+    real = train_mod._batch_gradients
+
+    def spy(model, images, *args):
+        seen.append(images.copy())
+        return real(model, images, *args)
+
+    monkeypatch.setattr(train_mod, "_batch_gradients", spy)
+    train(cfg)
+    assert len(seen) == steps
+    for got, idx in zip(seen, want):
+        np.testing.assert_array_equal(got, dataset.images[idx])
+
+
+def test_training_shard_noise_follows_seed_step_and_shard(tmp_path):
+    run = small_run(tmp_path)
+    model = init_model(SMALL_TOK)
+    images = generate_synthetic(8, 16, seed=3).images
+
+    def shard(step):
+        rng = make_rng(SMALL_TOK.seed, stream=(STREAM_SHARD, step, 1))
+        return train_mod._train_shard(model, images, rng, 16, run, step)
+
+    (sums, grads), (again_sums, again_grads), (other_sums, other_grads) = shard(2), shard(2), shard(3)
+    assert sums["total"] == again_sums["total"] and sums["kl"] == again_sums["kl"]
+    np.testing.assert_array_equal(sums["per_scale"], again_sums["per_scale"])
+    for got, want in zip(again_grads, grads):
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+    assert other_sums["total"] != sums["total"]
+    assert any(not np.array_equal(got, want) for got, want in zip(other_grads, grads))
 
 
 def test_training_shard_peak_memory_grows_with_its_images(tmp_path):
@@ -346,13 +408,11 @@ def test_training_shard_peak_memory_grows_with_its_images(tmp_path):
     run = small_run(tmp_path)
     model = init_model(SMALL_TOK)
     images = generate_synthetic(16, 16, seed=3).images
-    g = model.schedule.base_grid
-    eps = np.random.default_rng(4).standard_normal((16, g, g, SMALL_TOK.latent_dim)).astype(np.float32)
 
     def peak(n: int) -> int:
         tracemalloc.start()
         try:
-            train_mod._train_shard(model, images[:n], eps[:n], make_rng(5), 16, run, 1)
+            train_mod._train_shard(model, images[:n], make_rng(5), 16, run, 1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -372,11 +432,9 @@ def test_training_shard_beside_graph_free_shards_is_unchanged(tmp_path, monkeypa
     run = small_run(tmp_path)
     model = init_model(SMALL_TOK)
     ds = generate_synthetic(16, 16, seed=3)
-    g = model.schedule.base_grid
-    eps = np.random.default_rng(4).standard_normal((8, g, g, SMALL_TOK.latent_dim)).astype(np.float32)
 
     def train_shard():
-        return (train_mod._train_shard, model, ds.images[:8], eps, make_rng(5), 8, run, 1)
+        return (train_mod._train_shard, model, ds.images[:8], make_rng(5), 8, run, 1)
 
     graph_free = model.replica(requires_grad=False)
     (alone_sums, alone_grads), = parallel.run_shards(lambda fn, *args: fn(*args), [train_shard()])

@@ -1,3 +1,5 @@
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +376,33 @@ def test_latent_dump_size_mismatch(tmp_path, extra):
     path.write_bytes(blob[:extra] if extra < 0 else blob + b"\x00" * extra)
     with pytest.raises(L.LatentFormatError):
         L.read_latents(str(path))
+
+
+def hlat_by_copy(vectors) -> bytes:
+    """HLAT bytes encoded from a whole-array copy of the payload."""
+    arr = np.ascontiguousarray(np.asarray(vectors, dtype="<f4"))
+    return b"HLAT" + struct.pack("<II", *arr.shape) + arr.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["<f4", "<f8", "fortran", ">f4", "strided"])
+def test_write_latents_bytes_match_copying_encoder(tmp_path, layout):
+    vecs = make_rng(8).standard_normal((7, 10))
+    vecs = {"<f4": vecs.astype("<f4"), "<f8": vecs.astype("<f8"), ">f4": vecs.astype(">f4"),
+            "fortran": np.asfortranarray(vecs.astype("<f4")), "strided": vecs.astype("<f4")[:, ::2]}[layout]
+    path = tmp_path / "latents.hlat"
+    L.write_latents(vecs, str(path))
+    assert path.read_bytes() == hlat_by_copy(vecs)
+
+
+def test_write_latents_copies_no_float32_payload(tmp_path):
+    vecs = np.ones((2048, 1024), dtype="<f4")  # 8 MB
+    tracemalloc.start()
+    try:
+        L.write_latents(vecs, str(tmp_path / "latents.hlat"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_write_latents_rejects_non_2d(tmp_path):

@@ -213,7 +213,7 @@ def test_adamw_zero_grad_zero_decay_no_change():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     opt = AdamW({"p": p}, weight_decay=0.0)
     p.grad = np.zeros(2)
-    opt.step(lr=0.1)
+    opt.step(lr=0.1, t=1)
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
 
@@ -222,7 +222,7 @@ def test_adamw_first_step_bias_corrected():
     p = Tensor(np.array([0.0]), requires_grad=True)
     opt = AdamW({"p": p}, weight_decay=0.0)
     p.grad = np.array([1.0])
-    opt.step(lr=0.1)
+    opt.step(lr=0.1, t=1)
     assert p.data[0] == pytest.approx(-0.1, rel=1e-6)
 
 
@@ -230,7 +230,7 @@ def test_adamw_decoupled_decay_is_multiplicative_shrink():
     p = Tensor(np.array([2.0]), requires_grad=True)
     opt = AdamW({"p": p}, weight_decay=0.05)
     p.grad = np.array([0.0])
-    opt.step(lr=0.1)
+    opt.step(lr=0.1, t=1)
     assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.05), rel=1e-7)
 
 
@@ -239,7 +239,7 @@ def test_adamw_nan_grad_reports_name():
     opt = AdamW({"enc.0.attn.wq": p})
     p.grad = np.array([np.nan])
     with pytest.raises(NumericError) as err:
-        opt.step(lr=0.1)
+        opt.step(lr=0.1, t=1)
     assert "enc.0.attn.wq" in str(err.value)
 
 
@@ -247,10 +247,10 @@ def test_adamw_descends_convex_quadratic():
     rng = make_rng(7)
     x = Tensor(rng.standard_normal(8), requires_grad=True)
     opt = AdamW({"x": x}, weight_decay=0.0)
-    for _ in range(5):
+    for t in range(1, 6):
         before = float((x.data ** 2).sum())
         x.grad = 2.0 * x.data
-        opt.step(lr=1e-3)
+        opt.step(lr=1e-3, t=t)
         after = float((x.data ** 2).sum())
         assert after < before
 
