@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imageio import load_ppm
+from .imageio import load_ppm, quantize_roundtrip
 from .tensor import DataError, make_rng
 
 # rng stream ids (spawn keys) reserved across the package
@@ -76,8 +76,7 @@ def _synthetic_image(rng: np.random.Generator, size: int) -> np.ndarray:
             img[:, mask] = color[:, None]
 
     # Quantize through uint8 so pixels sit exactly on PPM-representable values.
-    u8 = np.clip(np.rint((img + 1.0) * 127.5), 0, 255).astype(np.uint8)
-    return (u8.astype(np.float32) / 127.5 - 1.0)
+    return quantize_roundtrip(img)
 
 
 def generate_synthetic(count: int, size: int, seed: int) -> Dataset:

@@ -65,8 +65,9 @@ def load_ppm(path: str) -> np.ndarray:
 
 
 def _quantize(image) -> np.ndarray:
-    """[-1, 1] floats -> clamped uint8 codes, elementwise."""
-    arr = np.asarray(image, dtype=np.float32)
+    """[-1, 1] floats -> clamped uint8 codes, elementwise, computed in the
+    input's own float precision."""
+    arr = np.asarray(image)
     return np.clip(np.rint((arr + 1.0) * 127.5), 0, 255).astype(np.uint8)
 
 

@@ -2,35 +2,37 @@
 checkpoints, and a final eval sweep (losses, PSNR/SSIM, commutation
 residuals, latent uniformity).
 
-Each training batch is split into shards by ``parallel.shard_bounds``, run
-as data-parallel shards on the worker threads of one
-``parallel.shard_pool``, which stays open for every step and the final eval.
-Every shard, of a training batch or of the eval set, is a function of the
-model and its images that returns its scores summed over those images;
-``_image_means`` turns the shards' sums into the per-image means the log
-reports. A training shard runs encode -> sample -> decode -> loss ->
-backward on a replica of the model it builds itself (the parameters' arrays
-are shared, their gradients are not), with its loss weighted by its share of
-the batch, and also returns the replica's gradients. The main thread then
-sums the shard gradients in shard order, clips them and takes the AdamW
-step. A step is a function of the model, AdamW's moments, the seed and the
-step number alone: the batch is a slice of the epoch's shuffle, which is
-keyed by the epoch; each shard draws its reparameterisation noise, then its
-drop_path masks, from its own generator, keyed by step and shard; and
-AdamW's bias correction reads the step number. The loop keeps no generator
-or data cursor between steps. The eval sweep splits the eval set into shards
-the same way, on the same workers, and runs them on one replica whose
-parameters do not require grad, so its forward passes record no graph. The
-shards depend on the batch or the eval set alone, so neither a checkpoint
-nor the eval depends on the worker count.
+Each training batch is split into shards by ``parallel.shard_bounds`` and
+run as data-parallel shards by ``parallel.run_shards``, on a pool of worker
+threads opened for that step alone. Every shard, of a training batch or of
+the eval set, is a function of the model and its images that returns its
+scores summed over those images; ``_image_means`` turns the shards' sums
+into the per-image means the log reports. A training shard runs encode ->
+sample -> decode -> loss -> backward on a replica of the model it builds
+itself (the parameters' arrays are shared, their gradients are not), with
+its loss weighted by its share of the batch, and also returns the replica's
+gradients. The main thread then sums the shard gradients in shard order,
+clips them and takes the AdamW step. A step is a function of the model,
+AdamW's moments, the seed and the step number alone: the batch is a slice of
+the epoch's shuffle, which is keyed by the epoch; each shard draws its
+reparameterisation noise, then its drop_path masks, from its own generator,
+keyed by step and shard; and AdamW's bias correction reads the step number.
+The loop keeps no generator, data cursor, worker pool or BLAS setting
+between steps: the main thread sums, clips and steps with BLAS at its own
+thread count and no worker alive. The eval sweep splits the eval set into
+shards the same way, on a pool of its own, and runs them on one replica
+whose parameters do not require grad, so its forward passes record no graph.
+The shards depend on the batch or the eval set alone, so neither a
+checkpoint nor the eval depends on the worker count.
 
-``parallel.SHARD_SIZE`` sets the memory of a step more than its speed. The
-pool runs two shards at once on two CPUs, and each holds its whole autograd
-graph until its backward, so a step's peak holds about two shard graphs; the
-graph grows with the shard's images. At the default config one shard run
-alone has a tracemalloc peak of 140.6 MB at 32 images and 70.7 MB at 16. On
-a 2-vCPU Xeon, shards of 16 cut a default run's peak resident memory from
-about 360 to 225 MB, for a step 4-8% slower than with shards of 32.
+``parallel.SHARD_SIZE`` sets the memory of a step more than its speed. A
+step's pool runs two shards at once on two CPUs, and each holds its whole
+autograd graph until its backward, so a step's peak holds about two shard
+graphs; the graph grows with the shard's images. At the default config one
+shard run alone has a tracemalloc peak of 140.6 MB at 32 images and 70.7 MB
+at 16. On a 2-vCPU Xeon, shards of 16 cut a default run's peak resident
+memory from about 360 to 225 MB, for a step 4-8% slower than with shards of
+32.
 
 The log opens with a header entry that says what produced the run: the
 config, the package and numpy versions, the git commit of the checkout that
@@ -63,7 +65,7 @@ from .losses import multiscale_loss
 from .metrics import psnr, ssim
 from .model import TokenizerModel, init_model, save_checkpoint
 from .optim import AdamW, clip_grad_norm, cosine_lr
-from .parallel import SHARD_SIZE, ShardRunner, pool_size, run_shards, shard_bounds, shard_pool
+from .parallel import SHARD_SIZE, pool_size, run_shards, shard_bounds
 from .pyramid import image_pyramid, tokens_to_images
 from .tensor import NumericError, Tensor, make_rng
 
@@ -132,16 +134,15 @@ def _train_shard(model: TokenizerModel, images: np.ndarray, rng: np.random.Gener
     return sums, [p.grad for p in replica.named_parameters().values()]
 
 
-def _batch_gradients(model: TokenizerModel, images: np.ndarray, config: RunConfig,
-                     step: int, run: ShardRunner) -> dict:
+def _batch_gradients(model: TokenizerModel, images: np.ndarray, config: RunConfig, step: int) -> dict:
     """Set each parameter's ``.grad`` to the gradient of the batch's mean
-    loss, computed as data-parallel shards by ``run``, and return the batch's
-    loss breakdown as per-image means. Each shard's generator is keyed by
-    (seed, step, shard), so its noise follows the step and the shard alone.
-    The shard gradients are summed in shard order."""
+    loss, computed as data-parallel shards by ``run_shards``, and return the
+    batch's loss breakdown as per-image means. Each shard's generator is
+    keyed by (seed, step, shard), so its noise follows the step and the shard
+    alone. The shard gradients are summed in shard order."""
     b = len(images)
     seed = model.config.seed
-    results = run(_train_shard, [
+    results = run_shards(_train_shard, [
         (model, images[lo:hi], make_rng(seed, stream=(STREAM_SHARD, step, shard)), b, config, step)
         for shard, (lo, hi) in enumerate(shard_bounds(b))
     ])
@@ -173,22 +174,20 @@ def _eval_shard(model: TokenizerModel, dataset: Dataset, indices: np.ndarray,
     return sums, code.mu.data.reshape(b, -1)
 
 
-def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray, config: RunConfig,
-             run: ShardRunner = run_shards) -> dict:
+def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray, config: RunConfig) -> dict:
     """Deterministic eval pass over ``indices``, split by ``shard_bounds`` as
-    a training batch is and computed by ``run`` (by default on a pool opened
-    for the pass), on one replica of the model whose parameters do not
-    require grad, so no autograd graph is recorded. The shards follow the
-    eval set alone, not ``config.batch_size``. Every metric is a mean over
-    images (``_image_means``). PSNR/SSIM score the top-scale decode after the
-    uint8 quantization a saved PPM would apply, so they match the
-    reconstruct-then-score path. ``rec_loss`` is the top-scale entry of
-    ``per_scale``."""
+    a training batch is and computed by ``run_shards``, on one replica of
+    the model whose parameters do not require grad, so no autograd graph is
+    recorded. The shards follow the eval set alone, not ``config.batch_size``.
+    Every metric is a mean over images (``_image_means``). PSNR/SSIM score
+    the top-scale decode after the uint8 quantization a saved PPM would
+    apply, so they match the reconstruct-then-score path. ``rec_loss`` is
+    the top-scale entry of ``per_scale``."""
     n = len(indices)
     if n == 0:
         return {"n_images": 0}
     replica = model.replica(requires_grad=False)
-    results = run(_eval_shard, [(replica, dataset, indices[lo:hi], config) for lo, hi in shard_bounds(n)])
+    results = run_shards(_eval_shard, [(replica, dataset, indices[lo:hi], config) for lo, hi in shard_bounds(n)])
     means = _image_means([sums for sums, _ in results], n)
     # The log keeps l1 first, then rec_loss, then the other means in order.
     metrics = {"n_images": n, "l1": means["l1"], "rec_loss": means["per_scale"][-1], **means}
@@ -233,36 +232,35 @@ def train(config: RunConfig, echo: bool = False) -> dict:
         emit(_log_header(config, model))
         step = 0
         try:
-            with shard_pool(len(shard_bounds(config.batch_size))) as run:
-                for step in range(1, steps + 1):
-                    step_start = time.perf_counter()
-                    epoch, k = divmod(step - 1, per_epoch)
-                    lo = k * config.batch_size
-                    batch_idx = dataset.epoch_order(tok.seed, epoch, train_idx)[lo : lo + config.batch_size]
-                    breakdown = _batch_gradients(model, dataset.images[batch_idx], config, step, run)
-                    grad_norm = clip_grad_norm(params, config.grad_clip)
-                    lr = cosine_lr(step, steps, config.warmup_ratio, config.lr_start, config.lr_end)
-                    optimizer.step(lr, step)
-                    step_ms = 1000.0 * (time.perf_counter() - step_start)
+            for step in range(1, steps + 1):
+                step_start = time.perf_counter()
+                epoch, k = divmod(step - 1, per_epoch)
+                lo = k * config.batch_size
+                batch_idx = dataset.epoch_order(tok.seed, epoch, train_idx)[lo : lo + config.batch_size]
+                breakdown = _batch_gradients(model, dataset.images[batch_idx], config, step)
+                grad_norm = clip_grad_norm(params, config.grad_clip)
+                lr = cosine_lr(step, steps, config.warmup_ratio, config.lr_start, config.lr_end)
+                optimizer.step(lr, step)
+                step_ms = 1000.0 * (time.perf_counter() - step_start)
 
-                    if step == 1 or step == steps or (config.log_interval and step % config.log_interval == 0):
-                        last_entry = {
-                            "step": step,
-                            "lr": lr,
-                            "total": breakdown["total"],
-                            "per_scale": breakdown["per_scale"],
-                            "kl": breakdown["kl"],
-                            "grad_norm": grad_norm,
-                            "step_ms": step_ms,
-                            "rss_mb": _peak_rss_mb(),
-                        }
-                        emit(last_entry)
-                    if config.checkpoint_interval and step % config.checkpoint_interval == 0:
-                        save_checkpoint(model, config.checkpoint)
-                save_checkpoint(model, config.checkpoint)
-                eval_start = time.perf_counter()
-                eval_metrics = evaluate(model, dataset, eval_idx, config, run)
-                eval_ms = 1000.0 * (time.perf_counter() - eval_start)
+                if step == 1 or step == steps or (config.log_interval and step % config.log_interval == 0):
+                    last_entry = {
+                        "step": step,
+                        "lr": lr,
+                        "total": breakdown["total"],
+                        "per_scale": breakdown["per_scale"],
+                        "kl": breakdown["kl"],
+                        "grad_norm": grad_norm,
+                        "step_ms": step_ms,
+                        "rss_mb": _peak_rss_mb(),
+                    }
+                    emit(last_entry)
+                if config.checkpoint_interval and step % config.checkpoint_interval == 0:
+                    save_checkpoint(model, config.checkpoint)
+            save_checkpoint(model, config.checkpoint)
+            eval_start = time.perf_counter()
+            eval_metrics = evaluate(model, dataset, eval_idx, config)
+            eval_ms = 1000.0 * (time.perf_counter() - eval_start)
         except BaseException as err:
             # Any failure, interrupts included, is logged before it propagates;
             # "at_step" (0 before step 1) is not "step", which marks step

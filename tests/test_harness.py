@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import json
 import math
@@ -288,16 +287,14 @@ def test_checkpoint_independent_of_worker_count(tmp_path, monkeypatch, kw):
     # first: the checkpoint and the eval entry must not change.
     assert len(parallel.shard_bounds(kw["batch_size"])) > 1
 
-    @contextlib.contextmanager
-    def reversed_pool(shards):
-        with parallel.shard_pool(shards) as run:
-            yield lambda fn, batch: run(fn, batch[::-1])[::-1]
+    def reversed_shards(fn, shards):
+        return parallel.run_shards(fn, shards[::-1])[::-1]
 
     outputs = []
-    for name, workers, pool in [("one", 1, parallel.shard_pool), ("two", 2, parallel.shard_pool),
-                                ("reversed", 1, reversed_pool)]:
+    for name, workers, runner in [("one", 1, parallel.run_shards), ("two", 2, parallel.run_shards),
+                                  ("reversed", 1, reversed_shards)]:
         monkeypatch.setattr(parallel, "pool_size", lambda shards, n=workers: min(shards, n))
-        monkeypatch.setattr(train_mod, "shard_pool", pool)
+        monkeypatch.setattr(train_mod, "run_shards", runner)
         summary = train(small_run(tmp_path, checkpoint=str(tmp_path / f"{name}.htok"), **kw))
         eval_entry = json.loads(Path(summary["log"]).read_text(encoding="utf-8").splitlines()[-1])
         # The sweep's time and the memory peak measure the run, not its results.
@@ -334,7 +331,7 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
     loss.backward()
     want = {name: p.grad for name, p in model.named_parameters().items()}
 
-    sharded = train_mod._batch_gradients(model, images, run, 1, parallel.run_shards)
+    sharded = train_mod._batch_gradients(model, images, run, 1)
 
     assert sharded["total"] == pytest.approx(whole["total"], rel=1e-5)
     assert sharded["kl"] == pytest.approx(whole["kl"], rel=1e-5)

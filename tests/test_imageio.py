@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstok.imageio import FormatError, load_ppm, quantize_roundtrip, save_ppm, to_uint8
+from mstok.imageio import FormatError, _quantize, load_ppm, quantize_roundtrip, save_ppm, to_uint8
 from mstok.tensor import make_rng
 
 
@@ -97,6 +97,15 @@ def test_quantize_roundtrip_batch_matches_per_image_file_cycle(tmp_path):
         path = str(tmp_path / f"q{i}.ppm")
         save_ppm(img, path)
         np.testing.assert_array_equal(load_ppm(path), quant[i])
+
+
+def test_quantize_computes_in_its_input_precision():
+    # (x + 1) * 127.5 is 0.50000013 in float64, which rounds to code 1, and
+    # 0.49999997 in float32, which rounds to 0: a float64 image (the
+    # synthetic generator's) keeps its float64 codes.
+    x = np.array([-0.9960784303725491])
+    assert _quantize(x).tolist() == [1]
+    assert _quantize(x.astype(np.float32)).tolist() == [0]
 
 
 def test_to_uint8_rejects_bad_shape():

@@ -1,7 +1,8 @@
 """Static checks: no module of the package imports a name it never uses or
 another module's private name, every top-level definition of the package is
-named somewhere in the package or the benchmark, and no function rebinds a
-module-level name."""
+named somewhere in the package or the benchmark, no function rebinds a
+module-level name, and only ``parallel`` starts threads or sets the BLAS
+thread count."""
 
 import ast
 import pathlib
@@ -128,9 +129,27 @@ def global_statements(source: str) -> list[str]:
 
 def test_package_rebinds_no_module_state():
     # A module global that a function rebinds is state every worker thread
-    # of ``parallel.shard_pool`` would read; the inputs of a call decide
+    # of ``parallel.run_shards`` would read; the inputs of a call decide
     # what it does instead.
     assert global_statements("x = 0\ndef f():\n    global x, y\n    x = 1\n") == ["x (line 3)", "y (line 3)"]
     found = {path.name: global_statements(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+# Names that start worker threads or change numpy's BLAS thread count.
+THREAD_NAMES = {"ThreadPoolExecutor", "Thread", "single_threaded"}
+
+
+def test_only_parallel_starts_threads_or_sets_blas():
+    # ``parallel.run_shards`` opens a pool per pass and restores BLAS when it
+    # returns; a thread or BLAS setting made anywhere else would outlive it.
+    # ``blas`` defines ``single_threaded`` and names it only in docstrings.
+    source = ('import threading\nfrom concurrent import futures\nfrom . import blas\n'
+              'threading.Thread(target=f)\nfutures.ThreadPoolExecutor(2)\nwith blas.single_threaded(): pass\n')
+    assert referenced_names(source) & THREAD_NAMES == THREAD_NAMES
+    assert referenced_names('def single_threaded():\n    "Thread"\n') & THREAD_NAMES == set()
+    found = {path.name: sorted(referenced_names(path.read_text(encoding="utf-8")) & THREAD_NAMES)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {
+        "parallel.py": ["ThreadPoolExecutor", "single_threaded"]}

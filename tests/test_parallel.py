@@ -1,9 +1,15 @@
 import sys
 import threading
 
-from mstok import parallel
+import pytest
+
+from mstok import blas, parallel
 from mstok.config import RunConfig, TokenizerConfig
+import mstok.train as train_mod
 from mstok.train import train
+
+TOK = TokenizerConfig(image_size=16, patch=4, enc_layers=1, dec_layers=1, enc_width=16,
+                      dec_width=16, heads=2, latent_dim=4, scales=(1, 2, 4), seed=5)
 
 
 def test_run_shards_returns_results_in_shard_order(monkeypatch):
@@ -17,8 +23,6 @@ def test_more_workers_than_cores_give_the_one_worker_checkpoint(tmp_path, monkey
     # Four shards on four workers, switching threads as often as the
     # interpreter allows: a gradient written to a buffer another shard also
     # writes would change the checkpoint.
-    tok = TokenizerConfig(image_size=16, patch=4, enc_layers=1, dec_layers=1, enc_width=16,
-                          dec_width=16, heads=2, latent_dim=4, scales=(1, 2, 4), seed=5)
     blobs = []
     interval = sys.getswitchinterval()
     try:
@@ -26,9 +30,42 @@ def test_more_workers_than_cores_give_the_one_worker_checkpoint(tmp_path, monkey
         for workers in (1, 4):
             monkeypatch.setattr(parallel, "pool_size", lambda shards, n=workers: min(shards, n))
             ckpt = tmp_path / f"w{workers}.htok"
-            train(RunConfig(tokenizer=tok, data_dir="synthetic:136", steps=2, batch_size=128,
+            train(RunConfig(tokenizer=TOK, data_dir="synthetic:136", steps=2, batch_size=128,
                             eval_fraction=0.05, checkpoint=str(ckpt)))
             blobs.append(ckpt.read_bytes())
     finally:
         sys.setswitchinterval(interval)
     assert blobs[0] == blobs[1]
+
+
+def test_train_runs_between_passes_with_blas_restored_and_no_workers(tmp_path, monkeypatch):
+    # Each step's shards, and the eval's, run on a pool opened for that pass:
+    # the main thread clips and steps with BLAS at its own count and with no
+    # worker thread alive.
+    controls = blas._controls()
+    if controls is None:
+        pytest.skip("numpy's OpenBLAS thread controls are missing")
+    get, set_ = controls
+    saved = get()
+    seen = []
+    real = train_mod.clip_grad_norm
+
+    def spy(*args):
+        seen.append((blas.num_threads(), set(threading.enumerate())))
+        return real(*args)
+
+    monkeypatch.setattr(train_mod, "clip_grad_norm", spy)
+    try:
+        set_(2)  # a count that the pools' setting of 1 cannot pass for
+        threads = get()
+        if threads < 2:
+            pytest.skip("numpy's OpenBLAS runs on one thread at most")
+        threads_before = set(threading.enumerate())
+        # 36 training images in batches of 32: shards of 16 + 16, then 4.
+        train(RunConfig(tokenizer=TOK, data_dir="synthetic:48", steps=2, batch_size=32,
+                        eval_fraction=0.25, checkpoint=str(tmp_path / "t.htok")))
+        assert get() == threads
+        assert set(threading.enumerate()) == threads_before
+    finally:
+        set_(saved)
+    assert seen == [(threads, threads_before)] * 2
