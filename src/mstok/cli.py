@@ -23,11 +23,11 @@ its shard's rows into that array's slice, so the rows follow the dataset
 alone, not the worker count. The shards return nothing: one array of rows per
 shard, concatenated on the calling thread, would be freed into the workers'
 malloc arenas, which the analysis that reads the dump next allocates beside
-rather than reuses. With that array, and with ``latent_stats.project2d``
-letting ``eigh`` work in its Gram matrix, an export-then-analyze round of
-2048 images on a 2-vCPU Xeon keeps the peak resident memory of a one-thread
-export (124.7 against 124.3-124.5 MB; the pool with neither read 140 MB)
-and takes about 30% less time.
+rather than reuses. On a 2-vCPU Xeon, an export-then-analyze round of 2048
+images peaked at 140 MB resident with such shards and at 124.5 MB with a
+one-thread export; with that array and ``latent_stats.project2d`` on numpy
+alone (its Gram matrix, a few Krylov vectors, no second BLAS) it peaks at
+101 MB.
 Exit codes follow the class of the error, each reported as one stderr line:
 0 success; 1 ``UsageError`` or ``ConfigError`` (a bad option or config
 value); 2 ``DataError`` or ``OSError`` (input that is missing, malformed or

@@ -22,6 +22,8 @@ STREAM_SYNTH = 3
 # Keyed further by (step, shard): one training shard's latent noise, drawn
 # first, then its drop_path masks.
 STREAM_SHARD = 4
+# The start vector of latent_stats' Lanczos iteration (seed 0).
+STREAM_LANCZOS = 5
 
 
 @dataclass

@@ -11,8 +11,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import STREAM_LANCZOS
 from .pyramid import ScaleSchedule, image_pyramid, segment_matrix, tokens_to_images
-from .tensor import ConfigError, DataError, ShapeError
+from .tensor import ConfigError, DataError, ShapeError, make_rng
 
 
 class UndefinedMetricsError(DataError):
@@ -33,16 +34,59 @@ class LatentStats:
         return asdict(self)
 
 
+def _top2_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two largest eigenvalues of a symmetric positive semidefinite m x m
+    matrix, descending, and their unit eigenvectors as m x 2 columns.
+
+    Lanczos with full reorthogonalisation (Golub & Van Loan, *Matrix
+    Computations*, ch. 10) from a fixed random start; the ones vector would
+    not do, as it lies in the null space of a centred ``c @ c.T``. Each step
+    orthogonalises against every earlier Krylov vector, twice, and finds the
+    Ritz pairs by ``eigh`` of the k x k tridiagonal. It stops when the
+    residuals ``beta * |s_last|`` of the top two Ritz pairs (the one pair
+    after the first step) are within ``eps * theta_0``, or after m steps. A
+    breakdown, ``beta`` near 0, passes that test, since no residual exceeds
+    ``beta``: a rank-r matrix has an invariant Krylov space after r + 1
+    steps and stops within a step of it. One that stops after one step (m =
+    1, or a zero matrix) leaves one pair; the missing eigenvalue reads 0,
+    its vector zeros.
+    """
+    m = gram.shape[0]
+    # The Krylov vectors as rows, never m x m unless all m steps run.
+    basis = np.empty((min(m, 32), m))
+    alpha, beta = [], []
+    q = make_rng(0, STREAM_LANCZOS).standard_normal(m)
+    q /= np.linalg.norm(q)
+    for k in range(1, m + 1):
+        if k > len(basis):
+            basis = np.concatenate([basis, np.empty((min(len(basis), m - len(basis)), m))])
+        basis[k - 1] = q
+        w = gram @ q
+        alpha.append(q @ w)
+        for _ in range(2):
+            w -= basis[:k].T @ (basis[:k] @ w)
+        beta.append(np.linalg.norm(w))
+        # The k x k tridiagonal; eigh reads its lower triangle alone.
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+        if (beta[-1] * np.abs(s[-1, -2:]) <= np.finfo(np.float64).eps * theta[-1]).all():
+            break
+        q = w / beta[-1]
+    lam, top = np.zeros(2), np.zeros((m, 2))
+    lam[:k] = theta[:-3:-1]
+    top[:, :k] = basis[:k].T @ s[:, :-3:-1]
+    return lam, top
+
+
 def project2d(latents) -> tuple[np.ndarray, int]:
     """Deterministic 2-component principal projection of flattened latents.
 
     Centers the n x d data and projects it onto its top-2 principal axes,
     fixing each axis sign so its largest-magnitude coordinate is positive.
-    The axes come from the top two eigenpairs, the only ones computed, of the
-    Gram matrix of the smaller side: ``c.T @ c`` (d x d) when d <= n, else
-    ``c @ c.T`` (n x n), whose eigenvectors ``u`` map to the axes ``c.T @ u``
-    normalised. Both have the squared singular values of ``c`` as
-    eigenvalues, so no SVD is needed.
+    The axes come from the top two eigenpairs, the only ones computed (by
+    ``_top2_eigh``'s Lanczos), of the Gram matrix of the smaller side:
+    ``c.T @ c`` (d x d) when d <= n, else ``c @ c.T`` (n x n), whose
+    eigenvectors ``u`` map to the axes ``c.T @ u`` normalised. Both have the
+    squared singular values of ``c`` as eigenvalues, so no SVD is needed.
 
     Returns the n x 2 points and the number of axes that carry variance; a
     rank-deficient input fills each missing axis with zeros. An axis carries
@@ -59,28 +103,13 @@ def project2d(latents) -> tuple[np.ndarray, int]:
     """
     # The one float64 copy, centred in place; the caller's array is untouched.
     centered = np.array(latents, dtype=np.float64)
-    if centered.ndim != 2 or centered.shape[0] < 3:
-        raise DataError(f"project2d: need at least 3 flattened vectors, got shape {centered.shape}")
+    if centered.ndim != 2 or centered.shape[0] < 3 or centered.shape[1] < 1:
+        raise DataError(f"project2d: need at least 3 flattened vectors of 1 or more dims, got shape {centered.shape}")
     if not np.isfinite(centered).all():
         raise DataError("project2d: latent vectors hold non-finite values")
     n, d = centered.shape
     centered -= centered.mean(axis=0)
-    # Imported here, not at module level: scipy.linalg adds about 5 MB of
-    # resident memory and 0.1 s of start-up to every command that loads it.
-    from scipy.linalg import eigh
-    from scipy.linalg.blas import dsyrk
-
-    # The lower triangle of the Gram matrix from scipy's BLAS, the one eigh
-    # uses: alternating numpy's and scipy's OpenBLAS makes each one's idle
-    # worker threads slow the other's next call. ``centered.T`` is the
-    # Fortran-order d x n view, so dsyrk reads it without a copy.
-    gram = dsyrk(1.0, centered.T, trans=0 if d <= n else 1, lower=1)
-    m = gram.shape[0]
-    # gram is this call's own Fortran-order array and nothing reads it again,
-    # so eigh may work in it: that saves LAPACK's m x m copy (8 MB at m =
-    # 1024, at the analysis's memory peak) and gives the same bits.
-    eigvals, eigvecs = eigh(gram, lower=True, subset_by_index=[max(m - 2, 0), m - 1], overwrite_a=True)
-    lam, top = eigvals[::-1], eigvecs[:, ::-1]  # descending
+    lam, top = _top2_eigh(centered.T @ centered if d <= n else centered @ centered.T)
     if d > n:
         top = centered.T @ top
     tol = max(n, d) * np.finfo(np.float64).eps * lam[0]
@@ -141,11 +170,7 @@ def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
     inv = -0.5 / (bandwidth * bandwidth)
     ex = np.exp(inv * (xs[None, :] - pts[:, 0, None]) ** 2)
     ey = np.exp(inv * (ys[None, :] - pts[:, 1, None]) ** 2)
-    # ex.T @ ey through scipy's BLAS, as in project2d; the transposes are
-    # the Fortran-order views dgemm reads without a copy.
-    from scipy.linalg.blas import dgemm
-
-    density = dgemm(1.0, ex.T, ey.T, trans_b=1)
+    density = ex.T @ ey
     total = density.sum()
     if not total > 0:
         # No grid center is within reach of any point: the caller's flags

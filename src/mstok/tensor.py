@@ -33,7 +33,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import special as sp_special
 
 # Additive mask value for attention logits. Large enough that exp() underflows
 # to exactly 0.0 in float32 and float64, which makes mask-induced causality
@@ -731,14 +730,54 @@ def make_rng(seed: int, stream: int | tuple[int, ...] = 0) -> np.random.Generato
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-_TRUNC_LO = float(sp_special.ndtr(-2.0))
-_TRUNC_HI = float(sp_special.ndtr(2.0))
+# The standard normal CDF at -2 and 2, as the nearest doubles;
+# 0.5 * math.erfc(2 / math.sqrt(2)) is one ulp off the first.
+_TRUNC_LO = 0.022750131948179195
+_TRUNC_HI = 0.9772498680518208
+
+# Wichura's AS241 (PPND16, Appl. Stat. 37, 1988) rational approximations of
+# the inverse normal CDF: numerator and denominator coefficients, highest
+# degree first. The central one holds for |u - 0.5| <= 0.425, the tail one
+# for r = sqrt(-log(min(u, 1 - u))) <= 5; on [_TRUNC_LO, _TRUNC_HI], r <= 1.95.
+_AS241_CENTRAL_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+                      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+                      1.3314166789178437745e+2, 3.3871328727963666080e+0)
+_AS241_CENTRAL_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+                      2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+                      4.2313330701600911252e+1, 1.0)
+_AS241_TAIL_NUM = (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+                   1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
+                   4.6303378461565452959e+0, 1.4234371107496835773e+0)
+_AS241_TAIL_DEN = (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+                   1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+                   2.0531916266377588219e+0, 1.0)
+
+
+def _horner(coeffs, r: np.ndarray) -> np.ndarray:
+    """The polynomial at ``r``, by Horner's rule in place."""
+    out = coeffs[0] * r + coeffs[1]
+    for c in coeffs[2:]:
+        out *= r
+        out += c
+    return out
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) truncated to two standard deviations, via inverse CDF."""
+    """Normal(0, std) truncated to two standard deviations, via inverse CDF.
+
+    The inverse CDF is Wichura's AS241 (Appl. Stat. 1988), vectorised with
+    the operation order of CPython's ``statistics.NormalDist.inv_cdf``, so
+    each draw is that function's to the bit.
+    """
     u = rng.uniform(_TRUNC_LO, _TRUNC_HI, size=shape)
-    return (sp_special.ndtri(u) * std).astype(dtype)
+    q = u - 0.5
+    r = 0.180625 - q * q
+    x = _horner(_AS241_CENTRAL_NUM, r) * q / _horner(_AS241_CENTRAL_DEN, r)
+    tail = np.abs(q) > 0.425
+    u = u[tail]
+    r = np.sqrt(-np.log(np.minimum(u, 1.0 - u))) - 1.6
+    x[tail] = np.copysign(_horner(_AS241_TAIL_NUM, r) / _horner(_AS241_TAIL_DEN, r), q[tail])
+    return (x * std).astype(dtype)
 
 
 def central_differences(f, flat: np.ndarray, indices, eps: float) -> np.ndarray:

@@ -1,12 +1,16 @@
-"""Static checks: no module of the package imports a name it never uses or
-another module's private name, every top-level definition of the package is
-named somewhere in the package or the benchmark, no function rebinds a
-module-level name, and only ``parallel`` starts threads or sets the BLAS
-thread count."""
+"""Static checks: no module of the package imports a name it never uses,
+another module's private name or a library other than numpy and the
+standard library, every top-level definition of the package is named
+somewhere in the package or the benchmark, no function rebinds a module-level
+name, and only ``parallel`` starts threads or sets the BLAS thread count.
+Also, at run time, the CLI and the analysis load no scipy."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import mstok
 
@@ -71,6 +75,37 @@ def test_package_imports_no_private_names():
     found = {path.name: private_imports(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def imported_roots(source: str) -> set[str]:
+    """Top-level package names of every absolute import in a source."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # numpy's OpenBLAS is the one BLAS; scipy is a test oracle only.
+    assert imported_roots("import os.path\nfrom scipy.linalg import eigh\nfrom . import t\n"
+                          "def f():\n    import scipy as sp\n") == {"os", "scipy"}
+    allowed = sys.stdlib_module_names | {"numpy"}
+    found = {path.name: sorted(imported_roots(path.read_text(encoding="utf-8")) - allowed)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: roots for name, roots in found.items() if roots} == {}
+
+
+def test_cli_and_analysis_load_no_scipy():
+    script = ("import sys\nimport numpy as np\nimport mstok.cli\nfrom mstok.latent_stats import analyze_latents\n"
+              "analyze_latents(np.random.default_rng(0).standard_normal((50, 8)), grid_size=8)\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def top_level_definitions(source: str) -> dict[str, int]:

@@ -11,7 +11,7 @@ from mstok import latent_stats as L
 from mstok.config import TokenizerConfig
 from mstok.model import init_model
 from mstok.pyramid import build_schedule, image_pyramid, tokens_to_images
-from mstok.tensor import ShapeError, Tensor, area_pool, make_rng
+from mstok.tensor import DataError, ShapeError, Tensor, area_pool, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -60,58 +60,49 @@ def test_project2d_planar_3d_keeps_variance():
 
 
 def svd_projection(x):
-    """Oracle: top-2 right singular vectors of the centered data, each
-    signed so its largest-magnitude coordinate is positive."""
-    centered = x - x.mean(axis=0)
+    """Oracle: top-2 right singular vectors of the centered float64 data,
+    each signed so its largest-magnitude coordinate is positive."""
+    centered = np.asarray(x, dtype=np.float64)
+    centered = centered - centered.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     axes = [v if v[np.argmax(np.abs(v))] > 0 else -v for v in vt[:2]]
     return centered @ np.stack(axes, axis=1)
 
 
-@pytest.mark.parametrize("shape", [(300, 40), (64, 1024)])  # tall; wide, as in the eval sweep
-def test_project2d_matches_svd_oracle(shape):
+# tall; wide, as in the eval sweep; wide float32, as an HLAT dump holds it
+@pytest.mark.parametrize("shape, dtype", [((300, 40), np.float64), ((64, 1024), np.float64),
+                                          ((64, 1024), np.float32)], ids=["shape0", "shape1", "shape1-float32"])
+def test_project2d_matches_svd_oracle(shape, dtype):
     rng = make_rng(8)
     n, d = shape
     x = (rng.standard_normal((n, 3)) * [5.0, 2.0, 1.0]) @ rng.standard_normal((3, d))
     x += 0.1 * rng.standard_normal((n, d)) + rng.standard_normal(d)
-    proj, axes = L.project2d(x)
-    assert axes == 2
-    np.testing.assert_allclose(proj, svd_projection(x), rtol=0, atol=1e-9)
-
-
-def copying_eigh_projection(x):
-    """Oracle: project2d's arithmetic, with eigh working on its own copy of
-    the Gram matrix, as scipy does by default."""
-    from scipy.linalg import eigh
-    from scipy.linalg.blas import dsyrk
-
-    c = np.array(x, dtype=np.float64)
-    n, d = c.shape
-    c -= c.mean(axis=0)
-    gram = dsyrk(1.0, c.T, trans=0 if d <= n else 1, lower=1)
-    m = gram.shape[0]
-    _, top = eigh(gram, lower=True, subset_by_index=[m - 2, m - 1])
-    top = top[:, ::-1]
-    if d > n:
-        top = c.T @ top
-    out = np.zeros((n, 2))
-    for axis in range(2):
-        v = top[:, axis] / np.linalg.norm(top[:, axis])
-        out[:, axis] = c @ (-v if v[np.argmax(np.abs(v))] < 0 else v)
-    return out
-
-
-@pytest.mark.parametrize("shape, dtype", [((300, 40), np.float64), ((64, 1024), np.float32)],
-                         ids=["d_le_n", "d_gt_n_float32"])
-def test_project2d_overwriting_eigh_gives_the_same_bits(shape, dtype):
-    # project2d lets eigh work in its Gram matrix; that must change no bit,
-    # and the caller's array is never written.
-    x = make_rng(21).standard_normal(shape).astype(dtype)
+    x = x.astype(dtype)
     before = x.copy()
     proj, axes = L.project2d(x)
     assert axes == 2
-    np.testing.assert_array_equal(proj, copying_eigh_projection(x))
-    np.testing.assert_array_equal(x, before)
+    np.testing.assert_allclose(proj, svd_projection(x), rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(x, before)  # the caller's array is never written
+
+
+@pytest.mark.parametrize("shape", [(400, 120), (120, 400)], ids=["d_le_n", "d_gt_n"])
+def test_project2d_close_second_and_third_eigenvalues_match_svd_oracle(shape):
+    # lambda_2 / lambda_3 = 1.005, about the 1.0055 of a 2048 x 1024 dump of
+    # the 5-step default checkpoint: a near-tie the second axis must resolve.
+    rng = make_rng(22)
+    n, d = shape
+    k = min(n, d) - 1
+    left = rng.standard_normal((n, k))
+    left -= left.mean(axis=0)  # orthogonal to ones, so centering keeps it
+    left = np.linalg.qr(left)[0]
+    right = np.linalg.qr(rng.standard_normal((d, k)))[0]
+    sv = np.concatenate([[5.0, 2.0, 2.0 / np.sqrt(1.005)], np.geomspace(1.5, 0.01, k - 3)])
+    x = (left * sv) @ right.T + rng.standard_normal(d)
+    centered_sv = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
+    assert (centered_sv[1] / centered_sv[2]) ** 2 == pytest.approx(1.005, rel=1e-9)
+    proj, axes = L.project2d(x)
+    assert axes == 2
+    np.testing.assert_allclose(proj, svd_projection(x), rtol=0, atol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,6 +116,19 @@ def test_project2d_counts_rank_one_and_rank_two_axes(n, d, seed, scale):
     if d >= 2:
         rank2 = scale * rng.standard_normal((n, 2)) @ rng.standard_normal((2, d)) + offset
         assert L.project2d(rank2)[1] == 2
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_project2d_stops_at_the_breakdown_of_rank_deficient_input(rank, monkeypatch):
+    # A rank-r Gram matrix and the start vector span an invariant Krylov
+    # space of r + 1 dims; the iteration stops within a step of it (one eigh
+    # per step), not after all 200 steps.
+    eigh, sizes = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: sizes.append(len(a)) or eigh(a, *args))
+    rng = make_rng(23)
+    proj, axes = L.project2d(rng.standard_normal((300, rank)) @ rng.standard_normal((rank, 200)))
+    assert axes == min(rank, 2)
+    assert len(sizes) <= rank + 2
 
 
 def test_project2d_one_dimensional_latents():
@@ -151,6 +155,12 @@ def test_project2d_leaves_float64_input_unchanged():
     before = x.copy()
     L.project2d(x)
     np.testing.assert_array_equal(x, before)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 4), (5, 0)])
+def test_project2d_rejects_too_few_vectors_or_dims(shape):
+    with pytest.raises(DataError, match="at least 3 flattened vectors"):
+        L.project2d(np.zeros(shape))
 
 
 def test_project2d_deterministic():

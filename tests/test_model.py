@@ -1,3 +1,4 @@
+import hashlib
 import struct
 from pathlib import Path
 
@@ -286,6 +287,23 @@ def test_init_model_deterministic():
     b = init_model(TINY).named_parameters()
     for name in a:
         np.testing.assert_array_equal(a[name].data, b[name].data)
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (TokenizerConfig(), "e639c19e2550793aa35dc4bb9887b5f2d5e0a577540e3e4caffd3e55ea2f41bd"),
+    (TokenizerConfig(image_size=64, scales=(1, 2, 4, 8, 16)),
+     "1b4905badb27e95f1e3fc7eb1afc34714c0167ad68bf8831a9b4e4b4d2642351"),
+    (TokenizerConfig(seed=7, downsample_mode="conv"),
+     "5991db993c544099ccb45169a5903d136001887ead20cfa9da34a7a8fce45d4f"),
+], ids=["default", "64px_5_scales", "seed7_conv"])
+def test_init_model_parameters_are_pinned(cfg, digest):
+    # The digests of the scipy.special.ndtri init: the AS241 inverse CDF
+    # must draw the same float32 bits.
+    h = hashlib.sha256()
+    for name, param in init_model(cfg).named_parameters().items():
+        h.update(name.encode())
+        h.update(param.data.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_conv_mode_has_averaging_chains():

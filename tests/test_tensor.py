@@ -1,9 +1,11 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from mstok import blas
 from mstok import tensor as T
@@ -709,6 +711,33 @@ def test_trunc_normal_bounds_and_scale():
     sample = T.trunc_normal(rng, (20000,), std=0.02)
     assert np.abs(sample).max() <= 0.04 + 1e-6
     assert 0.01 < sample.std() < 0.02
+
+
+def test_trunc_normal_bounds_are_the_normal_cdf_at_two():
+    assert T._TRUNC_LO == special.ndtr(-2.0)
+    assert T._TRUNC_HI == special.ndtr(2.0)
+
+
+def scipy_trunc_normal(seed, n, std, dtype):
+    """Oracle: the same uniform draws through ``scipy.special.ndtri``."""
+    u = T.make_rng(seed).uniform(T._TRUNC_LO, T._TRUNC_HI, size=n)
+    return (special.ndtri(u) * std).astype(dtype)
+
+
+@pytest.mark.parametrize("std", [0.02, 1.0])
+def test_trunc_normal_float32_equals_scipy_ndtri(std):
+    n = 1 << 20
+    np.testing.assert_array_equal(T.trunc_normal(T.make_rng(5), (n,), std=std),
+                                  scipy_trunc_normal(5, n, std, np.float32))
+
+
+def test_trunc_normal_float64_matches_scipy_ndtri_and_cpython():
+    n = 1 << 20
+    got = T.trunc_normal(T.make_rng(6), (n,), std=1.0, dtype=np.float64)
+    np.testing.assert_allclose(got, scipy_trunc_normal(6, n, 1.0, np.float64), rtol=2e-15, atol=0)
+    # Bit for bit the AS241 of statistics.NormalDist, on a sample.
+    u = T.make_rng(6).uniform(T._TRUNC_LO, T._TRUNC_HI, size=2000)
+    np.testing.assert_array_equal(got[:2000], [statistics.NormalDist().inv_cdf(v) for v in u])
 
 
 def test_drop_path_eval_identity():
