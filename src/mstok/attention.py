@@ -5,6 +5,12 @@ Three visibility regimes over the token sequence. Full attention sees
 everything; scale-independent attention confines each token to its own scale
 block; scale-causal attention lets a block attend to itself and every
 coarser block, so information flows from low to high resolution only.
+
+Under every regime each scale's queries read one contiguous run of keys, so
+a mask is a list of spans, one per scale (one for the whole sequence under
+full attention), and attention scores each scale's queries only against the
+keys it may read, through ``tensor.span_attention``. No additive mask and no
+T x T score matrix is built.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from enum import Enum
 import numpy as np
 
 from .tensor import (
-    MASK_VALUE,
     ConfigError,
     ShapeError,
     Tensor,
@@ -27,7 +32,7 @@ from .tensor import (
     layer_norm,
     matmul,
     reshape,
-    softmax,
+    span_attention,
     transpose,
 )
 from .pyramid import ScaleSchedule
@@ -53,29 +58,35 @@ class AttentionRegime(str, Enum):
 class AttentionMask:
     """Which keys each query may read, built once per model.
 
-    ``allow[q, k]`` is query-major, as ``dump-mask`` prints it. ``additive``
-    is key-major, the layout of ``masked_mha``'s scores: a C-contiguous
-    ``additive[k, q]`` holding 0 where ``allow[q, k]`` and ``MASK_VALUE``
-    where not, so adding it to the scores reads no strided view.
+    ``spans`` holds one ``(q_lo, q_hi, k_lo, k_hi)`` per run of queries:
+    queries ``[q_lo, q_hi)`` read keys ``[k_lo, k_hi)``, and the runs cover
+    every query once. ``allow[q, k]`` is the same set as a query-major T x T
+    boolean matrix, as ``dump-mask`` prints it.
     """
 
+    spans: tuple[tuple[int, int, int, int], ...]
     allow: np.ndarray             # T x T boolean, query-major
-    additive: np.ndarray          # T x T float32, key-major
 
 
 def build_mask(schedule: ScaleSchedule, regime: AttentionRegime) -> AttentionMask:
+    """Spans from the schedule's scale blocks: scale s reads keys
+    ``[0, end_s)`` under scale-causal attention and ``[start_s, end_s)``
+    under scale-independent attention; full attention is one span over the
+    whole sequence."""
     t = schedule.total
     if regime is AttentionRegime.FULL:
-        allow = np.ones((t, t), dtype=bool)
+        spans = ((0, t, 0, t),)
     else:
-        q = schedule.scale_of()[:, None]
-        k = q.T
-        allow = (q == k) if regime is AttentionRegime.SCALE_INDEPENDENT else (q >= k)
+        causal = regime is AttentionRegime.SCALE_CAUSAL
+        spans = tuple((lo, lo + n, 0 if causal else lo, lo + n)
+                      for lo, n in zip(schedule.offsets(), schedule.counts))
+    allow = np.zeros((t, t), dtype=bool)
+    for q_lo, q_hi, k_lo, k_hi in spans:
+        allow[q_lo:q_hi, k_lo:k_hi] = True
     # Built once per model and shared by every attention call; read-only so
     # no caller can alter the mask another call sees.
-    additive = np.ascontiguousarray(np.where(allow.T, 0.0, MASK_VALUE), dtype=np.float32)
-    additive.flags.writeable = False
-    return AttentionMask(allow=allow, additive=additive)
+    allow.flags.writeable = False
+    return AttentionMask(spans=spans, allow=allow)
 
 
 @dataclass
@@ -107,16 +118,17 @@ class BlockParams:
 
 
 def masked_mha(x, params: AttentionParams, heads: int, mask: AttentionMask | None) -> Tensor:
-    """Scaled dot-product multi-head attention with additive masking.
+    """Scaled dot-product multi-head attention over the mask's spans.
 
     Takes batch x tokens x width only (``ShapeError`` otherwise); no QKV or
-    output biases. The scores are key-major, ``k @ q^T`` of shape
-    ``(b, heads, keys, queries)``, normalised over keys with
-    ``softmax(..., axis=-2)``, and each head's output is ``v^T @ weights``.
-    This is ``softmax(q k^T) v`` with the keys on the second-last axis, where
-    numpy's max and sum reduce across the contiguous queries; the sums run
-    in a different order, so results differ from the query-major form in
-    the last float32 bits.
+    output biases. ``span_attention`` scores each span's queries only
+    against the keys it reads, key-major: ``k @ q^T`` of shape
+    ``(b, heads, keys, queries)``, normalised over the keys, and each head's
+    output is ``v^T @ weights``. ``mask=None`` is one span over the whole
+    sequence. This is ``softmax(q k^T) v`` with the keys on the second-last
+    axis, where numpy's max and sum reduce across the contiguous queries; the
+    sums run in a different order, so results differ from the query-major
+    form in the last float32 bits.
     """
     x = as_tensor(x)
     if x.ndim != 3:
@@ -135,10 +147,8 @@ def masked_mha(x, params: AttentionParams, heads: int, mask: AttentionMask | Non
     q_t = split_heads(matmul(x, params.wq), (0, 2, 3, 1))
     k = split_heads(matmul(x, params.wk), (0, 2, 1, 3))
     v_t = split_heads(matmul(x, params.wv), (0, 2, 3, 1))
-    scores_t = matmul(k, q_t)
-    weights_t = softmax(scores_t, additive_mask=None if mask is None else mask.additive,
-                        scale=1.0 / math.sqrt(hd), axis=-2)
-    mixed_t = matmul(v_t, weights_t)  # (b, heads, hd, t)
+    spans = ((0, t, 0, t),) if mask is None else mask.spans
+    mixed_t = span_attention(q_t, k, v_t, spans, 1.0 / math.sqrt(hd))  # (b, heads, hd, t)
     # A strided view: matmul copies it to (b * t, d) rows once, and its
     # kernel gradient reuses that copy.
     out = reshape(transpose(mixed_t, (0, 3, 1, 2)), (b, t, d))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .attention import AttentionRegime, build_mask
 from .config import RunConfig, TokenizerConfig
 from .losses import multiscale_loss
 from .model import init_model
@@ -65,6 +66,23 @@ def op_library_checks(eps: float = 1e-5) -> dict[str, float]:
     results["area_pool_fractional"] = T.grad_check(
         lambda t: T.tsum(T.square(T.area_pool(t, 3, 3))), Tensor(rng.standard_normal((1, 2, 4, 4))), eps
     )
+
+    # q^T, k and v^T of 2 heads with hd = 3 over a 1, 2, 3 schedule, stacked
+    # in one tensor so one check covers all three inputs.
+    sched = build_schedule(3, [1, 2, 3])
+    qkv = Tensor(rng.standard_normal((3, 2, sched.total, 3)))
+    coeffs = Tensor(rng.standard_normal((2, 3, sched.total)), dtype=np.float64)
+
+    def span_attention_sum(t, spans):
+        q_t, k, v_t = (T.reshape(T.slice_axis(t, 0, i, i + 1), t.shape[1:]) for i in range(3))
+        out = T.span_attention(T.transpose(q_t, (0, 2, 1)), k, T.transpose(v_t, (0, 2, 1)), spans, 0.6)
+        return T.tsum(T.square(T.mul(out, coeffs)))
+
+    for regime in (AttentionRegime.SCALE_CAUSAL, AttentionRegime.SCALE_INDEPENDENT):
+        spans = build_mask(sched, regime).spans
+        results[f"span_attention_{regime.value}"] = T.grad_check(
+            lambda t: span_attention_sum(t, spans), qkv, eps
+        )
     return results
 
 

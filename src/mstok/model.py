@@ -271,12 +271,19 @@ def init_model(config: TokenizerConfig, dtype=np.float32) -> TokenizerModel:
     give bit-identical parameters."""
     config.validate()
     rng = make_rng(config.seed, stream=STREAM_INIT)
+    return _build_model(config, lambda shape: trunc_normal(rng, shape, std=INIT_STD, dtype=dtype), dtype)
+
+
+def _build_model(config: TokenizerConfig, draw, dtype) -> TokenizerModel:
+    """The model tree for a validated config, each random weight made by
+    ``draw(shape)``, called in record order; the layer norms, biases and
+    averaging kernels are set as at init."""
     schedule = config.schedule()
     g = schedule.base_grid
     ew, dw, dz, p = config.enc_width, config.dec_width, config.latent_dim, config.patch
 
     def weight(*shape):
-        return Tensor(trunc_normal(rng, shape, std=INIT_STD, dtype=dtype), requires_grad=True)
+        return Tensor(draw(shape), requires_grad=True)
 
     def zeros(*shape):
         return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
@@ -388,7 +395,8 @@ def load_checkpoint(path: str) -> TokenizerModel:
             config = config_from_kv(TokenizerConfig, kv).validate()
         except (UnicodeDecodeError, ConfigError) as err:
             raise CheckpointError(f"{path}: bad embedded config: {err}") from None
-        model = init_model(config)
+        # Every parameter is overwritten by its record, so none is drawn.
+        model = _build_model(config, lambda shape: np.zeros(shape, dtype=np.float32), np.float32)
         params = model.named_parameters()
         (n_records,) = struct.unpack("<I", _read_exact(fh, 4, "record count"))
         if n_records != len(params):

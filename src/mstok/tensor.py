@@ -542,6 +542,22 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
 # Neural-network primitives
 # ---------------------------------------------------------------------------
 
+def _normalize(z: np.ndarray, axis: int) -> None:
+    """Softmax of the logits ``z`` along ``axis``, in place."""
+    z -= z.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+
+
+def _normalize_backward(g: np.ndarray, p: np.ndarray, axis: int, scale: float) -> None:
+    """Turn ``g``, the gradient of the softmax ``p`` along ``axis`` of logits
+    ``scale * x``, into the gradient of ``x``, in place."""
+    inner = (g * p).sum(axis=axis, keepdims=True)
+    g -= inner
+    g *= p
+    g *= scale
+
+
 def softmax(x, additive_mask=None, scale: float = 1.0, axis: int = -1) -> Tensor:
     """Softmax of ``scale * x + additive_mask`` along ``axis`` (the last by
     default).
@@ -556,9 +572,10 @@ def softmax(x, additive_mask=None, scale: float = 1.0, axis: int = -1) -> Tensor
     position is masked output zeros rather than NaN, so a uniform
     mask-handling path is safe.
 
-    Attention normalises over keys with ``axis=-2`` on key-major scores: numpy
-    reduces over a non-last axis with vector passes across the contiguous
-    last one, while a reduction over a short last axis pays a per-row cost.
+    Over ``axis=-2`` of a C-contiguous array numpy reduces with vector passes
+    across the contiguous last axis, while a reduction over a short last
+    axis pays a per-row cost; ``span_attention`` normalises its key-major
+    scores that way, through the same in-place passes.
     """
     x = as_tensor(x)
     scale = float(scale)
@@ -569,9 +586,7 @@ def softmax(x, additive_mask=None, scale: float = 1.0, axis: int = -1) -> Tensor
             out_data += additive_mask
         except ValueError:
             raise ShapeError(f"softmax: mask shape {additive_mask.shape} does not broadcast to {x.shape}") from None
-    out_data -= out_data.max(axis=axis, keepdims=True)
-    np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=axis, keepdims=True)
+    _normalize(out_data, axis)
     if additive_mask is not None:
         # Align the mask's axes with the logits' so ``axis`` names the same one.
         aligned = additive_mask.reshape((1,) * (out_data.ndim - additive_mask.ndim) + additive_mask.shape)
@@ -582,13 +597,75 @@ def softmax(x, additive_mask=None, scale: float = 1.0, axis: int = -1) -> Tensor
     def backward(g):
         # g is this node's own gradient, released right after this closure
         # runs, so the input gradient is built in its buffer.
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        g -= inner
-        g *= out_data
-        g *= scale
+        _normalize_backward(g, out_data, axis, scale)
         _accumulate(x, g, fresh=True)
 
     return _result(out_data, (x,), backward)
+
+
+def span_attention(q_t, k, v_t, spans, scale: float) -> Tensor:
+    """Softmax attention in which each run of queries reads one run of keys.
+
+    ``q_t`` and ``v_t`` are ``(..., hd, T)``, ``k`` is ``(..., T, hd)``, all
+    with the same leading axes, and each span ``(q_lo, q_hi, k_lo, k_hi)``
+    lets queries ``[q_lo, q_hi)`` read keys ``[k_lo, k_hi)``; the query runs
+    must cover every query exactly once. For each span the key-major scores
+    ``k[..., k_lo:k_hi, :] @ q_t[..., q_lo:q_hi]`` are scaled and normalised
+    over the keys in place, and ``v_t[..., k_lo:k_hi] @ p`` fills that
+    span's columns of the ``(..., hd, T)`` output.
+
+    The forward is ``matmul(v_t, softmax(matmul(k, q_t), mask, scale,
+    axis=-2))`` with ``MASK_VALUE`` outside the spans, bit for bit: every
+    entry the spans skip adds an exact zero there. Only the per-span
+    probabilities are kept for the backward, which runs the same steps per
+    span and adds each span's key and value gradients into its key range;
+    those sum over the queries in another order than the dense products, so
+    they differ from them in the last bits.
+    """
+    q_t, k, v_t = as_tensor(q_t), as_tensor(k), as_tensor(v_t)
+    t = k.shape[-2] if k.ndim >= 2 else 0
+    if (k.ndim < 2 or q_t.shape != k.shape[:-2] + (k.shape[-1], t)
+            or v_t.ndim != k.ndim or v_t.shape[:-2] + v_t.shape[-1:] != k.shape[:-2] + (t,)):
+        raise ShapeError(f"span_attention: q^T {q_t.shape}, k {k.shape} and v^T {v_t.shape} do not conform")
+    spans = tuple(spans)
+    runs = sorted((q_lo, q_hi) for q_lo, q_hi, _, _ in spans)
+    ends = [0] + [hi for _, hi in runs]
+    if ([lo for lo, _ in runs] != ends[:-1] or ends[-1] != t
+            or any(lo >= hi or not 0 <= k_lo < k_hi <= t for lo, hi, k_lo, k_hi in spans)):
+        raise ShapeError(f"span_attention: spans {spans} do not cover {t} queries once with keys in range")
+    scale = float(scale)
+    out_data = np.empty(v_t.shape, dtype=np.result_type(q_t.dtype, k.dtype, v_t.dtype))
+    probs = []
+    for q_lo, q_hi, k_lo, k_hi in spans:
+        p = np.matmul(k.data[..., k_lo:k_hi, :], q_t.data[..., q_lo:q_hi])
+        p *= scale
+        _normalize(p, -2)
+        np.matmul(v_t.data[..., k_lo:k_hi], p, out=out_data[..., q_lo:q_hi])
+        probs.append(p)
+
+    def backward(g):
+        gq = np.empty_like(q_t.data) if q_t.requires_grad else None
+        gk = np.zeros_like(k.data) if k.requires_grad else None
+        gv = np.zeros_like(v_t.data) if v_t.requires_grad else None
+        for (q_lo, q_hi, k_lo, k_hi), p in zip(spans, probs):
+            g_out = g[..., q_lo:q_hi]
+            if gv is not None:
+                # Formed transposed, as p @ g_out^T. As g_out @ p^T both
+                # operands are column-major views, and numpy 2.4.6 on its
+                # OpenBLAS 0.3.31 returned wrong values (or crashed) for such
+                # products while one of another shape ran on a second thread.
+                np.swapaxes(gv, -1, -2)[..., k_lo:k_hi, :] += np.matmul(p, np.swapaxes(g_out, -1, -2))
+            gs = np.matmul(np.swapaxes(v_t.data[..., k_lo:k_hi], -1, -2), g_out)
+            _normalize_backward(gs, p, -2, scale)
+            if gk is not None:
+                gk[..., k_lo:k_hi, :] += np.matmul(gs, np.swapaxes(q_t.data[..., q_lo:q_hi], -1, -2))
+            if gq is not None:
+                np.matmul(np.swapaxes(k.data[..., k_lo:k_hi, :], -1, -2), gs, out=gq[..., q_lo:q_hi])
+        for node, grad in ((q_t, gq), (k, gk), (v_t, gv)):
+            if grad is not None:
+                _accumulate(node, grad, fresh=True)
+
+    return _result(out_data, (q_t, k, v_t), backward)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
@@ -807,10 +884,11 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    The check runs in double precision regardless of the input dtype; ``f``
-    must map a tensor to a scalar tensor.
+    The check runs in double precision regardless of the input dtype, on a
+    C-ordered copy of the input, so that a strided view is perturbed too;
+    ``f`` must map a tensor to a scalar tensor.
     """
-    base = x.data.astype(np.float64)
+    base = np.array(x.data, dtype=np.float64, order="C")
 
     x64 = Tensor(base.copy(), requires_grad=True)
     out = f(x64)

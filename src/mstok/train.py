@@ -29,10 +29,12 @@ checkpoint nor the eval depends on the worker count.
 step's pool runs two shards at once on two CPUs, and each holds its whole
 autograd graph until its backward, so a step's peak holds about two shard
 graphs; the graph grows with the shard's images. At the default config one
-shard run alone has a tracemalloc peak of 140.6 MB at 32 images and 70.7 MB
-at 16. On a 2-vCPU Xeon, shards of 16 cut a default run's peak resident
-memory from about 360 to 225 MB, for a step 4-8% slower than with shards of
-32.
+shard run alone has a tracemalloc peak of 119.8 MB at 32 images and 60.3 MB
+at 16 (140.6 and 70.7 MB while attention kept a dense T x T score matrix and
+its weights per block). On a 2-vCPU Xeon, shards of 16 cut a default run's
+peak resident memory from about 360 to 225 MB with that dense attention, for
+a step 4-8% slower than with shards of 32; with span attention the
+benchmark's default-config `train` run peaks at about 178 MB.
 
 The log opens with a header entry that says what produced the run: the
 config, the package and numpy versions, the git commit of the checkout that

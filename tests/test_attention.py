@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstok import attention as A
+from mstok import tensor as T
 from mstok.pyramid import build_schedule
 from mstok.tensor import MASK_VALUE, ConfigError, Tensor, grad_check, make_rng, mul, slice_axis, square, tsum
 
@@ -26,6 +27,14 @@ def oracle_mask(grids, regime):
             else:
                 allow[qi, ki] = scale_of[qi] >= scale_of[ki]
     return allow
+
+
+def span_cover(spans, t):
+    # How many times each (query, key) pair lies in a span's rectangle.
+    cover = np.zeros((t, t), dtype=int)
+    for q_lo, q_hi, k_lo, k_hi in spans:
+        cover[q_lo:q_hi, k_lo:k_hi] += 1
+    return cover
 
 
 def random_attn_params(rng, d, dtype=np.float32):
@@ -87,6 +96,24 @@ def test_mask_matches_nested_loop_oracle(grids, regime):
     mask = A.build_mask(sched, regime)
     np.testing.assert_array_equal(mask.allow, oracle_mask(grids, regime))
     assert mask.allow.any(axis=1).all()  # every row attends somewhere
+
+
+@pytest.mark.parametrize("grids", [(1,), (1, 2), (1, 3, 5), (2, 4, 8), (1, 2, 4, 8), (1, 2, 3, 4, 6, 8)])
+@pytest.mark.parametrize("regime", list(A.AttentionRegime))
+def test_spans_cover_each_query_once_and_equal_the_oracle(grids, regime):
+    sched = build_schedule(grids[-1], grids)
+    mask = A.build_mask(sched, regime)
+    t = sched.total
+    queries = np.zeros(t, dtype=int)
+    for q_lo, q_hi, k_lo, k_hi in mask.spans:
+        assert 0 <= q_lo < q_hi <= t and 0 <= k_lo < k_hi <= t
+        queries[q_lo:q_hi] += 1
+    assert (queries == 1).all()
+    cover = span_cover(mask.spans, t)
+    assert cover.max() == 1
+    np.testing.assert_array_equal(cover == 1, oracle_mask(grids, regime))
+    np.testing.assert_array_equal(cover == 1, mask.allow)
+    assert len(mask.spans) == (1 if regime is A.AttentionRegime.FULL else len(grids))
 
 
 def test_regime_parse_roundtrip():
@@ -185,7 +212,7 @@ def test_attention_weights_sum_to_one_over_allowed():
     x = rng.standard_normal((sched.total, d)).astype(np.float32)
     q = (x @ params.wq.data).reshape(-1, heads, hd).transpose(1, 0, 2)
     k = (x @ params.wk.data).reshape(-1, heads, hd).transpose(1, 0, 2)
-    scores = q @ k.transpose(0, 2, 1) / math.sqrt(hd) + mask.additive.T  # key-major
+    scores = q @ k.transpose(0, 2, 1) / math.sqrt(hd) + np.where(mask.allow, 0.0, MASK_VALUE)
     w = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
@@ -219,9 +246,89 @@ def test_masked_mha_matches_row_major_oracle(regime):
     x = rng.standard_normal((2, sched.total, d))
     out = A.masked_mha(Tensor(x, dtype=np.float64), params, heads, mask)
     np.testing.assert_allclose(out.data, mha_oracle(x, params, heads, mask.allow), rtol=1e-12, atol=1e-12)
-    # The additive mask is the key-major transpose of allow, C-contiguous.
-    assert mask.additive.flags.c_contiguous and not mask.additive.flags.writeable
-    np.testing.assert_array_equal(mask.additive, np.where(mask.allow.T, 0.0, MASK_VALUE))
+    # The mask is read-only, and its spans are allow's True set.
+    assert mask.allow.flags.c_contiguous and not mask.allow.flags.writeable
+    np.testing.assert_array_equal(span_cover(mask.spans, sched.total), mask.allow)
+
+
+def dense_mha(x, params, heads, allow):
+    # The dense composition masked_mha replaced, on the same key-major
+    # operand views: matmul -> softmax(additive mask from allow) -> matmul.
+    b, t, d = x.shape
+    hd = d // heads
+
+    def split(w, axes):
+        return T.transpose(T.reshape(T.matmul(x, w), (b, t, heads, hd)), axes)
+
+    q_t, k, v_t = split(params.wq, (0, 2, 3, 1)), split(params.wk, (0, 2, 1, 3)), split(params.wv, (0, 2, 3, 1))
+    additive = np.where(allow.T, 0.0, MASK_VALUE).astype(x.dtype)
+    weights_t = T.softmax(T.matmul(k, q_t), additive_mask=additive, scale=1.0 / math.sqrt(hd), axis=-2)
+    out = T.reshape(T.transpose(T.matmul(v_t, weights_t), (0, 3, 1, 2)), (b, t, d))
+    return T.matmul(out, params.wo)
+
+
+@pytest.mark.parametrize("grids, b, d, heads", [((1, 2, 4, 8), 16, 64, 4), ((1, 3, 5), 3, 32, 4), ((2, 4), 2, 6, 2)])
+@pytest.mark.parametrize("regime", list(A.AttentionRegime))
+def test_masked_mha_forward_is_the_dense_composition_bitwise(grids, b, d, heads, regime):
+    # float32, as in the model: the skipped score entries added exact zeros.
+    rng = make_rng(12)
+    sched = build_schedule(grids[-1], grids)
+    params = random_attn_params(rng, d)
+    mask = A.build_mask(sched, regime)
+    x = Tensor(rng.standard_normal((b, sched.total, d)).astype(np.float32))
+    out = A.masked_mha(x, params, heads, mask).data
+    want = dense_mha(x, params, heads, mask.allow).data
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.parametrize("grids", [(1, 2, 4), (1, 3, 5)])
+@pytest.mark.parametrize("regime", list(A.AttentionRegime))
+def test_masked_mha_gradients_match_the_dense_composition(grids, regime):
+    rng = make_rng(13)
+    sched = build_schedule(grids[-1], grids)
+    d, heads = 8, 2
+    mask = A.build_mask(sched, regime)
+    x = rng.standard_normal((2, sched.total, d))
+    seed = rng.standard_normal((2, sched.total, d))
+    base = random_attn_params(rng, d, dtype=np.float64)
+    grads = []
+    for attend in (lambda xt, p: A.masked_mha(xt, p, heads, mask),
+                   lambda xt, p: dense_mha(xt, p, heads, mask.allow)):
+        params = A.AttentionParams(*(Tensor(w.data, requires_grad=True) for w in
+                                     (base.wq, base.wk, base.wv, base.wo)))
+        xt = Tensor(x, requires_grad=True)
+        attend(xt, params).backward(seed)
+        grads.append([xt.grad] + [w.grad for w in (params.wq, params.wk, params.wv, params.wo)])
+    for got, want in zip(*grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("regime", list(A.AttentionRegime))
+def test_masked_mha_multiplies_no_two_column_major_operands(regime, monkeypatch):
+    # numpy 2.4.6 on its OpenBLAS 0.3.31 returned wrong values for products
+    # whose operands are both column-major (transposed) views while a
+    # product of another shape ran on a second thread, as training shards
+    # do; attention's forward and backward must not issue such products.
+    def column_major(a):
+        return a.ndim >= 2 and a.strides[-1] != a.itemsize and a.strides[-2] == a.itemsize
+
+    both = []
+    real = np.matmul
+
+    def checked(a, b, *args, **kwargs):
+        if column_major(np.asarray(a)) and column_major(np.asarray(b)):
+            both.append((np.shape(a), np.shape(b)))
+        return real(a, b, *args, **kwargs)
+
+    rng = make_rng(14)
+    sched = build_schedule(4, [1, 2, 4])
+    params = random_attn_params(rng, 16)
+    x = Tensor(rng.standard_normal((2, sched.total, 16)).astype(np.float32), requires_grad=True)
+    monkeypatch.setattr(np, "matmul", checked)
+    out = A.masked_mha(x, params, 4, A.build_mask(sched, regime))
+    out.backward(np.ones(out.shape, dtype=np.float32))
+    assert not both
 
 
 @pytest.mark.parametrize("regime", [A.AttentionRegime.SCALE_CAUSAL, A.AttentionRegime.FULL])

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mstok import model as model_module
 from mstok.attention import masked_mha
 from mstok.cli import main
 from mstok.config import RunConfig, TokenizerConfig
@@ -332,6 +333,27 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(a, b)
     pa, pb = model.named_parameters(), loaded.named_parameters()
     for name in pa:
+        np.testing.assert_array_equal(pa[name].data, pb[name].data)
+
+
+def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
+    # The loader overwrites every parameter from its record, so it builds
+    # the tree without the init's draws; the result is still bit-equal.
+    cfg = TokenizerConfig(**{**TINY.__dict__, "downsample_mode": "conv"})
+    model = init_model(cfg)
+    path = str(tmp_path / "model.htok")
+    save_checkpoint(model, path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew an init weight")
+
+    monkeypatch.setattr(model_module, "trunc_normal", no_draws)
+    loaded = load_checkpoint(path)
+    assert loaded.config == cfg
+    pa, pb = model.named_parameters(), loaded.named_parameters()
+    assert list(pa) == list(pb)
+    for name in pa:
+        assert pb[name].requires_grad and pb[name].data.dtype == np.float32
         np.testing.assert_array_equal(pa[name].data, pb[name].data)
 
 

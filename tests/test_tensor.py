@@ -322,6 +322,115 @@ def test_softmax_mask_must_broadcast_to_input():
 
 
 # ---------------------------------------------------------------------------
+# span_attention
+# ---------------------------------------------------------------------------
+
+# Spans over a 1, 2, 4 schedule (T = 21): one for the whole sequence, then
+# scale-causal and scale-independent ones.
+SPANS = {
+    "full": ((0, 21, 0, 21),),
+    "scalecausal": ((0, 1, 0, 1), (1, 5, 0, 5), (5, 21, 0, 21)),
+    "scaleindependent": ((0, 1, 0, 1), (1, 5, 1, 5), (5, 21, 5, 21)),
+}
+
+
+def span_inputs(rng, dtype, b=3, heads=2, hd=8, t=21):
+    # q^T, k and v^T as masked_mha makes them: head views of token-major
+    # (b, t, heads, hd) projections.
+    def heads_of(axes):
+        return np.transpose(rng.standard_normal((b, t, heads, hd)).astype(dtype), axes)
+
+    return heads_of((0, 2, 3, 1)), heads_of((0, 2, 1, 3)), heads_of((0, 2, 3, 1))
+
+
+def dense_attention(q_t, k, v_t, spans, s):
+    t = k.shape[-2]
+    additive = np.full((t, t), T.MASK_VALUE, dtype=k.dtype)  # key-major
+    for q_lo, q_hi, k_lo, k_hi in spans:
+        additive[k_lo:k_hi, q_lo:q_hi] = 0.0
+    return T.matmul(v_t, T.softmax(T.matmul(k, q_t), additive_mask=additive, scale=s, axis=-2))
+
+
+@pytest.mark.parametrize("regime", list(SPANS))
+def test_span_attention_forward_is_the_dense_composition_bitwise(regime):
+    q_t, k, v_t = span_inputs(np.random.default_rng(30), np.float32)
+    s = 1.0 / math.sqrt(8)
+    out = T.span_attention(q_t, k, v_t, SPANS[regime], s).data
+    want = dense_attention(Tensor(q_t), Tensor(k), Tensor(v_t), SPANS[regime], s).data
+    assert out.dtype == np.float32 and out.shape == v_t.shape
+    np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.parametrize("regime", list(SPANS))
+def test_span_attention_gradients_match_the_dense_composition(regime):
+    rng = np.random.default_rng(31)
+    arrays = span_inputs(rng, np.float64)
+    seed = rng.standard_normal(arrays[2].shape)
+    grads = []
+    for attend in (T.span_attention, dense_attention):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        attend(*inputs, SPANS[regime], 0.4).backward(seed)
+        grads.append([t.grad for t in inputs])
+    for got, want in zip(*grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_span_attention_grad_check():
+    rng = np.random.default_rng(32)
+    q_t, k, v_t = span_inputs(rng, np.float64, b=1, hd=3)
+    coeffs = rng.standard_normal(v_t.shape)
+    for i in range(3):
+        def f(t):
+            inputs = [Tensor(a) for a in (q_t, k, v_t)]
+            inputs[i] = t
+            out = T.span_attention(*inputs, SPANS["scalecausal"], 0.7)
+            return T.tsum(T.square(T.mul(out, Tensor(coeffs))))
+
+        assert T.grad_check(f, Tensor((q_t, k, v_t)[i])) < 1e-5
+
+
+def test_span_attention_keeps_only_the_span_probabilities():
+    import tracemalloc
+
+    q_t, k, v_t = span_inputs(np.random.default_rng(33), np.float32, b=4, heads=4, hd=16)
+    inputs = [Tensor(a, requires_grad=True) for a in (q_t, k, v_t)]
+    spans = SPANS["scalecausal"]
+    allowed = sum((q_hi - q_lo) * (k_hi - k_lo) for q_lo, q_hi, k_lo, k_hi in spans)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = T.span_attention(*inputs, spans, 0.25)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    probs = 4 * 4 * allowed * 4  # batch x heads x allowed pairs x float32
+    assert out.data.nbytes + probs <= kept < out.data.nbytes + probs + 8192, kept
+    out.backward(np.ones(out.shape, dtype=np.float32))
+    assert all(t.grad.shape == t.shape for t in inputs)
+
+
+@pytest.mark.parametrize("spans", [
+    ((0, 1, 0, 1), (2, 21, 0, 21)),                 # query 1 in no span
+    ((0, 5, 0, 5), (1, 21, 0, 21)),                 # queries 1-4 in two spans
+    ((0, 21, 0, 22),),                              # keys past the sequence
+    ((0, 21, 3, 3),),                               # no keys
+    (),
+])
+def test_span_attention_rejects_bad_spans(spans):
+    q_t, k, v_t = span_inputs(np.random.default_rng(34), np.float32)
+    with pytest.raises(T.ShapeError):
+        T.span_attention(q_t, k, v_t, spans, 1.0)
+
+
+def test_span_attention_rejects_nonconforming_operands():
+    q_t, k, v_t = span_inputs(np.random.default_rng(35), np.float32)
+    with pytest.raises(T.ShapeError):
+        T.span_attention(q_t[..., :20], k, v_t, SPANS["full"], 1.0)
+    with pytest.raises(T.ShapeError):
+        T.span_attention(q_t, k, v_t[:1], SPANS["full"], 1.0)
+
+
+# ---------------------------------------------------------------------------
 # layer_norm
 # ---------------------------------------------------------------------------
 
