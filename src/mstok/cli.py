@@ -6,7 +6,7 @@ plus repeatable ``--set key=value`` overrides. export-latents rejects a
 tokenizer key that differs from its checkpoint's; dump-mask reads only
 ``scales`` and ``regime``. Both still reject unknown keys.
 reconstruct and export-latents run a replica of the checkpoint's model whose
-parameters do not require grad (``TokenizerModel.replica``): they build no
+parameters do not require grad (``tensor.replica``): they build no
 autograd graph, so each intermediate array is freed as soon as the next op
 has read it, and their outputs are bit-identical to graph mode.
 reconstruct encodes, decodes and saves each image (one PPM per scale, from
@@ -54,7 +54,7 @@ from .latent_stats import analyze_latents, read_latents, write_latents
 from .model import load_checkpoint
 from .parallel import run_shards, shard_bounds
 from .pyramid import build_schedule, tokens_to_images
-from .tensor import DataError, NumericError, Tensor
+from .tensor import DataError, NumericError, Tensor, replica
 from .train import train
 
 OPS_THRESHOLD = 1e-4
@@ -124,7 +124,7 @@ def _encode_rows(model, images: np.ndarray, out: np.ndarray) -> None:
 
 
 def _cmd_reconstruct(args) -> int:
-    model = load_checkpoint(args.checkpoint_path).replica(requires_grad=False)
+    model = replica(load_checkpoint(args.checkpoint_path), requires_grad=False)
     cfg = model.config
     dataset = load_dataset(args.input_dir, cfg.image_size, cfg.seed)
     stems: dict[str, str] = {}
@@ -143,7 +143,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_export_latents(args) -> int:
-    model = load_checkpoint(args.checkpoint_path).replica(requires_grad=False)
+    model = replica(load_checkpoint(args.checkpoint_path), requires_grad=False)
     cfg = model.config
     kv = read_config_kv(args.config, args.overrides)
     run = config_from_kv(RunConfig, kv, base=RunConfig(tokenizer=cfg)).validate()

@@ -15,7 +15,7 @@ from .config import RunConfig, TokenizerConfig
 from .losses import multiscale_loss
 from .model import init_model
 from .pyramid import build_schedule, downsample_interp, image_pyramid
-from .tensor import Tensor, make_rng
+from .tensor import Tensor, make_rng, named_tensors
 
 TINY_CONFIG = TokenizerConfig(
     image_size=8, patch=4, enc_layers=1, dec_layers=1, enc_width=8, dec_width=8,
@@ -109,7 +109,7 @@ def model_end_to_end_check(eps: float = 1e-4, max_coords_per_param: int = 8) -> 
         total, _ = multiscale_loss(px, targets, model.schedule, run, code)
         return total
 
-    params = model.named_parameters()
+    params = named_tensors(model)
     loss_fn().backward()
     analytic = {name: p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
                 for name, p in params.items()}

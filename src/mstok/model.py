@@ -11,9 +11,10 @@ codes have single-scale shape. Inputs are batch-first: images are batch x 3 x
 H x W and latents batch x g x g x d_z; an unbatched input raises ``ShapeError``.
 
 A parameter's HTOK checkpoint record name is its dotted field path in
-``TokenizerModel`` (``enc.0.attn.wq``, ``down.2.0``, ``pe.scale``), and the
-field order is the record order: adding, renaming or moving a field is the
-whole edit to the checkpoint layout.
+``TokenizerModel`` (``enc.0.attn.wq``, ``down.2.0``, ``pe.scale``; the keys
+of ``tensor.named_tensors``), and the field order is the record order:
+adding, renaming or moving a field is the whole edit to the checkpoint
+layout.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from .tensor import (
     make_rng,
     matmul,
     mul,
+    named_tensors,
     reshape,
     scale,
     slice_axis,
@@ -110,23 +112,6 @@ class TokenizerModel:
     dec: list[BlockParams]
     dec_norm: LayerNormParams
     pixel_head: Affine
-
-    # ------------------------------------------------------------------
-    # Parameter bookkeeping
-    # ------------------------------------------------------------------
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        """Dotted field path -> parameter, in field order."""
-        return dict(_named_tensors(self, ""))
-
-    def replica(self, requires_grad: bool = True) -> "TokenizerModel":
-        """A copy whose parameters share this model's ``.data`` arrays but
-        own their ``.grad``: backward passes on separate replicas never write
-        to one buffer, and in-place updates of this model's parameters show in
-        every replica. Everything that holds no parameter is shared. With
-        ``requires_grad=False`` no parameter requires grad, so a forward pass
-        on the replica records no graph: the inference paths run on one."""
-        return _map_tensors(self, lambda p: Tensor(p.data, requires_grad=requires_grad))
 
     # ------------------------------------------------------------------
     # Forward paths
@@ -221,47 +206,6 @@ def _batched_image(x, cfg: TokenizerConfig) -> Tensor:
     return x
 
 
-def _children(node) -> list | None:
-    """``(key, child)`` pairs of a dataclass (fields in order), a dict
-    (insertion order) or a list (by index); None for any other value."""
-    if is_dataclass(node):
-        return [(f.name, getattr(node, f.name)) for f in fields(node)]
-    if isinstance(node, dict):
-        return list(node.items())
-    if isinstance(node, list):
-        return list(enumerate(node))
-    return None
-
-
-def _named_tensors(node, path: str):
-    """Yield (dotted path, tensor) for every ``Tensor`` under ``node``.
-    Values that hold no ``Tensor`` yield nothing."""
-    if isinstance(node, Tensor):
-        yield path, node
-        return
-    for key, child in _children(node) or ():
-        yield from _named_tensors(child, f"{path}.{key}" if path else str(key))
-
-
-def _map_tensors(node, fn):
-    """``node`` with every ``Tensor`` under it replaced by ``fn(tensor)``,
-    walked as ``_named_tensors`` walks it; a value that holds no ``Tensor``
-    is returned as it is."""
-    if isinstance(node, Tensor):
-        return fn(node)
-    children = _children(node)
-    if not children:
-        return node
-    mapped = {key: _map_tensors(child, fn) for key, child in children}
-    if all(mapped[key] is child for key, child in children):
-        return node
-    if isinstance(node, dict):
-        return mapped
-    if isinstance(node, list):
-        return list(mapped.values())
-    return replace(node, **mapped)
-
-
 # ---------------------------------------------------------------------------
 # Initialization
 # ---------------------------------------------------------------------------
@@ -342,7 +286,7 @@ def save_checkpoint(model: TokenizerModel, path: str) -> None:
     fsynced, then replace ``path`` in one rename. A crash or a failed write
     leaves the previous checkpoint intact and no temporary file behind."""
     config_text = tokenizer_config_to_kv(model.config).encode("utf-8")
-    params = model.named_parameters()
+    params = named_tensors(model)
     tmp_path = path + ".tmp"
     try:
         with open(tmp_path, "wb") as fh:
@@ -397,7 +341,7 @@ def load_checkpoint(path: str) -> TokenizerModel:
             raise CheckpointError(f"{path}: bad embedded config: {err}") from None
         # Every parameter is overwritten by its record, so none is drawn.
         model = _build_model(config, lambda shape: np.zeros(shape, dtype=np.float32), np.float32)
-        params = model.named_parameters()
+        params = named_tensors(model)
         (n_records,) = struct.unpack("<I", _read_exact(fh, 4, "record count"))
         if n_records != len(params):
             raise CheckpointError(f"{path}: {n_records} records for {len(params)} parameters")

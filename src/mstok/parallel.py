@@ -50,7 +50,7 @@ from . import blas
 # Images per shard; a set's last shard takes the rest. Fixed by the image
 # set alone, never by the CPU count. 16, not 32: a train step runs two shards
 # at once and each holds its graph until its backward, so halving the shard
-# halves the graphs a step holds (see ``mstok.train``).
+# halves the graphs a step holds (see ``mstok.loop``).
 SHARD_SIZE = 16
 
 

@@ -22,15 +22,22 @@ that way; images and ``area_pool`` are batch x C x H x W.
 The inputs alone decide whether an op records a graph: an op whose inputs
 do not require grad returns a constant and keeps no closure, so each
 intermediate array is freed as soon as nothing reads it. Inference runs on a
-model replica whose parameters do not require grad
-(``TokenizerModel.replica(requires_grad=False)``); its outputs are
-bit-identical to graph mode.
+replica of the model whose parameters do not require grad
+(``replica(model, requires_grad=False)``); its outputs are bit-identical to
+graph mode.
+
+A parameter tree is a dataclass, dict or list whose leaves are ``Tensor``s
+or values that hold none (a config, a schedule). ``named_tensors`` and
+``replica`` are the package's one walk over such trees: the model's
+checkpoint records, the training loop's parameters and every replica follow
+its order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
@@ -166,6 +173,59 @@ def as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
+def _children(node) -> list | None:
+    """``(key, child)`` pairs of a dataclass (fields in order), a dict
+    (insertion order) or a list (by index); None for any other value."""
+    if is_dataclass(node):
+        return [(f.name, getattr(node, f.name)) for f in fields(node)]
+    if isinstance(node, dict):
+        return list(node.items())
+    if isinstance(node, list):
+        return list(enumerate(node))
+    return None
+
+
+def _map_tensors(node, fn, path: str = ""):
+    """``node`` with every ``Tensor`` under it replaced by ``fn(path,
+    tensor)``, where ``path`` is the tensor's dotted path, taken in field,
+    insertion and index order; a value that holds no ``Tensor`` is returned
+    as it is."""
+    if isinstance(node, Tensor):
+        return fn(path, node)
+    children = _children(node)
+    if not children:
+        return node
+    mapped = {key: _map_tensors(child, fn, f"{path}.{key}" if path else str(key)) for key, child in children}
+    if all(mapped[key] is child for key, child in children):
+        return node
+    if isinstance(node, dict):
+        return mapped
+    if isinstance(node, list):
+        return list(mapped.values())
+    return replace(node, **mapped)
+
+
+# The public walks recurse through the private helpers above, so a tracer
+# that wraps the module's public functions sees one call per walk.
+def named_tensors(tree) -> dict[str, Tensor]:
+    """Dotted path -> ``Tensor`` for every tensor in a parameter tree, in
+    field, insertion and index order (``enc.0.attn.wq``, ``down.2.0``); a
+    value that holds no tensor gives none."""
+    named = {}
+    _map_tensors(tree, named.setdefault)  # maps each tensor to itself
+    return named
+
+
+def replica(tree, requires_grad: bool = True):
+    """A copy of a parameter tree whose tensors share the tree's ``.data``
+    arrays but own their ``.grad``: backward passes on separate replicas
+    never write to one buffer, and in-place updates of the tree's parameters
+    show in every replica. Every value that holds no tensor is shared. With
+    ``requires_grad=False`` no tensor requires grad, so a forward pass on the
+    replica records no graph."""
+    return _map_tensors(tree, lambda _, p: Tensor(p.data, requires_grad=requires_grad))
+
+
 # Marks the closure slot of a node whose graph a backward sweep has freed.
 _RELEASED = object()
 
@@ -287,14 +347,31 @@ def scale(a, s: float) -> Tensor:
     return _result(out_data, (a,), backward)
 
 
+def _column_major(x: np.ndarray) -> bool:
+    """Whether the last two axes of ``x`` are laid out column by column, as in
+    a transposed view of a row-major array."""
+    return x.ndim >= 2 and x.strides[-2] == x.itemsize and x.strides[-1] != x.itemsize
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.matmul(x, y)``; when both operands are column-major, formed as the
+    transpose of ``y^T @ x^T``, whose operands are row-major. numpy 2.4.6 on
+    its OpenBLAS 0.3.31 returned wrong values for a product of two
+    column-major operands while a product of another shape ran on a second
+    thread, as the training shards' products do."""
+    if _column_major(x) and _column_major(y):
+        return np.swapaxes(np.matmul(np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2)), -1, -2)
+    return np.matmul(x, y)
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes, batched over the leading ones.
 
     The token-wise ``x @ W`` case (2-D ``b``, ``a`` of 3 or more dims) runs
     as one ``(rows, n) @ (n, m)`` gemm on ``a`` reshaped to rows, in the
     forward and in both gradients, instead of one small gemm per batch item;
-    the result, C-contiguous with shape ``a.shape[:-1] + (m,)``, equals the
-    batched product bit for bit. When ``a``'s leading axes do not merge
+    the result, of shape ``a.shape[:-1] + (m,)``, equals the batched
+    product bit for bit. When ``a``'s leading axes do not merge
     into one (a strided view such as merged attention heads), the reshape
     to rows copies, once: the kernel gradient reuses the forward's rows.
 
@@ -304,6 +381,11 @@ def matmul(a, b) -> Tensor:
     bits at 1 and 2 BLAS threads whenever ``K`` is a multiple of 32, and for
     most other ``K`` above a few hundred it does not; with the split,
     training results do not depend on the BLAS thread count.
+
+    Every product, forward or backward, goes through ``_product``, so none
+    multiplies two column-major operands. The forward's result is
+    C-contiguous unless both operands are column-major: ``_product`` returns
+    such a product as a transposed view.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -316,27 +398,27 @@ def matmul(a, b) -> Tensor:
         # A view, or one copy when a's rows do not merge (a strided view such
         # as merged attention heads); the kernel gradient reuses it.
         a_rows = a.data.reshape(math.prod(a.shape[:-1]), n)
-        out_data = np.matmul(a_rows, b.data).reshape(a.shape[:-1] + (m,))
+        out_data = _product(a_rows, b.data).reshape(a.shape[:-1] + (m,))
     else:
-        out_data = np.matmul(a.data, b.data)
+        out_data = _product(a.data, b.data)
 
     def backward(g):
         if flat:
             g2 = g.reshape(a_rows.shape[0], m)
             if a.requires_grad:
-                _accumulate(a, np.matmul(g2, b.data.T).reshape(a.shape), fresh=True)
+                _accumulate(a, _product(g2, b.data.T).reshape(a.shape), fresh=True)
             if b.requires_grad:
                 rows = a_rows.shape[0]
                 k = rows - rows % 32 or rows  # fewer than 32 rows: one product
-                grad_b = np.matmul(a_rows[:k].T, g2[:k])
+                grad_b = _product(a_rows[:k].T, g2[:k])
                 if k < rows:
-                    grad_b += np.matmul(a_rows[k:].T, g2[k:])
+                    grad_b += _product(a_rows[k:].T, g2[k:])
                 _accumulate(b, grad_b, fresh=True)
             return
         if a.requires_grad:
-            _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)), fresh=True)
+            _accumulate(a, _product(g, np.swapaxes(b.data, -1, -2)), fresh=True)
         if b.requires_grad:
-            _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g), fresh=True)
+            _accumulate(b, _product(np.swapaxes(a.data, -1, -2), g), fresh=True)
 
     return _result(out_data, (a, b), backward)
 

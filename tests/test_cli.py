@@ -18,9 +18,10 @@ from mstok.config import RunConfig, TokenizerConfig
 from mstok.data import load_dataset
 from mstok.imageio import load_ppm
 from mstok.latent_stats import analyze_latents, read_latents, write_latents
+from mstok.loop import log_path_for
 from mstok.model import TokenizerModel, init_model, load_checkpoint, save_checkpoint
-from mstok.tensor import ConfigError, DataError, NumericError, Tensor, make_rng
-from mstok.train import evaluate, log_path_for, train
+from mstok.tensor import ConfigError, DataError, NumericError, Tensor, make_rng, named_tensors, replica
+from mstok.train import evaluate, train
 from synthetic_folder import generate_synthetic_folder
 
 SMALL = ["image_size=16", "patch=4", "enc_layers=1", "dec_layers=1", "enc_width=16",
@@ -295,7 +296,7 @@ def test_export_latents_independent_of_batch_size(tmp_path):
                      "--set", f"batch_size={b}"]) == 0
         blobs.append(hlat.read_bytes())
     assert blobs[0] == blobs[1]
-    model = load_checkpoint(ckpt).replica(requires_grad=False)
+    model = replica(load_checkpoint(ckpt), requires_grad=False)
     images = load_dataset("synthetic:40", model.config.image_size, model.config.seed).images
     whole = model.latent_for_generation(Tensor(images)).data.reshape(40, -1)
     np.testing.assert_array_equal(read_latents(str(tmp_path / "b4.hlat")), whole)
@@ -492,8 +493,8 @@ def test_train_nonfinite_shard_loss_aborts_and_joins_workers(tmp_path, monkeypat
                          "error": "non-finite loss at step 2"}
     # The step-0 checkpoint is on disk and loads as the initial model.
     model = load_checkpoint(ckpt)
-    initial = init_model(model.config).named_parameters()
-    for name, p in model.named_parameters().items():
+    initial = named_tensors(init_model(model.config))
+    for name, p in named_tensors(model).items():
         assert np.array_equal(p.data, initial[name].data), name
 
 
@@ -524,7 +525,7 @@ def test_export_latents_workers_write_identical_rows(tmp_path, monkeypatch):
     assert {threads for _, threads in seen} == {1}
     assert (tmp_path / "one.hlat").read_bytes() == (tmp_path / "three.hlat").read_bytes()
     # The rows are those of one encoder pass over all 40 images.
-    model = load_checkpoint(ckpt).replica(requires_grad=False)
+    model = replica(load_checkpoint(ckpt), requires_grad=False)
     images = load_dataset("synthetic:40", model.config.image_size, model.config.seed).images
     whole = model.latent_for_generation(Tensor(images)).data.reshape(40, -1)
     np.testing.assert_array_equal(read_latents(str(tmp_path / "three.hlat")), whole)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -13,8 +14,9 @@ import mstok
 from mstok import blas, parallel
 from mstok.config import RunConfig, TokenizerConfig, load_run_config
 from mstok.data import STREAM_SHARD, generate_synthetic
-from mstok.model import TokenizerModel, init_model, load_checkpoint
-from mstok.tensor import ConfigError, make_rng
+from mstok.model import init_model, load_checkpoint
+from mstok.tensor import ConfigError, make_rng, named_tensors, replica
+import mstok.loop as loop_mod
 import mstok.train as train_mod
 from mstok.train import evaluate, train
 
@@ -22,6 +24,11 @@ SMALL_TOK = TokenizerConfig(image_size=16, patch=4, enc_layers=1, dec_layers=1,
                             enc_width=16, dec_width=16, heads=2, latent_dim=4,
                             scales=(1, 2, 4), downsample_mode="conv", regime="scalecausal",
                             seed=11)
+
+
+def tokenizer_shard(run):
+    """The tokenizer's shard function, as ``train`` hands it to the loop."""
+    return functools.partial(train_mod._train_shard, run)
 
 
 def small_run(tmp_path, **kw):
@@ -92,17 +99,25 @@ def test_log_lines_schema(tmp_path):
     assert header["config"]["tokenizer"]["scales"] == list(SMALL_TOK.scales)
     assert header["config"]["steps"] == 8 and header["config"]["batch_size"] == 4
     model = load_checkpoint(summary["checkpoint"])
-    assert header["parameters"] == sum(p.data.size for p in model.named_parameters().values())
+    assert header["parameters"] == sum(p.data.size for p in named_tensors(model).values())
     assert header["numpy"] == np.__version__
     assert set(header["blas"]) == {"name", "version", "threads"}
     assert header["blas"]["name"] and header["blas"]["threads"] == blas.num_threads()
     train_lines = [l for l in lines if "step" in l]
     assert train_lines, "expected per-interval train entries"
+    n_train = len(generate_synthetic(24, 16, seed=SMALL_TOK.seed).split(0.25)[0])
     for entry in train_lines:
-        assert set(entry) == {"step", "lr", "total", "per_scale", "kl", "grad_norm", "step_ms", "rss_mb"}
+        assert set(entry) == {"step", "lr", "total", "per_scale", "kl", "grad_norm", "step_ms", "shard_ms",
+                              "reduce_ms", "rss_mb"}
         assert len(entry["per_scale"]) == len(SMALL_TOK.scales)
         assert math.isfinite(entry["grad_norm"]) and entry["grad_norm"] > 0.0
         assert entry["step_ms"] > 0.0
+        # One busy time per shard of the batch the step took, each inside
+        # the step, as is the main thread's reduce.
+        k = (entry["step"] - 1) % math.ceil(n_train / 4)
+        batch = len(range(n_train)[4 * k : 4 * k + 4])
+        assert len(entry["shard_ms"]) == len(parallel.shard_bounds(batch))
+        assert all(0.0 < ms < entry["step_ms"] for ms in [*entry["shard_ms"], entry["reduce_ms"]])
     # rss_mb is the process's peak so far: positive, and it never falls.
     rss = [entry["rss_mb"] for entry in train_lines]
     assert rss[0] > 0.0 and rss == sorted(rss)
@@ -115,6 +130,19 @@ def test_log_lines_schema(tmp_path):
     assert eval_lines[0]["rss_mb"] >= rss[-1]
 
 
+@pytest.mark.parametrize("data_dir, batch_size, shards", [
+    # 12 training images, fewer than a batch: every step is one shard.
+    ("synthetic:16", 64, [1, 1]),
+    # 60 training images in batches of 40: shards of 16 + 16 + 8, then 16 + 4.
+    ("synthetic:80", 40, [3, 2]),
+], ids=["split_smaller_than_batch", "full_batch"])
+def test_log_header_workers_are_those_of_the_first_step(tmp_path, data_dir, batch_size, shards):
+    summary = train(small_run(tmp_path, data_dir=data_dir, batch_size=batch_size, steps=2, log_interval=1))
+    lines = [json.loads(l) for l in Path(summary["log"]).read_text(encoding="utf-8").splitlines()]
+    assert lines[0]["workers"] == parallel.pool_size(shards[0])
+    assert [len(l["shard_ms"]) for l in lines if "step" in l] == shards
+
+
 def test_log_header_git_commit_of_package_checkout():
     package_dir = os.path.dirname(os.path.abspath(mstok.__file__))
     try:
@@ -122,7 +150,7 @@ def test_log_header_git_commit_of_package_checkout():
                               text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         pytest.skip("the package is not in a git checkout")
-    header = train_mod._log_header(RunConfig(), init_model(SMALL_TOK))
+    header = loop_mod._log_header(RunConfig(), init_model(SMALL_TOK), RunConfig().batch_size)
     assert header["git"] == head and len(head) == 40
 
 
@@ -136,24 +164,22 @@ def test_log_header_git_commit_null_without_checkout(monkeypatch, error):
         raise error
 
     monkeypatch.setattr(subprocess, "run", fail)
-    assert train_mod._log_header(RunConfig(), init_model(SMALL_TOK))["git"] is None
+    assert loop_mod._log_header(RunConfig(), init_model(SMALL_TOK), RunConfig().batch_size)["git"] is None
 
 
 def test_non_numeric_failure_logs_abort(tmp_path, monkeypatch):
-    import mstok.train as train_mod
-
-    real_lr = train_mod.cosine_lr
+    real_lr = loop_mod.cosine_lr
 
     def failing_lr(step, *args):
         if step == 3:
             raise RuntimeError("injected failure")
         return real_lr(step, *args)
 
-    monkeypatch.setattr(train_mod, "cosine_lr", failing_lr)
+    monkeypatch.setattr(loop_mod, "cosine_lr", failing_lr)
     cfg = small_run(tmp_path, log_interval=1)
     with pytest.raises(RuntimeError, match="injected failure"):
         train(cfg)
-    lines = [json.loads(l) for l in Path(train_mod.log_path_for(cfg.checkpoint)).read_text(encoding="utf-8").splitlines()]
+    lines = [json.loads(l) for l in Path(loop_mod.log_path_for(cfg.checkpoint)).read_text(encoding="utf-8").splitlines()]
     assert [l["step"] for l in lines if "step" in l] == [1, 2]
     assert lines[-1] == {"event": "abort", "at_step": 3, "error_type": "RuntimeError",
                          "error": "injected failure"}
@@ -163,8 +189,6 @@ def test_non_numeric_failure_logs_abort(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("steps", [0, 2])
 def test_failed_final_eval_logs_abort(tmp_path, monkeypatch, steps):
-    import mstok.train as train_mod
-
     def failing_evaluate(*args):
         raise RuntimeError("injected eval failure")
 
@@ -172,21 +196,21 @@ def test_failed_final_eval_logs_abort(tmp_path, monkeypatch, steps):
     cfg = small_run(tmp_path, steps=steps)
     with pytest.raises(RuntimeError, match="injected eval failure"):
         train(cfg)
-    lines = [json.loads(l) for l in Path(train_mod.log_path_for(cfg.checkpoint)).read_text(encoding="utf-8").splitlines()]
+    lines = [json.loads(l) for l in Path(loop_mod.log_path_for(cfg.checkpoint)).read_text(encoding="utf-8").splitlines()]
     assert lines[-1] == {"event": "abort", "at_step": steps, "error_type": "RuntimeError",
                          "error": "injected eval failure"}
 
 
 def test_evaluate_bit_identical_to_graph_mode(tmp_path, monkeypatch):
     # ``evaluate`` runs on a grad-free replica; with ``replica`` returning the
-    # model itself, the same body records the graph, and every metric must
+    # tree itself, the same body records the graph, and every metric must
     # match the graph-free run exactly.
     model = init_model(SMALL_TOK)
     ds = generate_synthetic(24, 16, seed=SMALL_TOK.seed)
     _, eval_idx = ds.split(0.25)
     run = small_run(tmp_path)
     graph_free = evaluate(model, ds, eval_idx, run)
-    monkeypatch.setattr(TokenizerModel, "replica", lambda self, requires_grad=True: self)
+    monkeypatch.setattr(train_mod, "replica", lambda tree, requires_grad=True: tree)
     with_graph = evaluate(model, ds, eval_idx, run)
     assert json.dumps(graph_free, sort_keys=True) == json.dumps(with_graph, sort_keys=True)
 
@@ -294,6 +318,8 @@ def test_checkpoint_independent_of_worker_count(tmp_path, monkeypatch, kw):
     for name, workers, runner in [("one", 1, parallel.run_shards), ("two", 2, parallel.run_shards),
                                   ("reversed", 1, reversed_shards)]:
         monkeypatch.setattr(parallel, "pool_size", lambda shards, n=workers: min(shards, n))
+        # The training steps' shards and the eval's.
+        monkeypatch.setattr(loop_mod, "run_shards", runner)
         monkeypatch.setattr(train_mod, "run_shards", runner)
         summary = train(small_run(tmp_path, checkpoint=str(tmp_path / f"{name}.htok"), **kw))
         eval_entry = json.loads(Path(summary["log"]).read_text(encoding="utf-8").splitlines()[-1])
@@ -329,14 +355,14 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
     targets = image_pyramid(images, model.schedule, SMALL_TOK.patch)
     loss, whole = multiscale_loss(px, targets, model.schedule, run, code)
     loss.backward()
-    want = {name: p.grad for name, p in model.named_parameters().items()}
+    want = {name: p.grad for name, p in named_tensors(model).items()}
 
-    sharded = train_mod._batch_gradients(model, images, run, 1)
+    sharded, _, _ = loop_mod._batch_gradients(model, tokenizer_shard(run), images, SMALL_TOK.seed, 1)
 
     assert sharded["total"] == pytest.approx(whole["total"], rel=1e-5)
     assert sharded["kl"] == pytest.approx(whole["kl"], rel=1e-5)
     np.testing.assert_allclose(sharded["per_scale"], whole["per_scale"], rtol=1e-5)
-    for name, p in model.named_parameters().items():
+    for name, p in named_tensors(model).items():
         # Entries that cancel to near zero are held to the parameter's scale.
         np.testing.assert_allclose(p.grad, want[name], rtol=1e-5,
                                    atol=1e-5 * np.abs(want[name]).max(), err_msg=name)
@@ -365,13 +391,13 @@ def test_step_batches_match_cursor_walk(tmp_path, monkeypatch, batch_size, steps
     assert {len(idx) for idx in want} == sizes
 
     seen = []
-    real = train_mod._batch_gradients
+    real = loop_mod._batch_gradients
 
-    def spy(model, images, *args):
+    def spy(tree, shard, images, *args):
         seen.append(images.copy())
-        return real(model, images, *args)
+        return real(tree, shard, images, *args)
 
-    monkeypatch.setattr(train_mod, "_batch_gradients", spy)
+    monkeypatch.setattr(loop_mod, "_batch_gradients", spy)
     train(cfg)
     assert len(seen) == steps
     for got, idx in zip(seen, want):
@@ -385,9 +411,9 @@ def test_training_shard_noise_follows_seed_step_and_shard(tmp_path):
 
     def shard(step):
         rng = make_rng(SMALL_TOK.seed, stream=(STREAM_SHARD, step, 1))
-        return train_mod._train_shard(model, images, rng, 16, run, step)
+        return loop_mod._shard_gradients(tokenizer_shard(run), model, images, rng, 16, step)
 
-    (sums, grads), (again_sums, again_grads), (other_sums, other_grads) = shard(2), shard(2), shard(3)
+    (sums, grads, _), (again_sums, again_grads, _), (other_sums, other_grads, _) = shard(2), shard(2), shard(3)
     assert sums["total"] == again_sums["total"] and sums["kl"] == again_sums["kl"]
     np.testing.assert_array_equal(sums["per_scale"], again_sums["per_scale"])
     for got, want in zip(again_grads, grads):
@@ -409,7 +435,7 @@ def test_training_shard_peak_memory_grows_with_its_images(tmp_path):
     def peak(n: int) -> int:
         tracemalloc.start()
         try:
-            train_mod._train_shard(model, images[:n], make_rng(5), 16, run, 1)
+            loop_mod._shard_gradients(tokenizer_shard(run), model, images[:n], make_rng(5), 16, 1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -431,14 +457,14 @@ def test_training_shard_beside_graph_free_shards_is_unchanged(tmp_path, monkeypa
     ds = generate_synthetic(16, 16, seed=3)
 
     def train_shard():
-        return (train_mod._train_shard, model, ds.images[:8], make_rng(5), 8, run, 1)
+        return (loop_mod._shard_gradients, tokenizer_shard(run), model, ds.images[:8], make_rng(5), 8, 1)
 
-    graph_free = model.replica(requires_grad=False)
-    (alone_sums, alone_grads), = parallel.run_shards(lambda fn, *args: fn(*args), [train_shard()])
+    graph_free = replica(model, requires_grad=False)
+    (alone_sums, alone_grads, _), = parallel.run_shards(lambda fn, *args: fn(*args), [train_shard()])
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        (sums, grads), _, _ = parallel.run_shards(lambda fn, *args: fn(*args), [
+        (sums, grads, _), _, _ = parallel.run_shards(lambda fn, *args: fn(*args), [
             train_shard(),
             (train_mod._eval_shard, graph_free, ds, np.arange(8, 16), run),
             (train_mod._eval_shard, graph_free, ds, np.arange(0, 8), run),
@@ -447,7 +473,7 @@ def test_training_shard_beside_graph_free_shards_is_unchanged(tmp_path, monkeypa
         sys.setswitchinterval(interval)
     assert sums["total"] == alone_sums["total"] and sums["kl"] == alone_sums["kl"]
     np.testing.assert_array_equal(sums["per_scale"], alone_sums["per_scale"])
-    assert len(grads) == len(alone_grads) == len(model.named_parameters())
+    assert len(grads) == len(alone_grads) == len(named_tensors(model))
     for got, want in zip(grads, alone_grads):
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 

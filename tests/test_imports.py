@@ -188,3 +188,49 @@ def test_only_parallel_starts_threads_or_sets_blas():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {
         "parallel.py": ["ThreadPoolExecutor", "single_threaded"]}
+
+
+def package_imports(source: str) -> set[str]:
+    """Package modules a source imports, by ``from . import m``,
+    ``from .m import x``, ``from mstok.m import x`` or ``import mstok.m``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "mstok"):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "mstok"):
+            found.add(node.module.split(".")[-1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("mstok."))
+    return found
+
+
+# The tokenizer's modules, and those that build on it.
+TOKENIZER_MODULES = {"model", "losses", "pyramid", "attention", "metrics", "latent_stats", "imageio",
+                     "gradcheck", "cli", "train"}
+
+
+def test_loop_imports_no_tokenizer_module():
+    # ``loop.fit`` trains any parameter tree: the tokenizer's shard, eval and
+    # checkpoint writer come in as arguments.
+    assert package_imports("from . import a, b\nfrom .c import d\nfrom mstok.e import f\n"
+                           "import mstok.g\nimport os.path\nfrom numpy import h\n") == {"a", "b", "c", "e", "g"}
+    assert package_imports((PACKAGE / "loop.py").read_text(encoding="utf-8")) & TOKENIZER_MODULES == set()
+
+
+def defined_functions(source: str) -> set[str]:
+    """Names of every function and method a source defines."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_only_tensor_walks_parameter_trees():
+    # ``tensor.named_tensors`` and ``tensor.replica`` are the one walk over
+    # dataclass, dict and list trees of tensors: no other module defines
+    # them, or a method such as ``named_parameters``, or names both
+    # ``is_dataclass`` and ``Tensor`` (``config`` walks dataclass types).
+    assert defined_functions("def f():\n    pass\nclass C:\n    def g(self):\n        pass\n") == {"f", "g"}
+    walks = {"named_tensors", "replica", "named_parameters"}
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name for name, source in sources.items() if defined_functions(source) & walks} == {"tensor.py"}
+    assert {name for name, source in sources.items()
+            if {"is_dataclass", "Tensor"} <= referenced_names(source)} == {"tensor.py"}

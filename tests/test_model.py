@@ -12,7 +12,7 @@ from mstok.config import RunConfig, TokenizerConfig
 from mstok.losses import multiscale_loss
 from mstok.model import CheckpointError, LatentCode, init_model, load_checkpoint, save_checkpoint
 from mstok.pyramid import averaging_kernel, downsample_conv, downsample_interp, image_pyramid, tokens_to_images
-from mstok.tensor import ShapeError, Tensor, make_rng
+from mstok.tensor import ShapeError, Tensor, make_rng, named_tensors, replica
 
 TINY = TokenizerConfig(image_size=8, patch=4, enc_layers=1, dec_layers=1, enc_width=8,
                        dec_width=8, heads=2, latent_dim=4, scales=(1, 2), seed=0)
@@ -145,7 +145,7 @@ def test_reconstruct_no_grad_bit_identical():
     model = init_model(cfg)
     x = rand_image(make_rng(16), cfg, batch=2)
     graph_out, graph_code = model.reconstruct(x)
-    free_out, free_code = model.replica(requires_grad=False).reconstruct(x)
+    free_out, free_code = replica(model, requires_grad=False).reconstruct(x)
     assert graph_out.requires_grad and not free_out.requires_grad
     for a, b in zip(images_of(model, graph_out), images_of(model, free_out)):
         np.testing.assert_array_equal(a, b)
@@ -157,7 +157,7 @@ def test_no_grad_halves_reconstruct_peak_memory():
     import tracemalloc
 
     model = init_model(TokenizerConfig())
-    graph_free = model.replica(requires_grad=False)
+    graph_free = replica(model, requires_grad=False)
     x = rand_image(make_rng(17), model.config, batch=8)
 
     def peak(m) -> int:
@@ -277,15 +277,15 @@ def test_latent_for_generation_ignores_decoder_settings():
 def test_parameter_shapes_pure_function_of_config():
     a = init_model(TokenizerConfig(**{**TINY.__dict__, "seed": 1}))
     b = init_model(TokenizerConfig(**{**TINY.__dict__, "seed": 2}))
-    pa, pb = a.named_parameters(), b.named_parameters()
+    pa, pb = named_tensors(a), named_tensors(b)
     assert list(pa) == list(pb)
     for name in pa:
         assert pa[name].shape == pb[name].shape
 
 
 def test_init_model_deterministic():
-    a = init_model(TINY).named_parameters()
-    b = init_model(TINY).named_parameters()
+    a = named_tensors(init_model(TINY))
+    b = named_tensors(init_model(TINY))
     for name in a:
         np.testing.assert_array_equal(a[name].data, b[name].data)
 
@@ -301,7 +301,7 @@ def test_init_model_parameters_are_pinned(cfg, digest):
     # The digests of the scipy.special.ndtri init: the AS241 inverse CDF
     # must draw the same float32 bits.
     h = hashlib.sha256()
-    for name, param in init_model(cfg).named_parameters().items():
+    for name, param in named_tensors(init_model(cfg)).items():
         h.update(name.encode())
         h.update(param.data.tobytes())
     assert h.hexdigest() == digest
@@ -331,7 +331,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     after, _ = loaded.reconstruct(x)
     for a, b in zip(images_of(model, before), images_of(loaded, after)):
         np.testing.assert_array_equal(a, b)
-    pa, pb = model.named_parameters(), loaded.named_parameters()
+    pa, pb = named_tensors(model), named_tensors(loaded)
     for name in pa:
         np.testing.assert_array_equal(pa[name].data, pb[name].data)
 
@@ -350,7 +350,7 @@ def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch):
     monkeypatch.setattr(model_module, "trunc_normal", no_draws)
     loaded = load_checkpoint(path)
     assert loaded.config == cfg
-    pa, pb = model.named_parameters(), loaded.named_parameters()
+    pa, pb = named_tensors(model), named_tensors(loaded)
     assert list(pa) == list(pb)
     for name in pa:
         assert pb[name].requires_grad and pb[name].data.dtype == np.float32

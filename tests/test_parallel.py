@@ -5,7 +5,7 @@ import pytest
 
 from mstok import blas, parallel
 from mstok.config import RunConfig, TokenizerConfig
-import mstok.train as train_mod
+import mstok.loop as loop_mod
 from mstok.train import train
 
 TOK = TokenizerConfig(image_size=16, patch=4, enc_layers=1, dec_layers=1, enc_width=16,
@@ -48,13 +48,13 @@ def test_train_runs_between_passes_with_blas_restored_and_no_workers(tmp_path, m
     get, set_ = controls
     saved = get()
     seen = []
-    real = train_mod.clip_grad_norm
+    real = loop_mod.clip_grad_norm
 
     def spy(*args):
         seen.append((blas.num_threads(), set(threading.enumerate())))
         return real(*args)
 
-    monkeypatch.setattr(train_mod, "clip_grad_norm", spy)
+    monkeypatch.setattr(loop_mod, "clip_grad_norm", spy)
     try:
         set_(2)  # a count that the pools' setting of 1 cannot pass for
         threads = get()

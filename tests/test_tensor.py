@@ -107,6 +107,48 @@ def test_matmul_flat_x_at_w_matches_einsum_oracle(lead, transposed):
     np.testing.assert_allclose(wt.grad, want_gw, rtol=1e-5, atol=1e-4)
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [((5, 4), (4, 6)), ((3, 5, 4), (3, 4, 6)), ((1, 5, 4), (4, 6))],
+                         ids=["2d", "batched", "flat"])
+def test_matmul_multiplies_no_two_column_major_operands(a_shape, b_shape, monkeypatch):
+    # numpy 2.4.6 on its OpenBLAS 0.3.31 returned wrong values for products
+    # whose operands are both column-major (transposed views) while a
+    # product of another shape ran on a second thread. The gradient of
+    # transpose(matmul(a, b)) reaches matmul as a transposed view, so the
+    # textbook g @ b^T and a^T @ g, with a C-contiguous a and b, would
+    # multiply two such operands.
+    def column_major(x):
+        return x.ndim >= 2 and x.strides[-1] != x.itemsize and x.strides[-2] == x.itemsize
+
+    both = []
+    real = np.matmul
+
+    def checked(x, y, *args, **kwargs):
+        if column_major(np.asarray(x)) and column_major(np.asarray(y)):
+            both.append((np.shape(x), np.shape(y)))
+        return real(x, y, *args, **kwargs)
+
+    rng = np.random.default_rng(21)
+    a, b = rand64(rng, *a_shape), rand64(rng, *b_shape)
+    assert a.data.flags.c_contiguous and b.data.flags.c_contiguous
+    out_shape = np.broadcast_shapes(a_shape[:-2], b_shape[:-2]) + (b_shape[-1], a_shape[-2])
+    g = rng.standard_normal(out_shape)
+    axes = (*range(len(out_shape) - 2), len(out_shape) - 1, len(out_shape) - 2)
+    monkeypatch.setattr(np, "matmul", checked)
+    out = T.transpose(T.matmul(a, b), axes)
+    out.backward(g)
+    monkeypatch.undo()
+    assert not both
+
+    g_out = np.swapaxes(g, -1, -2)  # the gradient of matmul's output
+    want_a = g_out @ np.swapaxes(b.data, -1, -2)
+    want_b = np.swapaxes(a.data, -1, -2) @ g_out
+    if want_b.shape != b_shape:  # the flat x @ W kernel: summed over the batch
+        want_b = want_b.sum(axis=0)
+    np.testing.assert_allclose(out.data, np.swapaxes(a.data @ b.data, -1, -2), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a.grad, want_a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.grad, want_b, rtol=0, atol=1e-12)
+
+
 def test_broadcast_add_reduces_gradient():
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
