@@ -7,10 +7,10 @@ block; scale-causal attention lets a block attend to itself and every
 coarser block, so information flows from low to high resolution only.
 
 Under every regime each scale's queries read one contiguous run of keys, so
-a mask is a list of spans, one per scale (one for the whole sequence under
-full attention), and attention scores each scale's queries only against the
-keys it may read, through ``tensor.span_attention``. No additive mask and no
-T x T score matrix is built.
+a mask is a tuple of spans, one per scale (one for the whole sequence under
+full attention), and nothing else: attention scores each scale's queries
+only against the keys it may read, through ``tensor.span_attention``, and
+no T x T matrix, boolean, additive or of scores, is built.
 """
 
 from __future__ import annotations
@@ -54,39 +54,23 @@ class AttentionRegime(str, Enum):
             ) from None
 
 
-@dataclass(frozen=True)
-class AttentionMask:
-    """Which keys each query may read, built once per model.
-
-    ``spans`` holds one ``(q_lo, q_hi, k_lo, k_hi)`` per run of queries:
-    queries ``[q_lo, q_hi)`` read keys ``[k_lo, k_hi)``, and the runs cover
-    every query once. ``allow[q, k]`` is the same set as a query-major T x T
-    boolean matrix, as ``dump-mask`` prints it.
-    """
-
-    spans: tuple[tuple[int, int, int, int], ...]
-    allow: np.ndarray             # T x T boolean, query-major
+# One ``(q_lo, q_hi, k_lo, k_hi)`` per run of queries: queries ``[q_lo, q_hi)``
+# read keys ``[k_lo, k_hi)``, and the runs cover every query once.
+Spans = tuple[tuple[int, int, int, int], ...]
 
 
-def build_mask(schedule: ScaleSchedule, regime: AttentionRegime) -> AttentionMask:
-    """Spans from the schedule's scale blocks: scale s reads keys
+def build_mask(schedule: ScaleSchedule, regime: AttentionRegime) -> Spans:
+    """The mask's spans, from the schedule's scale blocks: scale s reads keys
     ``[0, end_s)`` under scale-causal attention and ``[start_s, end_s)``
     under scale-independent attention; full attention is one span over the
-    whole sequence."""
+    whole sequence. Under either scale regime the first ``s + 1`` spans are
+    the mask of the sequence's first ``s + 1`` scales."""
     t = schedule.total
     if regime is AttentionRegime.FULL:
-        spans = ((0, t, 0, t),)
-    else:
-        causal = regime is AttentionRegime.SCALE_CAUSAL
-        spans = tuple((lo, lo + n, 0 if causal else lo, lo + n)
-                      for lo, n in zip(schedule.offsets(), schedule.counts))
-    allow = np.zeros((t, t), dtype=bool)
-    for q_lo, q_hi, k_lo, k_hi in spans:
-        allow[q_lo:q_hi, k_lo:k_hi] = True
-    # Built once per model and shared by every attention call; read-only so
-    # no caller can alter the mask another call sees.
-    allow.flags.writeable = False
-    return AttentionMask(spans=spans, allow=allow)
+        return ((0, t, 0, t),)
+    causal = regime is AttentionRegime.SCALE_CAUSAL
+    return tuple((lo, lo + n, 0 if causal else lo, lo + n)
+                 for lo, n in zip(schedule.offsets(), schedule.counts))
 
 
 @dataclass
@@ -117,18 +101,20 @@ class BlockParams:
     mlp: MlpParams
 
 
-def masked_mha(x, params: AttentionParams, heads: int, mask: AttentionMask | None) -> Tensor:
+def masked_mha(x, params: AttentionParams, heads: int, mask: Spans | None) -> Tensor:
     """Scaled dot-product multi-head attention over the mask's spans.
 
     Takes batch x tokens x width only (``ShapeError`` otherwise); no QKV or
-    output biases. ``span_attention`` scores each span's queries only
-    against the keys it reads, key-major: ``k @ q^T`` of shape
+    output biases. ``mask`` is ``build_mask``'s spans, or ``None`` (the
+    encoder's) for one span over the whole sequence; spans that do not
+    cover the sequence's queries once, such as another schedule's, raise
+    ``ShapeError`` in ``span_attention``. It scores each span's queries
+    only against the keys it reads, key-major: ``k @ q^T`` of shape
     ``(b, heads, keys, queries)``, normalised over the keys, and each head's
-    output is ``v^T @ weights``. ``mask=None`` is one span over the whole
-    sequence. This is ``softmax(q k^T) v`` with the keys on the second-last
-    axis, where numpy's max and sum reduce across the contiguous queries; the
-    sums run in a different order, so results differ from the query-major
-    form in the last float32 bits.
+    output is ``v^T @ weights``. This is ``softmax(q k^T) v`` with the keys
+    on the second-last axis, where numpy's max and sum reduce across the
+    contiguous queries; the sums run in a different order, so results
+    differ from the query-major form in the last float32 bits.
     """
     x = as_tensor(x)
     if x.ndim != 3:
@@ -136,8 +122,6 @@ def masked_mha(x, params: AttentionParams, heads: int, mask: AttentionMask | Non
     b, t, d = x.shape
     if d % heads:
         raise ConfigError(f"width {d} not divisible by {heads} heads")
-    if mask is not None and mask.allow.shape != (t, t):
-        raise ShapeError(f"mask is {mask.allow.shape} but sequence has {t} tokens")
     hd = d // heads
 
     def split_heads(m: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -147,7 +131,7 @@ def masked_mha(x, params: AttentionParams, heads: int, mask: AttentionMask | Non
     q_t = split_heads(matmul(x, params.wq), (0, 2, 3, 1))
     k = split_heads(matmul(x, params.wk), (0, 2, 1, 3))
     v_t = split_heads(matmul(x, params.wv), (0, 2, 3, 1))
-    spans = ((0, t, 0, t),) if mask is None else mask.spans
+    spans = ((0, t, 0, t),) if mask is None else mask
     mixed_t = span_attention(q_t, k, v_t, spans, 1.0 / math.sqrt(hd))  # (b, heads, hd, t)
     # A strided view: matmul copies it to (b * t, d) rows once, and its
     # kernel gradient reuses that copy.
@@ -163,15 +147,18 @@ def transformer_block(
     x,
     params: BlockParams,
     heads: int,
-    mask: AttentionMask | None,
+    mask: Spans | None,
     eps: float = 1e-6,
     drop_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ) -> Tensor:
-    """Pre-norm residual block: LN -> masked MHA -> +, LN -> MLP -> +."""
+    """Pre-norm residual block: LN -> masked MHA -> +, LN -> MLP -> +.
+
+    ``mask`` is as in ``masked_mha``. With ``rng``, each branch drops token
+    rows at ``drop_rate`` (``tensor.drop_path``); without it the block is
+    deterministic."""
     x = as_tensor(x)
     attn_out = masked_mha(layer_norm(x, params.ln1.gain, params.ln1.bias, eps), params.attn, heads, mask)
-    h = add(x, drop_path(attn_out, drop_rate, rng, training))
+    h = add(x, drop_path(attn_out, drop_rate, rng))
     mlp_out = mlp(layer_norm(h, params.ln2.gain, params.ln2.bias, eps), params.mlp)
-    return add(h, drop_path(mlp_out, drop_rate, rng, training))
+    return add(h, drop_path(mlp_out, drop_rate, rng))

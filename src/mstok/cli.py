@@ -4,7 +4,9 @@ Subcommands: train, reconstruct, analyze-latent, dump-mask, gradcheck,
 export-latents. train, export-latents and dump-mask take ``--config FILE``
 plus repeatable ``--set key=value`` overrides. export-latents rejects a
 tokenizer key that differs from its checkpoint's; dump-mask reads only
-``scales`` and ``regime``. Both still reject unknown keys.
+``scales`` and ``regime``. Both still reject unknown keys. dump-mask prints
+one row of 0/1 per query, from its span in ``attention.build_mask``: 1 for
+each key the query may read.
 reconstruct and export-latents run a replica of the checkpoint's model whose
 parameters do not require grad (``tensor.replica``): they build no
 autograd graph, so each intermediate array is freed as soon as the next op
@@ -180,9 +182,9 @@ def _cmd_dump_mask(args) -> int:
     if not cfg.scales:
         raise ConfigError("config key 'scales': needs at least one grid")
     schedule = build_schedule(cfg.scales[-1], cfg.scales)
-    mask = build_mask(schedule, cfg.attention_regime())
-    for row in mask.allow:
-        print(" ".join("1" if v else "0" for v in row))
+    for q_lo, q_hi, k_lo, k_hi in build_mask(schedule, cfg.attention_regime()):
+        row = " ".join(["0"] * k_lo + ["1"] * (k_hi - k_lo) + ["0"] * (schedule.total - k_hi))
+        print("\n".join([row] * (q_hi - q_lo)))
     return 0
 
 

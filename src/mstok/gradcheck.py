@@ -79,7 +79,7 @@ def op_library_checks(eps: float = 1e-5) -> dict[str, float]:
         return T.tsum(T.square(T.mul(out, coeffs)))
 
     for regime in (AttentionRegime.SCALE_CAUSAL, AttentionRegime.SCALE_INDEPENDENT):
-        spans = build_mask(sched, regime).spans
+        spans = build_mask(sched, regime)
         results[f"span_attention_{regime.value}"] = T.grad_check(
             lambda t: span_attention_sum(t, spans), qkv, eps
         )

@@ -12,16 +12,20 @@ import numpy as np
 from .config import RunConfig
 from .model import LatentCode
 from .pyramid import ScaleSchedule, segment_matrix
-from .tensor import (NumericError, ShapeError, Tensor, add, as_tensor, matmul, reshape, scale, square, sub, tabs,
-                     texp, tmean)
+from .tensor import (NumericError, ShapeError, Tensor, add, as_tensor, clip, matmul, reshape, scale, square, sub,
+                     tabs, texp, tmean)
 
 
 def kl_loss(code: LatentCode) -> Tensor:
-    """Mean KL divergence of N(mu, exp(logvar)) from the standard normal."""
+    """Mean KL divergence of N(mu, exp(logvar)) from the standard normal,
+    clamped at 0: for a code a few ulps from the standard normal,
+    ``exp(logvar) - (logvar + 1)`` rounds below 0 (``mu = 0``, ``logvar =
+    -1.3e-14`` gave -5.6e-17 in float64). Above 0 the clamp passes the value
+    and its gradient unchanged."""
     if not np.isfinite(code.logvar.data).all():
         raise NumericError("kl_loss: non-finite logvar")
     inner = sub(add(square(code.mu), texp(code.logvar)), add(code.logvar, 1.0))
-    return scale(tmean(inner), 0.5)
+    return clip(scale(tmean(inner), 0.5), 0.0, np.inf)
 
 
 def multiscale_loss(

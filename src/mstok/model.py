@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import (
-    AttentionMask,
     AttentionParams,
     BlockParams,
     LayerNormParams,
     MlpParams,
+    Spans,
     build_mask,
     transformer_block,
 )
@@ -100,7 +100,7 @@ class Affine:
 class TokenizerModel:
     config: TokenizerConfig
     schedule: ScaleSchedule
-    mask: AttentionMask
+    mask: Spans
     patch_embed: Conv
     enc_pos: Tensor
     enc: list[BlockParams]
@@ -158,21 +158,20 @@ class TokenizerModel:
             return downsample_conv(self.down, z_width, self.schedule)
         return downsample_interp(z_width, self.schedule)
 
-    def decode_levels(self, tokens: Tensor, rng: np.random.Generator | None = None,
-                      training: bool = False) -> Tensor:
+    def decode_levels(self, tokens: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """Decode a batch x T x width token sequence, positional encoding not
         yet added, into the batch x T x 3p² pixel-token sequence (low to high;
-        ``pyramid.tokens_to_images`` turns it into per-scale images)."""
+        ``pyramid.tokens_to_images`` turns it into per-scale images). With
+        ``rng``, the blocks draw their drop_path masks from it."""
         cfg = self.config
         h = add(tokens, positional_encoding(self.pe, self.schedule))
         for blk in self.dec:
             h = transformer_block(h, blk, cfg.heads, self.mask, eps=LN_EPS,
-                                  drop_rate=cfg.drop_path, rng=rng, training=training)
+                                  drop_rate=cfg.drop_path, rng=rng)
         h = layer_norm(h, self.dec_norm.gain, self.dec_norm.bias, LN_EPS)
         return add(matmul(h, self.pixel_head.weight), self.pixel_head.bias)
 
-    def decode_pyramid(self, z_latent, rng: np.random.Generator | None = None,
-                       training: bool = False) -> Tensor:
+    def decode_pyramid(self, z_latent, rng: np.random.Generator | None = None) -> Tensor:
         """Latent (batch x g x g x d_z) -> batch x T x 3p² pixel tokens, low to high."""
         z_latent = as_tensor(z_latent)
         g = self.schedule.base_grid
@@ -181,16 +180,17 @@ class TokenizerModel:
                 f"decode_pyramid: expected a batch x {g} x {g} x {self.config.latent_dim} latent, got {z_latent.shape}"
             )
         z = add(matmul(z_latent, self.latent_proj.weight), self.latent_proj.bias)
-        return self.decode_levels(self.build_pyramid(z), rng=rng, training=training)
+        return self.decode_levels(self.build_pyramid(z), rng=rng)
 
     def reconstruct(self, x, deterministic: bool = True, rng: np.random.Generator | None = None,
                     training: bool = False) -> tuple[Tensor, LatentCode]:
         """encode -> sample -> decode; the pixel tokens' last scale block is
         the full-resolution reconstruction. ``rng`` gives the latent noise
-        first, then the drop_path masks."""
+        first, then, when ``training``, the drop_path masks; otherwise the
+        decoder gets no generator and drops no paths."""
         code = self.encode(x)
         z = self.sample_latent(code, rng=rng, deterministic=deterministic)
-        return self.decode_pyramid(z, rng=rng, training=training), code
+        return self.decode_pyramid(z, rng=rng if training else None), code
 
     def latent_for_generation(self, x) -> Tensor:
         """Deterministic latent taken before any multi-scale downsampling."""

@@ -90,9 +90,10 @@ def _base_map(z, schedule: ScaleSchedule, op: str) -> Tensor:
 def _pool_matrix(grids: tuple[int, ...], dtype) -> np.ndarray:
     """The low-to-high token sequence as one ``T x g²`` matrix on the row-major
     flattened base grid ``g``: each level's block is ``kron(w, w)`` of its
-    ``pool_weights`` ``w``, the identity at the base grid. Never larger than
-    the ``T x T`` attention mask. Built in float64 and cast once; cached and
-    read-only, since every caller shares it.
+    ``pool_weights`` ``w``, the identity at the base grid. At most ``T x T``,
+    since the base grid's ``g²`` tokens are part of the sequence. Built in
+    float64 and cast once; cached and read-only, since every caller shares
+    it.
     """
     weights = [pool_weights(grids[-1], g, np.float64) for g in grids]
     m = np.concatenate([np.kron(w, w) for w in weights]).astype(dtype)

@@ -353,15 +353,18 @@ def _column_major(x: np.ndarray) -> bool:
     return x.ndim >= 2 and x.strides[-2] == x.itemsize and x.strides[-1] != x.itemsize
 
 
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.matmul(x, y)``; when both operands are column-major, formed as the
-    transpose of ``y^T @ x^T``, whose operands are row-major. numpy 2.4.6 on
-    its OpenBLAS 0.3.31 returned wrong values for a product of two
-    column-major operands while a product of another shape ran on a second
-    thread, as the training shards' products do."""
+def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.matmul(x, y, out=out)``; when both operands are column-major,
+    formed as the transpose of ``y^T @ x^T``, whose operands are row-major,
+    and written into ``out``'s transpose when ``out`` is given. numpy 2.4.6
+    on its OpenBLAS 0.3.31 returned wrong values (or crashed) for a product
+    of two column-major operands while a product of another shape ran on a
+    second thread, as the training shards' products do. Every product in
+    this module goes through here."""
     if _column_major(x) and _column_major(y):
-        return np.swapaxes(np.matmul(np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2)), -1, -2)
-    return np.matmul(x, y)
+        out_t = None if out is None else np.swapaxes(out, -1, -2)
+        return np.swapaxes(np.matmul(np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2), out=out_t), -1, -2)
+    return np.matmul(x, y, out=out)
 
 
 def matmul(a, b) -> Tensor:
@@ -719,10 +722,10 @@ def span_attention(q_t, k, v_t, spans, scale: float) -> Tensor:
     out_data = np.empty(v_t.shape, dtype=np.result_type(q_t.dtype, k.dtype, v_t.dtype))
     probs = []
     for q_lo, q_hi, k_lo, k_hi in spans:
-        p = np.matmul(k.data[..., k_lo:k_hi, :], q_t.data[..., q_lo:q_hi])
+        p = _product(k.data[..., k_lo:k_hi, :], q_t.data[..., q_lo:q_hi])
         p *= scale
         _normalize(p, -2)
-        np.matmul(v_t.data[..., k_lo:k_hi], p, out=out_data[..., q_lo:q_hi])
+        _product(v_t.data[..., k_lo:k_hi], p, out=out_data[..., q_lo:q_hi])
         probs.append(p)
 
     def backward(g):
@@ -732,17 +735,13 @@ def span_attention(q_t, k, v_t, spans, scale: float) -> Tensor:
         for (q_lo, q_hi, k_lo, k_hi), p in zip(spans, probs):
             g_out = g[..., q_lo:q_hi]
             if gv is not None:
-                # Formed transposed, as p @ g_out^T. As g_out @ p^T both
-                # operands are column-major views, and numpy 2.4.6 on its
-                # OpenBLAS 0.3.31 returned wrong values (or crashed) for such
-                # products while one of another shape ran on a second thread.
-                np.swapaxes(gv, -1, -2)[..., k_lo:k_hi, :] += np.matmul(p, np.swapaxes(g_out, -1, -2))
-            gs = np.matmul(np.swapaxes(v_t.data[..., k_lo:k_hi], -1, -2), g_out)
+                gv[..., k_lo:k_hi] += _product(g_out, np.swapaxes(p, -1, -2))
+            gs = _product(np.swapaxes(v_t.data[..., k_lo:k_hi], -1, -2), g_out)
             _normalize_backward(gs, p, -2, scale)
             if gk is not None:
-                gk[..., k_lo:k_hi, :] += np.matmul(gs, np.swapaxes(q_t.data[..., q_lo:q_hi], -1, -2))
+                gk[..., k_lo:k_hi, :] += _product(gs, np.swapaxes(q_t.data[..., q_lo:q_hi], -1, -2))
             if gq is not None:
-                np.matmul(np.swapaxes(k.data[..., k_lo:k_hi, :], -1, -2), gs, out=gq[..., q_lo:q_hi])
+                _product(np.swapaxes(k.data[..., k_lo:k_hi, :], -1, -2), gs, out=gq[..., q_lo:q_hi])
         for node, grad in ((q_t, gq), (k, gk), (v_t, gv)):
             if grad is not None:
                 _accumulate(node, grad, fresh=True)
@@ -866,13 +865,14 @@ def area_pool(x, out_h: int, out_w: int) -> Tensor:
     return matmul(rows, Tensor(pool_weights(w, out_w, x.dtype).T))
 
 
-def drop_path(x, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Stochastic depth over token rows. Identity when rate is 0 or at eval."""
+def drop_path(x, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Stochastic depth over token rows: each row is zeroed with probability
+    ``rate``, by the next draw of ``rng``, and the rest scaled by ``1 /
+    (1 - rate)``. The identity, returning ``x``, when ``rng`` is None (at
+    eval) or ``rate`` is 0."""
     x = as_tensor(x)
-    if not training or rate <= 0.0:
+    if rng is None or rate <= 0.0:
         return x
-    if rng is None:
-        raise ConfigError("drop_path: rng required in training mode with rate > 0")
     keep = 1.0 - rate
     mask_shape = x.shape[:-1] + (1,)
     mask = (rng.random(mask_shape) < keep).astype(x.dtype) / keep

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from mstok import attention as A
 from mstok import tensor as T
 from mstok.pyramid import build_schedule
-from mstok.tensor import MASK_VALUE, ConfigError, Tensor, grad_check, make_rng, mul, slice_axis, square, tsum
+from mstok.tensor import (MASK_VALUE, ConfigError, ShapeError, Tensor, grad_check, make_rng, mul, slice_axis,
+                          square, tsum)
 
 
 def oracle_mask(grids, regime):
@@ -67,7 +68,7 @@ def test_scale_causal_mask_two_scales():
     mask = A.build_mask(sched, A.AttentionRegime.SCALE_CAUSAL)
     expected = np.ones((5, 5), dtype=bool)
     expected[0, 1:] = False
-    np.testing.assert_array_equal(mask.allow, expected)
+    np.testing.assert_array_equal(span_cover(mask, 5) == 1, expected)
 
 
 def test_scale_independent_mask_two_scales():
@@ -76,13 +77,13 @@ def test_scale_independent_mask_two_scales():
     expected = np.zeros((5, 5), dtype=bool)
     expected[0, 0] = True
     expected[1:, 1:] = True
-    np.testing.assert_array_equal(mask.allow, expected)
+    np.testing.assert_array_equal(span_cover(mask, 5) == 1, expected)
 
 
 def test_full_mask_all_true():
     sched = build_schedule(4, [2, 4])
     mask = A.build_mask(sched, A.AttentionRegime.FULL)
-    assert mask.allow.all()
+    assert (span_cover(mask, sched.total) == 1).all()
 
 
 @settings(max_examples=80, deadline=None)
@@ -93,9 +94,9 @@ def test_full_mask_all_true():
 def test_mask_matches_nested_loop_oracle(grids, regime):
     grids = tuple(sorted(grids))
     sched = build_schedule(grids[-1], grids)
-    mask = A.build_mask(sched, regime)
-    np.testing.assert_array_equal(mask.allow, oracle_mask(grids, regime))
-    assert mask.allow.any(axis=1).all()  # every row attends somewhere
+    allow = span_cover(A.build_mask(sched, regime), sched.total) == 1
+    np.testing.assert_array_equal(allow, oracle_mask(grids, regime))
+    assert allow.any(axis=1).all()  # every row attends somewhere
 
 
 @pytest.mark.parametrize("grids", [(1,), (1, 2), (1, 3, 5), (2, 4, 8), (1, 2, 4, 8), (1, 2, 3, 4, 6, 8)])
@@ -105,15 +106,18 @@ def test_spans_cover_each_query_once_and_equal_the_oracle(grids, regime):
     mask = A.build_mask(sched, regime)
     t = sched.total
     queries = np.zeros(t, dtype=int)
-    for q_lo, q_hi, k_lo, k_hi in mask.spans:
+    for q_lo, q_hi, k_lo, k_hi in mask:
         assert 0 <= q_lo < q_hi <= t and 0 <= k_lo < k_hi <= t
         queries[q_lo:q_hi] += 1
     assert (queries == 1).all()
-    cover = span_cover(mask.spans, t)
+    cover = span_cover(mask, t)
     assert cover.max() == 1
     np.testing.assert_array_equal(cover == 1, oracle_mask(grids, regime))
-    np.testing.assert_array_equal(cover == 1, mask.allow)
-    assert len(mask.spans) == (1 if regime is A.AttentionRegime.FULL else len(grids))
+    assert len(mask) == (1 if regime is A.AttentionRegime.FULL else len(grids))
+    if regime is not A.AttentionRegime.FULL:
+        # A prefix of the scales has the mask's first spans as its mask.
+        for s in range(len(grids)):
+            assert mask[:s + 1] == A.build_mask(build_schedule(grids[s], grids[:s + 1]), regime)
 
 
 def test_regime_parse_roundtrip():
@@ -212,12 +216,13 @@ def test_attention_weights_sum_to_one_over_allowed():
     x = rng.standard_normal((sched.total, d)).astype(np.float32)
     q = (x @ params.wq.data).reshape(-1, heads, hd).transpose(1, 0, 2)
     k = (x @ params.wk.data).reshape(-1, heads, hd).transpose(1, 0, 2)
-    scores = q @ k.transpose(0, 2, 1) / math.sqrt(hd) + np.where(mask.allow, 0.0, MASK_VALUE)
+    allow = span_cover(mask, sched.total) == 1
+    scores = q @ k.transpose(0, 2, 1) / math.sqrt(hd) + np.where(allow, 0.0, MASK_VALUE)
     w = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
     for h in range(heads):
-        assert np.all(w[h][~mask.allow] == 0.0)
+        assert np.all(w[h][~allow] == 0.0)
 
 
 def mha_oracle(x, params, heads, allow):
@@ -239,16 +244,20 @@ def mha_oracle(x, params, heads, allow):
 @pytest.mark.parametrize("regime", list(A.AttentionRegime))
 def test_masked_mha_matches_row_major_oracle(regime):
     rng = make_rng(8)
-    sched = build_schedule(8, [1, 2, 4, 8])
+    grids = (1, 2, 4, 8)
+    sched = build_schedule(8, grids)
     d, heads = 16, 4
     params = random_attn_params(rng, d, dtype=np.float64)
     mask = A.build_mask(sched, regime)
     x = rng.standard_normal((2, sched.total, d))
     out = A.masked_mha(Tensor(x, dtype=np.float64), params, heads, mask)
-    np.testing.assert_allclose(out.data, mha_oracle(x, params, heads, mask.allow), rtol=1e-12, atol=1e-12)
-    # The mask is read-only, and its spans are allow's True set.
-    assert mask.allow.flags.c_contiguous and not mask.allow.flags.writeable
-    np.testing.assert_array_equal(span_cover(mask.spans, sched.total), mask.allow)
+    allow = oracle_mask(grids, regime)
+    np.testing.assert_allclose(out.data, mha_oracle(x, params, heads, allow), rtol=1e-12, atol=1e-12)
+    # The mask is its spans alone, a tuple of 4-int tuples, whose cover is
+    # the oracle's set.
+    assert type(mask) is tuple
+    assert all(type(span) is tuple and len(span) == 4 and all(type(v) is int for v in span) for span in mask)
+    np.testing.assert_array_equal(span_cover(mask, sched.total), allow)
 
 
 def dense_mha(x, params, heads, allow):
@@ -277,7 +286,7 @@ def test_masked_mha_forward_is_the_dense_composition_bitwise(grids, b, d, heads,
     mask = A.build_mask(sched, regime)
     x = Tensor(rng.standard_normal((b, sched.total, d)).astype(np.float32))
     out = A.masked_mha(x, params, heads, mask).data
-    want = dense_mha(x, params, heads, mask.allow).data
+    want = dense_mha(x, params, heads, oracle_mask(grids, regime)).data
     assert out.dtype == np.float32
     np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
 
@@ -294,7 +303,7 @@ def test_masked_mha_gradients_match_the_dense_composition(grids, regime):
     base = random_attn_params(rng, d, dtype=np.float64)
     grads = []
     for attend in (lambda xt, p: A.masked_mha(xt, p, heads, mask),
-                   lambda xt, p: dense_mha(xt, p, heads, mask.allow)):
+                   lambda xt, p: dense_mha(xt, p, heads, oracle_mask(grids, regime))):
         params = A.AttentionParams(*(Tensor(w.data, requires_grad=True) for w in
                                      (base.wq, base.wk, base.wv, base.wo)))
         xt = Tensor(x, requires_grad=True)
@@ -354,6 +363,21 @@ def test_scale_causal_gradient_never_reaches_finer_tokens(regime):
             assert np.abs(xt.grad[:, end:]).max() > 0
 
 
+def test_mask_of_another_schedule_is_a_shape_error():
+    # A (1, 2) schedule's mask covers 5 tokens; a (1, 2, 4) sequence has 21,
+    # and the reverse reads keys past a 5-token sequence's end.
+    rng = make_rng(11)
+    d = 8
+    block = random_block_params(rng, d)
+    for mask_grids, seq_grids in (((1, 2), (1, 2, 4)), ((1, 2, 4), (1, 2))):
+        mask = A.build_mask(build_schedule(mask_grids[-1], mask_grids), A.AttentionRegime.SCALE_CAUSAL)
+        x = Tensor(rng.standard_normal((1, build_schedule(seq_grids[-1], seq_grids).total, d)).astype(np.float32))
+        with pytest.raises(ShapeError):
+            A.masked_mha(x, block.attn, 2, mask)
+        with pytest.raises(ShapeError):
+            A.transformer_block(x, block, 2, mask)
+
+
 def test_heads_divisibility_error():
     rng = make_rng(6)
     params = random_attn_params(rng, 6)
@@ -381,9 +405,13 @@ def test_block_eval_deterministic_with_drop_path():
     d = 8
     params = random_block_params(rng, d)
     x = Tensor(rng.standard_normal((1, 5, d)).astype(np.float32))
-    a = A.transformer_block(x, params, heads=2, mask=None, drop_rate=0.1, training=False)
-    b = A.transformer_block(x, params, heads=2, mask=None, drop_rate=0.1, training=False)
+    a = A.transformer_block(x, params, heads=2, mask=None, drop_rate=0.5)
+    b = A.transformer_block(x, params, heads=2, mask=None, drop_rate=0.5)
     np.testing.assert_array_equal(a.data, b.data)
+    # A generator switches drop_path on: equal generators drop the same rows.
+    c, d = (A.transformer_block(x, params, heads=2, mask=None, drop_rate=0.5, rng=make_rng(3)) for _ in range(2))
+    np.testing.assert_array_equal(c.data, d.data)
+    assert not np.array_equal(c.data, a.data)
 
 
 def test_block_grad_check():

@@ -13,6 +13,7 @@ import pytest
 import mstok
 import mstok.cli as cli
 from mstok import blas, parallel
+from mstok.attention import AttentionRegime
 from mstok.cli import E2E_THRESHOLD, OPS_THRESHOLD, UsageError, main
 from mstok.config import RunConfig, TokenizerConfig
 from mstok.data import load_dataset
@@ -23,6 +24,7 @@ from mstok.model import TokenizerModel, init_model, load_checkpoint, save_checkp
 from mstok.tensor import ConfigError, DataError, NumericError, Tensor, make_rng, named_tensors, replica
 from mstok.train import evaluate, train
 from synthetic_folder import generate_synthetic_folder
+from test_attention import oracle_mask
 
 SMALL = ["image_size=16", "patch=4", "enc_layers=1", "dec_layers=1", "enc_width=16",
          "dec_width=16", "heads=2", "latent_dim=4", "scales=1,2,4"]
@@ -63,6 +65,17 @@ def test_dump_mask_scale_independent(capsys):
     expected[0, 0] = 1
     expected[1:, 1:] = 1
     np.testing.assert_array_equal(matrix, expected)
+
+
+@pytest.mark.parametrize("scales, regime", [
+    *(("1,2,4", regime.value) for regime in AttentionRegime), ("1,3", "full"), ("1,2,4,8", "scalecausal")])
+def test_dump_mask_rows_equal_the_oracle(capsys, scales, regime):
+    # One row of 0/1 per query, each printed from the query's span.
+    assert main(["dump-mask", "--set", f"scales={scales}", "--set", f"regime={regime}"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    grids = tuple(int(g) for g in scales.split(","))
+    want = oracle_mask(grids, AttentionRegime(regime))
+    assert rows == [" ".join(str(int(v)) for v in row) for row in want]
 
 
 def test_unknown_subcommand_usage_error(capsys):

@@ -351,7 +351,7 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
 
     code = model.encode(Tensor(images))
     z = add(code.mu, mul(texp(scale(code.logvar, 0.5)), Tensor(eps)))
-    px = model.decode_pyramid(z, training=True)
+    px = model.decode_pyramid(z)
     targets = image_pyramid(images, model.schedule, SMALL_TOK.patch)
     loss, whole = multiscale_loss(px, targets, model.schedule, run, code)
     loss.backward()

@@ -2,7 +2,8 @@
 another module's private name or a library other than numpy and the
 standard library, every top-level definition of the package is named
 somewhere in the package or the benchmark, no function rebinds a module-level
-name, and only ``parallel`` starts threads or sets the BLAS thread count.
+name, only ``parallel`` starts threads or sets the BLAS thread count, and
+``tensor`` forms every matrix product in ``_product``.
 Also, at run time, the CLI and the analysis load no scipy."""
 
 import ast
@@ -234,3 +235,29 @@ def test_only_tensor_walks_parameter_trees():
     assert {name for name, source in sources.items() if defined_functions(source) & walks} == {"tensor.py"}
     assert {name for name, source in sources.items()
             if {"is_dataclass", "Tensor"} <= referenced_names(source)} == {"tensor.py"}
+
+
+def matrix_products(source: str) -> list[str]:
+    """``function (line)`` for each ``np.matmul`` or ``@`` product in a
+    source, by the top-level definition around it (``<module>`` outside
+    any)."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        found += [f"{owner} (line {node.lineno})" for node in ast.walk(top)
+                  if (isinstance(node, ast.Attribute) and node.attr == "matmul"
+                      and isinstance(node.value, ast.Name) and node.value.id == "np")
+                  or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))]
+    return found
+
+
+def test_tensor_multiplies_matrices_only_in_product():
+    # ``tensor._product`` never multiplies two column-major operands, which
+    # numpy 2.4.6 on its OpenBLAS 0.3.31 got wrong while a product of
+    # another shape ran on a second thread; a product formed anywhere else
+    # in ``tensor`` would skip that guard.
+    source = ("import numpy as np\nc = a @ b\ndef f(x):\n    def g():\n        return np.matmul(x, x)\n"
+              "    return g\nclass K:\n    def m(self):\n        return self.w @ self.w\n")
+    assert matrix_products(source) == ["<module> (line 2)", "f (line 5)", "K (line 9)"]
+    found = matrix_products((PACKAGE / "tensor.py").read_text(encoding="utf-8"))
+    assert found and [site for site in found if not site.startswith("_product ")] == []

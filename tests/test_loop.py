@@ -38,7 +38,7 @@ def regression_loss(block: BlockParams, images: np.ndarray, rng=None) -> Tensor:
     """Mean squared error of the block's output against the fixed map of its
     input; with ``rng``, the block drops paths as in training."""
     x = images.reshape(len(images), TOKENS, WIDTH)
-    out = transformer_block(Tensor(x), block, HEADS, mask=None, drop_rate=0.1, rng=rng, training=rng is not None)
+    out = transformer_block(Tensor(x), block, HEADS, mask=None, drop_rate=0.1, rng=rng)
     return tmean(square(sub(out, Tensor(x @ TARGET_MAP))))
 
 

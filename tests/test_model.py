@@ -125,7 +125,7 @@ def test_decoder_token_count_paper_grids():
                           dec_width=8, heads=2, latent_dim=4, scales=(1, 2, 4, 8, 16))
     model = init_model(cfg)
     assert model.schedule.total == 341
-    assert model.mask.allow.shape == (341, 341)
+    assert model.mask[-1] == (85, 341, 0, 341)  # the finest scale reads every key
     z = Tensor(make_rng(7).standard_normal((1, 16, 16, 4)).astype(np.float32))
     images = images_of(model, model.decode_pyramid(z))
     assert [im.shape[-1] for im in images] == [16, 32, 64, 128, 256]

@@ -893,5 +893,5 @@ def test_trunc_normal_float64_matches_scipy_ndtri_and_cpython():
 
 def test_drop_path_eval_identity():
     x = Tensor(np.ones((2, 3, 4)))
-    out = T.drop_path(x, 0.5, None, training=False)
-    assert out is x
+    assert T.drop_path(x, 0.5, None) is x
+    assert T.drop_path(x, 0.0, T.make_rng(0)) is x
