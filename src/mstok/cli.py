@@ -11,15 +11,19 @@ reconstruct and export-latents run a replica of the checkpoint's model whose
 parameters do not require grad (``tensor.replica``): they build no
 autograd graph, so each intermediate array is freed as soon as the next op
 has read it, and their outputs are bit-identical to graph mode.
-reconstruct encodes, decodes and saves each image (one PPM per scale, from
-``pyramid.tokens_to_images``) as one shard of ``parallel.run_shards``, on
-worker threads with numpy's BLAS held at one thread; each image's files are
-written by its own worker, so the output bytes do not depend on the worker
-count. Input files whose names differ only in the extension's case would
-write the same outputs and are rejected.
+reconstruct splits its images into contiguous shards of
+``parallel.images_per_shard(model.schedule.total)`` images, at most
+``parallel.SHARD_TOKENS`` decoder tokens each, and runs them through
+``parallel.run_shards``, on worker threads with numpy's BLAS held at one
+thread. Each shard encodes and decodes its images in one batch and saves
+them (one PPM per scale, from ``pyramid.tokens_to_images``) in input order,
+so the first failure in input order is the one raised, and the output bytes
+depend on neither the worker count nor the shard size. Input files whose
+names differ only in the extension's case would write the same outputs and
+are rejected.
 export-latents encodes its dataset in shards of ``parallel.SHARD_SIZE``
 images (``parallel.shard_bounds``, the layout of the train eval) through
-``parallel.run_shards``, as reconstruct runs its images. The calling thread
+``parallel.run_shards``, as reconstruct runs its shards. The calling thread
 allocates the dump's one count x dim float32 array, and each worker writes
 its shard's rows into that array's slice, so the rows follow the dataset
 alone, not the worker count. The shards return nothing: one array of rows per
@@ -54,7 +58,7 @@ from .gradcheck import model_end_to_end_check, op_library_checks
 from .imageio import save_ppm
 from .latent_stats import analyze_latents, read_latents, write_latents
 from .model import load_checkpoint
-from .parallel import run_shards, shard_bounds
+from .parallel import images_per_shard, run_shards, shard_bounds
 from .pyramid import build_schedule, tokens_to_images
 from .tensor import DataError, NumericError, Tensor, replica
 from .train import train
@@ -115,10 +119,12 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _reconstruct_image(model, image: np.ndarray, stem: str, output_dir: str) -> None:
-    px, _ = model.reconstruct(Tensor(image[None]), deterministic=True)
-    for g, out in zip(model.config.scales, tokens_to_images(px.data, model.schedule, model.config.patch)):
-        save_ppm(out[0], os.path.join(output_dir, f"{stem}_s{g * model.config.patch}.ppm"))
+def _reconstruct_shard(model, images: np.ndarray, stems: list[str], output_dir: str) -> None:
+    px, _ = model.reconstruct(Tensor(images), deterministic=True)
+    scales = tokens_to_images(px.data, model.schedule, model.config.patch)
+    for i, stem in enumerate(stems):
+        for g, out in zip(model.config.scales, scales):
+            save_ppm(out[i], os.path.join(output_dir, f"{stem}_s{g * model.config.patch}.ppm"))
 
 
 def _encode_rows(model, images: np.ndarray, out: np.ndarray) -> None:
@@ -137,9 +143,11 @@ def _cmd_reconstruct(args) -> int:
                             f"as {stem}_s<side>.ppm")
         stems[stem] = name
     os.makedirs(args.output_dir, exist_ok=True)
-    # The first failure in input order is raised.
-    run_shards(_reconstruct_image, [(model, image, stem, args.output_dir)
-                                    for stem, image in zip(stems, dataset.images)])
+    stem_list, size = list(stems), images_per_shard(model.schedule.total)
+    # The first failure in input order is raised: shards are contiguous runs
+    # of the inputs, and each saves its images in order.
+    run_shards(_reconstruct_shard, [(model, dataset.images[lo:hi], stem_list[lo:hi], args.output_dir)
+                                    for lo, hi in shard_bounds(len(dataset), size)])
     print(json.dumps({"event": "reconstruct", "images": len(dataset), "scales": list(cfg.scales)}))
     return 0
 

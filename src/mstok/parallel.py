@@ -1,14 +1,27 @@
 """Data-parallel shards of a batch on worker threads, and the shard layout
 every pass over an image set uses.
 
-``shard_bounds(n)`` splits ``n`` images into shards of ``SHARD_SIZE``: the
-train step splits a batch by it, the eval sweep the eval set, and
-``export-latents`` its dataset, so the layout of the latent rows follows the
-image set alone. ``export-latents`` runs its shards through ``run_shards``,
-and each writes its rows into its own slice of one array the caller
-allocated before the pool opened; a shard that returns large arrays instead
-leaves them to be freed into its worker's malloc arena, which the calling
-thread's next allocations do not reuse.
+``shard_bounds(n, size)`` splits ``n`` images into contiguous shards of
+``size`` images, in order. The train step splits a batch into shards of
+``SHARD_SIZE``, as do the eval sweep its eval set and ``export-latents`` its
+dataset, so the layout of the latent rows follows the image set alone.
+``reconstruct`` takes ``images_per_shard(model.schedule.total)`` images per
+shard: as many as fit in ``SHARD_TOKENS`` decoder tokens, the tokens of one
+default training shard (16 images of 85), but at least 1 and at most
+``SHARD_SIZE``. A shard of several images pays numpy's fixed cost per op once for all of
+them, but its decode holds activations for all their tokens, and a 64 px
+image has 341. On a 2-vCPU Xeon, a fresh process that reconstructed 32
+images of 64 px five times peaked at 40 MB resident with 1 image per shard,
+49-51 MB with 3 (the bound), 57 MB with 4, 78 MB with 8 and 122 MB with 16,
+and such a call took a median of 370 ms with 1 image per shard against
+289 ms with 3. The size follows the model alone, never the CPU count, so
+inputs of up to 3 such images run as one shard on one worker.
+
+``export-latents`` runs its shards through ``run_shards``, and each writes
+its rows into its own slice of one array the caller allocated before the
+pool opened; a shard that returns large arrays instead leaves them to be
+freed into its worker's malloc arena, which the calling thread's next
+allocations do not reuse.
 
 ``run_shards(fn, shards)`` is the only way the package runs shards, and this
 module the only one that starts threads or changes numpy's BLAS thread
@@ -53,10 +66,20 @@ from . import blas
 # halves the graphs a step holds (see ``mstok.loop``).
 SHARD_SIZE = 16
 
+# Decoder tokens per reconstruct shard: one default training shard, 16
+# images of 85 tokens.
+SHARD_TOKENS = 1360
 
-def shard_bounds(n: int) -> list[tuple[int, int]]:
-    """``(start, stop)`` of each shard of an ``n``-image set."""
-    return [(start, min(start + SHARD_SIZE, n)) for start in range(0, n, SHARD_SIZE)]
+
+def shard_bounds(n: int, size: int = SHARD_SIZE) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each shard of ``size`` images of an ``n``-image set."""
+    return [(start, min(start + size, n)) for start in range(0, n, size)]
+
+
+def images_per_shard(tokens: int) -> int:
+    """Images of ``tokens`` decoder tokens each in a shard of at most
+    ``SHARD_TOKENS`` tokens: at least 1, at most ``SHARD_SIZE``."""
+    return max(1, min(SHARD_SIZE, SHARD_TOKENS // tokens))
 
 
 def pool_size(shards: int) -> int:

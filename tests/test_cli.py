@@ -1,3 +1,4 @@
+import functools
 import importlib
 import inspect
 import json
@@ -397,13 +398,16 @@ def test_reconstruct_workers_write_identical_files(tmp_path, monkeypatch):
     ckpt = small_checkpoint(tmp_path)
     in_dir = str(tmp_path / "inputs")
     generate_synthetic_folder(in_dir, 6, 16, seed=9)
+    # The 6 images of 21 decoder tokens in shards of 2: three shards.
+    monkeypatch.setattr(parallel, "SHARD_TOKENS", 2 * 21)
+    assert parallel.shard_bounds(6, parallel.images_per_shard(21)) == [(0, 2), (2, 4), (4, 6)]
     monkeypatch.setattr(parallel, "pool_size", lambda shards: 1)
     assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "one")]) == 0
 
-    # Every image waits until three are in flight, so three workers decode at once.
+    # Every shard waits until three are in flight, so three workers decode at once.
     barrier = threading.Barrier(3, timeout=30)
     seen = []
-    real = cli._reconstruct_image
+    real = cli._reconstruct_shard
 
     def concurrent(*args):
         barrier.wait()
@@ -411,12 +415,29 @@ def test_reconstruct_workers_write_identical_files(tmp_path, monkeypatch):
         real(*args)
 
     monkeypatch.setattr(parallel, "pool_size", lambda shards: 3)
-    monkeypatch.setattr(cli, "_reconstruct_image", concurrent)
+    monkeypatch.setattr(cli, "_reconstruct_shard", concurrent)
     assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "three")]) == 0
     assert len({ident for ident, _ in seen}) == 3
     one, three = read_tree(tmp_path / "one"), read_tree(tmp_path / "three")
     assert len(one) == 6 * 3 and one == three
     assert {threads for _, threads in seen} == {1}
+
+
+def test_reconstruct_bytes_do_not_depend_on_the_shard_size(tmp_path, monkeypatch):
+    # 7 images of 21 decoder tokens in shards of 1, of 3 (the last one
+    # partial) and of the default size, which holds all 7.
+    ckpt = small_checkpoint(tmp_path)
+    in_dir = str(tmp_path / "inputs")
+    generate_synthetic_folder(in_dir, 7, 16, seed=9)
+    trees = []
+    for tokens, sizes in ((21, [1] * 7), (3 * 21, [3, 3, 1]), (parallel.SHARD_TOKENS, [7])):
+        monkeypatch.setattr(parallel, "SHARD_TOKENS", tokens)
+        assert [hi - lo for lo, hi in parallel.shard_bounds(7, parallel.images_per_shard(21))] == sizes
+        out = tmp_path / f"tokens{tokens}"
+        assert main(["reconstruct", ckpt, in_dir, str(out)]) == 0
+        trees.append(read_tree(out))
+    assert len(trees[0]) == 7 * 3
+    assert trees[0] == trees[1] == trees[2]
 
 
 @pytest.fixture
@@ -442,26 +463,34 @@ def test_reconstruct_restores_blas_and_joins_workers_on_error(tmp_path, monkeypa
     generate_synthetic_folder(in_dir, 5, 16, seed=9)
     threads_before, blas_before = set(threading.enumerate()), blas.num_threads()
     real_save = cli.save_ppm
+    # Shards of 2 images: images 1 and 3 are in the first two shards, which
+    # the two workers run at once; images 2 and 3 share the second shard.
+    monkeypatch.setattr(parallel, "SHARD_TOKENS", 2 * 21)
+    assert parallel.shard_bounds(5, parallel.images_per_shard(21)) == [(0, 2), (2, 4), (4, 5)]
     later_failed = threading.Event()
+    waited = []
 
-    def failing_save(image, path):
-        name = os.path.basename(path)
-        if name.startswith("synthetic_00001_"):
-            later_failed.wait(timeout=5)  # let image 3 fail first when it runs concurrently
-            raise OSError("cannot write image 1")
-        if name.startswith("synthetic_00003_"):
-            later_failed.set()
-            raise OSError("cannot write image 3")
+    def failing_save(fails, image, path):
+        i = int(os.path.basename(path).split("_")[1])
+        if i in fails:
+            if i == 1:
+                waited.append(later_failed.wait(timeout=5))  # let image 3 fail first
+            if i == 3:
+                later_failed.set()
+            raise OSError(f"cannot write image {i}")
         real_save(image, path)
 
     monkeypatch.setattr(parallel, "pool_size", lambda shards: 2)
-    monkeypatch.setattr(cli, "save_ppm", failing_save)
-    capsys.readouterr()
-    assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "recon")]) == 2
-    # The first failure in input order is reported, whichever worker failed first.
-    assert capsys.readouterr().err == "data error: cannot write image 1\n"
-    assert blas.num_threads() == blas_before
-    assert set(threading.enumerate()) == threads_before
+    for fails in ((1, 3), (2, 3)):
+        monkeypatch.setattr(cli, "save_ppm", functools.partial(failing_save, fails))
+        capsys.readouterr()
+        assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "recon")]) == 2
+        # The first failure in input order is reported, whichever worker or
+        # image of a shard failed first.
+        assert capsys.readouterr().err == f"data error: cannot write image {fails[0]}\n"
+        assert blas.num_threads() == blas_before
+        assert set(threading.enumerate()) == threads_before
+    assert waited == [True]
 
     monkeypatch.setattr(cli, "save_ppm", real_save)
     assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "recon")]) == 0
