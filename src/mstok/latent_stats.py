@@ -34,10 +34,12 @@ class LatentStats:
         return asdict(self)
 
 
-def _top2_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _top2_eigh(apply, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The two largest eigenvalues of a symmetric positive semidefinite m x m
-    matrix, descending, and their unit eigenvectors as m x 2 columns.
+    operator, descending, and their unit eigenvectors as m x 2 columns.
 
+    The operator is given by its products alone: ``apply(q)`` returns it
+    times the vector ``q`` of length m, so the matrix itself is never built.
     Lanczos with full reorthogonalisation (Golub & Van Loan, *Matrix
     Computations*, ch. 10) from a fixed random start; the ones vector would
     not do, as it lies in the null space of a centred ``c @ c.T``. Each step
@@ -46,12 +48,11 @@ def _top2_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residuals ``beta * |s_last|`` of the top two Ritz pairs (the one pair
     after the first step) are within ``eps * theta_0``, or after m steps. A
     breakdown, ``beta`` near 0, passes that test, since no residual exceeds
-    ``beta``: a rank-r matrix has an invariant Krylov space after r + 1
+    ``beta``: a rank-r operator has an invariant Krylov space after r + 1
     steps and stops within a step of it. One that stops after one step (m =
-    1, or a zero matrix) leaves one pair; the missing eigenvalue reads 0,
+    1, or a zero operator) leaves one pair; the missing eigenvalue reads 0,
     its vector zeros.
     """
-    m = gram.shape[0]
     # The Krylov vectors as rows, never m x m unless all m steps run.
     basis = np.empty((min(m, 32), m))
     alpha, beta = [], []
@@ -61,7 +62,7 @@ def _top2_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if k > len(basis):
             basis = np.concatenate([basis, np.empty((min(len(basis), m - len(basis)), m))])
         basis[k - 1] = q
-        w = gram @ q
+        w = apply(q)
         alpha.append(q @ w)
         for _ in range(2):
             w -= basis[:k].T @ (basis[:k] @ w)
@@ -83,18 +84,22 @@ def project2d(latents) -> tuple[np.ndarray, int]:
     Centers the n x d data and projects it onto its top-2 principal axes,
     fixing each axis sign so its largest-magnitude coordinate is positive.
     The axes come from the top two eigenpairs, the only ones computed (by
-    ``_top2_eigh``'s Lanczos), of the Gram matrix of the smaller side:
+    ``_top2_eigh``'s Lanczos), of the Gram operator of the smaller side:
     ``c.T @ c`` (d x d) when d <= n, else ``c @ c.T`` (n x n), whose
     eigenvectors ``u`` map to the axes ``c.T @ u`` normalised. Both have the
     squared singular values of ``c`` as eigenvalues, so no SVD is needed.
+    Lanczos reads the operator only through two products with ``c``, such
+    as ``c.T @ (c @ q)``, so no d x d or n x n matrix is built and the pass
+    holds ``c`` and a few Krylov vectors; working on the smaller side keeps
+    those vectors short and the steps few.
 
     Returns the n x 2 points and the number of axes that carry variance; a
     rank-deficient input fills each missing axis with zeros. An axis carries
     variance when its eigenvalue exceeds ``max(n, d) * eps * lambda_0``. This
     is the singular-value rank rule ``s_i > max(n, d) * eps * s_0`` (that of
     ``np.linalg.matrix_rank``) in eigenvalue form, with the tolerance left
-    unsquared because forming the Gram matrix rounds every eigenvalue by
-    about ``eps * lambda_0``. In singular values the cut is
+    unsquared because each product through ``c`` and back rounds every
+    eigenvalue by about ``eps * lambda_0``. In singular values the cut is
     ``sqrt(max(n, d) * eps) * s_0``, under ``1e-6 * s_0`` up to 4500 vectors
     or dims. The float32 rounding of an HLAT dump adds eigenvalues of about
     ``1e-15 * lambda_0`` or less, below the cut once n * d is a few hundred,
@@ -105,12 +110,15 @@ def project2d(latents) -> tuple[np.ndarray, int]:
     centered = np.array(latents, dtype=np.float64)
     if centered.ndim != 2 or centered.shape[0] < 3 or centered.shape[1] < 1:
         raise DataError(f"project2d: need at least 3 flattened vectors of 1 or more dims, got shape {centered.shape}")
-    if not np.isfinite(centered).all():
+    # min and max carry any NaN or infinity, and need no n x d mask.
+    if not np.isfinite([centered.min(), centered.max()]).all():
         raise DataError("project2d: latent vectors hold non-finite values")
     n, d = centered.shape
     centered -= centered.mean(axis=0)
-    lam, top = _top2_eigh(centered.T @ centered if d <= n else centered @ centered.T)
-    if d > n:
+    if d <= n:
+        lam, top = _top2_eigh(lambda q: centered.T @ (centered @ q), d)
+    else:
+        lam, top = _top2_eigh(lambda q: centered @ (centered.T @ q), n)
         top = centered.T @ top
     tol = max(n, d) * np.finfo(np.float64).eps * lam[0]
     axes = int(np.count_nonzero(lam > tol))

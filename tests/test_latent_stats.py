@@ -69,20 +69,41 @@ def svd_projection(x):
     return centered @ np.stack(axes, axis=1)
 
 
-# tall; wide, as in the eval sweep; wide float32, as an HLAT dump holds it
-@pytest.mark.parametrize("shape, dtype", [((300, 40), np.float64), ((64, 1024), np.float64),
-                                          ((64, 1024), np.float32)], ids=["shape0", "shape1", "shape1-float32"])
-def test_project2d_matches_svd_oracle(shape, dtype):
+def low_rank_plus_noise(shape, dtype):
+    """Three strong directions, small isotropic noise and an offset."""
     rng = make_rng(8)
     n, d = shape
     x = (rng.standard_normal((n, 3)) * [5.0, 2.0, 1.0]) @ rng.standard_normal((3, d))
     x += 0.1 * rng.standard_normal((n, d)) + rng.standard_normal(d)
-    x = x.astype(dtype)
+    return x.astype(dtype)
+
+
+# tall; wide, as in the eval sweep; wide float32, as an HLAT dump holds it;
+# the benchmark's dump shape; and a flat spectrum, which takes many Lanczos steps
+@pytest.mark.parametrize("shape, dtype, flat", [((300, 40), np.float64, False), ((64, 1024), np.float64, False),
+                                                ((64, 1024), np.float32, False), ((2048, 1024), np.float32, False),
+                                                ((300, 200), np.float64, True)],
+                         ids=["shape0", "shape1", "shape1-float32", "dump-float32", "flat-spectrum"])
+def test_project2d_matches_svd_oracle(shape, dtype, flat):
+    x = make_rng(8).standard_normal(shape).astype(dtype) if flat else low_rank_plus_noise(shape, dtype)
     before = x.copy()
     proj, axes = L.project2d(x)
     assert axes == 2
     np.testing.assert_allclose(proj, svd_projection(x), rtol=0, atol=1e-9)
     np.testing.assert_array_equal(x, before)  # the caller's array is never written
+
+
+def test_project2d_holds_no_more_than_its_float64_copy():
+    # Lanczos reads the Gram operator through products with the centred copy;
+    # a d x d Gram matrix would add 8 MB at the benchmark's dump shape.
+    x = low_rank_plus_noise((2048, 1024), np.float32)
+    tracemalloc.start()
+    try:
+        L.project2d(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.size * 8 + 2 * 2**20, peak
 
 
 @pytest.mark.parametrize("shape", [(400, 120), (120, 400)], ids=["d_le_n", "d_gt_n"])
@@ -155,6 +176,14 @@ def test_project2d_leaves_float64_input_unchanged():
     before = x.copy()
     L.project2d(x)
     np.testing.assert_array_equal(x, before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project2d_rejects_non_finite_values(bad):
+    x = make_rng(3).standard_normal((6, 4))
+    x[4, 2] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        L.project2d(x)
 
 
 @pytest.mark.parametrize("shape", [(5,), (2, 4), (5, 0)])
