@@ -32,15 +32,6 @@ def op_library_checks(eps: float = 1e-5) -> dict[str, float]:
     x = Tensor(rng.standard_normal((4, 4)))
     results["sum_of_squares"] = T.grad_check(lambda t: T.tsum(T.square(t)), x, eps)
 
-    mask = np.where(rng.random((4, 4)) < 0.4, T.MASK_VALUE, 0.0)
-    mask[:, 1] = 0.0
-    results["masked_softmax_square_sum"] = T.grad_check(
-        lambda t: T.tsum(T.square(T.softmax(t, additive_mask=mask))), x, eps
-    )
-    results["scaled_masked_softmax"] = T.grad_check(
-        lambda t: T.tsum(T.square(T.softmax(t, additive_mask=mask, scale=0.7))), x, eps
-    )
-
     kernel = Tensor(rng.standard_normal((3, 2, 2, 2)), dtype=np.float64)
     gain = Tensor(rng.standard_normal(3), dtype=np.float64)
     bias = Tensor(rng.standard_normal(3), dtype=np.float64)

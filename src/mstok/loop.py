@@ -30,11 +30,8 @@ step's pool runs two shards at once on two CPUs, and each holds its whole
 autograd graph until its backward, so a step's peak holds about two shard
 graphs; the graph grows with the shard's images. At the tokenizer's default
 config one shard run alone has a tracemalloc peak of 119.8 MB at 32 images
-and 60.3 MB at 16 (140.6 and 70.7 MB while attention kept a dense T x T
-score matrix and its weights per block). On a 2-vCPU Xeon, shards of 16 cut
-a default run's peak resident memory from about 360 to 225 MB with that
-dense attention, for a step 4-8% slower than with shards of 32; with span
-attention the benchmark's default-config `train` run peaks at about 178 MB.
+and 60.3 MB at 16. On a 2-vCPU Xeon, with shards of 16, the benchmark's
+default-config `train` run peaks at about 178 MB.
 The shard results live in ``_batch_gradients``, which returns before the
 next step's shards start, so no shard's gradients outlive their step.
 

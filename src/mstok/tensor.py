@@ -13,8 +13,8 @@ gradients (the parameters') survive ``backward()``, and a later sweep that
 reaches a released node raises. Because a node's gradient dies right after
 its closure runs, one consumer may own that buffer, or a view of it, instead
 of copying it (see ``_accumulate``), and the closure itself may write into
-the gradient it is handed: ``softmax``, ``layer_norm`` and ``gelu`` build
-their input gradient in that buffer.
+the gradient it is handed: ``layer_norm`` and ``gelu`` build their input
+gradient in that buffer.
 
 Token maps are channel-last (batch x H x W x C), and ``conv2d`` takes them
 that way; images and ``area_pool`` are batch x C x H x W.
@@ -40,13 +40,6 @@ import math
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
-
-# Additive mask value for attention logits. Large enough that exp() underflows
-# to exactly 0.0 in float32 and float64, which makes mask-induced causality
-# hold to floating-point equality, yet small enough to never overflow.
-MASK_VALUE = -1e9
-# Positions with an additive mask at or below this are treated as masked out.
-_MASK_THRESHOLD = -1e8
 
 
 class ConfigError(ValueError):
@@ -239,9 +232,9 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     that buffer: the sweep releases the gradient right after the closure
     runs, so the owner may then update it in place. The same holds for the
     closure itself: it owns the gradient it is handed and may write into it,
-    as ``softmax``, ``layer_norm`` and ``gelu`` do. A buffer another consumer also
-    gets, a read-only broadcast view or a caller's array is copied. A 0-d
-    gradient is stored as a 0-d array, never a numpy scalar.
+    as ``layer_norm`` and ``gelu`` do. A buffer another consumer also gets,
+    a read-only broadcast view or a caller's array is copied. A 0-d gradient
+    is stored as a 0-d array, never a numpy scalar.
     """
     # numpy returns a 0-d result as a scalar; store an array, so in-place
     # updates write into it instead of rebinding.
@@ -627,65 +620,25 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
 # Neural-network primitives
 # ---------------------------------------------------------------------------
 
-def _normalize(z: np.ndarray, axis: int) -> None:
-    """Softmax of the logits ``z`` along ``axis``, in place."""
-    z -= z.max(axis=axis, keepdims=True)
+def _normalize(z: np.ndarray) -> None:
+    """Softmax of the key-major logits ``z`` over the keys (axis -2), in place.
+
+    Over axis -2 of a C-contiguous array numpy reduces with vector passes
+    across the contiguous last axis, where a reduction over a short last axis
+    would pay a per-row cost.
+    """
+    z -= z.max(axis=-2, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=axis, keepdims=True)
+    z /= z.sum(axis=-2, keepdims=True)
 
 
-def _normalize_backward(g: np.ndarray, p: np.ndarray, axis: int, scale: float) -> None:
-    """Turn ``g``, the gradient of the softmax ``p`` along ``axis`` of logits
-    ``scale * x``, into the gradient of ``x``, in place."""
-    inner = (g * p).sum(axis=axis, keepdims=True)
+def _normalize_backward(g: np.ndarray, p: np.ndarray, scale: float) -> None:
+    """Turn ``g``, the gradient of the softmax ``p`` over the keys (axis -2) of
+    logits ``scale * x``, into the gradient of ``x``, in place."""
+    inner = (g * p).sum(axis=-2, keepdims=True)
     g -= inner
     g *= p
     g *= scale
-
-
-def softmax(x, additive_mask=None, scale: float = 1.0, axis: int = -1) -> Tensor:
-    """Softmax of ``scale * x + additive_mask`` along ``axis`` (the last by
-    default).
-
-    The scaled, masked logits are built in one owned buffer that is then
-    normalized in place, so attention scores cost no intermediate tensors;
-    the result equals ``softmax(scale(x, s), additive_mask=m)`` bit for bit.
-    The mask is a numpy array. The result keeps ``x``'s shape and dtype, so
-    the mask must broadcast to ``x``'s shape.
-    Masked positions carry an additive value of ``MASK_VALUE``; their weight
-    underflows to exactly 0.0. Rows (lines along ``axis``) where every
-    position is masked output zeros rather than NaN, so a uniform
-    mask-handling path is safe.
-
-    Over ``axis=-2`` of a C-contiguous array numpy reduces with vector passes
-    across the contiguous last axis, while a reduction over a short last
-    axis pays a per-row cost; ``span_attention`` normalises its key-major
-    scores that way, through the same in-place passes.
-    """
-    x = as_tensor(x)
-    scale = float(scale)
-    out_data = x.data * scale  # fresh buffer
-    if additive_mask is not None:
-        additive_mask = np.asarray(additive_mask)
-        try:
-            out_data += additive_mask
-        except ValueError:
-            raise ShapeError(f"softmax: mask shape {additive_mask.shape} does not broadcast to {x.shape}") from None
-    _normalize(out_data, axis)
-    if additive_mask is not None:
-        # Align the mask's axes with the logits' so ``axis`` names the same one.
-        aligned = additive_mask.reshape((1,) * (out_data.ndim - additive_mask.ndim) + additive_mask.shape)
-        dead_rows = np.all(aligned <= _MASK_THRESHOLD, axis=axis, keepdims=True)
-        if dead_rows.any():
-            out_data = np.where(np.broadcast_to(dead_rows, out_data.shape), 0.0, out_data)
-
-    def backward(g):
-        # g is this node's own gradient, released right after this closure
-        # runs, so the input gradient is built in its buffer.
-        _normalize_backward(g, out_data, axis, scale)
-        _accumulate(x, g, fresh=True)
-
-    return _result(out_data, (x,), backward)
 
 
 def span_attention(q_t, k, v_t, spans, scale: float) -> Tensor:
@@ -699,13 +652,15 @@ def span_attention(q_t, k, v_t, spans, scale: float) -> Tensor:
     over the keys in place, and ``v_t[..., k_lo:k_hi] @ p`` fills that
     span's columns of the ``(..., hd, T)`` output.
 
-    The forward is ``matmul(v_t, softmax(matmul(k, q_t), mask, scale,
-    axis=-2))`` with ``MASK_VALUE`` outside the spans, bit for bit: every
-    entry the spans skip adds an exact zero there. Only the per-span
-    probabilities are kept for the backward, which runs the same steps per
-    span and adds each span's key and value gradients into its key range;
-    those sum over the queries in another order than the dense products, so
-    they differ from them in the last bits.
+    The forward equals dense attention bit for bit: the scores ``k @ q_t``,
+    scaled, with a large negative value added outside the spans so that
+    their weights underflow to zero, normalised over the keys and multiplied
+    into ``v_t``. Every entry the spans skip adds an exact zero to the dense
+    sums; the tests check this against a numpy reference of those steps.
+    Only the per-span probabilities are kept for the backward, which runs
+    the same steps per span and adds each span's key and value gradients
+    into its key range; those sum over the queries in another order than
+    the dense products, so they differ from them in the last bits.
     """
     q_t, k, v_t = as_tensor(q_t), as_tensor(k), as_tensor(v_t)
     t = k.shape[-2] if k.ndim >= 2 else 0
@@ -724,7 +679,7 @@ def span_attention(q_t, k, v_t, spans, scale: float) -> Tensor:
     for q_lo, q_hi, k_lo, k_hi in spans:
         p = _product(k.data[..., k_lo:k_hi, :], q_t.data[..., q_lo:q_hi])
         p *= scale
-        _normalize(p, -2)
+        _normalize(p)
         _product(v_t.data[..., k_lo:k_hi], p, out=out_data[..., q_lo:q_hi])
         probs.append(p)
 
@@ -737,7 +692,7 @@ def span_attention(q_t, k, v_t, spans, scale: float) -> Tensor:
             if gv is not None:
                 gv[..., k_lo:k_hi] += _product(g_out, np.swapaxes(p, -1, -2))
             gs = _product(np.swapaxes(v_t.data[..., k_lo:k_hi], -1, -2), g_out)
-            _normalize_backward(gs, p, -2, scale)
+            _normalize_backward(gs, p, scale)
             if gk is not None:
                 gk[..., k_lo:k_hi, :] += _product(gs, np.swapaxes(q_t.data[..., q_lo:q_hi], -1, -2))
             if gq is not None:

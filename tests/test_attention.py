@@ -1,15 +1,14 @@
 import math
 
+import dense_attention as dense
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mstok import attention as A
-from mstok import tensor as T
 from mstok.pyramid import build_schedule
-from mstok.tensor import (MASK_VALUE, ConfigError, ShapeError, Tensor, grad_check, make_rng, mul, slice_axis,
-                          square, tsum)
+from mstok.tensor import ConfigError, ShapeError, Tensor, grad_check, make_rng, mul, slice_axis, square, tsum
 
 
 def oracle_mask(grids, regime):
@@ -217,7 +216,7 @@ def test_attention_weights_sum_to_one_over_allowed():
     q = (x @ params.wq.data).reshape(-1, heads, hd).transpose(1, 0, 2)
     k = (x @ params.wk.data).reshape(-1, heads, hd).transpose(1, 0, 2)
     allow = span_cover(mask, sched.total) == 1
-    scores = q @ k.transpose(0, 2, 1) / math.sqrt(hd) + np.where(allow, 0.0, MASK_VALUE)
+    scores = q @ k.transpose(0, 2, 1) / math.sqrt(hd) + np.where(allow, 0.0, dense.MASK_VALUE)
     w = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
@@ -235,7 +234,7 @@ def mha_oracle(x, params, heads, allow):
         return (x @ w.data).reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
 
     q, k, v = split(params.wq), split(params.wk), split(params.wv)
-    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(hd) + np.where(allow, 0.0, MASK_VALUE)
+    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(hd) + np.where(allow, 0.0, dense.MASK_VALUE)
     p = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
     return (p @ v).transpose(0, 2, 1, 3).reshape(b, t, d) @ params.wo.data
@@ -260,20 +259,8 @@ def test_masked_mha_matches_row_major_oracle(regime):
     np.testing.assert_array_equal(span_cover(mask, sched.total), allow)
 
 
-def dense_mha(x, params, heads, allow):
-    # The dense composition masked_mha replaced, on the same key-major
-    # operand views: matmul -> softmax(additive mask from allow) -> matmul.
-    b, t, d = x.shape
-    hd = d // heads
-
-    def split(w, axes):
-        return T.transpose(T.reshape(T.matmul(x, w), (b, t, heads, hd)), axes)
-
-    q_t, k, v_t = split(params.wq, (0, 2, 3, 1)), split(params.wk, (0, 2, 1, 3)), split(params.wv, (0, 2, 3, 1))
-    additive = np.where(allow.T, 0.0, MASK_VALUE).astype(x.dtype)
-    weights_t = T.softmax(T.matmul(k, q_t), additive_mask=additive, scale=1.0 / math.sqrt(hd), axis=-2)
-    out = T.reshape(T.transpose(T.matmul(v_t, weights_t), (0, 3, 1, 2)), (b, t, d))
-    return T.matmul(out, params.wo)
+def weights(params):
+    return [w.data for w in (params.wq, params.wk, params.wv, params.wo)]
 
 
 @pytest.mark.parametrize("grids, b, d, heads", [((1, 2, 4, 8), 16, 64, 4), ((1, 3, 5), 3, 32, 4), ((2, 4), 2, 6, 2)])
@@ -284,9 +271,9 @@ def test_masked_mha_forward_is_the_dense_composition_bitwise(grids, b, d, heads,
     sched = build_schedule(grids[-1], grids)
     params = random_attn_params(rng, d)
     mask = A.build_mask(sched, regime)
-    x = Tensor(rng.standard_normal((b, sched.total, d)).astype(np.float32))
-    out = A.masked_mha(x, params, heads, mask).data
-    want = dense_mha(x, params, heads, oracle_mask(grids, regime)).data
+    x = rng.standard_normal((b, sched.total, d)).astype(np.float32)
+    out = A.masked_mha(Tensor(x), params, heads, mask).data
+    want, _ = dense.mha(x, weights(params), heads, oracle_mask(grids, regime))
     assert out.dtype == np.float32
     np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
 
@@ -301,15 +288,12 @@ def test_masked_mha_gradients_match_the_dense_composition(grids, regime):
     x = rng.standard_normal((2, sched.total, d))
     seed = rng.standard_normal((2, sched.total, d))
     base = random_attn_params(rng, d, dtype=np.float64)
-    grads = []
-    for attend in (lambda xt, p: A.masked_mha(xt, p, heads, mask),
-                   lambda xt, p: dense_mha(xt, p, heads, oracle_mask(grids, regime))):
-        params = A.AttentionParams(*(Tensor(w.data, requires_grad=True) for w in
-                                     (base.wq, base.wk, base.wv, base.wo)))
-        xt = Tensor(x, requires_grad=True)
-        attend(xt, params).backward(seed)
-        grads.append([xt.grad] + [w.grad for w in (params.wq, params.wk, params.wv, params.wo)])
-    for got, want in zip(*grads):
+    params = A.AttentionParams(*(Tensor(w, requires_grad=True) for w in weights(base)))
+    xt = Tensor(x, requires_grad=True)
+    A.masked_mha(xt, params, heads, mask).backward(seed)
+    grads = [xt.grad] + [w.grad for w in (params.wq, params.wk, params.wv, params.wo)]
+    _, backward = dense.mha(x, weights(base), heads, oracle_mask(grids, regime))
+    for got, want in zip(grads, backward(seed)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 

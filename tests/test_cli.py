@@ -251,6 +251,11 @@ def test_gradcheck_passes_within_thresholds(capsys):
     errors = {line.split(": max_rel_err=")[0]: float(line.split("=")[1])
               for line in lines if "max_rel_err=" in line}
     assert len(errors) == len(lines) - 1 and "model end-to-end" in errors
+    assert list(errors) == [
+        "op sum_of_squares", "op conv_layernorm_mean", "op pyramid_interp", "op gelu_mlp",
+        "op area_pool_fractional", "op span_attention_scalecausal", "op span_attention_scaleindependent",
+        "model end-to-end",
+    ]
     for name, err in errors.items():
         assert err < (E2E_THRESHOLD if name == "model end-to-end" else OPS_THRESHOLD), name
 

@@ -1,6 +1,7 @@
 import math
 import statistics
 
+import dense_attention as dense
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,122 +251,30 @@ def test_zero_dim_gradient_is_an_array_updated_in_place():
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# span_attention
 # ---------------------------------------------------------------------------
-
-def test_softmax_symmetry():
-    out = T.softmax(Tensor([0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [0.5, 0.5])
-
-
-def test_softmax_closed_form():
-    out = T.softmax(Tensor([0.0, math.log(3.0)], dtype=np.float64))
-    np.testing.assert_allclose(out.data, [0.25, 0.75], rtol=1e-12)
-
-
-def test_softmax_single_unmasked_entry():
-    mask = np.array([0.0, T.MASK_VALUE])
-    out = T.softmax(Tensor([5.0, 7.0]), additive_mask=mask)
-    np.testing.assert_array_equal(out.data, [1.0, 0.0])
-
-
-def test_softmax_fully_masked_row_outputs_zeros():
-    mask = np.full((2, 3), T.MASK_VALUE)
-    mask[0] = 0.0
-    out = T.softmax(Tensor(np.ones((2, 3))), additive_mask=mask)
-    np.testing.assert_allclose(out.data[0], [1 / 3] * 3, rtol=1e-6)
-    np.testing.assert_array_equal(out.data[1], [0.0, 0.0, 0.0])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-30, 30), min_size=2, max_size=8), st.data())
-def test_softmax_rows_sum_to_one_over_unmasked(logits, data):
-    n = len(logits)
-    masked = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    if all(masked):
-        masked[0] = False
-    mask = np.where(masked, T.MASK_VALUE, 0.0)
-    out = T.softmax(Tensor(logits, dtype=np.float64), additive_mask=mask)
-    assert out.data.sum() == pytest.approx(1.0, abs=1e-6)
-    assert (out.data[np.array(masked)] == 0.0).all()
-
-
-@pytest.mark.parametrize("masked", [False, True])
-def test_scaled_softmax_matches_scale_then_softmax_bitwise(masked):
-    # float32, as in the model: the fused op must reproduce the separate
-    # scale op followed by softmax to the last bit, forward and backward.
-    rng = np.random.default_rng(21)
-    shape, s = (2, 3, 17, 17), 1.0 / math.sqrt(6)
-    data = rng.standard_normal(shape).astype(np.float32) * 4
-    seed_grad = rng.standard_normal(shape).astype(np.float32)
-    mask = None
-    if masked:
-        mask = np.where(np.tril(np.ones((17, 17), dtype=bool)), 0.0, T.MASK_VALUE).astype(np.float32)
-    fused_in = Tensor(data.copy(), requires_grad=True)
-    fused = T.softmax(fused_in, additive_mask=mask, scale=s)
-    fused.backward(seed_grad)
-    ref_in = Tensor(data.copy(), requires_grad=True)
-    ref = T.softmax(T.scale(ref_in, s), additive_mask=mask)
-    ref.backward(seed_grad)
-    assert fused.dtype == np.float32 and fused_in.grad.dtype == np.float32
-    np.testing.assert_array_equal(fused.data, ref.data)
-    np.testing.assert_array_equal(fused_in.grad, ref_in.grad)
-
 
 @pytest.mark.parametrize("dtype, shape", [(np.float32, (64, 4, 85, 85)), (np.float64, (2, 3, 17, 17))])
 def test_masked_scaled_softmax_backward_matches_textbook_bitwise(dtype, shape):
+    # span_attention's softmax backward, on key-major weights as it keeps
+    # them: keys on axis -2, with exact zeros where a key comes after its
+    # query.
     rng = np.random.default_rng(8)
     t, s = shape[-1], 1.0 / math.sqrt(24)
-    x = (4 * rng.standard_normal(shape)).astype(dtype)
+    p = (4 * rng.standard_normal(shape)).astype(dtype)
     seed = rng.standard_normal(shape).astype(dtype)
-    kept = seed.copy()
-    mask = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0, T.MASK_VALUE).astype(dtype)
-    mask[0] = T.MASK_VALUE  # one fully masked row
-    xt = Tensor(x, requires_grad=True)
-    out = T.softmax(xt, additive_mask=mask, scale=s)
-    out.backward(seed)
-    o = out.data
-    want = s * (o * (seed - (seed * o).sum(axis=-1, keepdims=True)))
-    assert xt.grad.dtype == dtype
-    np.testing.assert_array_equal(xt.grad.view(f"u{xt.grad.itemsize}"), want.view(f"u{want.itemsize}"))
-    # The backward builds the input gradient in its own buffer, never in
-    # the caller's seed.
-    np.testing.assert_array_equal(seed, kept)
+    p[..., np.tril(np.ones((t, t), dtype=bool), -1)] = dense.MASK_VALUE
+    T._normalize(p)
+    kept = p.copy()
+    g = seed.copy()
+    T._normalize_backward(g, p, s)
+    want = s * (p * (seed - (seed * p).sum(axis=-2, keepdims=True)))
+    assert g.dtype == dtype
+    np.testing.assert_array_equal(g.view(f"u{g.itemsize}"), want.view(f"u{want.itemsize}"))
+    # The backward builds the logits' gradient in the buffer it is handed
+    # and only reads the weights.
+    np.testing.assert_array_equal(p, kept)
 
-
-@pytest.mark.parametrize("masked", [False, True])
-def test_key_major_softmax_is_transposed_softmax(masked):
-    # softmax over axis -2 is softmax over the last axis of the transpose,
-    # forward and backward; a fully masked column outputs zeros.
-    rng = np.random.default_rng(22)
-    shape, s = (2, 3, 13, 11), 0.4
-    data = 4 * rng.standard_normal(shape)
-    seed = rng.standard_normal(shape)
-    mask = None
-    if masked:
-        mask = np.where(rng.random((13, 11)) < 0.3, T.MASK_VALUE, 0.0)
-        mask[:, 4] = T.MASK_VALUE
-    x = Tensor(data, requires_grad=True)
-    out = T.softmax(x, additive_mask=mask, scale=s, axis=-2)
-    out.backward(seed)
-    x_t = Tensor(np.ascontiguousarray(np.swapaxes(data, -1, -2)), requires_grad=True)
-    ref = T.softmax(x_t, additive_mask=None if mask is None else np.ascontiguousarray(mask.T), scale=s)
-    ref.backward(np.ascontiguousarray(np.swapaxes(seed, -1, -2)))
-    np.testing.assert_allclose(out.data, np.swapaxes(ref.data, -1, -2), rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(x.grad, np.swapaxes(x_t.grad, -1, -2), rtol=1e-12, atol=1e-15)
-    if masked:
-        assert (out.data[..., 4] == 0.0).all() and (x.grad[..., 4] == 0.0).all()
-        np.testing.assert_allclose(out.data[..., :4].sum(axis=-2), 1.0, rtol=1e-12)
-
-
-def test_softmax_mask_must_broadcast_to_input():
-    with pytest.raises(T.ShapeError):
-        T.softmax(Tensor(np.zeros(3)), additive_mask=np.zeros((2, 3)))
-
-
-# ---------------------------------------------------------------------------
-# span_attention
-# ---------------------------------------------------------------------------
 
 # Spans over a 1, 2, 4 schedule (T = 21): one for the whole sequence, then
 # scale-causal and scale-independent ones.
@@ -385,12 +294,12 @@ def span_inputs(rng, dtype, b=3, heads=2, hd=8, t=21):
     return heads_of((0, 2, 3, 1)), heads_of((0, 2, 1, 3)), heads_of((0, 2, 3, 1))
 
 
-def dense_attention(q_t, k, v_t, spans, s):
-    t = k.shape[-2]
-    additive = np.full((t, t), T.MASK_VALUE, dtype=k.dtype)  # key-major
+def span_allow(spans, t):
+    # The query-major set of pairs the spans let attend.
+    allow = np.zeros((t, t), dtype=bool)
     for q_lo, q_hi, k_lo, k_hi in spans:
-        additive[k_lo:k_hi, q_lo:q_hi] = 0.0
-    return T.matmul(v_t, T.softmax(T.matmul(k, q_t), additive_mask=additive, scale=s, axis=-2))
+        allow[q_lo:q_hi, k_lo:k_hi] = True
+    return allow
 
 
 @pytest.mark.parametrize("regime", list(SPANS))
@@ -398,7 +307,7 @@ def test_span_attention_forward_is_the_dense_composition_bitwise(regime):
     q_t, k, v_t = span_inputs(np.random.default_rng(30), np.float32)
     s = 1.0 / math.sqrt(8)
     out = T.span_attention(q_t, k, v_t, SPANS[regime], s).data
-    want = dense_attention(Tensor(q_t), Tensor(k), Tensor(v_t), SPANS[regime], s).data
+    want, _ = dense.attention(q_t, k, v_t, span_allow(SPANS[regime], 21), s)
     assert out.dtype == np.float32 and out.shape == v_t.shape
     np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
 
@@ -408,12 +317,10 @@ def test_span_attention_gradients_match_the_dense_composition(regime):
     rng = np.random.default_rng(31)
     arrays = span_inputs(rng, np.float64)
     seed = rng.standard_normal(arrays[2].shape)
-    grads = []
-    for attend in (T.span_attention, dense_attention):
-        inputs = [Tensor(a, requires_grad=True) for a in arrays]
-        attend(*inputs, SPANS[regime], 0.4).backward(seed)
-        grads.append([t.grad for t in inputs])
-    for got, want in zip(*grads):
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    T.span_attention(*inputs, SPANS[regime], 0.4).backward(seed)
+    _, backward = dense.attention(*arrays, span_allow(SPANS[regime], 21), 0.4)
+    for got, want in zip((t.grad for t in inputs), backward(seed)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -693,35 +600,6 @@ def test_grad_check_quadratic():
     assert err < 1e-6
 
 
-def test_grad_check_masked_softmax_square_sum():
-    rng = np.random.default_rng(5)
-    x = Tensor(rng.standard_normal((4, 4)))
-    mask = np.where(rng.random((4, 4)) < 0.3, T.MASK_VALUE, 0.0)
-    mask[:, 0] = 0.0  # keep every row alive
-
-    def f(t):
-        return T.tsum(T.square(T.softmax(t, additive_mask=mask)))
-
-    assert T.grad_check(f, x, eps=1e-4) < 1e-4
-
-
-def test_grad_check_key_major_masked_softmax():
-    # Attention's layout: keys on axis -2, one fully masked query column.
-    rng = np.random.default_rng(7)
-    x = Tensor(rng.standard_normal((2, 5, 4)))
-    mask = np.where(rng.random((5, 4)) < 0.3, T.MASK_VALUE, 0.0)
-    mask[0, :3] = 0.0  # keep the other columns alive
-    mask[:, 3] = T.MASK_VALUE
-
-    def f(t):
-        return T.tsum(T.square(T.softmax(t, additive_mask=mask, scale=0.7, axis=-2)))
-
-    assert T.grad_check(f, x, eps=1e-4) < 1e-4
-    out = T.softmax(x, additive_mask=mask, axis=-2).data
-    assert (out[..., 3] == 0.0).all()
-    np.testing.assert_allclose(out[..., :3].sum(axis=-2), 1.0, rtol=1e-12)
-
-
 def test_grad_check_conv_layernorm_mean():
     # Random affine keeps the composition non-degenerate: with unit gain the
     # normalized rows have fixed sum/sum-of-squares and the gradient vanishes.
@@ -761,7 +639,9 @@ def test_grad_check_conv2d(b, side, c, k, o, wrt):
         ("mean", lambda t: T.square(T.tmean(t)), (4, 2)),
         ("exp", lambda t: T.tsum(T.texp(T.scale(t, 0.3))), (5,)),
         ("gelu", lambda t: T.tsum(T.gelu(t)), (6,)),
-        ("softmax", lambda t: T.tsum(T.square(T.softmax(t))), (3, 4)),
+        # One input as q^T, k and v^T, under scale-causal spans.
+        ("span_attention", lambda t: T.tsum(T.square(T.span_attention(
+            t, T.transpose(t, (1, 0)), t, ((0, 1, 0, 1), (1, 3, 0, 3)), 0.7))), (2, 3)),
         ("layer_norm", lambda t: T.tsum(T.square(T.layer_norm(
             t, Tensor(np.arange(1.0, 5.0)), Tensor(np.zeros(4))))), (3, 4)),
         ("area_pool", lambda t: T.tsum(T.square(T.area_pool(t, 3, 3))), (1, 1, 4, 4)),
@@ -834,7 +714,7 @@ def test_gelu_matches_textbook_expressions_bitwise():
 
 def test_ops_on_inputs_without_grad_record_no_graph():
     x = Tensor(np.ones((2, 3)))
-    out = T.tsum(T.softmax(T.mul(x, x), additive_mask=np.zeros(3), scale=0.5))
+    out = T.tsum(T.layer_norm(T.mul(x, x), Tensor(np.ones(3)), Tensor(np.zeros(3))))
     assert not out.requires_grad
     assert out._parents == () and out._backward_fn is None
     with pytest.raises(ValueError):
