@@ -11,25 +11,22 @@ reconstruct and export-latents run a replica of the checkpoint's model whose
 parameters do not require grad (``tensor.replica``): they build no
 autograd graph, so each intermediate array is freed as soon as the next op
 has read it, and their outputs are bit-identical to graph mode.
-reconstruct splits its images into contiguous shards of
-``parallel.images_per_shard(model.schedule.total)`` images, at most
-``parallel.SHARD_TOKENS`` decoder tokens each, and runs them through
-``parallel.run_shards``, on worker threads with numpy's BLAS held at one
-thread. Each shard encodes and decodes its images in one batch and saves
-them (one PPM per scale, from ``pyramid.tokens_to_images``) in input order,
-so the first failure in input order is the one raised, and the output bytes
-depend on neither the worker count nor the shard size. Input files whose
-names differ only in the extension's case would write the same outputs and
-are rejected.
-export-latents encodes its dataset in shards of ``parallel.SHARD_SIZE``
-images (``parallel.shard_bounds``, the layout of the train eval) through
-``parallel.run_shards``, as reconstruct runs its shards. The calling thread
-allocates the dump's one count x dim float32 array, and each worker writes
-its shard's rows into that array's slice, so the rows follow the dataset
-alone, not the worker count. The shards return nothing: one array of rows per
-shard, concatenated on the calling thread, would be freed into the workers'
-malloc arenas, which the analysis that reads the dump next allocates beside
-rather than reuses. On a 2-vCPU Xeon, an export-then-analyze round of 2048
+reconstruct and export-latents split their images by
+``parallel.shard_bounds`` (see ``mstok.parallel``) and run the shards
+through ``parallel.run_shards``, on worker threads with numpy's BLAS held at
+one thread. Each reconstruct shard encodes and decodes its images in one
+batch and saves them (one PPM per scale, from ``pyramid.tokens_to_images``)
+in input order, so the first failure in input order is the one raised, and
+the output bytes depend on neither the worker count nor the shard size.
+Input files whose names differ only in the extension's case would write the
+same outputs and are rejected.
+For export-latents, the calling thread allocates the dump's one count x dim
+float32 array, and each worker writes its shard's rows into that array's
+slice, so the rows follow the dataset alone, not the worker count or the
+shard size. The shards return nothing: one array of rows per shard,
+concatenated on the calling thread, would be freed into the workers' malloc
+arenas, which the analysis that reads the dump next allocates beside rather
+than reuses. On a 2-vCPU Xeon, an export-then-analyze round of 2048
 images peaked at 140 MB resident with such shards and at 124.5 MB with a
 one-thread export; with that array and ``latent_stats.project2d`` on numpy
 alone (its centred copy, a few Krylov vectors, no Gram matrix, no second
@@ -58,7 +55,7 @@ from .gradcheck import model_end_to_end_check, op_library_checks
 from .imageio import save_ppm
 from .latent_stats import analyze_latents, read_latents, write_latents
 from .model import load_checkpoint
-from .parallel import images_per_shard, run_shards, shard_bounds
+from .parallel import run_shards, shard_bounds
 from .pyramid import build_schedule, tokens_to_images
 from .tensor import DataError, NumericError, Tensor, replica
 from .train import train
@@ -143,11 +140,11 @@ def _cmd_reconstruct(args) -> int:
                             f"as {stem}_s<side>.ppm")
         stems[stem] = name
     os.makedirs(args.output_dir, exist_ok=True)
-    stem_list, size = list(stems), images_per_shard(model.schedule.total)
+    stem_list = list(stems)
     # The first failure in input order is raised: shards are contiguous runs
     # of the inputs, and each saves its images in order.
     run_shards(_reconstruct_shard, [(model, dataset.images[lo:hi], stem_list[lo:hi], args.output_dir)
-                                    for lo, hi in shard_bounds(len(dataset), size)])
+                                    for lo, hi in shard_bounds(len(dataset), model.schedule.total)])
     print(json.dumps({"event": "reconstruct", "images": len(dataset), "scales": list(cfg.scales)}))
     return 0
 
@@ -165,7 +162,7 @@ def _cmd_export_latents(args) -> int:
     arr = np.empty((len(dataset), g * g * cfg.latent_dim), np.float32)
     # The first failure in shard order is raised.
     run_shards(_encode_rows, [(model, dataset.images[lo:hi], arr[lo:hi])
-                              for lo, hi in shard_bounds(len(dataset))])
+                              for lo, hi in shard_bounds(len(dataset), g * g)])
     write_latents(arr, args.output_path)
     print(json.dumps({"event": "export-latents", "count": int(arr.shape[0]), "dim": int(arr.shape[1])}))
     return 0

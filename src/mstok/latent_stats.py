@@ -141,7 +141,10 @@ def scott_bandwidth(points: np.ndarray) -> float:
 
 
 def kde_grid(points: np.ndarray, grid_size: int, bandwidth: float, pad_bandwidths: float = 3.0):
-    """Cell-center coordinates of the evaluation grid over the padded box."""
+    """Coordinates of the evaluation grid: ``grid_size`` evenly spaced points
+    per axis from the padded box's lower edge to its upper edge, both
+    included (``np.linspace``), so the outer points lie on the box's edges,
+    not at cell centers."""
     pts = np.asarray(points, dtype=np.float64)
     lo = pts.min(axis=0) - pad_bandwidths * bandwidth
     hi = pts.max(axis=0) + pad_bandwidths * bandwidth
@@ -152,7 +155,8 @@ def kde_grid(points: np.ndarray, grid_size: int, bandwidth: float, pad_bandwidth
 
 def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
                 pad_bandwidths: float = 3.0) -> np.ndarray:
-    """Isotropic Gaussian KDE evaluated at grid centers, normalized to sum 1.
+    """Isotropic Gaussian KDE evaluated at the ``kde_grid`` points, normalized
+    to sum 1.
 
     The kernel is separable, ``exp(inv * (dx^2 + dy^2)) = exp(inv * dx^2) *
     exp(inv * dy^2)``, so with ``ex`` and ``ey`` the n x grid per-axis
@@ -181,7 +185,7 @@ def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
     density = ex.T @ ey
     total = density.sum()
     if not total > 0:
-        # No grid center is within reach of any point: the caller's flags
+        # No grid point is within reach of any point: the caller's flags
         # cause this, not the points.
         raise ConfigError("kde_density: all densities underflowed to zero; use a larger bandwidth or grid")
     return density / total

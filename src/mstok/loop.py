@@ -8,7 +8,8 @@ the checkpoint writer and the final eval; the loop owns everything else: the
 batch walk, the shards, the backward, the gradient sum, the clip, the
 learning rate, the AdamW step, the checkpoint calls and the log.
 
-Each training batch is split into shards by ``parallel.shard_bounds`` and run
+Each training batch is split into shards by ``parallel.shard_bounds``, sized
+by the caller's token count per image (see ``mstok.parallel``), and run
 as data-parallel shards by ``parallel.run_shards``, on a pool of worker
 threads opened for that step alone. A shard runs on a replica of the tree it
 builds itself (``tensor.replica``: the parameters' arrays are shared, their
@@ -23,16 +24,8 @@ generator, keyed by step and shard; and AdamW's bias correction reads the
 step number. The loop keeps no generator, data cursor, worker pool or BLAS
 setting between steps: the main thread sums, clips and steps with BLAS at
 its own thread count and no worker alive. The shards depend on the batch
-alone, so a checkpoint does not depend on the worker count.
-
-``parallel.SHARD_SIZE`` sets the memory of a step more than its speed. A
-step's pool runs two shards at once on two CPUs, and each holds its whole
-autograd graph until its backward, so a step's peak holds about two shard
-graphs; the graph grows with the shard's images. At the tokenizer's default
-config one shard run alone has a tracemalloc peak of 119.8 MB at 32 images
-and 60.3 MB at 16. On a 2-vCPU Xeon, with shards of 16, the benchmark's
-default-config `train` run peaks at about 178 MB.
-The shard results live in ``_batch_gradients``, which returns before the
+and the token count alone, so a checkpoint does not depend on the worker
+count. The shard results live in ``_batch_gradients``, which returns before the
 next step's shards start, so no shard's gradients outlive their step.
 
 The log opens with a header entry that says what produced the run: the
@@ -66,7 +59,7 @@ from . import __version__, blas
 from .config import RunConfig
 from .data import STREAM_SHARD, Dataset
 from .optim import AdamW, clip_grad_norm, cosine_lr
-from .parallel import SHARD_SIZE, pool_size, run_shards, shard_bounds
+from .parallel import images_per_shard, pool_size, run_shards, shard_bounds
 from .tensor import NumericError, Tensor, make_rng, named_tensors, replica
 
 
@@ -85,9 +78,10 @@ def _git_commit() -> str | None:
         return None
 
 
-def _log_header(config: RunConfig, tree, batch: int) -> dict:
+def _log_header(config: RunConfig, tree, batch: int, tokens: int) -> dict:
     """The first log entry; it has no ``"step"`` key, which marks step entries.
-    ``workers`` is the worker count of the shards of a ``batch``-image batch,
+    ``shard_size`` is the shard size for images of ``tokens`` tokens, and
+    ``workers`` the worker count of the shards of a ``batch``-image batch,
     the first step's."""
     blas_build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -99,8 +93,8 @@ def _log_header(config: RunConfig, tree, batch: int) -> dict:
         "numpy": np.__version__,
         "blas": {"name": blas_build.get("name"), "version": blas_build.get("version"),
                  "threads": blas.num_threads()},
-        "shard_size": SHARD_SIZE,
-        "workers": pool_size(len(shard_bounds(batch))),
+        "shard_size": images_per_shard(tokens),
+        "workers": pool_size(len(shard_bounds(batch, tokens))),
     }
 
 
@@ -131,19 +125,20 @@ def _shard_gradients(shard: Callable, tree, images: np.ndarray, rng: np.random.G
     return sums, grads, 1000.0 * (time.perf_counter() - start)
 
 
-def _batch_gradients(tree, shard: Callable, images: np.ndarray, seed: int,
+def _batch_gradients(tree, shard: Callable, images: np.ndarray, tokens: int, seed: int,
                      step: int) -> tuple[dict, list[float], float]:
     """Set each parameter's ``.grad`` to the gradient of the batch's mean
     loss, computed as data-parallel shards by ``run_shards``, the shard
     gradients summed in shard order. Each shard's generator is keyed by
     (seed, step, shard), so its draws follow the step and the shard alone.
+    ``tokens``, the tokens of one image, sets the shard size.
     Returns the shard sums' per-image means, each shard's busy time in ms,
     and the ``perf_counter`` time at which the shards had returned, where
     the main thread's reduce begins."""
     b = len(images)
     results = run_shards(_shard_gradients, [
         (shard, tree, images[lo:hi], make_rng(seed, stream=(STREAM_SHARD, step, i)), b, step)
-        for i, (lo, hi) in enumerate(shard_bounds(b))
+        for i, (lo, hi) in enumerate(shard_bounds(b, tokens))
     ])
     reduce_start = time.perf_counter()
     for p, shard_grads in zip(named_tensors(tree).values(), zip(*(grads for _, grads, _ in results))):
@@ -152,9 +147,9 @@ def _batch_gradients(tree, shard: Callable, images: np.ndarray, seed: int,
     return image_means([sums for sums, _, _ in results], b), [ms for _, _, ms in results], reduce_start
 
 
-def fit(tree, shard: Callable[..., tuple[Tensor, dict]], dataset: Dataset, train_idx: np.ndarray,
-        config: RunConfig, save: Callable[[], None], final_eval: Callable[[], dict],
-        echo: bool = False) -> dict:
+def fit(tree, shard: Callable[..., tuple[Tensor, dict]], tokens: int, dataset: Dataset,
+        train_idx: np.ndarray, config: RunConfig, save: Callable[[], None],
+        final_eval: Callable[[], dict], echo: bool = False) -> dict:
     """Train the parameters of ``tree`` on ``dataset.images[train_idx]`` for
     the config's steps, or its epochs when set; returns a JSON-friendly
     summary. Every log line is also printed when ``echo`` is set.
@@ -165,7 +160,8 @@ def fit(tree, shard: Callable[..., tuple[Tensor, dict]], dataset: Dataset, train
     summed over its images, which the step entries report as per-image
     means. ``save()`` writes the checkpoint to ``config.checkpoint``: before
     step 1, every ``config.checkpoint_interval`` steps, and after the last
-    step. ``final_eval()`` returns the eval entry's metrics.
+    step. ``final_eval()`` returns the eval entry's metrics. ``tokens``, the
+    tokens of one image, sets the shard size (``parallel.shard_bounds``).
     """
     seed = config.tokenizer.seed
     per_epoch = math.ceil(len(train_idx) / config.batch_size)
@@ -173,9 +169,7 @@ def fit(tree, shard: Callable[..., tuple[Tensor, dict]], dataset: Dataset, train
     params = named_tensors(tree)
     optimizer = AdamW(params)
 
-    checkpoint_dir = os.path.dirname(config.checkpoint)
-    if checkpoint_dir:
-        os.makedirs(checkpoint_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(config.checkpoint) or ".", exist_ok=True)
     log_path = log_path_for(config.checkpoint)
     save()  # step-0 state is always on disk
 
@@ -189,7 +183,7 @@ def fit(tree, shard: Callable[..., tuple[Tensor, dict]], dataset: Dataset, train
             if echo:
                 print(line)
 
-        emit(_log_header(config, tree, min(config.batch_size, len(train_idx))))
+        emit(_log_header(config, tree, min(config.batch_size, len(train_idx)), tokens))
         step = 0
         try:
             for step in range(1, steps + 1):
@@ -197,7 +191,7 @@ def fit(tree, shard: Callable[..., tuple[Tensor, dict]], dataset: Dataset, train
                 epoch, k = divmod(step - 1, per_epoch)
                 lo = k * config.batch_size
                 batch_idx = dataset.epoch_order(seed, epoch, train_idx)[lo : lo + config.batch_size]
-                means, shard_ms, reduce_start = _batch_gradients(tree, shard, dataset.images[batch_idx], seed, step)
+                means, shard_ms, reduce_start = _batch_gradients(tree, shard, dataset.images[batch_idx], tokens, seed, step)
                 grad_norm = clip_grad_norm(params, config.grad_clip)
                 lr = cosine_lr(step, steps, config.warmup_ratio, config.lr_start, config.lr_end)
                 optimizer.step(lr, step)

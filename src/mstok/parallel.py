@@ -1,21 +1,33 @@
 """Data-parallel shards of a batch on worker threads, and the shard layout
 every pass over an image set uses.
 
-``shard_bounds(n, size)`` splits ``n`` images into contiguous shards of
-``size`` images, in order. The train step splits a batch into shards of
-``SHARD_SIZE``, as do the eval sweep its eval set and ``export-latents`` its
-dataset, so the layout of the latent rows follows the image set alone.
-``reconstruct`` takes ``images_per_shard(model.schedule.total)`` images per
-shard: as many as fit in ``SHARD_TOKENS`` decoder tokens, the tokens of one
-default training shard (16 images of 85), but at least 1 and at most
-``SHARD_SIZE``. A shard of several images pays numpy's fixed cost per op once for all of
-them, but its decode holds activations for all their tokens, and a 64 px
-image has 341. On a 2-vCPU Xeon, a fresh process that reconstructed 32
-images of 64 px five times peaked at 40 MB resident with 1 image per shard,
-49-51 MB with 3 (the bound), 57 MB with 4, 78 MB with 8 and 122 MB with 16,
-and such a call took a median of 370 ms with 1 image per shard against
-289 ms with 3. The size follows the model alone, never the CPU count, so
-inputs of up to 3 such images run as one shard on one worker.
+``shard_bounds(n, tokens)`` is the one layout. It splits ``n`` images of
+``tokens`` tokens each into contiguous shards, in order, of
+``images_per_shard(tokens)`` images: as many as fit in ``SHARD_TOKENS``
+tokens, the tokens of one default training shard (16 images of 85), but at
+least 1 and at most ``SHARD_SIZE``; the last shard takes the rest. Each pass
+gives its own count: the train step, the eval sweep and ``reconstruct`` the
+decoder's ``schedule.total``, ``export-latents`` the encoder's
+``base_grid ** 2``. So the layout follows the model and the image set
+alone, never the CPU count or the batch size, and the default config's 85
+decoder and 64 encoder tokens both give shards of 16. A shard of several
+images pays numpy's fixed cost per op once for all of them, but holds
+activations for all their tokens, and a training shard holds its whole
+graph until its backward, while a step runs two shards at once. The cap
+keeps that graph small: at the default config one training shard run alone
+has a tracemalloc peak of 119.8 MB at 32 images and 60.3 MB at 16, and the
+benchmark's default ``train`` run peaks at about 178 MB. A 64 px image has
+341 decoder tokens, so its passes take shards of 3. On a 2-vCPU Xeon, a
+fresh process that reconstructed 32 such images five times peaked at 40 MB
+resident with 1 image per shard, 49-51 MB with 3, 57 MB with 4, 78 MB with
+8 and 122 MB with 16, and took a median of 370 ms with 1 image per shard
+against 289 ms with 3. Three 64 px training runs of 6 steps (scales
+1,2,4,8,16, batch 64, 2 workers) peaked at 238-241 MB resident with shards
+of 3 against 806-835 MB with 16, at 1056-1370 ms per step against
+1129-1598 ms. The outputs of the grad-free passes do not depend on the
+layout (see ``tensor.conv2d``); a training step's do, since each shard's
+generator is keyed by its index. Inputs of up to 3 64 px images run as one
+shard on one worker.
 
 ``export-latents`` runs its shards through ``run_shards``, and each writes
 its rows into its own slice of one array the caller allocated before the
@@ -60,26 +72,26 @@ from typing import Any
 
 from . import blas
 
-# Images per shard; a set's last shard takes the rest. Fixed by the image
-# set alone, never by the CPU count. 16, not 32: a train step runs two shards
+# The most images a shard holds. 16, not 32: a train step runs two shards
 # at once and each holds its graph until its backward, so halving the shard
-# halves the graphs a step holds (see ``mstok.loop``).
+# halves the graphs a step holds.
 SHARD_SIZE = 16
 
-# Decoder tokens per reconstruct shard: one default training shard, 16
-# images of 85 tokens.
+# Tokens per shard: one default training shard, 16 images of 85 tokens.
 SHARD_TOKENS = 1360
 
 
-def shard_bounds(n: int, size: int = SHARD_SIZE) -> list[tuple[int, int]]:
-    """``(start, stop)`` of each shard of ``size`` images of an ``n``-image set."""
-    return [(start, min(start + size, n)) for start in range(0, n, size)]
-
-
 def images_per_shard(tokens: int) -> int:
-    """Images of ``tokens`` decoder tokens each in a shard of at most
+    """Images of ``tokens`` tokens each in a shard of at most
     ``SHARD_TOKENS`` tokens: at least 1, at most ``SHARD_SIZE``."""
     return max(1, min(SHARD_SIZE, SHARD_TOKENS // tokens))
+
+
+def shard_bounds(n: int, tokens: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each shard of an ``n``-image set whose images
+    have ``tokens`` tokens each, ``images_per_shard(tokens)`` per shard."""
+    size = images_per_shard(tokens)
+    return [(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 def pool_size(shards: int) -> int:

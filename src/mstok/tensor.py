@@ -759,6 +759,15 @@ def conv2d(x, kernel) -> Tensor:
     2x2 downsampling are the two uses). The patches, flattened in the kernel's
     ``(C, k, k)`` order, go through ``matmul``'s one gemm, so the gradients
     are those of the composed ops.
+
+    The gemm gets a row-major copy of the kernel matrix. OpenBLAS 0.3.31
+    forms a small product with a column-major operand in another kernel,
+    whose results differ in the last bits from those of the same rows in a
+    larger product: at ``(rows, 48) @ (48, 16)``, for up to 75 rows. With
+    the copy, at the patch-embedding and 2x2-downsampling shapes of widths 16
+    and 64, a row's result did not depend on the product's row count from 2
+    to 256 rows (one row takes a gemv, which may differ), so a grad-free
+    pass's outputs do not depend on its shard size.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -774,7 +783,9 @@ def conv2d(x, kernel) -> Tensor:
     hp, wp = h // k, w // k
     patches = transpose(reshape(x, (b, hp, k, wp, k, c)), (0, 1, 3, 5, 2, 4))
     rows = reshape(patches, (b, hp, wp, c * k * k))
-    return matmul(rows, transpose(reshape(kernel, (o, c * k * k)), (1, 0)))
+    kernel_t = transpose(reshape(kernel, (o, c * k * k)), (1, 0))
+    weights = _result(np.ascontiguousarray(kernel_t.data), (kernel_t,), lambda g: _accumulate(kernel_t, g, fresh=True))
+    return matmul(rows, weights)
 
 
 @functools.lru_cache(maxsize=None)

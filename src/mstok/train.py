@@ -8,10 +8,9 @@ reparameterisation noise, then its drop_path masks. Every shard, of a
 training batch or of the eval set, returns its scores summed over its
 images; ``loop.image_means`` turns the shards' sums into the per-image means
 the log reports. The eval sweep splits the eval set into shards by
-``parallel.shard_bounds``, as a training batch is split, on a pool of its
-own, and runs them on one replica whose parameters do not require grad, so
-its forward passes record no graph. Its shards depend on the eval set alone,
-so the eval does not depend on the worker count or the batch size.
+``parallel.shard_bounds``, as a training batch is split (see
+``mstok.parallel``), and runs them on a pool of its own, on one replica
+whose parameters do not require grad, so its forward passes record no graph.
 """
 
 from __future__ import annotations
@@ -71,24 +70,23 @@ def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray, confi
     """Deterministic eval pass over ``indices``, split by ``shard_bounds`` as
     a training batch is and computed by ``run_shards``, on one replica of
     the model whose parameters do not require grad, so no autograd graph is
-    recorded. The shards follow the eval set alone, not ``config.batch_size``.
-    Every metric is a mean over images (``loop.image_means``). PSNR/SSIM score
-    the top-scale decode after the uint8 quantization a saved PPM would
-    apply, so they match the reconstruct-then-score path. ``rec_loss`` is
-    the top-scale entry of ``per_scale``."""
+    recorded. The shards follow the eval set and the model, not
+    ``config.batch_size`` or the worker count. Every metric is a mean over
+    images (``loop.image_means``). PSNR/SSIM score the top-scale decode
+    after the uint8 quantization a saved PPM would apply, so they match the
+    reconstruct-then-score path. ``rec_loss`` is the top-scale entry of
+    ``per_scale``; ``uniformity`` is null below 3 images."""
     n = len(indices)
     if n == 0:
         return {"n_images": 0}
     graph_free = replica(model, requires_grad=False)
-    results = run_shards(_eval_shard, [(graph_free, dataset, indices[lo:hi], config) for lo, hi in shard_bounds(n)])
+    results = run_shards(_eval_shard, [(graph_free, dataset, indices[lo:hi], config)
+                                       for lo, hi in shard_bounds(n, model.schedule.total)])
     means = loop.image_means([sums for sums, _ in results], n)
     # The log keeps l1 first, then rec_loss, then the other means in order.
     metrics = {"n_images": n, "l1": means["l1"], "rec_loss": means["per_scale"][-1], **means}
     vectors = np.concatenate([mu for _, mu in results], axis=0)
-    if vectors.shape[0] >= 3:
-        metrics["uniformity"] = analyze_latents(vectors).to_dict()
-    else:
-        metrics["uniformity"] = None
+    metrics["uniformity"] = analyze_latents(vectors).to_dict() if len(vectors) >= 3 else None
     return metrics
 
 
@@ -100,6 +98,7 @@ def train(config: RunConfig, echo: bool = False) -> dict:
     dataset = load_dataset(config.data_dir, tok.image_size, tok.seed)
     train_idx, eval_idx = dataset.split(config.eval_fraction)
     model = init_model(tok)
-    return loop.fit(model, lambda params, images, rng: _train_shard(config, params, images, rng), dataset,
-                    train_idx, config, lambda: save_checkpoint(model, config.checkpoint),
+    return loop.fit(model, lambda params, images, rng: _train_shard(config, params, images, rng),
+                    model.schedule.total, dataset, train_idx, config,
+                    lambda: save_checkpoint(model, config.checkpoint),
                     lambda: evaluate(model, dataset, eval_idx, config), echo)

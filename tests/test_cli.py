@@ -304,9 +304,9 @@ def test_export_and_analyze_latents(tmp_path, capsys):
 
 
 def test_export_latents_independent_of_batch_size(tmp_path):
-    # 40 images are shards of 16 + 16 + 8 whatever the batch size; the rows
-    # are those of one encoder pass over all 40 images.
-    assert [hi - lo for lo, hi in parallel.shard_bounds(40)] == [16, 16, 8]
+    # 40 images of 4 x 4 encoder tokens are shards of 16 + 16 + 8 whatever
+    # the batch size; the rows are those of one encoder pass over all 40.
+    assert [hi - lo for lo, hi in parallel.shard_bounds(40, 4 * 4)] == [16, 16, 8]
     ckpt = small_checkpoint(tmp_path)
     blobs = []
     for b in (4, 64):
@@ -405,7 +405,7 @@ def test_reconstruct_workers_write_identical_files(tmp_path, monkeypatch):
     generate_synthetic_folder(in_dir, 6, 16, seed=9)
     # The 6 images of 21 decoder tokens in shards of 2: three shards.
     monkeypatch.setattr(parallel, "SHARD_TOKENS", 2 * 21)
-    assert parallel.shard_bounds(6, parallel.images_per_shard(21)) == [(0, 2), (2, 4), (4, 6)]
+    assert parallel.shard_bounds(6, 21) == [(0, 2), (2, 4), (4, 6)]
     monkeypatch.setattr(parallel, "pool_size", lambda shards: 1)
     assert main(["reconstruct", ckpt, in_dir, str(tmp_path / "one")]) == 0
 
@@ -430,19 +430,30 @@ def test_reconstruct_workers_write_identical_files(tmp_path, monkeypatch):
 
 def test_reconstruct_bytes_do_not_depend_on_the_shard_size(tmp_path, monkeypatch):
     # 7 images of 21 decoder tokens in shards of 1, of 3 (the last one
-    # partial) and of the default size, which holds all 7.
+    # partial) and of the default size, which holds all 7; then the same
+    # shards of their 4 x 4 encoder tokens for export-latents.
     ckpt = small_checkpoint(tmp_path)
     in_dir = str(tmp_path / "inputs")
     generate_synthetic_folder(in_dir, 7, 16, seed=9)
+    default = parallel.SHARD_TOKENS
     trees = []
-    for tokens, sizes in ((21, [1] * 7), (3 * 21, [3, 3, 1]), (parallel.SHARD_TOKENS, [7])):
+    for tokens, sizes in ((21, [1] * 7), (3 * 21, [3, 3, 1]), (default, [7])):
         monkeypatch.setattr(parallel, "SHARD_TOKENS", tokens)
-        assert [hi - lo for lo, hi in parallel.shard_bounds(7, parallel.images_per_shard(21))] == sizes
+        assert [hi - lo for lo, hi in parallel.shard_bounds(7, 21)] == sizes
         out = tmp_path / f"tokens{tokens}"
         assert main(["reconstruct", ckpt, in_dir, str(out)]) == 0
         trees.append(read_tree(out))
     assert len(trees[0]) == 7 * 3
     assert trees[0] == trees[1] == trees[2]
+    dumps = []
+    for tokens, sizes in ((4 * 4, [1] * 7), (3 * 4 * 4, [3, 3, 1]), (default, [7])):
+        monkeypatch.setattr(parallel, "SHARD_TOKENS", tokens)
+        assert [hi - lo for lo, hi in parallel.shard_bounds(7, 4 * 4)] == sizes
+        hlat = tmp_path / f"tokens{tokens}.hlat"
+        assert main(["export-latents", ckpt, str(hlat), "--set", f"data_dir={in_dir}"]) == 0
+        dumps.append(hlat.read_bytes())
+    assert read_latents(str(tmp_path / f"tokens{default}.hlat")).shape == (7, 4 * 4 * 4)
+    assert dumps[0] == dumps[1] == dumps[2]
 
 
 @pytest.fixture
@@ -471,7 +482,7 @@ def test_reconstruct_restores_blas_and_joins_workers_on_error(tmp_path, monkeypa
     # Shards of 2 images: images 1 and 3 are in the first two shards, which
     # the two workers run at once; images 2 and 3 share the second shard.
     monkeypatch.setattr(parallel, "SHARD_TOKENS", 2 * 21)
-    assert parallel.shard_bounds(5, parallel.images_per_shard(21)) == [(0, 2), (2, 4), (4, 5)]
+    assert parallel.shard_bounds(5, 21) == [(0, 2), (2, 4), (4, 5)]
     later_failed = threading.Event()
     waited = []
 
@@ -513,9 +524,9 @@ def test_train_nonfinite_shard_loss_aborts_and_joins_workers(tmp_path, monkeypat
             "batch_size=40", "steps=4", "log_interval=1", f"checkpoint={ckpt}"]
     threads_before, blas_before = set(threading.enumerate()), blas.num_threads()
     real_loss = train_mod.multiscale_loss
-    # A batch of 40 is shards of 16 + 16 + 8: the 8-image shard is the last
-    # one, and the only one of its size.
-    sizes = [hi - lo for lo, hi in parallel.shard_bounds(40)]
+    # A batch of 40 images of 21 decoder tokens is shards of 16 + 16 + 8: the
+    # 8-image shard is the last one, and the only one of its size.
+    sizes = [hi - lo for lo, hi in parallel.shard_bounds(40, 21)]
     assert len(sizes) > 1 and sizes.count(sizes[-1]) == 1
     last_shards = []
 
@@ -553,9 +564,9 @@ def test_export_latents_workers_write_identical_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "pool_size", lambda shards: 1)
     assert main(["export-latents", ckpt, str(tmp_path / "one.hlat"), *data]) == 0
 
-    # 40 images are three shards, and each waits until all three are in
-    # flight, so three workers write their rows at once.
-    assert len(parallel.shard_bounds(40)) == 3
+    # 40 images of 4 x 4 encoder tokens are three shards, and each waits
+    # until all three are in flight, so three workers write their rows at once.
+    assert len(parallel.shard_bounds(40, 4 * 4)) == 3
     barrier = threading.Barrier(3, timeout=30)
     seen = []
     real = cli._encode_rows
@@ -582,7 +593,7 @@ def test_export_latents_failing_shard_writes_nothing_and_joins_workers(tmp_path,
                                                                        blas_at_two_threads):
     ckpt = small_checkpoint(tmp_path)
     cfg = load_checkpoint(ckpt).config
-    lo, hi = parallel.shard_bounds(40)[1]
+    lo, hi = parallel.shard_bounds(40, 4 * 4)[1]
     second = load_dataset("synthetic:40", cfg.image_size, cfg.seed).images[lo:hi]
     threads_before, blas_before = set(threading.enumerate()), blas.num_threads()
     real = TokenizerModel.latent_for_generation

@@ -24,6 +24,8 @@ SMALL_TOK = TokenizerConfig(image_size=16, patch=4, enc_layers=1, dec_layers=1,
                             enc_width=16, dec_width=16, heads=2, latent_dim=4,
                             scales=(1, 2, 4), downsample_mode="conv", regime="scalecausal",
                             seed=11)
+# Decoder tokens per image: scales 1, 2, 4.
+TOKENS = SMALL_TOK.schedule().total
 
 
 def tokenizer_shard(run):
@@ -93,7 +95,7 @@ def test_log_lines_schema(tmp_path):
     header = lines[0]
     assert set(header) == {"event", "config", "version", "git", "parameters", "numpy", "blas",
                            "shard_size", "workers"}
-    assert header["shard_size"] == parallel.SHARD_SIZE
+    assert header["shard_size"] == parallel.images_per_shard(TOKENS)
     assert header["workers"] == parallel.pool_size(1)  # batch 4 is one shard
     assert header["event"] == "header" and header["version"] == mstok.__version__
     assert header["config"]["tokenizer"]["scales"] == list(SMALL_TOK.scales)
@@ -116,7 +118,7 @@ def test_log_lines_schema(tmp_path):
         # the step, as is the main thread's reduce.
         k = (entry["step"] - 1) % math.ceil(n_train / 4)
         batch = len(range(n_train)[4 * k : 4 * k + 4])
-        assert len(entry["shard_ms"]) == len(parallel.shard_bounds(batch))
+        assert len(entry["shard_ms"]) == len(parallel.shard_bounds(batch, TOKENS))
         assert all(0.0 < ms < entry["step_ms"] for ms in [*entry["shard_ms"], entry["reduce_ms"]])
     # rss_mb is the process's peak so far: positive, and it never falls.
     rss = [entry["rss_mb"] for entry in train_lines]
@@ -130,15 +132,20 @@ def test_log_lines_schema(tmp_path):
     assert eval_lines[0]["rss_mb"] >= rss[-1]
 
 
-@pytest.mark.parametrize("data_dir, batch_size, shards", [
+@pytest.mark.parametrize("tok, data_dir, batch_size, shard_size, shards", [
     # 12 training images, fewer than a batch: every step is one shard.
-    ("synthetic:16", 64, [1, 1]),
+    (SMALL_TOK, "synthetic:16", 64, 16, [1, 1]),
     # 60 training images in batches of 40: shards of 16 + 16 + 8, then 16 + 4.
-    ("synthetic:80", 40, [3, 2]),
-], ids=["split_smaller_than_batch", "full_batch"])
-def test_log_header_workers_are_those_of_the_first_step(tmp_path, data_dir, batch_size, shards):
-    summary = train(small_run(tmp_path, data_dir=data_dir, batch_size=batch_size, steps=2, log_interval=1))
+    (SMALL_TOK, "synthetic:80", 40, 16, [3, 2]),
+    # At 64 px, scales 1, 2, 4, 8 and 16 make 341 decoder tokens, so 3 images
+    # fill SHARD_TOKENS and each batch of 6 is two shards of 3.
+    (dataclasses.replace(SMALL_TOK, image_size=64, scales=(1, 2, 4, 8, 16)), "synthetic:8", 6, 3, [2, 2]),
+], ids=["split_smaller_than_batch", "full_batch", "64px_shards_bounded_by_tokens"])
+def test_log_header_workers_are_those_of_the_first_step(tmp_path, tok, data_dir, batch_size, shard_size, shards):
+    summary = train(small_run(tmp_path, tokenizer=tok, data_dir=data_dir, batch_size=batch_size, steps=2,
+                              log_interval=1))
     lines = [json.loads(l) for l in Path(summary["log"]).read_text(encoding="utf-8").splitlines()]
+    assert lines[0]["shard_size"] == shard_size
     assert lines[0]["workers"] == parallel.pool_size(shards[0])
     assert [len(l["shard_ms"]) for l in lines if "step" in l] == shards
 
@@ -150,7 +157,7 @@ def test_log_header_git_commit_of_package_checkout():
                               text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         pytest.skip("the package is not in a git checkout")
-    header = loop_mod._log_header(RunConfig(), init_model(SMALL_TOK), RunConfig().batch_size)
+    header = loop_mod._log_header(RunConfig(), init_model(SMALL_TOK), RunConfig().batch_size, TOKENS)
     assert header["git"] == head and len(head) == 40
 
 
@@ -164,7 +171,7 @@ def test_log_header_git_commit_null_without_checkout(monkeypatch, error):
         raise error
 
     monkeypatch.setattr(subprocess, "run", fail)
-    assert loop_mod._log_header(RunConfig(), init_model(SMALL_TOK), RunConfig().batch_size)["git"] is None
+    assert loop_mod._log_header(RunConfig(), init_model(SMALL_TOK), RunConfig().batch_size, TOKENS)["git"] is None
 
 
 def test_non_numeric_failure_logs_abort(tmp_path, monkeypatch):
@@ -277,7 +284,7 @@ def test_one_worker_fallback_checkpoint_independent_of_blas_threads(tmp_path, mo
     # Without the BLAS controls one worker runs the shards at whatever count
     # BLAS has.
     tokens = RunConfig().tokenizer.schedule().total  # 85
-    bounds = parallel.shard_bounds(63)
+    bounds = parallel.shard_bounds(63, tokens)
     assert len(bounds) > 1 and (bounds[-1][1] - bounds[-1][0]) * tokens % 32 != 0
     controls = blas._controls()
     if controls is None:
@@ -309,7 +316,7 @@ def test_one_worker_fallback_checkpoint_independent_of_blas_threads(tmp_path, mo
 def test_checkpoint_independent_of_worker_count(tmp_path, monkeypatch, kw):
     # One worker, two workers, and one worker taking the shards last to
     # first: the checkpoint and the eval entry must not change.
-    assert len(parallel.shard_bounds(kw["batch_size"])) > 1
+    assert len(parallel.shard_bounds(kw["batch_size"], TOKENS)) > 1
 
     def reversed_shards(fn, shards):
         return parallel.run_shards(fn, shards[::-1])[::-1]
@@ -335,7 +342,7 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
     from mstok.pyramid import image_pyramid
     from mstok.tensor import Tensor, add, mul, scale, texp
 
-    assert len({hi - lo for lo, hi in parallel.shard_bounds(40)}) > 1
+    assert len({hi - lo for lo, hi in parallel.shard_bounds(40, TOKENS)}) > 1
 
     run = small_run(tmp_path, batch_size=40)
     model = init_model(SMALL_TOK)
@@ -346,7 +353,7 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
     eps = np.concatenate([
         make_rng(SMALL_TOK.seed, stream=(STREAM_SHARD, 1, shard))
         .standard_normal((hi - lo, g, g, SMALL_TOK.latent_dim)).astype(np.float32)
-        for shard, (lo, hi) in enumerate(parallel.shard_bounds(40))
+        for shard, (lo, hi) in enumerate(parallel.shard_bounds(40, TOKENS))
     ])
 
     code = model.encode(Tensor(images))
@@ -357,7 +364,7 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
     loss.backward()
     want = {name: p.grad for name, p in named_tensors(model).items()}
 
-    sharded, _, _ = loop_mod._batch_gradients(model, tokenizer_shard(run), images, SMALL_TOK.seed, 1)
+    sharded, _, _ = loop_mod._batch_gradients(model, tokenizer_shard(run), images, TOKENS, SMALL_TOK.seed, 1)
 
     assert sharded["total"] == pytest.approx(whole["total"], rel=1e-5)
     assert sharded["kl"] == pytest.approx(whole["kl"], rel=1e-5)
@@ -424,7 +431,7 @@ def test_training_shard_noise_follows_seed_step_and_shard(tmp_path):
 
 def test_training_shard_peak_memory_grows_with_its_images(tmp_path):
     # Two shards run at once and each holds its graph until its backward, so
-    # a step's peak follows parallel.SHARD_SIZE only if a shard's graph grows
+    # a step's peak follows the shard size only if a shard's graph grows
     # with its images and its fixed overhead stays small.
     import tracemalloc
 
@@ -488,7 +495,7 @@ def test_sharded_evaluate_matches_whole_batch_expression(tmp_path):
     from mstok.pyramid import image_pyramid, tokens_to_images
     from mstok.tensor import Tensor
 
-    assert len(parallel.shard_bounds(40)) > 1
+    assert len(parallel.shard_bounds(40, TOKENS)) > 1
 
     run = small_run(tmp_path, batch_size=40)
     model = init_model(SMALL_TOK)
@@ -522,7 +529,7 @@ def test_sharded_evaluate_matches_whole_batch_expression(tmp_path):
 def test_evaluate_independent_of_batch_size(tmp_path):
     # The eval shards follow the eval set alone: 80 images are five shards
     # of 16 whatever the training batch size.
-    assert len(parallel.shard_bounds(80)) > 1
+    assert len(parallel.shard_bounds(80, TOKENS)) > 1
     tok = dataclasses.replace(SMALL_TOK, downsample_mode="interp", seed=5)
     model = init_model(tok)
     ds = generate_synthetic(80, 16, seed=5)

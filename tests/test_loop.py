@@ -62,7 +62,7 @@ def train_block(tmp_path, name: str, steps: int = 30):
     def final_eval():
         return {"mse": float(regression_loss(block, dataset.images[eval_idx]).data)}
 
-    summary = fit(block, block_shard, dataset, train_idx, config, save, final_eval)
+    summary = fit(block, block_shard, TOKENS, dataset, train_idx, config, save, final_eval)
     lines = [json.loads(l) for l in Path(summary["log"]).read_text(encoding="utf-8").splitlines()]
     return Path(config.checkpoint).read_bytes(), lines
 
@@ -72,12 +72,12 @@ def test_a_transformer_block_trains_through_the_loop(tmp_path):
     header, steps, final = lines[0], lines[1:-1], lines[-1]
     assert header["event"] == "header"
     assert header["parameters"] == 4 * WIDTH * WIDTH + 8 * WIDTH * WIDTH + 4 * WIDTH
-    assert header["workers"] == parallel.pool_size(len(parallel.shard_bounds(40)))
+    assert header["workers"] == parallel.pool_size(len(parallel.shard_bounds(40, TOKENS)))
     assert [entry["step"] for entry in steps] == list(range(1, 31))
     for entry in steps:
         assert set(entry) == {"step", "lr", "mse", "grad_norm", "step_ms", "shard_ms", "reduce_ms", "rss_mb"}
         # Odd steps take a batch of 40, three shards; even steps the other 5.
-        assert len(entry["shard_ms"]) == len(parallel.shard_bounds(40 if entry["step"] % 2 else 5))
+        assert len(entry["shard_ms"]) == len(parallel.shard_bounds(40 if entry["step"] % 2 else 5, TOKENS))
     assert set(final) == {"event", "mse", "eval_ms", "rss_mb"} and final["event"] == "eval"
     first = [entry["mse"] for entry in steps[:4]]
     last = [entry["mse"] for entry in steps[-4:]]

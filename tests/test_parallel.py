@@ -19,20 +19,25 @@ def test_run_shards_returns_results_in_shard_order(monkeypatch):
     assert set(threading.enumerate()) == threads_before
 
 
-@pytest.mark.parametrize("tokens, images", [(85, 16), (341, 3), (21, 16), (5000, 1)])
+@pytest.mark.parametrize("tokens, images", [(85, 16), (341, 3), (21, 16), (5000, 1), (64, 16), (256, 5)])
 def test_images_per_shard_bounds_decoder_tokens(tokens, images):
     # 85 tokens is the default schedule, 341 the 64 px one and 21 the 16 px
-    # test models'; a schedule past SHARD_TOKENS still gets one image.
+    # test models'; a schedule past SHARD_TOKENS still gets one image. 64
+    # and 256 are the encoder's tokens at the default 32 px and at 64 px.
     assert parallel.images_per_shard(tokens) == images
 
 
 @pytest.mark.parametrize("n", [1, 7, 40])
 @pytest.mark.parametrize("size", [1, 3, 16, 41])
-def test_shard_bounds_cover_the_set_once_in_order(n, size):
-    bounds = parallel.shard_bounds(n, size)
+def test_shard_bounds_cover_the_set_once_in_order(monkeypatch, n, size):
+    # Images of SHARD_TOKENS // size tokens fill shards of ``size``; 41 needs
+    # a higher cap, and so gives a shard larger than every set.
+    monkeypatch.setattr(parallel, "SHARD_SIZE", max(size, parallel.SHARD_SIZE))
+    bounds = parallel.shard_bounds(n, parallel.SHARD_TOKENS // size)
     assert [i for lo, hi in bounds for i in range(lo, hi)] == list(range(n))
     assert [hi - lo for lo, hi in bounds] == [size] * (n // size) + [n % size] * (n % size > 0)
-    assert parallel.shard_bounds(n) == parallel.shard_bounds(n, parallel.SHARD_SIZE)
+    # The cap: images of one token each still fill shards of SHARD_SIZE.
+    assert parallel.shard_bounds(n, 1) == parallel.shard_bounds(n, parallel.SHARD_TOKENS // parallel.SHARD_SIZE)
 
 
 def test_more_workers_than_cores_give_the_one_worker_checkpoint(tmp_path, monkeypatch):
