@@ -133,8 +133,8 @@ def masked_mha(x, params: AttentionParams, heads: int, mask: Spans | None) -> Te
     v_t = split_heads(matmul(x, params.wv), (0, 2, 3, 1))
     spans = ((0, t, 0, t),) if mask is None else mask
     mixed_t = span_attention(q_t, k, v_t, spans, 1.0 / math.sqrt(hd))  # (b, heads, hd, t)
-    # A strided view: matmul copies it to (b * t, d) rows once, and its
-    # kernel gradient reuses that copy.
+    # span_attention stores its output token-major, so this transpose and
+    # reshape are views, and matmul's (b * t, d) rows share that storage.
     out = reshape(transpose(mixed_t, (0, 3, 1, 2)), (b, t, d))
     return matmul(out, params.wo)
 

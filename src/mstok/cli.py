@@ -30,7 +30,7 @@ than reuses. On a 2-vCPU Xeon, an export-then-analyze round of 2048
 images peaked at 140 MB resident with such shards and at 124.5 MB with a
 one-thread export; with that array and ``latent_stats.project2d`` on numpy
 alone (its centred copy, a few Krylov vectors, no Gram matrix, no second
-BLAS) it peaks at 89 MB.
+BLAS) it peaks at 87 MB.
 Exit codes follow the class of the error, each reported as one stderr line:
 0 success; 1 ``UsageError`` or ``ConfigError`` (a bad option or config
 value); 2 ``DataError`` or ``OSError`` (input that is missing, malformed or

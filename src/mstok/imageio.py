@@ -1,4 +1,5 @@
-"""Binary PPM (P6, maxval 255) reader/writer.
+"""Binary PPM (P6, maxval 255) reader/writer, and the atomic file write that
+checkpoints and latent dumps share.
 
 Pixels map 8-bit <-> [-1, 1] as x / 127.5 - 1 with the symmetric clamped
 inverse, so load -> save -> load is bit-exact. ``quantize_roundtrip`` applies
@@ -6,6 +7,9 @@ the same pair of maps to an array of any shape.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
 
 import numpy as np
 
@@ -94,3 +98,22 @@ def quantize_roundtrip(image: np.ndarray) -> np.ndarray:
     """The exact pixel values a save -> load cycle would produce, for an array
     of any shape (a 3 x H x W image or a batch of them)."""
     return _dequantize(_quantize(image))
+
+
+@contextlib.contextmanager
+def atomic_write(path: str):
+    """A binary file whose bytes replace ``path`` only once the ``with`` block
+    completes: they go to ``<path>.tmp``, are fsynced, then replace ``path``
+    in one rename. A crash or a failed write leaves the previous file intact
+    and no temporary file behind."""
+    tmp_path = path + ".tmp"
+    try:
+        with open(tmp_path, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
+        raise

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import STREAM_LANCZOS
+from .imageio import atomic_write
 from .pyramid import ScaleSchedule, image_pyramid, segment_matrix, tokens_to_images
 from .tensor import ConfigError, DataError, ShapeError, make_rng
 
@@ -258,10 +259,12 @@ class LatentFormatError(DataError):
 
 
 def write_latents(vectors, path: str) -> None:
+    """Write an HLAT dump atomically (``imageio.atomic_write``): a failed
+    write leaves the previous file intact and no temporary file behind."""
     arr = np.ascontiguousarray(np.asarray(vectors, dtype="<f4"))
     if arr.ndim != 2:
         raise ShapeError(f"write_latents: expected n x dim array, got shape {arr.shape}")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(LATENT_MAGIC)
         fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
         fh.write(memoryview(arr))  # the array's own buffer, not a copy of it

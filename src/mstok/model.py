@@ -19,7 +19,6 @@ layout.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ from .attention import (
 )
 from .config import TokenizerConfig, config_from_kv, parse_kv_lines, tokenizer_config_to_kv
 from .data import STREAM_INIT
+from .imageio import atomic_write
 from .pyramid import (
     PEParams,
     ScaleSchedule,
@@ -282,34 +282,25 @@ def _build_model(config: TokenizerConfig, draw, dtype) -> TokenizerModel:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: TokenizerModel, path: str) -> None:
-    """Write the checkpoint atomically: the bytes go to ``<path>.tmp``, are
-    fsynced, then replace ``path`` in one rename. A crash or a failed write
-    leaves the previous checkpoint intact and no temporary file behind."""
+    """Write the checkpoint atomically (``imageio.atomic_write``): a crash or
+    a failed write leaves the previous checkpoint intact and no temporary
+    file behind."""
     config_text = tokenizer_config_to_kv(model.config).encode("utf-8")
     params = named_tensors(model)
-    tmp_path = path + ".tmp"
-    try:
-        with open(tmp_path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<I", len(config_text)))
-            fh.write(config_text)
-            fh.write(struct.pack("<I", len(params)))
-            for name, tensor in params.items():
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", tensor.ndim))
-                for dim in tensor.shape:
-                    fh.write(struct.pack("<I", dim))
-                fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp_path)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<I", len(config_text)))
+        fh.write(config_text)
+        fh.write(struct.pack("<I", len(params)))
+        for name, tensor in params.items():
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<I", tensor.ndim))
+            for dim in tensor.shape:
+                fh.write(struct.pack("<I", dim))
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
 
 
 class CheckpointError(DataError):

@@ -368,8 +368,10 @@ def matmul(a, b) -> Tensor:
     forward and in both gradients, instead of one small gemm per batch item;
     the result, of shape ``a.shape[:-1] + (m,)``, equals the batched
     product bit for bit. When ``a``'s leading axes do not merge
-    into one (a strided view such as merged attention heads), the reshape
-    to rows copies, once: the kernel gradient reuses the forward's rows.
+    into one (a strided view), the reshape to rows copies, once: the kernel
+    gradient reuses the forward's rows. Merged attention heads do merge,
+    since ``span_attention`` stores its output token-major, so their rows
+    are a view.
 
     The kernel gradient reduces over the rows in two products: the largest
     multiple of 32 rows, then the remaining tail. On OpenBLAS 0.3.31 (as
@@ -391,8 +393,8 @@ def matmul(a, b) -> Tensor:
     flat = b.ndim == 2 and a.ndim > 2
     if flat:
         n, m = b.shape
-        # A view, or one copy when a's rows do not merge (a strided view such
-        # as merged attention heads); the kernel gradient reuses it.
+        # A view, or one copy when a's rows do not merge (a strided view);
+        # the kernel gradient reuses it.
         a_rows = a.data.reshape(math.prod(a.shape[:-1]), n)
         out_data = _product(a_rows, b.data).reshape(a.shape[:-1] + (m,))
     else:
@@ -490,30 +492,27 @@ def gelu(a) -> Tensor:
     Forward and backward run their in-place passes over blocks of about
     ``_BLOCK_BYTES`` of the flattened array, so each block's passes stay in
     the L2 cache instead of streaming whole activations through memory
-    several times. The forward fills two buffers (``u``, kept for the
-    backward, and the output); the backward builds the input gradient in the
-    gradient it owns. A non-contiguous input or gradient is copied to C
-    order first. Every float op keeps the operands and order of the textbook
-    expressions, up to swapping the operands of a commutative op, so results
-    equal them bit for bit: ``u = tanh(c * (x + k * x * x * x))``,
-    ``out = 0.5 * x * (1 + u)`` and
+    several times. The forward computes each block's ``u`` into one
+    block-sized buffer and fills the output; only the input and the output
+    outlive it. The backward recomputes each block's ``u`` by the forward's
+    own ops and builds the input gradient in the gradient it owns. A
+    non-contiguous input or gradient is copied to C order first. Every float
+    op keeps the operands and order of the textbook expressions, up to
+    swapping the operands of a commutative op, so results equal them bit for
+    bit: ``u = tanh(c * (x + k * x * x * x))``, ``out = 0.5 * x * (1 + u)``
+    and
     ``g * (0.5 * (1 + u) + 0.5 * x * (c * (1 + 3k * x * x) * (1 - u * u)))``.
     """
     a = as_tensor(a)
     xf = np.ascontiguousarray(a.data).reshape(-1)
-    u = np.empty_like(xf)
     out_data = np.empty_like(xf)
     blocks = _blocks(xf)
-    tmp = np.empty_like(xf[blocks[0]])
+    u = np.empty_like(xf[blocks[0]])
+    tmp = np.empty_like(u)
     for s in blocks:
-        xb, ub, ob = xf[s], u[s], out_data[s]
-        tb = tmp[:len(xb)]
-        np.multiply(xb, _GELU_K, out=ub)
-        ub *= xb
-        ub *= xb
-        ub += xb
-        ub *= _GELU_C
-        np.tanh(ub, out=ub)
+        xb, ob = xf[s], out_data[s]
+        ub, tb = u[:len(xb)], tmp[:len(xb)]
+        _gelu_tanh(xb, ub)
         np.multiply(xb, 0.5, out=ob)
         np.add(ub, 1.0, out=tb)
         ob *= tb
@@ -524,11 +523,13 @@ def gelu(a) -> Tensor:
         if not (g.flags.c_contiguous and g.flags.writeable):
             g = np.array(g, order="C")
         gf = g.reshape(-1)
-        du = np.empty_like(xf[blocks[0]])
-        buf = np.empty_like(du)
+        u = np.empty_like(xf[blocks[0]])
+        du = np.empty_like(u)
+        buf = np.empty_like(u)
         for s in blocks:
-            xb, ub, gb = xf[s], u[s], gf[s]
-            db, bb = du[:len(xb)], buf[:len(xb)]
+            xb, gb = xf[s], gf[s]
+            ub, db, bb = u[:len(xb)], du[:len(xb)], buf[:len(xb)]
+            _gelu_tanh(xb, ub)
             np.multiply(xb, 3.0 * _GELU_K, out=db)
             db *= xb
             db += 1.0
@@ -545,6 +546,17 @@ def gelu(a) -> Tensor:
         _accumulate(a, g, fresh=True)
 
     return _result(out_data.reshape(a.shape), (a,), backward)
+
+
+def _gelu_tanh(x: np.ndarray, u: np.ndarray) -> None:
+    """``u = tanh(c * (x + k * x * x * x))``, written into ``u``; the forward
+    and the backward run these same ops, so they get the same bits."""
+    np.multiply(x, _GELU_K, out=u)
+    u *= x
+    u *= x
+    u += x
+    u *= _GELU_C
+    np.tanh(u, out=u)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -650,7 +662,10 @@ def span_attention(q_t, k, v_t, spans, scale: float) -> Tensor:
     must cover every query exactly once. For each span the key-major scores
     ``k[..., k_lo:k_hi, :] @ q_t[..., q_lo:q_hi]`` are scaled and normalised
     over the keys in place, and ``v_t[..., k_lo:k_hi] @ p`` fills that
-    span's columns of the ``(..., hd, T)`` output.
+    span's columns of the ``(..., hd, T)`` output. That output is a view of
+    token-major storage, of shape ``lead[:1] + (T,) + lead[1:] + (hd,)`` for
+    leading axes ``lead``, so for ``(b, heads, hd, T)`` the heads of a token
+    lie side by side and ``masked_mha`` merges them without a copy.
 
     The forward equals dense attention bit for bit: the scores ``k @ q_t``,
     scaled, with a large negative value added outside the spans so that
@@ -674,7 +689,9 @@ def span_attention(q_t, k, v_t, spans, scale: float) -> Tensor:
             or any(lo >= hi or not 0 <= k_lo < k_hi <= t for lo, hi, k_lo, k_hi in spans)):
         raise ShapeError(f"span_attention: spans {spans} do not cover {t} queries once with keys in range")
     scale = float(scale)
-    out_data = np.empty(v_t.shape, dtype=np.result_type(q_t.dtype, k.dtype, v_t.dtype))
+    lead, hd = k.shape[:-2], k.shape[-1]
+    token_major = np.empty(lead[:1] + (t,) + lead[1:] + (hd,), dtype=np.result_type(q_t.dtype, k.dtype, v_t.dtype))
+    out_data = np.moveaxis(token_major, min(1, len(lead)), -1)
     probs = []
     for q_lo, q_hi, k_lo, k_hi in spans:
         p = _product(k.data[..., k_lo:k_hi, :], q_t.data[..., q_lo:q_hi])
@@ -711,7 +728,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     place; every float op keeps the operands and order of
     ``xhat = (x - mu) * (1 / sqrt(var + eps))``, ``out = xhat * gain + bias``
     and ``gx = (gx - mean(gx) - xhat * mean(gx * xhat)) * inv`` with
-    ``gx = g * gain``, so results equal them bit for bit.
+    ``gx = g * gain``, so results equal them bit for bit. Only the row
+    statistics ``mu`` and ``inv`` are kept for the backward, which rebuilds
+    ``xhat`` from the input by the forward's own two ops.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     n = x.shape[-1] if x.ndim > 0 else 0
@@ -721,8 +740,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match last axis {n}"
         )
-    # Two buffers: the centred input, scaled in place to xhat, and the
-    # squares, reused for the output.
+    # Two buffers: the centred input, scaled in place to xhat and freed on
+    # return, and the squares, reused for the output.
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = x.data - mu
     out_data = xhat * xhat
@@ -733,6 +752,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     out_data += bias.data
 
     def backward(g):
+        xhat = x.data - mu
+        xhat *= inv
         if gain.requires_grad:
             _accumulate(gain, (g * xhat).reshape(-1, n).sum(axis=0), fresh=True)
         if bias.requires_grad:

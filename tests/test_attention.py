@@ -324,6 +324,32 @@ def test_masked_mha_multiplies_no_two_column_major_operands(regime, monkeypatch)
     assert not both
 
 
+def test_masked_mha_merges_heads_without_a_copy(monkeypatch):
+    # The output projection's (b * t, d) rows, which matmul keeps for its
+    # kernel gradient, are a view of the attention output, not a copy.
+    seen = {}
+    real_span, real_matmul = A.span_attention, A.matmul
+
+    def span(*args):
+        seen["attention"] = real_span(*args)
+        return seen["attention"]
+
+    def matmul(a, b):
+        if b is params.wo:
+            seen["wo_input"] = a
+        return real_matmul(a, b)
+
+    rng = make_rng(15)
+    sched = build_schedule(4, [1, 2, 4])
+    params = random_attn_params(rng, 16)
+    x = Tensor(rng.standard_normal((2, sched.total, 16)).astype(np.float32), requires_grad=True)
+    monkeypatch.setattr(A, "span_attention", span)
+    monkeypatch.setattr(A, "matmul", matmul)
+    A.masked_mha(x, params, 4, A.build_mask(sched, A.AttentionRegime.SCALE_CAUSAL))
+    rows = seen["wo_input"].data.reshape(-1, 16)  # as matmul forms them
+    assert np.shares_memory(rows, seen["attention"].data)
+
+
 @pytest.mark.parametrize("regime", [A.AttentionRegime.SCALE_CAUSAL, A.AttentionRegime.FULL])
 def test_scale_causal_gradient_never_reaches_finer_tokens(regime):
     # The input gradient of every scale's outputs (and coarser ones) is

@@ -614,6 +614,36 @@ def test_export_latents_failing_shard_writes_nothing_and_joins_workers(tmp_path,
     assert set(threading.enumerate()) == threads_before
 
 
+def test_export_latents_failed_write_keeps_previous_dump(tmp_path, monkeypatch, capsys):
+    ckpt = small_checkpoint(tmp_path)
+    hlat = tmp_path / "latents.hlat"
+    assert main(["export-latents", ckpt, str(hlat), "--set", "data_dir=synthetic:12"]) == 0
+    blob = hlat.read_bytes()
+
+    def disk_full(_):
+        raise OSError(28, "No space left on device")
+
+    # The payload write fails after the magic and the header have gone out.
+    monkeypatch.setattr(mstok.latent_stats, "memoryview", disk_full, raising=False)
+    capsys.readouterr()
+    assert main(["export-latents", ckpt, str(hlat), "--set", "data_dir=synthetic:8"]) == 2
+    err = capsys.readouterr().err
+    assert "No space left on device" in err and len(err.splitlines()) == 1
+    assert hlat.read_bytes() == blob
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_export_latents_to_a_directory_exits_2(tmp_path, capsys):
+    ckpt = small_checkpoint(tmp_path)
+    target = tmp_path / "out"
+    target.mkdir()
+    capsys.readouterr()
+    assert main(["export-latents", ckpt, str(target), "--set", "data_dir=synthetic:8"]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert target.is_dir() and list(target.iterdir()) == []
+    assert not (tmp_path / "out.tmp").exists()
+
+
 def test_reconstruct_without_blas_control_runs_one_worker(tmp_path, monkeypatch):
     monkeypatch.setattr(blas, "_controls", lambda: None)
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: pytest.fail("CPU set asked for"))

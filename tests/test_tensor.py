@@ -339,20 +339,27 @@ def test_span_attention_grad_check():
         assert T.grad_check(f, Tensor((q_t, k, v_t)[i])) < 1e-5
 
 
-def test_span_attention_keeps_only_the_span_probabilities():
+def kept_bytes(op, *args):
+    """``op(*args)`` and the bytes still allocated once it has returned: its
+    output, what its backward closure holds, and a few hundred bytes of
+    Python objects."""
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = op(*args)
+        return out, tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_span_attention_keeps_only_the_span_probabilities():
     q_t, k, v_t = span_inputs(np.random.default_rng(33), np.float32, b=4, heads=4, hd=16)
     inputs = [Tensor(a, requires_grad=True) for a in (q_t, k, v_t)]
     spans = SPANS["scalecausal"]
     allowed = sum((q_hi - q_lo) * (k_hi - k_lo) for q_lo, q_hi, k_lo, k_hi in spans)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = T.span_attention(*inputs, spans, 0.25)
-        kept = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
+    out, kept = kept_bytes(T.span_attention, *inputs, spans, 0.25)
     probs = 4 * 4 * allowed * 4  # batch x heads x allowed pairs x float32
     assert out.data.nbytes + probs <= kept < out.data.nbytes + probs + 8192, kept
     out.backward(np.ones(out.shape, dtype=np.float32))
@@ -440,6 +447,20 @@ def test_layer_norm_matches_textbook_expressions_bitwise(dtype):
     for got, want in ((out.data, want_out), (xt.grad, want_x), (gt.grad, want_gain), (bt.grad, want_bias)):
         assert got.dtype == dtype
         np.testing.assert_array_equal(got.view(bits), want.view(bits))
+
+
+def test_layer_norm_keeps_only_its_row_statistics():
+    # Its backward rebuilds xhat from the input, which the graph holds
+    # anyway, so beside the output it keeps two floats per row: mu and inv.
+    rng = np.random.default_rng(41)
+    shape = (16, 85, 64)
+    x, gain, bias = (Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                     for s in (shape, shape[-1:], shape[-1:]))
+    out, kept = kept_bytes(T.layer_norm, x, gain, bias)
+    stats = 2 * 16 * 85 * 4  # mu and inv, one float32 each per row
+    assert out.data.nbytes + stats <= kept < out.data.nbytes + stats + 8192, kept
+    out.backward(np.ones(shape, dtype=np.float32))
+    assert all(t.grad.shape == t.shape for t in (x, gain, bias))
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +728,18 @@ def test_gelu_matches_textbook_expressions_bitwise():
         # Bit patterns, so -0.0 against 0.0 counts as a difference.
         np.testing.assert_array_equal(out.data.view(np.uint32), want_out.view(np.uint32))
         np.testing.assert_array_equal(t.grad.view(np.uint32), want_grad.view(np.uint32))
+
+
+def test_gelu_keeps_only_its_output():
+    # Its backward recomputes u block by block from the input, which the
+    # graph holds anyway; the forward's block buffers are freed on return.
+    x = Tensor((3.0 * np.random.default_rng(42).standard_normal((16, 85, 256))).astype(np.float32),
+               requires_grad=True)
+    assert x.data.nbytes > 4 * T._BLOCK_BYTES
+    out, kept = kept_bytes(T.gelu, x)
+    assert out.data.nbytes <= kept < out.data.nbytes + 8192, kept
+    out.backward(np.ones(x.shape, dtype=np.float32))
+    assert x.grad.shape == x.shape
 
 
 # ---------------------------------------------------------------------------
