@@ -25,12 +25,12 @@ from .tensor import (
     ConfigError,
     ShapeError,
     Tensor,
-    add,
     as_tensor,
     drop_path,
-    gelu,
     layer_norm,
+    linear,
     matmul,
+    mlp,
     reshape,
     span_attention,
     transpose,
@@ -101,7 +101,8 @@ class BlockParams:
     mlp: MlpParams
 
 
-def masked_mha(x, params: AttentionParams, heads: int, mask: Spans | None) -> Tensor:
+def masked_mha(x, params: AttentionParams, heads: int, mask: Spans | None,
+               residual=None, rows: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product multi-head attention over the mask's spans.
 
     Takes batch x tokens x width only (``ShapeError`` otherwise); no QKV or
@@ -115,6 +116,15 @@ def masked_mha(x, params: AttentionParams, heads: int, mask: Spans | None) -> Te
     on the second-last axis, where numpy's max and sum reduce across the
     contiguous queries; the sums run in a different order, so results
     differ from the query-major form in the last float32 bits.
+
+    The output projection is ``linear(merged, wo, residual, rows)``, so with
+    a ``residual`` and a row scale ``rows`` it returns the residual branch
+    ``residual + rows * attention(x)`` as one node, leaving out whichever
+    of the two is None; with neither it returns the attention output. That
+    node keeps the merged heads' rows, a view of the ``span_attention``
+    output, and the row scale; no ``wo`` product is kept apart from the
+    output. ``span_attention`` keeps its per-span probabilities, and each of
+    the q, k and v projections the rows of ``x``.
     """
     x = as_tensor(x)
     if x.ndim != 3:
@@ -134,13 +144,9 @@ def masked_mha(x, params: AttentionParams, heads: int, mask: Spans | None) -> Te
     spans = ((0, t, 0, t),) if mask is None else mask
     mixed_t = span_attention(q_t, k, v_t, spans, 1.0 / math.sqrt(hd))  # (b, heads, hd, t)
     # span_attention stores its output token-major, so this transpose and
-    # reshape are views, and matmul's (b * t, d) rows share that storage.
+    # reshape are views, and linear's (b * t, d) rows share that storage.
     out = reshape(transpose(mixed_t, (0, 3, 1, 2)), (b, t, d))
-    return matmul(out, params.wo)
-
-
-def mlp(x, params: MlpParams) -> Tensor:
-    return matmul(gelu(matmul(x, params.fc1)), params.fc2)
+    return linear(out, params.wo, residual, rows)
 
 
 def transformer_block(
@@ -155,10 +161,21 @@ def transformer_block(
     """Pre-norm residual block: LN -> masked MHA -> +, LN -> MLP -> +.
 
     ``mask`` is as in ``masked_mha``. With ``rng``, each branch drops token
-    rows at ``drop_rate`` (``tensor.drop_path``); without it the block is
-    deterministic."""
+    rows at ``drop_rate`` (``tensor.drop_path``, the attention branch's
+    draw first); without it the block is deterministic.
+
+    Each residual branch is one graph node, which adds the branch to the
+    residual in its product's buffer: ``masked_mha``'s output projection
+    (``tensor.linear``) and ``tensor.mlp``. Besides its output and its row
+    scale, the attention branch's node keeps the merged heads' rows, a view
+    of the ``span_attention`` output, and the MLP branch's node keeps its
+    input rows, a view of the second layer norm's output, and the
+    ``(rows, hidden)`` pre-activation. The MLP node rebuilds the GELU
+    activation in its backward, so neither a branch's product nor the
+    activation is held between the forward and the backward.
+    """
     x = as_tensor(x)
-    attn_out = masked_mha(layer_norm(x, params.ln1.gain, params.ln1.bias, eps), params.attn, heads, mask)
-    h = add(x, drop_path(attn_out, drop_rate, rng))
-    mlp_out = mlp(layer_norm(h, params.ln2.gain, params.ln2.bias, eps), params.mlp)
-    return add(h, drop_path(mlp_out, drop_rate, rng))
+    h = masked_mha(layer_norm(x, params.ln1.gain, params.ln1.bias, eps), params.attn, heads, mask,
+                   residual=x, rows=drop_path(x, drop_rate, rng))
+    return mlp(layer_norm(h, params.ln2.gain, params.ln2.bias, eps), params.mlp.fc1, params.mlp.fc2,
+               residual=h, rows=drop_path(h, drop_rate, rng))

@@ -49,9 +49,13 @@ def op_library_checks(eps: float = 1e-5) -> dict[str, float]:
         lambda t: T.tsum(T.mul(downsample_interp(t, sched), coeffs)), Tensor(rng.standard_normal((1, 4, 4, 3))), eps
     )
 
-    w = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
-    results["gelu_mlp"] = T.grad_check(
-        lambda t: T.tmean(T.gelu(T.matmul(t, w))), Tensor(rng.standard_normal((3, 4))), eps
+    # The MLP residual branch t + rows * mlp(t), with the row scale drop_path
+    # draws at rate 0.5 when it drops the second of three rows.
+    w1 = Tensor(rng.standard_normal((4, 8)), dtype=np.float64)
+    w2 = Tensor(np.ascontiguousarray(w1.data.T))
+    rows = np.array([[2.0], [0.0], [2.0]])
+    results["mlp_branch"] = T.grad_check(
+        lambda t: T.tmean(T.mlp(t, w1, w2, residual=t, rows=rows)), Tensor(rng.standard_normal((3, 4))), eps
     )
 
     results["area_pool_fractional"] = T.grad_check(

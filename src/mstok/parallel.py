@@ -15,8 +15,8 @@ images pays numpy's fixed cost per op once for all of them, but holds
 activations for all their tokens, and a training shard holds its whole
 graph until its backward, while a step runs two shards at once. The cap
 keeps that graph small: at the default config one training shard run alone
-has a tracemalloc peak of 93.2 MiB at 32 images and 47.0 MiB at 16, and the
-benchmark's default ``train`` run peaks at about 152 MB. A 64 px image has
+has a tracemalloc peak of 74.0 MiB at 32 images and 37.6 MiB at 16, and the
+benchmark's default ``train`` run peaks at about 133 MB. A 64 px image has
 341 decoder tokens, so its passes take shards of 3. On a 2-vCPU Xeon, a
 fresh process that reconstructed 32 such images five times peaked at 40 MB
 resident with 1 image per shard, 49-51 MB with 3, 57 MB with 4, 78 MB with

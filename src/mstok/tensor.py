@@ -13,8 +13,8 @@ gradients (the parameters') survive ``backward()``, and a later sweep that
 reaches a released node raises. Because a node's gradient dies right after
 its closure runs, one consumer may own that buffer, or a view of it, instead
 of copying it (see ``_accumulate``), and the closure itself may write into
-the gradient it is handed: ``layer_norm`` and ``gelu`` build their input
-gradient in that buffer.
+the gradient it is handed: ``layer_norm`` builds its input gradient in that
+buffer, and ``linear`` and ``mlp`` hand it on to their residual.
 
 Token maps are channel-last (batch x H x W x C), and ``conv2d`` takes them
 that way; images and ``area_pool`` are batch x C x H x W.
@@ -232,7 +232,7 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     that buffer: the sweep releases the gradient right after the closure
     runs, so the owner may then update it in place. The same holds for the
     closure itself: it owns the gradient it is handed and may write into it,
-    as ``layer_norm`` and ``gelu`` do. A buffer another consumer also gets,
+    as ``layer_norm`` does. A buffer another consumer also gets,
     a read-only broadcast view or a caller's array is copied. A 0-d gradient
     is stored as a 0-d array, never a numpy scalar.
     """
@@ -363,22 +363,10 @@ def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.
 def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes, batched over the leading ones.
 
-    The token-wise ``x @ W`` case (2-D ``b``, ``a`` of 3 or more dims) runs
-    as one ``(rows, n) @ (n, m)`` gemm on ``a`` reshaped to rows, in the
-    forward and in both gradients, instead of one small gemm per batch item;
-    the result, of shape ``a.shape[:-1] + (m,)``, equals the batched
-    product bit for bit. When ``a``'s leading axes do not merge
-    into one (a strided view), the reshape to rows copies, once: the kernel
-    gradient reuses the forward's rows. Merged attention heads do merge,
-    since ``span_attention`` stores its output token-major, so their rows
-    are a view.
-
-    The kernel gradient reduces over the rows in two products: the largest
-    multiple of 32 rows, then the remaining tail. On OpenBLAS 0.3.31 (as
-    bundled with numpy 2.4) a product reduced over ``K`` rows gives the same
-    bits at 1 and 2 BLAS threads whenever ``K`` is a multiple of 32, and for
-    most other ``K`` above a few hundred it does not; with the split,
-    training results do not depend on the BLAS thread count.
+    The token-wise ``x @ W`` case (2-D ``b``, ``a`` of 3 or more dims) is
+    ``linear(a, b)``: one ``(rows, n) @ (n, m)`` gemm on ``a`` reshaped to
+    rows, in the forward and in both gradients, instead of one small gemm
+    per batch item; the result equals the batched product bit for bit.
 
     Every product, forward or backward, goes through ``_product``, so none
     multiplies two column-major operands. The forward's result is
@@ -390,35 +378,102 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ for shapes {a.shape} and {b.shape}")
-    flat = b.ndim == 2 and a.ndim > 2
-    if flat:
-        n, m = b.shape
-        # A view, or one copy when a's rows do not merge (a strided view);
-        # the kernel gradient reuses it.
-        a_rows = a.data.reshape(math.prod(a.shape[:-1]), n)
-        out_data = _product(a_rows, b.data).reshape(a.shape[:-1] + (m,))
-    else:
-        out_data = _product(a.data, b.data)
+    if b.ndim == 2 and a.ndim > 2:
+        return linear(a, b)
+    out_data = _product(a.data, b.data)
 
     def backward(g):
-        if flat:
-            g2 = g.reshape(a_rows.shape[0], m)
-            if a.requires_grad:
-                _accumulate(a, _product(g2, b.data.T).reshape(a.shape), fresh=True)
-            if b.requires_grad:
-                rows = a_rows.shape[0]
-                k = rows - rows % 32 or rows  # fewer than 32 rows: one product
-                grad_b = _product(a_rows[:k].T, g2[:k])
-                if k < rows:
-                    grad_b += _product(a_rows[k:].T, g2[k:])
-                _accumulate(b, grad_b, fresh=True)
-            return
         if a.requires_grad:
             _accumulate(a, _product(g, np.swapaxes(b.data, -1, -2)), fresh=True)
         if b.requires_grad:
             _accumulate(b, _product(np.swapaxes(a.data, -1, -2), g), fresh=True)
 
     return _result(out_data, (a, b), backward)
+
+
+def _kernel_grad(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``rows.T @ g``, the kernel gradient of a token-wise product, reduced
+    over the rows in two products: the largest multiple of 32 rows, then the
+    remaining tail. On OpenBLAS 0.3.31 (as bundled with numpy 2.4) a product
+    reduced over ``K`` rows gives the same bits at 1 and 2 BLAS threads
+    whenever ``K`` is a multiple of 32, and for most other ``K`` above a few
+    hundred it does not; with the split, training results do not depend on
+    the BLAS thread count."""
+    n = rows.shape[0]
+    k = n - n % 32 or n  # fewer than 32 rows: one product
+    grad = _product(rows[:k].T, g[:k])
+    if k < n:
+        grad += _product(rows[k:].T, g[k:])
+    return grad
+
+
+def _branch_operands(op: str, x: Tensor, out_shape: tuple[int, ...], residual, rows):
+    """``residual`` as a tensor of the output's shape and ``rows`` as a
+    ``(rows, 1)`` array, or None for either; ``ShapeError`` if a shape is
+    off."""
+    if residual is not None:
+        residual = as_tensor(residual)
+        if residual.shape != out_shape:
+            raise ShapeError(f"{op}: residual shape {residual.shape} != output shape {out_shape}")
+    if rows is not None:
+        if np.shape(rows) != x.shape[:-1] + (1,):
+            raise ShapeError(f"{op}: row scale shape {np.shape(rows)} != {x.shape[:-1] + (1,)}")
+        rows = rows.reshape(-1, 1)
+    return residual, rows
+
+
+def _add_branch(p: np.ndarray, residual: Tensor | None, rows: np.ndarray | None) -> None:
+    """``p = residual + rows * p`` on a branch's ``(rows, m)`` product, in
+    its own buffer."""
+    if rows is not None:
+        p *= rows
+    if residual is not None:
+        p += residual.data.reshape(p.shape)
+
+
+def linear(x, w, residual=None, rows=None) -> Tensor:
+    """Token-wise product ``x @ w`` of an ``(..., n)`` input and an ``(n, m)``
+    kernel, as one ``(rows, n) @ (n, m)`` gemm on ``x`` reshaped to rows, in
+    the forward and in both gradients. With a ``residual`` of the output's
+    shape and a row scale ``rows`` of shape ``x.shape[:-1] + (1,)`` (as
+    ``drop_path`` draws it), either may be None, it is the residual branch
+    ``residual + rows * (x @ w)`` as one node.
+
+    The product is scaled and the residual added in the product's own
+    buffer, so no branch output is held apart from the node's output. The
+    node keeps ``x``'s rows, which the kernel gradient needs, and the row
+    scale. When ``x``'s leading axes do not merge into one (a strided view),
+    the reshape to rows copies, once; merged attention heads do merge, since
+    ``span_attention`` stores its output token-major, so their rows are a
+    view. The backward forms both product gradients from ``g`` (times the
+    row scale) before it hands ``g`` to the residual, which then owns it, as
+    ``add`` hands its gradient to its first operand. Every float op is that
+    of ``add(residual, mul(matmul(x, w), rows))``, up to swapping the
+    operands of ``+`` and ``*``, so results equal that composition bit for
+    bit; the kernel gradient is ``_kernel_grad``'s.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: expected (..., n) input and (n, m) kernel, got {x.shape} and {w.shape}")
+    n, m = w.shape
+    out_shape = x.shape[:-1] + (m,)
+    residual, rows = _branch_operands("linear", x, out_shape, residual, rows)
+    x_rows = x.data.reshape(math.prod(x.shape[:-1]), n)
+    out_data = _product(x_rows, w.data)
+    _add_branch(out_data, residual, rows)
+
+    def backward(g):
+        gp = g.reshape(x_rows.shape[0], m)
+        if rows is not None:
+            gp = gp * rows
+        if x.requires_grad:
+            _accumulate(x, _product(gp, w.data.T).reshape(x.shape), fresh=True)
+        if w.requires_grad:
+            _accumulate(w, _kernel_grad(x_rows, gp), fresh=True)
+        if residual is not None and residual.requires_grad:
+            _accumulate(residual, g, fresh=True)  # the products above are done with g
+
+    return _result(out_data.reshape(out_shape), (x, w) + (() if residual is None else (residual,)), backward)
 
 
 def tsum(a) -> Tensor:
@@ -473,7 +528,7 @@ def square(a) -> Tensor:
 
 _GELU_C = 0.7978845608028654  # sqrt(2 / pi)
 _GELU_K = 0.044715
-# Block size of gelu's passes: small enough that a block's few buffers stay
+# Block size of the GELU passes: small enough that a block's few buffers stay
 # in a core's L2 cache, large enough that the per-block call overhead is
 # negligible.
 _BLOCK_BYTES = 1 << 18
@@ -486,66 +541,42 @@ def _blocks(flat: np.ndarray) -> list[slice]:
     return [slice(i, i + step) for i in range(0, max(flat.size, 1), step)]
 
 
-def gelu(a) -> Tensor:
-    """Tanh-form GELU; an order of magnitude cheaper than erf on CPU.
-
-    Forward and backward run their in-place passes over blocks of about
-    ``_BLOCK_BYTES`` of the flattened array, so each block's passes stay in
+def _gelu(x: np.ndarray, out: np.ndarray, g: np.ndarray | None = None) -> None:
+    """Tanh-form GELU of the flat ``x`` into ``out``, which may be ``x``
+    itself, and, given the flat gradient ``g`` of ``out`` (and an ``out``
+    apart from ``x``), the gradient of ``x`` in place of ``g``, in one
+    pass over blocks of about ``_BLOCK_BYTES``, so each block's steps stay in
     the L2 cache instead of streaming whole activations through memory
-    several times. The forward computes each block's ``u`` into one
-    block-sized buffer and fills the output; only the input and the output
-    outlive it. The backward recomputes each block's ``u`` by the forward's
-    own ops and builds the input gradient in the gradient it owns. A
-    non-contiguous input or gradient is copied to C order first. Every float
-    op keeps the operands and order of the textbook expressions, up to
-    swapping the operands of a commutative op, so results equal them bit for
-    bit: ``u = tanh(c * (x + k * x * x * x))``, ``out = 0.5 * x * (1 + u)``
-    and
+    several times. Every float op keeps the operands and order of the
+    textbook expressions, up to swapping the operands of a commutative op,
+    so results equal them bit for bit: ``u = tanh(c * (x + k * x * x * x))``,
+    ``out = 0.5 * x * (1 + u)`` and
     ``g * (0.5 * (1 + u) + 0.5 * x * (c * (1 + 3k * x * x) * (1 - u * u)))``.
     """
-    a = as_tensor(a)
-    xf = np.ascontiguousarray(a.data).reshape(-1)
-    out_data = np.empty_like(xf)
-    blocks = _blocks(xf)
-    u = np.empty_like(xf[blocks[0]])
-    tmp = np.empty_like(u)
+    blocks = _blocks(x)
+    u = np.empty_like(x[blocks[0]])
+    half, one_u, du = np.empty_like(u), np.empty_like(u), np.empty_like(u)
     for s in blocks:
-        xb, ob = xf[s], out_data[s]
-        ub, tb = u[:len(xb)], tmp[:len(xb)]
+        xb = x[s]
+        n = len(xb)
+        ub, hb, tb, db = u[:n], half[:n], one_u[:n], du[:n]
         _gelu_tanh(xb, ub)
-        np.multiply(xb, 0.5, out=ob)
+        np.multiply(xb, 0.5, out=hb)
         np.add(ub, 1.0, out=tb)
-        ob *= tb
-
-    def backward(g):
-        # g is this node's own gradient, released right after this closure
-        # runs, so the input gradient is built in its buffer.
-        if not (g.flags.c_contiguous and g.flags.writeable):
-            g = np.array(g, order="C")
-        gf = g.reshape(-1)
-        u = np.empty_like(xf[blocks[0]])
-        du = np.empty_like(u)
-        buf = np.empty_like(u)
-        for s in blocks:
-            xb, gb = xf[s], gf[s]
-            ub, db, bb = u[:len(xb)], du[:len(xb)], buf[:len(xb)]
-            _gelu_tanh(xb, ub)
-            np.multiply(xb, 3.0 * _GELU_K, out=db)
-            db *= xb
-            db += 1.0
-            db *= _GELU_C
-            np.multiply(ub, ub, out=bb)
-            np.subtract(1.0, bb, out=bb)
-            db *= bb
-            np.multiply(xb, 0.5, out=bb)
-            db *= bb
-            np.add(ub, 1.0, out=bb)
-            bb *= 0.5
-            bb += db
-            gb *= bb
-        _accumulate(a, g, fresh=True)
-
-    return _result(out_data.reshape(a.shape), (a,), backward)
+        np.multiply(hb, tb, out=out[s])
+        if g is None:
+            continue
+        np.multiply(xb, 3.0 * _GELU_K, out=db)
+        db *= xb
+        db += 1.0
+        db *= _GELU_C
+        ub *= ub
+        np.subtract(1.0, ub, out=ub)
+        db *= ub
+        db *= hb
+        tb *= 0.5
+        tb += db
+        g[s] *= tb
 
 
 def _gelu_tanh(x: np.ndarray, u: np.ndarray) -> None:
@@ -557,6 +588,64 @@ def _gelu_tanh(x: np.ndarray, u: np.ndarray) -> None:
     u += x
     u *= _GELU_C
     np.tanh(u, out=u)
+
+
+def mlp(x, w1, w2, residual=None, rows=None) -> Tensor:
+    """Token-wise two-layer perceptron ``gelu(x @ w1) @ w2`` with the
+    tanh-form GELU (an order of magnitude cheaper than erf on CPU), of an
+    ``(..., n)`` input, an ``(n, h)`` and an ``(h, m)`` kernel. With a
+    ``residual`` and a row scale ``rows`` as in ``linear`` (either may be
+    None), it is the residual branch ``residual + rows * mlp(x)`` as one
+    node.
+
+    The node keeps ``x``'s rows, which ``w1``'s kernel gradient needs, the
+    ``(rows, h)`` pre-activation ``x @ w1``, which the GELU gradient needs,
+    and the row scale; the activation is freed when the forward returns, and
+    ``w2``'s product is scaled and the residual added in its own buffer. The
+    backward rebuilds the activation and the GELU gradient in one blocked
+    ``_gelu`` pass, by the forward's own ops, then forms ``w2``'s kernel
+    gradient and the pre-activation's and ``x``'s gradients, and hands its
+    gradient to the residual last. Every float op is that of
+    ``add(residual, mul(matmul(gelu(matmul(x, w1)), w2), rows))``, up to
+    swapping the operands of a commutative op, so results equal that
+    composition bit for bit; the products are ``linear``'s.
+    """
+    x, w1, w2 = as_tensor(x), as_tensor(w1), as_tensor(w2)
+    if (x.ndim < 1 or w1.ndim != 2 or w2.ndim != 2
+            or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]):
+        raise ShapeError(f"mlp: expected (..., n) input and (n, h), (h, m) kernels, "
+                         f"got {x.shape}, {w1.shape} and {w2.shape}")
+    n, m = w1.shape[0], w2.shape[1]
+    out_shape = x.shape[:-1] + (m,)
+    residual, rows = _branch_operands("mlp", x, out_shape, residual, rows)
+    parents = (x, w1, w2) + (() if residual is None else (residual,))
+    x_rows = x.data.reshape(math.prod(x.shape[:-1]), n)
+    pre = np.ascontiguousarray(_product(x_rows, w1.data))
+    # With no graph to record, the activation overwrites the pre-activation.
+    act = np.empty_like(pre) if any(p.requires_grad for p in parents) else pre
+    _gelu(pre.reshape(-1), act.reshape(-1))
+    out_data = _product(act, w2.data)
+    del act
+    _add_branch(out_data, residual, rows)
+
+    def backward(g):
+        gp = g.reshape(x_rows.shape[0], m)
+        if rows is not None:
+            gp = gp * rows
+        g_pre = np.ascontiguousarray(_product(gp, w2.data.T))
+        act = np.empty_like(pre)
+        _gelu(pre.reshape(-1), act.reshape(-1), g_pre.reshape(-1))
+        if w2.requires_grad:
+            _accumulate(w2, _kernel_grad(act, gp), fresh=True)
+        del act
+        if x.requires_grad:
+            _accumulate(x, _product(g_pre, w1.data.T).reshape(x.shape), fresh=True)
+        if w1.requires_grad:
+            _accumulate(w1, _kernel_grad(x_rows, g_pre), fresh=True)
+        if residual is not None and residual.requires_grad:
+            _accumulate(residual, g, fresh=True)  # the products above are done with g
+
+    return _result(out_data.reshape(out_shape), parents, backward)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
@@ -852,18 +941,17 @@ def area_pool(x, out_h: int, out_w: int) -> Tensor:
     return matmul(rows, Tensor(pool_weights(w, out_w, x.dtype).T))
 
 
-def drop_path(x, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Stochastic depth over token rows: each row is zeroed with probability
-    ``rate``, by the next draw of ``rng``, and the rest scaled by ``1 /
-    (1 - rate)``. The identity, returning ``x``, when ``rng`` is None (at
-    eval) or ``rate`` is 0."""
-    x = as_tensor(x)
+def drop_path(x, rate: float, rng: np.random.Generator | None) -> np.ndarray | None:
+    """Stochastic depth over token rows: the row scale, for ``linear``'s and
+    ``mlp``'s ``rows``, that zeroes each row of ``x`` with probability
+    ``rate``, by the next draw of ``rng``, and scales the rest by ``1 / (1 -
+    rate)``: an array of shape ``x.shape[:-1] + (1,)`` in ``x``'s dtype.
+    None, scaling no row, when ``rng`` is None (at eval) or ``rate`` is 0."""
     if rng is None or rate <= 0.0:
-        return x
+        return None
+    x = as_tensor(x)
     keep = 1.0 - rate
-    mask_shape = x.shape[:-1] + (1,)
-    mask = (rng.random(mask_shape) < keep).astype(x.dtype) / keep
-    return mul(x, Tensor(mask))
+    return (rng.random(x.shape[:-1] + (1,)) < keep).astype(x.dtype) / keep
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import composed_block as composed
 import dense_attention as dense
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from mstok import attention as A
 from mstok.pyramid import build_schedule
-from mstok.tensor import ConfigError, ShapeError, Tensor, grad_check, make_rng, mul, slice_axis, square, tsum
+from mstok.tensor import (ConfigError, ShapeError, Tensor, grad_check, make_rng, mul, named_tensors, replica,
+                          slice_axis, square, tsum)
 
 
 def oracle_mask(grids, regime):
@@ -325,28 +327,28 @@ def test_masked_mha_multiplies_no_two_column_major_operands(regime, monkeypatch)
 
 
 def test_masked_mha_merges_heads_without_a_copy(monkeypatch):
-    # The output projection's (b * t, d) rows, which matmul keeps for its
+    # The output projection's (b * t, d) rows, which linear keeps for its
     # kernel gradient, are a view of the attention output, not a copy.
     seen = {}
-    real_span, real_matmul = A.span_attention, A.matmul
+    real_span, real_linear = A.span_attention, A.linear
 
     def span(*args):
         seen["attention"] = real_span(*args)
         return seen["attention"]
 
-    def matmul(a, b):
+    def linear(a, b, *args):
         if b is params.wo:
             seen["wo_input"] = a
-        return real_matmul(a, b)
+        return real_linear(a, b, *args)
 
     rng = make_rng(15)
     sched = build_schedule(4, [1, 2, 4])
     params = random_attn_params(rng, 16)
     x = Tensor(rng.standard_normal((2, sched.total, 16)).astype(np.float32), requires_grad=True)
     monkeypatch.setattr(A, "span_attention", span)
-    monkeypatch.setattr(A, "matmul", matmul)
+    monkeypatch.setattr(A, "linear", linear)
     A.masked_mha(x, params, 4, A.build_mask(sched, A.AttentionRegime.SCALE_CAUSAL))
-    rows = seen["wo_input"].data.reshape(-1, 16)  # as matmul forms them
+    rows = seen["wo_input"].data.reshape(-1, 16)  # as linear forms them
     assert np.shares_memory(rows, seen["attention"].data)
 
 
@@ -422,6 +424,40 @@ def test_block_eval_deterministic_with_drop_path():
     c, d = (A.transformer_block(x, params, heads=2, mask=None, drop_rate=0.5, rng=make_rng(3)) for _ in range(2))
     np.testing.assert_array_equal(c.data, d.data)
     assert not np.array_equal(c.data, a.data)
+
+
+@pytest.mark.parametrize("grids, b, d", [((1, 2, 4), 3, 16), ((1, 2, 4, 8), 8, 32)])
+@pytest.mark.parametrize("regime", [None, A.AttentionRegime.SCALE_CAUSAL])
+@pytest.mark.parametrize("drop_rate, seed", [(0.0, None), (0.5, 3)])
+def test_block_is_its_composition_of_separate_nodes_bitwise(grids, b, d, regime, drop_rate, seed):
+    # One node per residual branch gives the forward and every gradient of
+    # the chain of matmul, gelu, drop_path's mul and add nodes, bit for bit:
+    # at 8 x 85 tokens of width 32 the GELU runs over two blocks and the
+    # kernel gradients reduce over a 32-row multiple and a tail.
+    rng = make_rng(16)
+    sched = build_schedule(grids[-1], grids)
+    params = random_block_params(rng, d)
+    for ln in (params.ln1, params.ln2):
+        ln.gain.data[:] = 1.0 + 0.2 * rng.standard_normal(d)
+        ln.bias.data[:] = 0.2 * rng.standard_normal(d)
+    mask = None if regime is None else A.build_mask(sched, regime)
+    x = rng.standard_normal((b, sched.total, d)).astype(np.float32)
+    seed_grad = rng.standard_normal(x.shape).astype(np.float32)
+
+    results = []
+    for block in (A.transformer_block, composed.transformer_block):
+        p = replica(params)
+        xt = Tensor(x, requires_grad=True)
+        out = block(xt, p, 4, mask, drop_rate=drop_rate, rng=None if seed is None else make_rng(seed))
+        out.backward(seed_grad)
+        results.append([("out", out.data), ("x", xt.grad)] + [(name, t.grad) for name, t in named_tensors(p).items()])
+    for (name, got), (_, want) in zip(*results):
+        assert got.dtype == want.dtype == np.float32, name
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32), err_msg=name)
+    if seed is not None:
+        # Both branches dropped rows; the row scale zeroes a branch's output.
+        drawn = make_rng(seed).random((2, b, sched.total)) < 0.5
+        assert drawn.any(axis=(1, 2)).all() and (~drawn).any(axis=(1, 2)).all()
 
 
 def test_block_grad_check():

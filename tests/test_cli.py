@@ -252,7 +252,7 @@ def test_gradcheck_passes_within_thresholds(capsys):
               for line in lines if "max_rel_err=" in line}
     assert len(errors) == len(lines) - 1 and "model end-to-end" in errors
     assert list(errors) == [
-        "op sum_of_squares", "op conv_layernorm_mean", "op pyramid_interp", "op gelu_mlp",
+        "op sum_of_squares", "op conv_layernorm_mean", "op pyramid_interp", "op mlp_branch",
         "op area_pool_fractional", "op span_attention_scalecausal", "op span_attention_scaleindependent",
         "model end-to-end",
     ]

@@ -652,6 +652,11 @@ def test_grad_check_conv2d(b, side, c, k, o, wrt):
     assert T.grad_check(f, t, eps=1e-5) < 1e-6
 
 
+# Kernels of the ("gelu", ...) case below: the MLP node's hidden layer.
+MLP_W1 = Tensor(np.random.default_rng(3).standard_normal((3, 4)))
+MLP_W2 = Tensor(np.random.default_rng(4).standard_normal((4, 2)))
+
+
 @pytest.mark.parametrize(
     "name,f,shape",
     [
@@ -660,7 +665,7 @@ def test_grad_check_conv2d(b, side, c, k, o, wrt):
         ("matmul", lambda t: T.tsum(T.square(T.matmul(t, t))), (3, 3)),
         ("mean", lambda t: T.square(T.tmean(t)), (4, 2)),
         ("exp", lambda t: T.tsum(T.texp(T.scale(t, 0.3))), (5,)),
-        ("gelu", lambda t: T.tsum(T.gelu(t)), (6,)),
+        ("gelu", lambda t: T.tsum(T.mlp(t, MLP_W1, MLP_W2)), (2, 3)),
         # One input as q^T, k and v^T, under scale-causal spans.
         ("span_attention", lambda t: T.tsum(T.square(T.span_attention(
             t, T.transpose(t, (1, 0)), t, ((0, 1, 0, 1), (1, 3, 0, 3)), 0.7))), (2, 3)),
@@ -691,6 +696,10 @@ def test_clip_gradient_gate():
 
 
 def test_gelu_matches_textbook_expressions_bitwise():
+    # The MLP node's GELU, with identity kernels: the pre-activation is then
+    # the input, the output the activation and the input gradient the
+    # pre-activation's gradient, up to the sign of zero (a product turns
+    # -0.0 into 0.0). The products are the node's own, through _product.
     rng = np.random.default_rng(5)
     x = (3.0 * rng.standard_normal((64, 85, 256))).astype(np.float32)
     flat = x.reshape(-1)
@@ -704,7 +713,7 @@ def test_gelu_matches_textbook_expressions_bitwise():
         # Non-contiguous (transposed) input; its gradient arrives transposed too.
         (3.0 * rng.standard_normal((300, 700))).astype(np.float32).T,
         (3.0 * rng.standard_normal((5, 7))).astype(np.float32),  # under one block
-        (3.0 * rng.standard_normal(1001)).astype(np.float32),  # 1-D
+        (3.0 * rng.standard_normal((1001, 1))).astype(np.float32),  # one feature
         # A row count whose element count is not a multiple of the block.
         (3.0 * rng.standard_normal((3 * block // 256 + 5, 256))).astype(np.float32),
     ]
@@ -712,13 +721,18 @@ def test_gelu_matches_textbook_expressions_bitwise():
     c, k = T._GELU_C, T._GELU_K
     for x in cases:
         g = rng.standard_normal(x.shape).astype(np.float32)
-        u = np.tanh(c * (x + k * x * x * x))
-        want_out = 0.5 * x * (1.0 + u)
-        du = c * (1.0 + 3.0 * k * x * x) * (1.0 - u * u)
-        want_grad = g * (0.5 * (1.0 + u) + 0.5 * x * du)
+        n = x.shape[-1]
+        eye = np.eye(n, dtype=np.float32)
+        pre = T._product(x.reshape(-1, n), eye)
+        assert np.array_equal(pre, x.reshape(-1, n))
+        u = np.tanh(c * (pre + k * pre * pre * pre))
+        want_out = T._product(0.5 * pre * (1.0 + u), eye).reshape(x.shape)
+        du = c * (1.0 + 3.0 * k * pre * pre) * (1.0 - u * u)
+        g_act = T._product(g.reshape(-1, n), eye.T)
+        want_grad = T._product(g_act * (0.5 * (1.0 + u) + 0.5 * pre * du), eye.T).reshape(x.shape)
 
         t = Tensor(x, requires_grad=True)
-        out = T.gelu(t)
+        out = T.mlp(t, Tensor(eye), Tensor(eye))
         if x.flags.c_contiguous:
             out.backward(g)
         else:
@@ -728,18 +742,47 @@ def test_gelu_matches_textbook_expressions_bitwise():
         # Bit patterns, so -0.0 against 0.0 counts as a difference.
         np.testing.assert_array_equal(out.data.view(np.uint32), want_out.view(np.uint32))
         np.testing.assert_array_equal(t.grad.view(np.uint32), want_grad.view(np.uint32))
+        # Recording no graph, the node computes the activation in place.
+        no_graph = T.mlp(Tensor(x), Tensor(eye), Tensor(eye))
+        np.testing.assert_array_equal(no_graph.data.view(np.uint32), want_out.view(np.uint32))
 
 
-def test_gelu_keeps_only_its_output():
-    # Its backward recomputes u block by block from the input, which the
-    # graph holds anyway; the forward's block buffers are freed on return.
-    x = Tensor((3.0 * np.random.default_rng(42).standard_normal((16, 85, 256))).astype(np.float32),
-               requires_grad=True)
-    assert x.data.nbytes > 4 * T._BLOCK_BYTES
-    out, kept = kept_bytes(T.gelu, x)
-    assert out.data.nbytes <= kept < out.data.nbytes + 8192, kept
-    out.backward(np.ones(x.shape, dtype=np.float32))
-    assert x.grad.shape == x.shape
+def branch_operands(rng, widths):
+    """An input, a residual and kernels of the given widths, all requiring
+    grad, at the default decoder's shard shape."""
+    x = Tensor(rng.standard_normal((16, 85, widths[0])).astype(np.float32), requires_grad=True)
+    residual = Tensor(rng.standard_normal((16, 85, widths[-1])).astype(np.float32), requires_grad=True)
+    kernels = [Tensor((0.1 * rng.standard_normal(shape)).astype(np.float32), requires_grad=True)
+               for shape in zip(widths[:-1], widths[1:])]
+    return x, residual, kernels
+
+
+def test_mlp_keeps_only_its_output_and_pre_activation():
+    # Its backward rebuilds the activation block by block from the
+    # pre-activation; the activation and the block buffers are freed on
+    # return, the second product is the output's buffer, and its input rows
+    # are a view of the caller's input. The row scale is drawn inside.
+    x, residual, (w1, w2) = branch_operands(np.random.default_rng(42), (64, 256, 64))
+    pre = 16 * 85 * 256 * 4
+    assert pre > 4 * T._BLOCK_BYTES
+    out, kept = kept_bytes(lambda *a: T.mlp(*a, residual=residual, rows=T.drop_path(x, 0.5, T.make_rng(1))),
+                           x, w1, w2)
+    held = out.data.nbytes + pre + 16 * 85 * 4  # output, pre-activation, row scale
+    assert held <= kept < held + 8192, kept
+    out.backward(np.ones(out.shape, dtype=np.float32))
+    assert all(t.grad.shape == t.shape for t in (x, residual, w1, w2))
+
+
+def test_linear_keeps_only_its_output():
+    # The residual branch residual + rows * (x @ w) is formed in the
+    # product's buffer, and the input rows are a view of the caller's input.
+    x, residual, (w,) = branch_operands(np.random.default_rng(43), (64, 64))
+    out, kept = kept_bytes(lambda *a: T.linear(*a, residual=residual, rows=T.drop_path(x, 0.5, T.make_rng(1))),
+                           x, w)
+    held = out.data.nbytes + 16 * 85 * 4  # output, row scale
+    assert held <= kept < held + 8192, kept
+    out.backward(np.ones(out.shape, dtype=np.float32))
+    assert all(t.grad.shape == t.shape for t in (x, residual, w))
 
 
 # ---------------------------------------------------------------------------
@@ -806,6 +849,9 @@ def test_trunc_normal_float64_matches_scipy_ndtri_and_cpython():
 
 
 def test_drop_path_eval_identity():
+    # No row scale (None): the branch passes unscaled.
     x = Tensor(np.ones((2, 3, 4)))
-    assert T.drop_path(x, 0.5, None) is x
-    assert T.drop_path(x, 0.0, T.make_rng(0)) is x
+    assert T.drop_path(x, 0.5, None) is None
+    assert T.drop_path(x, 0.0, T.make_rng(0)) is None
+    rows = T.drop_path(x, 0.5, T.make_rng(0))
+    assert rows.shape == (2, 3, 1) and rows.dtype == x.dtype and set(np.unique(rows)) <= {0.0, 2.0}
