@@ -24,10 +24,11 @@ resident with 1 image per shard, 49-51 MB with 3, 57 MB with 4, 78 MB with
 against 289 ms with 3. Three 64 px training runs of 6 steps (scales
 1,2,4,8,16, batch 64, 2 workers) peaked at 238-241 MB resident with shards
 of 3 against 806-835 MB with 16, at 1056-1370 ms per step against
-1129-1598 ms. The outputs of the grad-free passes do not depend on the
-layout (see ``tensor.conv2d``); a training step's do, since each shard's
-generator is keyed by its index. Inputs of up to 3 64 px images run as one
-shard on one worker.
+1129-1598 ms. The outputs of the grad-free passes and ``image_pyramid``'s
+targets do not depend on the layout (see ``tensor._product``), one-row
+products aside, such as a conv pyramid's 1 x 1 level in a shard of one
+image; a training step's do, since each shard's generator is keyed by its
+index. Inputs of up to 3 64 px images run as one shard on one worker.
 
 ``export-latents`` runs its shards through ``run_shards``, and each writes
 its rows into its own slice of one array the caller allocated before the

@@ -347,13 +347,20 @@ def _column_major(x: np.ndarray) -> bool:
 
 
 def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.matmul(x, y, out=out)``; when both operands are column-major,
-    formed as the transpose of ``y^T @ x^T``, whose operands are row-major,
-    and written into ``out``'s transpose when ``out`` is given. numpy 2.4.6
-    on its OpenBLAS 0.3.31 returned wrong values (or crashed) for a product
-    of two column-major operands while a product of another shape ran on a
-    second thread, as the training shards' products do. Every product in
-    this module goes through here."""
+    """``np.matmul(x, y, out=out)``; every product in this module goes
+    through here. A column-major 2-D ``y``, always a kernel here, is copied
+    row-major first: OpenBLAS 0.3.31 forms a small product with a
+    column-major operand in another kernel, so at ``(rows, 48) @ (48, 16)``
+    a row's bits changed with the row count for 1 to 75 rows. With the
+    copy they do not (a 1-row product is a gemv and may still differ), and
+    a product with a 2-D ``y`` always comes back C-contiguous. When both
+    operands are column-major (``span_attention``'s), the product is the
+    transpose of ``y^T @ x^T``, written into ``out``'s transpose when
+    ``out`` is given: numpy 2.4.6 on its OpenBLAS 0.3.31 returned wrong
+    values (or crashed) for two column-major operands while a product of
+    another shape ran on a second thread."""
+    if y.ndim == 2 and _column_major(y):
+        y = np.ascontiguousarray(y)
     if _column_major(x) and _column_major(y):
         out_t = None if out is None else np.swapaxes(out, -1, -2)
         return np.swapaxes(np.matmul(np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2), out=out_t), -1, -2)
@@ -370,8 +377,8 @@ def matmul(a, b) -> Tensor:
 
     Every product, forward or backward, goes through ``_product``, so none
     multiplies two column-major operands. The forward's result is
-    C-contiguous unless both operands are column-major: ``_product`` returns
-    such a product as a transposed view.
+    C-contiguous unless both operands are column-major and ``b`` has more
+    than 2 dims: ``_product`` returns such a product as a transposed view.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -620,7 +627,8 @@ def mlp(x, w1, w2, residual=None, rows=None) -> Tensor:
     residual, rows = _branch_operands("mlp", x, out_shape, residual, rows)
     parents = (x, w1, w2) + (() if residual is None else (residual,))
     x_rows = x.data.reshape(math.prod(x.shape[:-1]), n)
-    pre = np.ascontiguousarray(_product(x_rows, w1.data))
+    pre = _product(x_rows, w1.data)
+    # ``_product`` returns ``pre`` C-contiguous, so its flat views are views.
     # With no graph to record, the activation overwrites the pre-activation.
     act = np.empty_like(pre) if any(p.requires_grad for p in parents) else pre
     _gelu(pre.reshape(-1), act.reshape(-1))
@@ -632,7 +640,7 @@ def mlp(x, w1, w2, residual=None, rows=None) -> Tensor:
         gp = g.reshape(x_rows.shape[0], m)
         if rows is not None:
             gp = gp * rows
-        g_pre = np.ascontiguousarray(_product(gp, w2.data.T))
+        g_pre = _product(gp, w2.data.T)
         act = np.empty_like(pre)
         _gelu(pre.reshape(-1), act.reshape(-1), g_pre.reshape(-1))
         if w2.requires_grad:
@@ -869,15 +877,6 @@ def conv2d(x, kernel) -> Tensor:
     2x2 downsampling are the two uses). The patches, flattened in the kernel's
     ``(C, k, k)`` order, go through ``matmul``'s one gemm, so the gradients
     are those of the composed ops.
-
-    The gemm gets a row-major copy of the kernel matrix. OpenBLAS 0.3.31
-    forms a small product with a column-major operand in another kernel,
-    whose results differ in the last bits from those of the same rows in a
-    larger product: at ``(rows, 48) @ (48, 16)``, for up to 75 rows. With
-    the copy, at the patch-embedding and 2x2-downsampling shapes of widths 16
-    and 64, a row's result did not depend on the product's row count from 2
-    to 256 rows (one row takes a gemv, which may differ), so a grad-free
-    pass's outputs do not depend on its shard size.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -894,8 +893,7 @@ def conv2d(x, kernel) -> Tensor:
     patches = transpose(reshape(x, (b, hp, k, wp, k, c)), (0, 1, 3, 5, 2, 4))
     rows = reshape(patches, (b, hp, wp, c * k * k))
     kernel_t = transpose(reshape(kernel, (o, c * k * k)), (1, 0))
-    weights = _result(np.ascontiguousarray(kernel_t.data), (kernel_t,), lambda g: _accumulate(kernel_t, g, fresh=True))
-    return matmul(rows, weights)
+    return matmul(rows, kernel_t)
 
 
 @functools.lru_cache(maxsize=None)

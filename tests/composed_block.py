@@ -7,7 +7,8 @@ replace: ``add(x, drop(matmul(merged_heads, wo)))`` and
 multiplies the branch by a row scale drawn as ``tensor.drop_path`` draws it,
 attention branch first, and is left out without a generator or at rate 0.
 The token-wise products and the GELU are numpy nodes here: a product is one
-gemm on the input's rows, and its kernel gradient reduces over the largest
+gemm on the input's rows, its input gradient multiplies by a row-major copy
+of the transposed kernel, and its kernel gradient reduces over the largest
 multiple of 32 rows and then the tail, as the package's do; the GELU is the
 textbook tanh form. The layer norms, the attention core and the elementwise
 ``mul`` and ``add`` are the package's own ops. Every node keeps what its
@@ -30,7 +31,7 @@ def matmul(x, w):
     def backward(g):
         g = g.reshape(-1, m)
         if x.requires_grad:
-            T._accumulate(x, (g @ w.data.T).reshape(x.shape), fresh=True)
+            T._accumulate(x, (g @ np.ascontiguousarray(w.data.T)).reshape(x.shape), fresh=True)
         if w.requires_grad:
             k = len(rows) - len(rows) % 32 or len(rows)
             grad = rows[:k].T @ g[:k]

@@ -3,7 +3,8 @@ another module's private name or a library other than numpy and the
 standard library, every top-level definition of the package is named
 somewhere in the package or the benchmark, no function rebinds a module-level
 name, only ``parallel`` starts threads or sets the BLAS thread count, and
-``tensor`` forms every matrix product in ``_product``.
+``tensor`` forms every matrix product, and every row-major copy, in
+``_product``.
 Also, at run time, the CLI and the analysis load no scipy."""
 
 import ast
@@ -237,17 +238,17 @@ def test_only_tensor_walks_parameter_trees():
             if {"is_dataclass", "Tensor"} <= referenced_names(source)} == {"tensor.py"}
 
 
-def matrix_products(source: str) -> list[str]:
-    """``function (line)`` for each ``np.matmul`` or ``@`` product in a
-    source, by the top-level definition around it (``<module>`` outside
-    any)."""
+def numpy_calls(source: str, name: str) -> list[str]:
+    """``function (line)`` for each ``np.<name>`` in a source, and for each
+    ``@`` product when ``name`` is ``matmul``, by the top-level definition
+    around it (``<module>`` outside any)."""
     found = []
     for top in ast.parse(source).body:
         owner = getattr(top, "name", "<module>")
         found += [f"{owner} (line {node.lineno})" for node in ast.walk(top)
-                  if (isinstance(node, ast.Attribute) and node.attr == "matmul"
+                  if (isinstance(node, ast.Attribute) and node.attr == name
                       and isinstance(node.value, ast.Name) and node.value.id == "np")
-                  or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))]
+                  or (name == "matmul" and isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))]
     return found
 
 
@@ -258,6 +259,16 @@ def test_tensor_multiplies_matrices_only_in_product():
     # in ``tensor`` would skip that guard.
     source = ("import numpy as np\nc = a @ b\ndef f(x):\n    def g():\n        return np.matmul(x, x)\n"
               "    return g\nclass K:\n    def m(self):\n        return self.w @ self.w\n")
-    assert matrix_products(source) == ["<module> (line 2)", "f (line 5)", "K (line 9)"]
-    found = matrix_products((PACKAGE / "tensor.py").read_text(encoding="utf-8"))
+    assert numpy_calls(source, "matmul") == ["<module> (line 2)", "f (line 5)", "K (line 9)"]
+    found = numpy_calls((PACKAGE / "tensor.py").read_text(encoding="utf-8"), "matmul")
+    assert found and [site for site in found if not site.startswith("_product ")] == []
+
+
+def test_tensor_copies_to_row_major_only_in_product():
+    # ``tensor._product`` copies a column-major kernel row-major, so a
+    # product's rows do not depend on its row count; the one layout decision
+    # of the module is made there.
+    source = "import numpy as np\nc = a @ b\ndef f(x):\n    return np.ascontiguousarray(x.T)\n"
+    assert numpy_calls(source, "ascontiguousarray") == ["f (line 4)"]
+    found = numpy_calls((PACKAGE / "tensor.py").read_text(encoding="utf-8"), "ascontiguousarray")
     assert found and [site for site in found if not site.startswith("_product ")] == []

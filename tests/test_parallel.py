@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -5,7 +6,11 @@ import pytest
 
 from mstok import blas, parallel
 from mstok.config import RunConfig, TokenizerConfig
+from mstok.data import generate_synthetic
 import mstok.loop as loop_mod
+from mstok.model import init_model
+from mstok.pyramid import image_pyramid
+from mstok.tensor import Tensor, replica
 from mstok.train import train
 
 TOK = TokenizerConfig(image_size=16, patch=4, enc_layers=1, dec_layers=1, enc_width=16,
@@ -38,6 +43,36 @@ def test_shard_bounds_cover_the_set_once_in_order(monkeypatch, n, size):
     assert [hi - lo for lo, hi in bounds] == [size] * (n // size) + [n % size] * (n % size > 0)
     # The cap: images of one token each still fill shards of SHARD_SIZE.
     assert parallel.shard_bounds(n, 1) == parallel.shard_bounds(n, parallel.SHARD_TOKENS // parallel.SHARD_SIZE)
+
+
+def image_outputs(model, images):
+    """Each image's float32 bytes of ``image_pyramid``, the grad-free
+    ``reconstruct`` pixel tokens and the ``latent_for_generation`` rows, for
+    one batch."""
+    x = Tensor(images)
+    outputs = (image_pyramid(x, model.schedule, model.config.patch), model.reconstruct(x)[0].data,
+               model.latent_for_generation(x).data)
+    return [tuple(out[i].tobytes() for out in outputs) for i in range(len(images))]
+
+
+@pytest.mark.parametrize("tok", [TokenizerConfig(), dataclasses.replace(TOK, downsample_mode="interp"),
+                                 dataclasses.replace(TOK, downsample_mode="conv")],
+                         ids=["default", "16px-interp", "16px-conv"])
+def test_grad_free_outputs_do_not_depend_on_the_shard_size(tok):
+    # Every shard size from 1 to 16 over 17 images gives each image the same
+    # bytes, since tensor._product copies a column-major kernel row-major
+    # (area_pool's second product, conv2d's kernel). A 1-row product is a
+    # gemv, which may still differ: the conv pyramid's last 2x2 -> 1x1
+    # convolution has one row per image, and gives the same bits only with
+    # its averaging kernels at init.
+    model = replica(init_model(tok), requires_grad=False)
+    images = generate_synthetic(17, tok.image_size, seed=3).images
+    by_size = {size: [out for lo in range(0, len(images), size)
+                      for out in image_outputs(model, images[lo:lo + size])]
+               for size in range(1, 17)}
+    differ = {size: [i for i, (got, want) in enumerate(zip(outs, by_size[16])) if got != want]
+              for size, outs in by_size.items()}
+    assert {size: ids for size, ids in differ.items() if ids} == {}
 
 
 def test_more_workers_than_cores_give_the_one_worker_checkpoint(tmp_path, monkeypatch):

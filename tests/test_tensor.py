@@ -109,6 +109,23 @@ def test_matmul_flat_x_at_w_matches_einsum_oracle(lead, transposed):
     np.testing.assert_allclose(wt.grad, want_gw, rtol=1e-5, atol=1e-4)
 
 
+@pytest.mark.parametrize("n, m", [(48, 16), (64, 64), (256, 64), (64, 48)])
+def test_product_rows_do_not_depend_on_the_row_count(n, m):
+    # OpenBLAS 0.3.31 forms a small product with a column-major operand in
+    # another kernel: with this (n, m) kernel as a transposed view, the
+    # leading 1-75, 1-18, 1-18 and 1-25 rows gave other bits than those of
+    # the 256-row product. _product copies such a kernel row-major, so every
+    # leading block gets its rows' bits. One row is a gemv, which may still
+    # differ, so the blocks start at 2 rows.
+    rng = np.random.default_rng(n * m)
+    x = rng.standard_normal((256, n)).astype(np.float32)
+    kernel = rng.standard_normal((m, n)).astype(np.float32).T
+    full = T._product(x, kernel)
+    assert full.flags.c_contiguous
+    differ = [rows for rows in range(2, 257) if T._product(x[:rows], kernel).tobytes() != full[:rows].tobytes()]
+    assert differ == []
+
+
 @pytest.mark.parametrize("a_shape, b_shape", [((5, 4), (4, 6)), ((3, 5, 4), (3, 4, 6)), ((1, 5, 4), (4, 6))],
                          ids=["2d", "batched", "flat"])
 def test_matmul_multiplies_no_two_column_major_operands(a_shape, b_shape, monkeypatch):
