@@ -10,12 +10,13 @@ Under every regime each scale's queries read one contiguous run of keys, so
 a mask is a tuple of spans, one per scale (one for the whole sequence under
 full attention), and nothing else: attention scores each scale's queries
 only against the keys it may read, through ``tensor.span_attention``, and
-no T x T matrix, boolean, additive or of scores, is built.
+no T x T matrix, boolean, additive or of scores, is built. ``masked_mha``
+hands that op the token-major q, k and v projections; the op splits and
+merges the heads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,9 +32,7 @@ from .tensor import (
     linear,
     matmul,
     mlp,
-    reshape,
     span_attention,
-    transpose,
 )
 from .pyramid import ScaleSchedule
 
@@ -105,48 +104,40 @@ def masked_mha(x, params: AttentionParams, heads: int, mask: Spans | None,
                residual=None, rows: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product multi-head attention over the mask's spans.
 
-    Takes batch x tokens x width only (``ShapeError`` otherwise); no QKV or
-    output biases. ``mask`` is ``build_mask``'s spans, or ``None`` (the
-    encoder's) for one span over the whole sequence; spans that do not
-    cover the sequence's queries once, such as another schedule's, raise
-    ``ShapeError`` in ``span_attention``. It scores each span's queries
-    only against the keys it reads, key-major: ``k @ q^T`` of shape
-    ``(b, heads, keys, queries)``, normalised over the keys, and each head's
-    output is ``v^T @ weights``. This is ``softmax(q k^T) v`` with the keys
-    on the second-last axis, where numpy's max and sum reduce across the
-    contiguous queries; the sums run in a different order, so results
-    differ from the query-major form in the last float32 bits.
+    Takes batch x tokens x width only (``ShapeError`` otherwise) and a width
+    that divides by ``heads`` (``ConfigError`` otherwise); no QKV or output
+    biases. ``mask`` is ``build_mask``'s spans, or ``None`` (the encoder's)
+    for one span over the whole sequence; spans that do not cover the
+    sequence's queries once, such as another schedule's, raise
+    ``ShapeError`` in ``span_attention``. The q, k and v projections go to
+    ``span_attention`` token-major, and it splits and merges the heads. It
+    scores each span's queries only against the keys it reads, key-major:
+    ``k @ q^T`` of shape ``(b, heads, keys, queries)``, normalised over the
+    keys, and each head's output is ``v^T @ weights``. This is
+    ``softmax(q k^T) v`` with the keys on the second-last axis, where
+    numpy's max and sum reduce across the contiguous queries; the sums run
+    in a different order, so results differ from the query-major form in
+    the last float32 bits.
 
-    The output projection is ``linear(merged, wo, residual, rows)``, so with
-    a ``residual`` and a row scale ``rows`` it returns the residual branch
-    ``residual + rows * attention(x)`` as one node, leaving out whichever
-    of the two is None; with neither it returns the attention output. That
-    node keeps the merged heads' rows, a view of the ``span_attention``
-    output, and the row scale; no ``wo`` product is kept apart from the
-    output. ``span_attention`` keeps its per-span probabilities, and each of
-    the q, k and v projections the rows of ``x``.
+    The output projection is ``linear(mixed, wo, residual, rows)`` on the
+    ``(b, t, d)`` attention output ``mixed``, so with a ``residual`` and a
+    row scale ``rows`` it returns the residual branch ``residual + rows *
+    attention(x)`` as one node, leaving out whichever of the two is None;
+    with neither it returns the attention output. That node keeps the rows
+    of ``mixed``, a view, and the row scale; no ``wo`` product is kept apart
+    from the output. ``span_attention`` keeps its per-span probabilities,
+    and each of the q, k and v projections the rows of ``x``. One call
+    records five graph nodes.
     """
     x = as_tensor(x)
     if x.ndim != 3:
         raise ShapeError(f"masked_mha: expected batch x tokens x width, got shape {x.shape}")
-    b, t, d = x.shape
+    _, t, d = x.shape
     if d % heads:
         raise ConfigError(f"width {d} not divisible by {heads} heads")
-    hd = d // heads
-
-    def split_heads(m: Tensor, axes: tuple[int, ...]) -> Tensor:
-        return transpose(reshape(m, (b, t, heads, hd)), axes)
-
-    # q^T and v^T are (b, heads, hd, t); k is (b, heads, t, hd).
-    q_t = split_heads(matmul(x, params.wq), (0, 2, 3, 1))
-    k = split_heads(matmul(x, params.wk), (0, 2, 1, 3))
-    v_t = split_heads(matmul(x, params.wv), (0, 2, 3, 1))
     spans = ((0, t, 0, t),) if mask is None else mask
-    mixed_t = span_attention(q_t, k, v_t, spans, 1.0 / math.sqrt(hd))  # (b, heads, hd, t)
-    # span_attention stores its output token-major, so this transpose and
-    # reshape are views, and linear's (b * t, d) rows share that storage.
-    out = reshape(transpose(mixed_t, (0, 3, 1, 2)), (b, t, d))
-    return linear(out, params.wo, residual, rows)
+    mixed = span_attention(matmul(x, params.wq), matmul(x, params.wk), matmul(x, params.wv), heads, spans)
+    return linear(mixed, params.wo, residual, rows)
 
 
 def transformer_block(
@@ -154,7 +145,6 @@ def transformer_block(
     params: BlockParams,
     heads: int,
     mask: Spans | None,
-    eps: float = 1e-6,
     drop_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
@@ -167,15 +157,15 @@ def transformer_block(
     Each residual branch is one graph node, which adds the branch to the
     residual in its product's buffer: ``masked_mha``'s output projection
     (``tensor.linear``) and ``tensor.mlp``. Besides its output and its row
-    scale, the attention branch's node keeps the merged heads' rows, a view
-    of the ``span_attention`` output, and the MLP branch's node keeps its
+    scale, the attention branch's node keeps the rows of the token-major
+    ``span_attention`` output, a view, and the MLP branch's node keeps its
     input rows, a view of the second layer norm's output, and the
     ``(rows, hidden)`` pre-activation. The MLP node rebuilds the GELU
     activation in its backward, so neither a branch's product nor the
     activation is held between the forward and the backward.
     """
     x = as_tensor(x)
-    h = masked_mha(layer_norm(x, params.ln1.gain, params.ln1.bias, eps), params.attn, heads, mask,
+    h = masked_mha(layer_norm(x, params.ln1.gain, params.ln1.bias), params.attn, heads, mask,
                    residual=x, rows=drop_path(x, drop_rate, rng))
-    return mlp(layer_norm(h, params.ln2.gain, params.ln2.bias, eps), params.mlp.fc1, params.mlp.fc2,
+    return mlp(layer_norm(h, params.ln2.gain, params.ln2.bias), params.mlp.fc1, params.mlp.fc2,
                residual=h, rows=drop_path(h, drop_rate, rng))

@@ -51,7 +51,8 @@ class Dataset:
 
 def _synthetic_image(rng: np.random.Generator, size: int) -> np.ndarray:
     """One RGB image: layered sinusoidal gradients plus solid shapes."""
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64) / size
+    rows, cols = np.ogrid[0:size, 0:size]
+    yy, xx = rows / size, cols / size
     img = np.zeros((3, size, size))
     for c in range(3):
         field = np.zeros((size, size))
@@ -74,7 +75,7 @@ def _synthetic_image(rng: np.random.Generator, size: int) -> np.ndarray:
         else:
             radius = rng.integers(size // 8, size // 3 + 1)
             cy, cx = rng.integers(0, size, size=2)
-            mask = (np.mgrid[0:size, 0:size][0] - cy) ** 2 + (np.mgrid[0:size, 0:size][1] - cx) ** 2 <= radius ** 2
+            mask = (rows - cy) ** 2 + (cols - cx) ** 2 <= radius ** 2
             img[:, mask] = color[:, None]
 
     # Quantize through uint8 so pixels sit exactly on PPM-representable values.

@@ -62,16 +62,15 @@ def op_library_checks(eps: float = 1e-5) -> dict[str, float]:
         lambda t: T.tsum(T.square(T.area_pool(t, 3, 3))), Tensor(rng.standard_normal((1, 2, 4, 4))), eps
     )
 
-    # q^T, k and v^T of 2 heads with hd = 3 over a 1, 2, 3 schedule, stacked
-    # in one tensor so one check covers all three inputs.
+    # q, k and v of 2 heads with hd = 3 over a 1, 2, 3 schedule, stacked in
+    # one tensor so one check covers all three inputs.
     sched = build_schedule(3, [1, 2, 3])
-    qkv = Tensor(rng.standard_normal((3, 2, sched.total, 3)))
-    coeffs = Tensor(rng.standard_normal((2, 3, sched.total)), dtype=np.float64)
+    qkv = Tensor(rng.standard_normal((3, 1, sched.total, 6)))
+    coeffs = Tensor(rng.standard_normal((1, sched.total, 6)), dtype=np.float64)
 
     def span_attention_sum(t, spans):
-        q_t, k, v_t = (T.reshape(T.slice_axis(t, 0, i, i + 1), t.shape[1:]) for i in range(3))
-        out = T.span_attention(T.transpose(q_t, (0, 2, 1)), k, T.transpose(v_t, (0, 2, 1)), spans, 0.6)
-        return T.tsum(T.square(T.mul(out, coeffs)))
+        q, k, v = (T.reshape(T.slice_axis(t, 0, i, i + 1), t.shape[1:]) for i in range(3))
+        return T.tsum(T.square(T.mul(T.span_attention(q, k, v, 2, spans), coeffs)))
 
     for regime in (AttentionRegime.SCALE_CAUSAL, AttentionRegime.SCALE_INDEPENDENT):
         spans = build_mask(sched, regime)

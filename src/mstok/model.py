@@ -72,7 +72,6 @@ CHECKPOINT_MAGIC = b"HTOK"
 CHECKPOINT_VERSION = 1
 LOGVAR_MIN, LOGVAR_MAX = -30.0, 20.0
 MLP_RATIO = 4
-LN_EPS = 1e-6
 INIT_STD = 0.02
 
 
@@ -127,8 +126,8 @@ class TokenizerModel:
         h = add(h, self.enc_pos)
         h = reshape(h, (h.shape[0], g * g, cfg.enc_width))
         for blk in self.enc:
-            h = transformer_block(h, blk, cfg.heads, mask=None, eps=LN_EPS)
-        h = layer_norm(h, self.enc_norm.gain, self.enc_norm.bias, LN_EPS)
+            h = transformer_block(h, blk, cfg.heads, mask=None)
+        h = layer_norm(h, self.enc_norm.gain, self.enc_norm.bias)
         lat = add(matmul(h, self.latent_head.weight), self.latent_head.bias)
         dz = cfg.latent_dim
         mu = slice_axis(lat, 2, 0, dz)
@@ -166,9 +165,8 @@ class TokenizerModel:
         cfg = self.config
         h = add(tokens, positional_encoding(self.pe, self.schedule))
         for blk in self.dec:
-            h = transformer_block(h, blk, cfg.heads, self.mask, eps=LN_EPS,
-                                  drop_rate=cfg.drop_path, rng=rng)
-        h = layer_norm(h, self.dec_norm.gain, self.dec_norm.bias, LN_EPS)
+            h = transformer_block(h, blk, cfg.heads, self.mask, drop_rate=cfg.drop_path, rng=rng)
+        h = layer_norm(h, self.dec_norm.gain, self.dec_norm.bias)
         return add(matmul(h, self.pixel_head.weight), self.pixel_head.bias)
 
     def decode_pyramid(self, z_latent, rng: np.random.Generator | None = None) -> Tensor:

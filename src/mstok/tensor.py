@@ -352,15 +352,19 @@ def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.
     row-major first: OpenBLAS 0.3.31 forms a small product with a
     column-major operand in another kernel, so at ``(rows, 48) @ (48, 16)``
     a row's bits changed with the row count for 1 to 75 rows. With the
-    copy they do not (a 1-row product is a gemv and may still differ), and
-    a product with a 2-D ``y`` always comes back C-contiguous. When both
-    operands are column-major (``span_attention``'s), the product is the
-    transpose of ``y^T @ x^T``, written into ``out``'s transpose when
+    copy they do not, and a product with a 2-D ``y`` always comes back
+    C-contiguous. A 1-row ``x`` times such a kernel (with no ``out``, as at
+    every call here) runs as a 2-row gemm that keeps its first row: numpy
+    forms a 1-row product as a gemv, whose bits differ from a gemm row's.
+    When both operands are column-major (``span_attention``'s), the product
+    is the transpose of ``y^T @ x^T``, written into ``out``'s transpose when
     ``out`` is given: numpy 2.4.6 on its OpenBLAS 0.3.31 returned wrong
     values (or crashed) for two column-major operands while a product of
     another shape ran on a second thread."""
     if y.ndim == 2 and _column_major(y):
         y = np.ascontiguousarray(y)
+        if x.ndim == 2 and len(x) == 1 and out is None:
+            return np.matmul(np.repeat(x, 2, axis=0), y)[:1]
     if _column_major(x) and _column_major(y):
         out_t = None if out is None else np.swapaxes(out, -1, -2)
         return np.swapaxes(np.matmul(np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2), out=out_t), -1, -2)
@@ -450,14 +454,14 @@ def linear(x, w, residual=None, rows=None) -> Tensor:
     buffer, so no branch output is held apart from the node's output. The
     node keeps ``x``'s rows, which the kernel gradient needs, and the row
     scale. When ``x``'s leading axes do not merge into one (a strided view),
-    the reshape to rows copies, once; merged attention heads do merge, since
-    ``span_attention`` stores its output token-major, so their rows are a
-    view. The backward forms both product gradients from ``g`` (times the
-    row scale) before it hands ``g`` to the residual, which then owns it, as
-    ``add`` hands its gradient to its first operand. Every float op is that
-    of ``add(residual, mul(matmul(x, w), rows))``, up to swapping the
-    operands of ``+`` and ``*``, so results equal that composition bit for
-    bit; the kernel gradient is ``_kernel_grad``'s.
+    the reshape to rows copies, once; ``span_attention``'s output is a
+    C-contiguous ``(b, T, d)`` array, so its rows are a view. The backward
+    forms both product gradients from ``g`` (times the row scale) before it
+    hands ``g`` to the residual, which then owns it, as ``add`` hands its
+    gradient to its first operand. Every float op is that of
+    ``add(residual, mul(matmul(x, w), rows))``, up to swapping the operands
+    of ``+`` and ``*``, so results equal that composition bit for bit; the
+    kernel gradient is ``_kernel_grad``'s.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
@@ -750,72 +754,82 @@ def _normalize_backward(g: np.ndarray, p: np.ndarray, scale: float) -> None:
     g *= scale
 
 
-def span_attention(q_t, k, v_t, spans, scale: float) -> Tensor:
-    """Softmax attention in which each run of queries reads one run of keys.
+def span_attention(q, k, v, heads: int, spans) -> Tensor:
+    """Multi-head softmax attention in which each run of queries reads one
+    run of keys.
 
-    ``q_t`` and ``v_t`` are ``(..., hd, T)``, ``k`` is ``(..., T, hd)``, all
-    with the same leading axes, and each span ``(q_lo, q_hi, k_lo, k_hi)``
-    lets queries ``[q_lo, q_hi)`` read keys ``[k_lo, k_hi)``; the query runs
-    must cover every query exactly once. For each span the key-major scores
-    ``k[..., k_lo:k_hi, :] @ q_t[..., q_lo:q_hi]`` are scaled and normalised
-    over the keys in place, and ``v_t[..., k_lo:k_hi] @ p`` fills that
-    span's columns of the ``(..., hd, T)`` output. That output is a view of
-    token-major storage, of shape ``lead[:1] + (T,) + lead[1:] + (hd,)`` for
-    leading axes ``lead``, so for ``(b, heads, hd, T)`` the heads of a token
-    lie side by side and ``masked_mha`` merges them without a copy.
+    ``q``, ``k``, ``v`` and the output are token-major ``(b, T, d)``: each
+    token's ``d`` features are ``heads`` heads of ``hd = d // heads``, and
+    the logits are scaled by ``1 / sqrt(hd)``. Each span ``(q_lo, q_hi,
+    k_lo, k_hi)`` lets queries ``[q_lo, q_hi)`` read keys ``[k_lo, k_hi)``;
+    the query runs must cover every query exactly once. The op works on
+    numpy head views, which record no graph node: ``q^T`` and ``v^T`` as
+    ``(b, heads, hd, T)``, ``k`` as ``(b, heads, T, hd)``. For each span the
+    key-major scores ``k[..., k_lo:k_hi, :] @ q^T[..., q_lo:q_hi]`` are
+    scaled and normalised over the keys in place, and ``v^T[..., k_lo:k_hi]
+    @ p`` fills that span's columns of the output's head view. The output
+    and the gradients of ``q``, ``k`` and ``v`` are allocated ``(b, T, d)``
+    and written through such views.
 
-    The forward equals dense attention bit for bit: the scores ``k @ q_t``,
+    The forward equals dense attention bit for bit: the scores ``k @ q^T``,
     scaled, with a large negative value added outside the spans so that
     their weights underflow to zero, normalised over the keys and multiplied
-    into ``v_t``. Every entry the spans skip adds an exact zero to the dense
+    into ``v^T``. Every entry the spans skip adds an exact zero to the dense
     sums; the tests check this against a numpy reference of those steps.
     Only the per-span probabilities are kept for the backward, which runs
     the same steps per span and adds each span's key and value gradients
     into its key range; those sum over the queries in another order than
     the dense products, so they differ from them in the last bits.
     """
-    q_t, k, v_t = as_tensor(q_t), as_tensor(k), as_tensor(v_t)
-    t = k.shape[-2] if k.ndim >= 2 else 0
-    if (k.ndim < 2 or q_t.shape != k.shape[:-2] + (k.shape[-1], t)
-            or v_t.ndim != k.ndim or v_t.shape[:-2] + v_t.shape[-1:] != k.shape[:-2] + (t,)):
-        raise ShapeError(f"span_attention: q^T {q_t.shape}, k {k.shape} and v^T {v_t.shape} do not conform")
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if k.ndim != 3 or q.shape != k.shape or v.shape != k.shape or k.shape[-1] % heads:
+        raise ShapeError(f"span_attention: q {q.shape}, k {k.shape} and v {v.shape} are not (b, T, d) "
+                         f"with d divisible by {heads} heads")
+    b, t, d = k.shape
     spans = tuple(spans)
     runs = sorted((q_lo, q_hi) for q_lo, q_hi, _, _ in spans)
     ends = [0] + [hi for _, hi in runs]
     if ([lo for lo, _ in runs] != ends[:-1] or ends[-1] != t
             or any(lo >= hi or not 0 <= k_lo < k_hi <= t for lo, hi, k_lo, k_hi in spans)):
         raise ShapeError(f"span_attention: spans {spans} do not cover {t} queries once with keys in range")
-    scale = float(scale)
-    lead, hd = k.shape[:-2], k.shape[-1]
-    token_major = np.empty(lead[:1] + (t,) + lead[1:] + (hd,), dtype=np.result_type(q_t.dtype, k.dtype, v_t.dtype))
-    out_data = np.moveaxis(token_major, min(1, len(lead)), -1)
+    hd = d // heads
+    scale = 1.0 / math.sqrt(hd)
+
+    def heads_of(a, axes=(0, 2, 3, 1)):  # (b, T, d) as (b, heads, hd, T); k as (b, heads, T, hd)
+        return a.reshape(b, t, heads, hd).transpose(axes)
+
+    key_major = (0, 2, 1, 3)
+    q_t, k_h, v_t = heads_of(q.data), heads_of(k.data, key_major), heads_of(v.data)
+    out_data = np.empty(k.shape, dtype=np.result_type(q.dtype, k.dtype, v.dtype))
+    out_t = heads_of(out_data)
     probs = []
     for q_lo, q_hi, k_lo, k_hi in spans:
-        p = _product(k.data[..., k_lo:k_hi, :], q_t.data[..., q_lo:q_hi])
+        p = _product(k_h[..., k_lo:k_hi, :], q_t[..., q_lo:q_hi])
         p *= scale
         _normalize(p)
-        _product(v_t.data[..., k_lo:k_hi], p, out=out_data[..., q_lo:q_hi])
+        _product(v_t[..., k_lo:k_hi], p, out=out_t[..., q_lo:q_hi])
         probs.append(p)
 
     def backward(g):
-        gq = np.empty_like(q_t.data) if q_t.requires_grad else None
-        gk = np.zeros_like(k.data) if k.requires_grad else None
-        gv = np.zeros_like(v_t.data) if v_t.requires_grad else None
+        g = heads_of(g)
+        gq = np.empty(q.shape, q.dtype) if q.requires_grad else None
+        gk = np.zeros(k.shape, k.dtype) if k.requires_grad else None
+        gv = np.zeros(v.shape, v.dtype) if v.requires_grad else None
         for (q_lo, q_hi, k_lo, k_hi), p in zip(spans, probs):
             g_out = g[..., q_lo:q_hi]
             if gv is not None:
-                gv[..., k_lo:k_hi] += _product(g_out, np.swapaxes(p, -1, -2))
-            gs = _product(np.swapaxes(v_t.data[..., k_lo:k_hi], -1, -2), g_out)
+                heads_of(gv)[..., k_lo:k_hi] += _product(g_out, np.swapaxes(p, -1, -2))
+            gs = _product(np.swapaxes(v_t[..., k_lo:k_hi], -1, -2), g_out)
             _normalize_backward(gs, p, scale)
             if gk is not None:
-                gk[..., k_lo:k_hi, :] += _product(gs, np.swapaxes(q_t.data[..., q_lo:q_hi], -1, -2))
+                heads_of(gk, key_major)[..., k_lo:k_hi, :] += _product(gs, np.swapaxes(q_t[..., q_lo:q_hi], -1, -2))
             if gq is not None:
-                _product(np.swapaxes(k.data[..., k_lo:k_hi, :], -1, -2), gs, out=gq[..., q_lo:q_hi])
-        for node, grad in ((q_t, gq), (k, gk), (v_t, gv)):
+                _product(np.swapaxes(k_h[..., k_lo:k_hi, :], -1, -2), gs, out=heads_of(gq)[..., q_lo:q_hi])
+        for node, grad in ((q, gq), (k, gk), (v, gv)):
             if grad is not None:
                 _accumulate(node, grad, fresh=True)
 
-    return _result(out_data, (q_t, k, v_t), backward)
+    return _result(out_data, (q, k, v), backward)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:

@@ -2,7 +2,7 @@
 nodes, the reference that ``attention.transformer_block`` is checked against.
 
 Each residual branch is the composition that the block's fused nodes
-replace: ``add(x, drop(matmul(merged_heads, wo)))`` and
+replace: ``add(x, drop(matmul(attention, wo)))`` and
 ``add(h, drop(matmul(gelu(matmul(ln2(h), fc1)), fc2)))``, where ``drop``
 multiplies the branch by a row scale drawn as ``tensor.drop_path`` draws it,
 attention branch first, and is left out without a generator or at rate 0.
@@ -10,12 +10,11 @@ The token-wise products and the GELU are numpy nodes here: a product is one
 gemm on the input's rows, its input gradient multiplies by a row-major copy
 of the transposed kernel, and its kernel gradient reduces over the largest
 multiple of 32 rows and then the tail, as the package's do; the GELU is the
-textbook tanh form. The layer norms, the attention core and the elementwise
-``mul`` and ``add`` are the package's own ops. Every node keeps what its
-backward reads, as separate nodes do.
+textbook tanh form. The layer norms, the attention core
+(``tensor.span_attention`` on the token-major q, k and v products) and the
+elementwise ``mul`` and ``add`` are the package's own ops. Every node keeps
+what its backward reads, as separate nodes do.
 """
-
-import math
 
 import numpy as np
 
@@ -65,19 +64,10 @@ def drop(branch, rate, rng):
 
 def transformer_block(x, params, heads, mask, eps=1e-6, drop_rate=0.0, rng=None):
     """``attention.transformer_block``'s math, one graph node per op."""
-    b, t, d = x.shape
-    hd = d // heads
+    t = x.shape[1]
     ln1 = T.layer_norm(x, params.ln1.gain, params.ln1.bias, eps)
-
-    def split_heads(w, axes):
-        return T.transpose(T.reshape(matmul(ln1, w), (b, t, heads, hd)), axes)
-
-    q_t = split_heads(params.attn.wq, (0, 2, 3, 1))
-    k = split_heads(params.attn.wk, (0, 2, 1, 3))
-    v_t = split_heads(params.attn.wv, (0, 2, 3, 1))
-    spans = ((0, t, 0, t),) if mask is None else mask
-    mixed_t = T.span_attention(q_t, k, v_t, spans, 1.0 / math.sqrt(hd))
-    merged = T.reshape(T.transpose(mixed_t, (0, 3, 1, 2)), (b, t, d))
+    q, k, v = (matmul(ln1, w) for w in (params.attn.wq, params.attn.wk, params.attn.wv))
+    merged = T.span_attention(q, k, v, heads, ((0, t, 0, t),) if mask is None else mask)
     h = T.add(x, drop(matmul(merged, params.attn.wo), drop_rate, rng))
     ln2 = T.layer_norm(h, params.ln2.gain, params.ln2.bias, eps)
     branch = matmul(gelu(matmul(ln2, params.mlp.fc1)), params.mlp.fc2)

@@ -3,12 +3,13 @@
 
 Every query scores every key, and a pair outside the allowed set gets
 ``MASK_VALUE`` added to its logit, so its weight underflows to exactly 0.0.
-The layout is the package's key-major one: ``q_t`` and ``v_t`` are
-``(..., hd, T)``, ``k`` is ``(..., T, hd)`` and the weights are
-``(..., keys, queries)``. The forward forms the same products as
-``tensor.matmul`` and normalises with ``span_attention``'s in-place steps,
-so it equals the package's forward bit for bit. The backward is the closed
-form, so its sums run in another order than the package's.
+``q``, ``k``, ``v`` and the output are token-major ``(b, T, d)``, split into
+heads as the package splits them: ``q^T`` and ``v^T`` are
+``(b, heads, hd, T)``, ``k`` is ``(b, heads, T, hd)`` and the weights are
+``(b, heads, keys, queries)``. The forward forms the same products as
+``tensor.span_attention`` and normalises with its in-place steps, so it
+equals the package's forward bit for bit. The backward is the closed form,
+so its sums run in another order than the package's.
 """
 
 import math
@@ -19,14 +20,30 @@ import numpy as np
 # yet small enough never to overflow.
 MASK_VALUE = -1e9
 
+TRANSPOSED, KEY_MAJOR = (0, 2, 3, 1), (0, 2, 1, 3)  # head views of (b, T, heads, hd)
 
-def attention(q_t, k, v_t, allow, scale):
-    """Dense attention over the query-major T x T boolean ``allow``.
 
-    Returns the ``(..., hd, T)`` output and a function from its gradient to
-    the gradients of ``q_t``, ``k`` and ``v_t``.
+def split(a, heads, axes):
+    b, t, d = a.shape
+    return a.reshape(b, t, heads, d // heads).transpose(axes)
+
+
+def merge(a, axes):
+    """The ``(b, T, d)`` array whose ``split`` by ``axes`` is ``a``."""
+    a = a.transpose(np.argsort(axes))
+    return a.reshape(a.shape[:2] + (-1,))
+
+
+def attention(q, k, v, heads, allow):
+    """Dense attention of ``heads`` heads over the query-major T x T boolean
+    ``allow``, with logits scaled by ``1 / sqrt(d // heads)``.
+
+    Returns the ``(b, T, d)`` output and a function from its gradient to the
+    gradients of ``q``, ``k`` and ``v``.
     """
-    p = k @ q_t
+    scale = 1.0 / math.sqrt(q.shape[-1] // heads)
+    q_t, k_h, v_t = split(q, heads, TRANSPOSED), split(k, heads, KEY_MAJOR), split(v, heads, TRANSPOSED)
+    p = k_h @ q_t
     p *= scale
     p += np.where(allow.T, 0.0, MASK_VALUE).astype(p.dtype)
     p -= p.max(axis=-2, keepdims=True)
@@ -34,12 +51,14 @@ def attention(q_t, k, v_t, allow, scale):
     p /= p.sum(axis=-2, keepdims=True)
 
     def backward(g):
+        g = split(g, heads, TRANSPOSED)
         g_v = g @ np.swapaxes(p, -1, -2)
         g_p = np.swapaxes(v_t, -1, -2) @ g
         g_s = scale * p * (g_p - (g_p * p).sum(axis=-2, keepdims=True))
-        return np.swapaxes(k, -1, -2) @ g_s, g_s @ np.swapaxes(q_t, -1, -2), g_v
+        g_q, g_k = np.swapaxes(k_h, -1, -2) @ g_s, g_s @ np.swapaxes(q_t, -1, -2)
+        return merge(g_q, TRANSPOSED), merge(g_k, KEY_MAJOR), merge(g_v, TRANSPOSED)
 
-    return v_t @ p, backward
+    return merge(v_t @ p, TRANSPOSED), backward
 
 
 def mha(x, weights, heads, allow):
@@ -50,22 +69,14 @@ def mha(x, weights, heads, allow):
     gradients of ``x`` and of each weight, in that order.
     """
     b, t, d = x.shape
-    hd = d // heads
     wq, wk, wv, wo = weights
     rows = x.reshape(b * t, d)
-
-    def split(w, axes):
-        return (rows @ w).reshape(b, t, heads, hd).transpose(axes)
-
-    q_t, k, v_t = split(wq, (0, 2, 3, 1)), split(wk, (0, 2, 1, 3)), split(wv, (0, 2, 3, 1))
-    mixed_t, attention_backward = attention(q_t, k, v_t, allow, 1.0 / math.sqrt(hd))
-    mixed = mixed_t.transpose(0, 3, 1, 2).reshape(b * t, d)
+    mixed, attention_backward = attention(*((rows @ w).reshape(b, t, d) for w in (wq, wk, wv)), heads, allow)
+    mixed = mixed.reshape(b * t, d)
 
     def backward(g):
         g = g.reshape(b * t, d)
-        g_q_t, g_k, g_v_t = attention_backward((g @ wo.T).reshape(b, t, heads, hd).transpose(0, 2, 3, 1))
-        g_q, g_v = (a.transpose(0, 3, 1, 2).reshape(b * t, d) for a in (g_q_t, g_v_t))
-        g_k = g_k.transpose(0, 2, 1, 3).reshape(b * t, d)
+        g_q, g_k, g_v = (a.reshape(b * t, d) for a in attention_backward((g @ wo.T).reshape(b, t, d)))
         g_x = g_q @ wq.T + g_k @ wk.T + g_v @ wv.T
         return (g_x.reshape(b, t, d), rows.T @ g_q, rows.T @ g_k, rows.T @ g_v, mixed.T @ g)
 

@@ -352,6 +352,25 @@ def test_masked_mha_merges_heads_without_a_copy(monkeypatch):
     assert np.shares_memory(rows, seen["attention"].data)
 
 
+def test_masked_mha_records_five_nodes():
+    # The output projection, span_attention and the q, k and v projections:
+    # span_attention splits and merges the heads itself, so no reshape or
+    # transpose node lies between them.
+    def op(node):
+        return node._backward_fn.__qualname__.split(".")[0]
+
+    rng = make_rng(17)
+    params = random_attn_params(rng, 16)
+    x = Tensor(rng.standard_normal((2, 21, 16)).astype(np.float32), requires_grad=True)
+    out = A.masked_mha(x, params, 4, A.build_mask(build_schedule(4, [1, 2, 4]), A.AttentionRegime.SCALE_CAUSAL))
+    attention = out._parents[0]
+    assert op(out) == "linear" and out._parents[1] is params.wo
+    assert op(attention) == "span_attention" and attention.shape == x.shape
+    assert [op(p) for p in attention._parents] == ["linear"] * 3
+    assert [p._parents[:2] for p in attention._parents] == [(x, w) for w in (params.wq, params.wk, params.wv)]
+    assert not {"reshape", "transpose"} & set(vars(A))
+
+
 @pytest.mark.parametrize("regime", [A.AttentionRegime.SCALE_CAUSAL, A.AttentionRegime.FULL])
 def test_scale_causal_gradient_never_reaches_finer_tokens(regime):
     # The input gradient of every scale's outputs (and coarser ones) is

@@ -2,6 +2,7 @@ import dataclasses
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from mstok import blas, parallel
@@ -55,17 +56,24 @@ def image_outputs(model, images):
     return [tuple(out[i].tobytes() for out in outputs) for i in range(len(images))]
 
 
-@pytest.mark.parametrize("tok", [TokenizerConfig(), dataclasses.replace(TOK, downsample_mode="interp"),
-                                 dataclasses.replace(TOK, downsample_mode="conv")],
-                         ids=["default", "16px-interp", "16px-conv"])
-def test_grad_free_outputs_do_not_depend_on_the_shard_size(tok):
+CONV = dataclasses.replace(TOK, downsample_mode="conv")
+
+
+@pytest.mark.parametrize("tok, kernel_std", [
+    (TokenizerConfig(), 0.0), (dataclasses.replace(TOK, downsample_mode="interp"), 0.0), (CONV, 0.0), (CONV, 0.125),
+], ids=["default", "16px-interp", "16px-conv", "16px-conv-random-kernels"])
+def test_grad_free_outputs_do_not_depend_on_the_shard_size(tok, kernel_std):
     # Every shard size from 1 to 16 over 17 images gives each image the same
     # bytes, since tensor._product copies a column-major kernel row-major
-    # (area_pool's second product, conv2d's kernel). A 1-row product is a
-    # gemv, which may still differ: the conv pyramid's last 2x2 -> 1x1
-    # convolution has one row per image, and gives the same bits only with
-    # its averaging kernels at init.
+    # (area_pool's second product, conv2d's kernel) and runs a 1-row product
+    # with it as a 2-row gemm. The conv pyramid's last 2x2 -> 1x1
+    # convolution has one row per image; at init its kernels average, so
+    # random ones are tried too.
     model = replica(init_model(tok), requires_grad=False)
+    if kernel_std:
+        rng = np.random.default_rng(4)
+        for kernel in (k for chain in model.down.values() for k in chain):
+            kernel.data[...] = kernel_std * rng.standard_normal(kernel.shape)
     images = generate_synthetic(17, tok.image_size, seed=3).images
     by_size = {size: [out for lo in range(0, len(images), size)
                       for out in image_outputs(model, images[lo:lo + size])]

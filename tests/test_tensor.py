@@ -114,16 +114,17 @@ def test_product_rows_do_not_depend_on_the_row_count(n, m):
     # OpenBLAS 0.3.31 forms a small product with a column-major operand in
     # another kernel: with this (n, m) kernel as a transposed view, the
     # leading 1-75, 1-18, 1-18 and 1-25 rows gave other bits than those of
-    # the 256-row product. _product copies such a kernel row-major, so every
-    # leading block gets its rows' bits. One row is a gemv, which may still
-    # differ, so the blocks start at 2 rows.
+    # the 256-row product, and so did every single row, which numpy forms as
+    # a gemv. _product copies such a kernel row-major, and runs one row as a
+    # 2-row gemm, so every leading block and every row gets its bits.
     rng = np.random.default_rng(n * m)
     x = rng.standard_normal((256, n)).astype(np.float32)
     kernel = rng.standard_normal((m, n)).astype(np.float32).T
     full = T._product(x, kernel)
     assert full.flags.c_contiguous
-    differ = [rows for rows in range(2, 257) if T._product(x[:rows], kernel).tobytes() != full[:rows].tobytes()]
-    assert differ == []
+    differ = [rows for rows in range(1, 257) if T._product(x[:rows], kernel).tobytes() != full[:rows].tobytes()]
+    singles = [i for i in range(256) if T._product(x[i:i + 1], kernel).tobytes() != full[i].tobytes()]
+    assert differ == [] and singles == []
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [((5, 4), (4, 6)), ((3, 5, 4), (3, 4, 6)), ((1, 5, 4), (4, 6))],
@@ -304,12 +305,9 @@ SPANS = {
 
 
 def span_inputs(rng, dtype, b=3, heads=2, hd=8, t=21):
-    # q^T, k and v^T as masked_mha makes them: head views of token-major
-    # (b, t, heads, hd) projections.
-    def heads_of(axes):
-        return np.transpose(rng.standard_normal((b, t, heads, hd)).astype(dtype), axes)
-
-    return heads_of((0, 2, 3, 1)), heads_of((0, 2, 1, 3)), heads_of((0, 2, 3, 1))
+    # q, k and v as masked_mha hands them over: token-major (b, t, heads * hd)
+    # projections.
+    return tuple(rng.standard_normal((b, t, heads * hd)).astype(dtype) for _ in range(3))
 
 
 def span_allow(spans, t):
@@ -322,11 +320,10 @@ def span_allow(spans, t):
 
 @pytest.mark.parametrize("regime", list(SPANS))
 def test_span_attention_forward_is_the_dense_composition_bitwise(regime):
-    q_t, k, v_t = span_inputs(np.random.default_rng(30), np.float32)
-    s = 1.0 / math.sqrt(8)
-    out = T.span_attention(q_t, k, v_t, SPANS[regime], s).data
-    want, _ = dense.attention(q_t, k, v_t, span_allow(SPANS[regime], 21), s)
-    assert out.dtype == np.float32 and out.shape == v_t.shape
+    q, k, v = span_inputs(np.random.default_rng(30), np.float32)
+    out = T.span_attention(q, k, v, 2, SPANS[regime]).data
+    want, _ = dense.attention(q, k, v, 2, span_allow(SPANS[regime], 21))
+    assert out.dtype == np.float32 and out.shape == v.shape and out.flags.c_contiguous
     np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
 
 
@@ -336,24 +333,25 @@ def test_span_attention_gradients_match_the_dense_composition(regime):
     arrays = span_inputs(rng, np.float64)
     seed = rng.standard_normal(arrays[2].shape)
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
-    T.span_attention(*inputs, SPANS[regime], 0.4).backward(seed)
-    _, backward = dense.attention(*arrays, span_allow(SPANS[regime], 21), 0.4)
+    T.span_attention(*inputs, 2, SPANS[regime]).backward(seed)
+    _, backward = dense.attention(*arrays, 2, span_allow(SPANS[regime], 21))
     for got, want in zip((t.grad for t in inputs), backward(seed)):
+        assert got.shape == want.shape and got.flags.c_contiguous
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_span_attention_grad_check():
     rng = np.random.default_rng(32)
-    q_t, k, v_t = span_inputs(rng, np.float64, b=1, hd=3)
-    coeffs = rng.standard_normal(v_t.shape)
+    q, k, v = span_inputs(rng, np.float64, b=1, hd=3)
+    coeffs = rng.standard_normal(v.shape)
     for i in range(3):
         def f(t):
-            inputs = [Tensor(a) for a in (q_t, k, v_t)]
+            inputs = [Tensor(a) for a in (q, k, v)]
             inputs[i] = t
-            out = T.span_attention(*inputs, SPANS["scalecausal"], 0.7)
+            out = T.span_attention(*inputs, 2, SPANS["scalecausal"])
             return T.tsum(T.square(T.mul(out, Tensor(coeffs))))
 
-        assert T.grad_check(f, Tensor((q_t, k, v_t)[i])) < 1e-5
+        assert T.grad_check(f, Tensor((q, k, v)[i])) < 1e-5
 
 
 def kept_bytes(op, *args):
@@ -372,11 +370,11 @@ def kept_bytes(op, *args):
 
 
 def test_span_attention_keeps_only_the_span_probabilities():
-    q_t, k, v_t = span_inputs(np.random.default_rng(33), np.float32, b=4, heads=4, hd=16)
-    inputs = [Tensor(a, requires_grad=True) for a in (q_t, k, v_t)]
+    q, k, v = span_inputs(np.random.default_rng(33), np.float32, b=4, heads=4, hd=16)
+    inputs = [Tensor(a, requires_grad=True) for a in (q, k, v)]
     spans = SPANS["scalecausal"]
     allowed = sum((q_hi - q_lo) * (k_hi - k_lo) for q_lo, q_hi, k_lo, k_hi in spans)
-    out, kept = kept_bytes(T.span_attention, *inputs, spans, 0.25)
+    out, kept = kept_bytes(T.span_attention, *inputs, 4, spans)
     probs = 4 * 4 * allowed * 4  # batch x heads x allowed pairs x float32
     assert out.data.nbytes + probs <= kept < out.data.nbytes + probs + 8192, kept
     out.backward(np.ones(out.shape, dtype=np.float32))
@@ -391,17 +389,18 @@ def test_span_attention_keeps_only_the_span_probabilities():
     (),
 ])
 def test_span_attention_rejects_bad_spans(spans):
-    q_t, k, v_t = span_inputs(np.random.default_rng(34), np.float32)
+    q, k, v = span_inputs(np.random.default_rng(34), np.float32)
     with pytest.raises(T.ShapeError):
-        T.span_attention(q_t, k, v_t, spans, 1.0)
+        T.span_attention(q, k, v, 2, spans)
 
 
 def test_span_attention_rejects_nonconforming_operands():
-    q_t, k, v_t = span_inputs(np.random.default_rng(35), np.float32)
-    with pytest.raises(T.ShapeError):
-        T.span_attention(q_t[..., :20], k, v_t, SPANS["full"], 1.0)
-    with pytest.raises(T.ShapeError):
-        T.span_attention(q_t, k, v_t[:1], SPANS["full"], 1.0)
+    q, k, v = span_inputs(np.random.default_rng(35), np.float32)
+    for args in ((q[:, :20], k, v), (q, k, v[:1]), (q, k[..., :15], v), (q[0], k[0], v[0])):
+        with pytest.raises(T.ShapeError):
+            T.span_attention(*args, 2, SPANS["full"])
+    with pytest.raises(T.ShapeError):  # 16 features are not 3 heads
+        T.span_attention(q, k, v, 3, SPANS["full"])
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +682,9 @@ MLP_W2 = Tensor(np.random.default_rng(4).standard_normal((4, 2)))
         ("mean", lambda t: T.square(T.tmean(t)), (4, 2)),
         ("exp", lambda t: T.tsum(T.texp(T.scale(t, 0.3))), (5,)),
         ("gelu", lambda t: T.tsum(T.mlp(t, MLP_W1, MLP_W2)), (2, 3)),
-        # One input as q^T, k and v^T, under scale-causal spans.
+        # One input as q, k and v of 2 heads, under scale-causal spans.
         ("span_attention", lambda t: T.tsum(T.square(T.span_attention(
-            t, T.transpose(t, (1, 0)), t, ((0, 1, 0, 1), (1, 3, 0, 3)), 0.7))), (2, 3)),
+            t, t, t, 2, ((0, 1, 0, 1), (1, 3, 0, 3))))), (1, 3, 4)),
         ("layer_norm", lambda t: T.tsum(T.square(T.layer_norm(
             t, Tensor(np.arange(1.0, 5.0)), Tensor(np.zeros(4))))), (3, 4)),
         ("area_pool", lambda t: T.tsum(T.square(T.area_pool(t, 3, 3))), (1, 1, 4, 4)),
