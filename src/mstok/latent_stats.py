@@ -42,8 +42,9 @@ def _top2_eigh(apply, m: int) -> tuple[np.ndarray, np.ndarray]:
     The operator is given by its products alone: ``apply(q)`` returns it
     times the vector ``q`` of length m, so the matrix itself is never built.
     Lanczos with full reorthogonalisation (Golub & Van Loan, *Matrix
-    Computations*, ch. 10) from a fixed random start; the ones vector would
-    not do, as it lies in the null space of a centred ``c @ c.T``. Each step
+    Computations*, ch. 10) from a fixed random start, not a structured
+    vector such as the ones vector, which structured input can leave
+    orthogonal to its top eigenvectors. Each step
     orthogonalises against every earlier Krylov vector, twice, and finds the
     Ritz pairs by ``eigh`` of the k x k tridiagonal. It stops when the
     residuals ``beta * |s_last|`` of the top two Ritz pairs (the one pair
@@ -84,15 +85,12 @@ def project2d(latents) -> tuple[np.ndarray, int]:
 
     Centers the n x d data and projects it onto its top-2 principal axes,
     fixing each axis sign so its largest-magnitude coordinate is positive.
-    The axes come from the top two eigenpairs, the only ones computed (by
-    ``_top2_eigh``'s Lanczos), of the Gram operator of the smaller side:
-    ``c.T @ c`` (d x d) when d <= n, else ``c @ c.T`` (n x n), whose
-    eigenvectors ``u`` map to the axes ``c.T @ u`` normalised. Both have the
-    squared singular values of ``c`` as eigenvalues, so no SVD is needed.
-    Lanczos reads the operator only through two products with ``c``, such
-    as ``c.T @ (c @ q)``, so no d x d or n x n matrix is built and the pass
-    holds ``c`` and a few Krylov vectors; working on the smaller side keeps
-    those vectors short and the steps few.
+    The axes are the top two eigenvectors, the only ones computed (by
+    ``_top2_eigh``'s Lanczos), of the d x d Gram operator ``c.T @ c``, whose
+    eigenvalues are the squared singular values of ``c``, so no SVD is
+    needed. Lanczos reads the operator only through the two products
+    ``c.T @ (c @ q)``, so no d x d matrix is built and the pass holds ``c``
+    and a few Krylov vectors of length d.
 
     Returns the n x 2 points and the number of axes that carry variance; a
     rank-deficient input fills each missing axis with zeros. An axis carries
@@ -116,11 +114,7 @@ def project2d(latents) -> tuple[np.ndarray, int]:
         raise DataError("project2d: latent vectors hold non-finite values")
     n, d = centered.shape
     centered -= centered.mean(axis=0)
-    if d <= n:
-        lam, top = _top2_eigh(lambda q: centered.T @ (centered @ q), d)
-    else:
-        lam, top = _top2_eigh(lambda q: centered @ (centered.T @ q), n)
-        top = centered.T @ top
+    lam, top = _top2_eigh(lambda q: centered.T @ (centered @ q), d)
     tol = max(n, d) * np.finfo(np.float64).eps * lam[0]
     axes = int(np.count_nonzero(lam > tol))
     out = np.zeros((n, 2))
@@ -242,7 +236,7 @@ def commutation_residuals(px, schedule: ScaleSchedule, patch: int) -> list[float
     segment sums. The top level is its own pool and reads 0.0.
     """
     ref = image_pyramid(tokens_to_images(px, schedule, patch)[-1], schedule, patch)
-    seg = segment_matrix(schedule, px.shape[2], px.dtype)
+    seg = segment_matrix(schedule, px.shape[2]).astype(px.dtype)
     num, den = (np.sqrt(np.square(a).reshape(len(px), -1) @ seg) for a in (px - ref, ref))
     return (num / (den + 1e-8)).mean(axis=0).tolist()
 

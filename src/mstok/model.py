@@ -61,7 +61,6 @@ from .tensor import (
     mul,
     named_tensors,
     reshape,
-    scale,
     slice_axis,
     texp,
     transpose,
@@ -147,9 +146,8 @@ class TokenizerModel:
             return code.mu
         if rng is None:
             raise ConfigError("sample_latent: rng required for stochastic sampling")
-        eps = rng.standard_normal(code.mu.shape).astype(code.mu.dtype)
-        std = texp(scale(code.logvar, 0.5))
-        return add(code.mu, mul(std, Tensor(eps)))
+        std = texp(mul(code.logvar, 0.5))
+        return add(code.mu, mul(std, rng.standard_normal(code.mu.shape)))
 
     def build_pyramid(self, z_width: Tensor) -> Tensor:
         """Base token map -> batch x T x width low-to-high token sequence."""

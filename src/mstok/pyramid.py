@@ -87,27 +87,28 @@ def _base_map(z, schedule: ScaleSchedule, op: str) -> Tensor:
 
 
 @functools.lru_cache(maxsize=None)
-def _pool_matrix(grids: tuple[int, ...], dtype) -> np.ndarray:
-    """The low-to-high token sequence as one ``T x g²`` matrix on the row-major
-    flattened base grid ``g``: each level's block is ``kron(w, w)`` of its
-    ``pool_weights`` ``w``, the identity at the base grid. At most ``T x T``,
-    since the base grid's ``g²`` tokens are part of the sequence. Built in
-    float64 and cast once; cached and read-only, since every caller shares
-    it.
+def _pool_matrix(grids: tuple[int, ...]) -> np.ndarray:
+    """The low-to-high token sequence as one float64 ``T x g²`` matrix on the
+    row-major flattened base grid ``g``: each level's block is ``kron(w, w)``
+    of its ``pool_weights`` ``w``, the identity at the base grid. At most
+    ``T x T``, since the base grid's ``g²`` tokens are part of the sequence.
+    Cached and read-only, since every caller shares it; as a constant
+    operand of an op it takes the other operand's dtype.
     """
-    weights = [pool_weights(grids[-1], g, np.float64) for g in grids]
-    m = np.concatenate([np.kron(w, w) for w in weights]).astype(dtype)
+    weights = [pool_weights(grids[-1], g) for g in grids]
+    m = np.concatenate([np.kron(w, w) for w in weights])
     m.flags.writeable = False
     return m
 
 
 @functools.lru_cache(maxsize=None)
-def segment_matrix(schedule: ScaleSchedule, width: int, dtype) -> np.ndarray:
-    """``T·width x S`` one-hot scale of each entry of a batch x T x width
-    sequence's flattened rows (at width 1, of each token): a row times it is
-    the row's per-scale sums. Cached and read-only, since every caller shares
-    it."""
-    m = np.eye(schedule.num_scales, dtype=dtype)[np.repeat(schedule.scale_of(), width)]
+def segment_matrix(schedule: ScaleSchedule, width: int) -> np.ndarray:
+    """``T·width x S`` float64 one-hot scale of each entry of a batch x T x
+    width sequence's flattened rows (at width 1, of each token): a row times
+    it is the row's per-scale sums. Cached and read-only, since every caller
+    shares it; as a constant operand of an op it takes the other operand's
+    dtype."""
+    m = np.eye(schedule.num_scales)[np.repeat(schedule.scale_of(), width)]
     m.flags.writeable = False
     return m
 
@@ -116,7 +117,7 @@ def downsample_interp(z_base, schedule: ScaleSchedule) -> Tensor:
     """Parameter-free pyramid: the token sequence of area-pooled base maps."""
     z = _base_map(z_base, schedule, "downsample_interp")
     flat = reshape(z, (z.shape[0], schedule.base_grid ** 2, z.shape[3]))
-    return matmul(Tensor(_pool_matrix(schedule.grids, z.dtype)), flat)
+    return matmul(_pool_matrix(schedule.grids), flat)
 
 
 def conv_chain_lengths(schedule: ScaleSchedule) -> dict[int, int]:
@@ -169,8 +170,7 @@ def positional_encoding(pe: PEParams, schedule: ScaleSchedule) -> Tensor:
             f"positional_encoding: {pe.scale.shape[0]} scale embeddings for {schedule.num_scales} scales"
         )
     pooled = downsample_interp(reshape(pe.spatial, (1,) + pe.spatial.shape), schedule)
-    one_hot = Tensor(segment_matrix(schedule, 1, pe.scale.dtype))
-    return add(reshape(pooled, pooled.shape[1:]), matmul(one_hot, pe.scale))
+    return add(reshape(pooled, pooled.shape[1:]), matmul(segment_matrix(schedule, 1), pe.scale))
 
 
 def image_pyramid(x, schedule: ScaleSchedule, patch: int) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Minimal dense tensor engine with reverse-mode automatic differentiation.
 
 Arrays are numpy-backed. Training math runs in float32; gradient checks and
-oracles build float64 tensors (every op preserves the input dtype). A backward
+oracles build float64 tensors. Every op preserves its input's dtype, and a
+constant operand of ``add``, ``sub``, ``mul`` or ``matmul``, a Python number
+or an array that is not a ``Tensor``, takes the dtype of the tensor it meets
+(``_operands``), so no caller casts a constant itself. A backward
 pass walks the graph in reverse topological order, visiting each node exactly
 once and accumulating (never overwriting) gradients, so DAGs with shared
 subexpressions differentiate correctly.
@@ -62,7 +65,7 @@ class ShapeError(DataError):
 def _as_array(data, dtype=None) -> np.ndarray:
     arr = np.asarray(data)
     if dtype is not None:
-        return arr.astype(dtype)
+        return arr.astype(dtype, copy=False)
     if arr.dtype.kind != "f":
         return arr.astype(np.float32)
     return arr
@@ -143,7 +146,7 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        _accumulate(self, grad, fresh=True)
+        _accumulate(self, grad)
         # Popping drops the list's reference too, so a released node whose
         # data no one else holds is freed before the sweep moves on.
         while order:
@@ -223,18 +226,19 @@ def replica(tree, requires_grad: bool = True):
 _RELEASED = object()
 
 
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
     """Add a gradient contribution to ``t.grad``.
 
-    ``fresh`` lets the first contribution own ``g`` instead of copying it.
-    A closure may set it for an array it allocated, and also for the
-    gradient it was given, or a view of it, when no other consumer takes
-    that buffer: the sweep releases the gradient right after the closure
-    runs, so the owner may then update it in place. The same holds for the
-    closure itself: it owns the gradient it is handed and may write into it,
-    as ``layer_norm`` does. A buffer another consumer also gets,
-    a read-only broadcast view or a caller's array is copied. A 0-d gradient
-    is stored as a 0-d array, never a numpy scalar.
+    A closure hands ``g`` over: the first contribution owns it instead of
+    copying it, unless the closure says it is ``shared``. That holds for an
+    array the closure allocated and for the gradient it was given, or a view
+    of it: the sweep releases the gradient right after the closure runs, so
+    the owner may then update it in place. The same holds for the closure
+    itself: it owns the gradient it is handed and may write into it, as
+    ``layer_norm`` does. A buffer another consumer also gets (``add``'s
+    second operand) or a read-only broadcast view (``tsum``'s) is shared,
+    and copied. A 0-d gradient is stored as a 0-d array, never a numpy
+    scalar.
     """
     # numpy returns a 0-d result as a scalar; store an array, so in-place
     # updates write into it instead of rebinding.
@@ -244,7 +248,7 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
         if reduced is not g:
             # unbroadcast allocated a reduction; safe to own
             t.grad = reduced if reduced.dtype == t.data.dtype else reduced.astype(t.data.dtype)
-        elif fresh and g.dtype == t.data.dtype:
+        elif not shared and g.dtype == t.data.dtype:
             t.grad = g
         else:
             t.grad = g.astype(t.data.dtype, copy=True)
@@ -287,57 +291,59 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 # Elementwise and linear-algebra primitives
 # ---------------------------------------------------------------------------
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """``a`` and ``b`` as tensors. An operand that is not a ``Tensor`` (a
+    Python number or an array) is a constant and takes the other operand's
+    dtype, as numpy's weak Python scalars do (NEP 50): ``mul(x, 0.5)`` on a
+    float32 ``x`` is ``x * np.float32(0.5)``, and its result is float32.
+    Two tensors, or two constants, promote as numpy does."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor):
+        b = Tensor(b, dtype=a.dtype)
+    elif isinstance(b, Tensor) and not isinstance(a, Tensor):
+        a = Tensor(a, dtype=b.dtype)
+    return as_tensor(a), as_tensor(b)
+
+
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _check_broadcast(a, b, "add")
     out_data = a.data + b.data
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g, fresh=True)
+            _accumulate(a, g)
         if b.requires_grad:
-            _accumulate(b, g, fresh=not a.requires_grad)  # a may own g
+            _accumulate(b, g, shared=a.requires_grad)  # a may own g
 
     return _result(out_data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _check_broadcast(a, b, "sub")
     out_data = a.data - b.data
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g, fresh=True)
+            _accumulate(a, g)
         if b.requires_grad:
-            _accumulate(b, -g, fresh=True)
+            _accumulate(b, -g)
 
     return _result(out_data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _check_broadcast(a, b, "mul")
     out_data = a.data * b.data
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g * b.data, fresh=True)
+            _accumulate(a, g * b.data)
         if b.requires_grad:
-            _accumulate(b, g * a.data, fresh=True)
+            _accumulate(b, g * a.data)
 
     return _result(out_data, (a, b), backward)
-
-
-def scale(a, s: float) -> Tensor:
-    a = as_tensor(a)
-    s = float(s)
-    out_data = a.data * s
-
-    def backward(g):
-        _accumulate(a, g * s, fresh=True)
-
-    return _result(out_data, (a,), backward)
 
 
 def _column_major(x: np.ndarray) -> bool:
@@ -384,7 +390,7 @@ def matmul(a, b) -> Tensor:
     C-contiguous unless both operands are column-major and ``b`` has more
     than 2 dims: ``_product`` returns such a product as a transposed view.
     """
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -395,9 +401,9 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _product(g, np.swapaxes(b.data, -1, -2)), fresh=True)
+            _accumulate(a, _product(g, np.swapaxes(b.data, -1, -2)))
         if b.requires_grad:
-            _accumulate(b, _product(np.swapaxes(a.data, -1, -2), g), fresh=True)
+            _accumulate(b, _product(np.swapaxes(a.data, -1, -2), g))
 
     return _result(out_data, (a, b), backward)
 
@@ -478,11 +484,11 @@ def linear(x, w, residual=None, rows=None) -> Tensor:
         if rows is not None:
             gp = gp * rows
         if x.requires_grad:
-            _accumulate(x, _product(gp, w.data.T).reshape(x.shape), fresh=True)
+            _accumulate(x, _product(gp, w.data.T).reshape(x.shape))
         if w.requires_grad:
-            _accumulate(w, _kernel_grad(x_rows, gp), fresh=True)
+            _accumulate(w, _kernel_grad(x_rows, gp))
         if residual is not None and residual.requires_grad:
-            _accumulate(residual, g, fresh=True)  # the products above are done with g
+            _accumulate(residual, g)  # the products above are done with g
 
     return _result(out_data.reshape(out_shape), (x, w) + (() if residual is None else (residual,)), backward)
 
@@ -492,7 +498,7 @@ def tsum(a) -> Tensor:
     out_data = a.data.sum()
 
     def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.shape))
+        _accumulate(a, np.broadcast_to(g, a.shape), shared=True)
 
     return _result(out_data, (a,), backward)
 
@@ -502,7 +508,7 @@ def tmean(a) -> Tensor:
     out_data = a.data.mean()
 
     def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.shape) / a.size, fresh=True)
+        _accumulate(a, np.broadcast_to(g, a.shape) / a.size)
 
     return _result(out_data, (a,), backward)
 
@@ -512,7 +518,7 @@ def texp(a) -> Tensor:
     out_data = np.exp(a.data)
 
     def backward(g):
-        _accumulate(a, g * out_data, fresh=True)
+        _accumulate(a, g * out_data)
 
     return _result(out_data, (a,), backward)
 
@@ -522,7 +528,7 @@ def tabs(a) -> Tensor:
     out_data = np.abs(a.data)
 
     def backward(g):
-        _accumulate(a, g * np.sign(a.data), fresh=True)
+        _accumulate(a, g * np.sign(a.data))
 
     return _result(out_data, (a,), backward)
 
@@ -532,7 +538,7 @@ def square(a) -> Tensor:
     out_data = a.data * a.data
 
     def backward(g):
-        _accumulate(a, g * (2.0 * a.data), fresh=True)
+        _accumulate(a, g * (2.0 * a.data))
 
     return _result(out_data, (a,), backward)
 
@@ -648,14 +654,14 @@ def mlp(x, w1, w2, residual=None, rows=None) -> Tensor:
         act = np.empty_like(pre)
         _gelu(pre.reshape(-1), act.reshape(-1), g_pre.reshape(-1))
         if w2.requires_grad:
-            _accumulate(w2, _kernel_grad(act, gp), fresh=True)
+            _accumulate(w2, _kernel_grad(act, gp))
         del act
         if x.requires_grad:
-            _accumulate(x, _product(g_pre, w1.data.T).reshape(x.shape), fresh=True)
+            _accumulate(x, _product(g_pre, w1.data.T).reshape(x.shape))
         if w1.requires_grad:
-            _accumulate(w1, _kernel_grad(x_rows, g_pre), fresh=True)
+            _accumulate(w1, _kernel_grad(x_rows, g_pre))
         if residual is not None and residual.requires_grad:
-            _accumulate(residual, g, fresh=True)  # the products above are done with g
+            _accumulate(residual, g)  # the products above are done with g
 
     return _result(out_data.reshape(out_shape), parents, backward)
 
@@ -667,7 +673,7 @@ def clip(a, lo: float, hi: float) -> Tensor:
 
     def backward(g):
         inside = (a.data >= lo) & (a.data <= hi)
-        _accumulate(a, g * inside, fresh=True)
+        _accumulate(a, g * inside)
 
     return _result(out_data, (a,), backward)
 
@@ -681,7 +687,7 @@ def reshape(a, shape) -> Tensor:
     out_data = a.data.reshape(shape)
 
     def backward(g):
-        _accumulate(a, g.reshape(a.shape), fresh=True)
+        _accumulate(a, g.reshape(a.shape))
 
     return _result(out_data, (a,), backward)
 
@@ -693,7 +699,7 @@ def transpose(a, axes) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        _accumulate(a, g.transpose(inverse), fresh=True)
+        _accumulate(a, g.transpose(inverse))
 
     return _result(out_data, (a,), backward)
 
@@ -709,7 +715,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
             if t.requires_grad:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(start, stop)
-                _accumulate(t, g[tuple(index)], fresh=True)  # disjoint slices
+                _accumulate(t, g[tuple(index)])  # disjoint slices
 
     return _result(out_data, tuple(tensors), backward)
 
@@ -724,7 +730,7 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[index] = g
-        _accumulate(a, full, fresh=True)
+        _accumulate(a, full)
 
     return _result(out_data, (a,), backward)
 
@@ -827,7 +833,7 @@ def span_attention(q, k, v, heads: int, spans) -> Tensor:
                 _product(np.swapaxes(k_h[..., k_lo:k_hi, :], -1, -2), gs, out=heads_of(gq)[..., q_lo:q_hi])
         for node, grad in ((q, gq), (k, gk), (v, gv)):
             if grad is not None:
-                _accumulate(node, grad, fresh=True)
+                _accumulate(node, grad)
 
     return _result(out_data, (q, k, v), backward)
 
@@ -866,9 +872,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
         xhat = x.data - mu
         xhat *= inv
         if gain.requires_grad:
-            _accumulate(gain, (g * xhat).reshape(-1, n).sum(axis=0), fresh=True)
+            _accumulate(gain, (g * xhat).reshape(-1, n).sum(axis=0))
         if bias.requires_grad:
-            _accumulate(bias, g.reshape(-1, n).sum(axis=0), fresh=True)
+            _accumulate(bias, g.reshape(-1, n).sum(axis=0))
         if x.requires_grad:
             gx = g  # this node's own gradient; the affine grads above are done with it
             gx *= gain.data
@@ -877,7 +883,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
             gx -= m1
             gx -= xhat * m2
             gx *= inv
-            _accumulate(x, gx, fresh=True)
+            _accumulate(x, gx)
 
     return _result(out_data, (x, gain, bias), backward)
 
@@ -911,12 +917,14 @@ def conv2d(x, kernel) -> Tensor:
 
 
 @functools.lru_cache(maxsize=None)
-def pool_weights(n_in: int, n_out: int, dtype) -> np.ndarray:
-    """Row-stochastic matrix mapping n_in source pixels to n_out cell means.
+def pool_weights(n_in: int, n_out: int) -> np.ndarray:
+    """Row-stochastic float64 matrix mapping n_in source pixels to n_out cell
+    means.
 
     Each source pixel contributes in proportion to its overlap with the
     output cell, which handles non-integral ratios such as 16 -> 12. Built
-    once per shape and dtype, and read-only, since every caller shares it.
+    once per shape, and read-only, since every caller shares it. As a
+    constant operand of an op it takes the other operand's dtype.
     """
     w = np.zeros((n_out, n_in), dtype=np.float64)
     span = n_in / n_out
@@ -927,7 +935,7 @@ def pool_weights(n_in: int, n_out: int, dtype) -> np.ndarray:
             overlap = min(hi, r + 1) - max(lo, r)
             if overlap > 0:
                 w[p, r] = overlap
-    w = (w / span).astype(dtype)
+    w /= span
     w.flags.writeable = False
     return w
 
@@ -949,8 +957,8 @@ def area_pool(x, out_h: int, out_w: int) -> Tensor:
         raise ShapeError(f"area_pool: output dims must be positive, got {out_h}x{out_w}")
     if out_h > h or out_w > w:
         raise ShapeError(f"area_pool: output {out_h}x{out_w} exceeds input {h}x{w}")
-    rows = matmul(Tensor(pool_weights(h, out_h, x.dtype)), x)
-    return matmul(rows, Tensor(pool_weights(w, out_w, x.dtype).T))
+    rows = matmul(pool_weights(h, out_h), x)
+    return matmul(rows, pool_weights(w, out_w).T)
 
 
 def drop_path(x, rate: float, rng: np.random.Generator | None) -> np.ndarray | None:

@@ -30,13 +30,13 @@ def matmul(x, w):
     def backward(g):
         g = g.reshape(-1, m)
         if x.requires_grad:
-            T._accumulate(x, (g @ np.ascontiguousarray(w.data.T)).reshape(x.shape), fresh=True)
+            T._accumulate(x, (g @ np.ascontiguousarray(w.data.T)).reshape(x.shape))
         if w.requires_grad:
             k = len(rows) - len(rows) % 32 or len(rows)
             grad = rows[:k].T @ g[:k]
             if k < len(rows):
                 grad += rows[k:].T @ g[k:]
-            T._accumulate(w, grad, fresh=True)
+            T._accumulate(w, grad)
 
     return T._result((rows @ w.data).reshape(x.shape[:-1] + (m,)), (x, w), backward)
 
@@ -49,7 +49,7 @@ def gelu(a):
 
     def backward(g):
         du = c * (1.0 + 3.0 * k * x * x) * (1.0 - u * u)
-        T._accumulate(a, g * (0.5 * (1.0 + u) + 0.5 * x * du), fresh=True)
+        T._accumulate(a, g * (0.5 * (1.0 + u) + 0.5 * x * du))
 
     return T._result(0.5 * x * (1.0 + u), (a,), backward)
 

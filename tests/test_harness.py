@@ -340,7 +340,7 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
     # 40 images are shards of 16 + 16 + 8, weighted 0.4, 0.4 and 0.2.
     from mstok.losses import multiscale_loss
     from mstok.pyramid import image_pyramid
-    from mstok.tensor import Tensor, add, mul, scale, texp
+    from mstok.tensor import Tensor, add, mul, texp
 
     assert len({hi - lo for lo, hi in parallel.shard_bounds(40, TOKENS)}) > 1
 
@@ -357,7 +357,7 @@ def test_sharded_step_matches_whole_batch_graph(tmp_path):
     ])
 
     code = model.encode(Tensor(images))
-    z = add(code.mu, mul(texp(scale(code.logvar, 0.5)), Tensor(eps)))
+    z = add(code.mu, mul(texp(mul(code.logvar, 0.5)), Tensor(eps)))
     px = model.decode_pyramid(z)
     targets = image_pyramid(images, model.schedule, SMALL_TOK.patch)
     loss, whole = multiscale_loss(px, targets, model.schedule, run, code)
@@ -477,6 +477,24 @@ def test_default_training_shard_peak_memory():
 
     peak()  # fills the caches the first shard builds
     assert peak() < 38.6 * 2**20
+
+
+def test_default_training_shard_graph_is_float32():
+    # Constants take the dtype of the tensor they meet, so no op promotes the
+    # graph: promoted by numpy, the 1.0 of ``add(logvar, 1.0)`` would put the
+    # KL chain and the loss total, 7 of the 178 nodes, in float64.
+    run = RunConfig()
+    model = init_model(run.tokenizer)
+    images = generate_synthetic(16, run.tokenizer.image_size, seed=3).images
+    loss, _ = train_mod._train_shard(run, model, images, make_rng(5))
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    assert len(nodes) == 178
+    assert sum(node.dtype != np.float32 for node in nodes.values()) == 0
 
 
 def test_training_shard_beside_graph_free_shards_is_unchanged(tmp_path, monkeypatch):

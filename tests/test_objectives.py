@@ -11,7 +11,7 @@ from mstok.losses import kl_loss, multiscale_loss
 from mstok.model import LatentCode
 from mstok.optim import AdamW, clip_grad_norm, cosine_lr
 from mstok.pyramid import build_schedule, tokens_to_images
-from mstok.tensor import NumericError, ShapeError, Tensor, add, make_rng, scale, square, sub, tabs, tmean
+from mstok.tensor import NumericError, ShapeError, Tensor, add, make_rng, mul, square, sub, tabs, texp, tmean
 
 W = RunConfig()
 
@@ -55,13 +55,26 @@ def test_rec_loss_shape_mismatch():
 # kl_loss
 # ---------------------------------------------------------------------------
 
-def code_of(mu, logvar):
-    return LatentCode(mu=Tensor(mu, dtype=np.float64), logvar=Tensor(logvar, dtype=np.float64))
+def code_of(mu, logvar, dtype=np.float64):
+    return LatentCode(mu=Tensor(mu, dtype=dtype), logvar=Tensor(logvar, dtype=dtype))
 
 
 def test_kl_standard_normal_is_zero():
     shape = (2, 2, 2, 2)
-    assert kl_loss(code_of(np.zeros(shape), np.zeros(shape))).item() == 0.0
+    for dtype in (np.float32, np.float64):
+        kl = kl_loss(code_of(np.zeros(shape), np.zeros(shape), dtype))
+        assert kl.dtype == dtype
+        assert kl.item() == 0.0
+
+
+def test_kl_clamps_float32_rounding_below_zero():
+    # The docstring's case: unclamped, the float32 KL of this code is -2**-25.
+    code = code_of(np.zeros(1), np.full(1, -3e-7), np.float32)
+    inner = sub(add(square(code.mu), texp(code.logvar)), add(code.logvar, 1.0))
+    assert mul(tmean(inner), 0.5).item() == -2.0 ** -25
+    kl = kl_loss(code)
+    assert kl.dtype == np.float32
+    assert kl.item() == 0.0
 
 
 def test_kl_unit_mean_closed_form():
@@ -84,8 +97,9 @@ def test_kl_log2_variance_closed_form():
 )
 def test_kl_nonnegative(mus, logvars):
     n = min(len(mus), len(logvars))
-    code = code_of(np.array(mus[:n]), np.array(logvars[:n]))
-    assert kl_loss(code).item() >= 0.0
+    for dtype in (np.float32, np.float64):
+        code = code_of(np.array(mus[:n]), np.array(logvars[:n]), dtype)
+        assert kl_loss(code).item() >= 0.0
 
 
 def test_kl_zero_only_at_standard_normal():
@@ -105,14 +119,14 @@ def test_kl_rejects_non_finite():
 def image_rec_loss(pred, target, config):
     """Reference: one scale's loss on images, l1_weight * mean|err| + mse_weight * mean(err^2)."""
     diff = sub(pred, target)
-    return add(scale(tmean(tabs(diff)), config.l1_weight), scale(tmean(square(diff)), config.mse_weight))
+    return add(mul(tmean(tabs(diff)), config.l1_weight), mul(tmean(square(diff)), config.mse_weight))
 
 
 def image_multiscale_loss(preds, targets, config):
     """Reference: the per-scale image losses, weighted by scale_weights over their sum."""
     weights = config.scale_weights or (1.0,) * len(preds)
     per_scale = [image_rec_loss(p, t, config) for p, t in zip(preds, targets)]
-    total = functools.reduce(add, [scale(term, wt / sum(weights)) for term, wt in zip(per_scale, weights)])
+    total = functools.reduce(add, [mul(term, wt / sum(weights)) for term, wt in zip(per_scale, weights)])
     return total, [t.item() for t in per_scale]
 
 

@@ -301,6 +301,6 @@ def test_tokens_to_images_shape_mismatch():
 def test_segment_matrix_sums_each_scale_block():
     sched = P.build_schedule(3, [1, 3])
     seq = make_rng(24).standard_normal((2, sched.total, 4))
-    sums = seq.reshape(2, -1) @ P.segment_matrix(sched, 4, np.float64)
+    sums = seq.reshape(2, -1) @ P.segment_matrix(sched, 4)
     for s, (start, n) in enumerate(zip(sched.offsets(), sched.counts)):
         np.testing.assert_allclose(sums[:, s], seq[:, start:start + n].sum(axis=(1, 2)), rtol=1e-12)

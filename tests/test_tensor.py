@@ -182,13 +182,13 @@ def test_dag_shared_subexpression_accumulates():
     # y = z*z with z = 2x must give the same gradient as the expanded tree
     # y = (2x)*(2x); both equal 8x.
     x = Tensor([3.0], requires_grad=True)
-    z = T.scale(x, 2.0)
+    z = T.mul(x, 2.0)
     y = T.tsum(T.mul(z, z))
     y.backward()
     shared = x.grad.copy()
 
     x2 = Tensor([3.0], requires_grad=True)
-    y2 = T.tsum(T.mul(T.scale(x2, 2.0), T.scale(x2, 2.0)))
+    y2 = T.tsum(T.mul(T.mul(x2, 2.0), T.mul(x2, 2.0)))
     y2.backward()
     np.testing.assert_array_equal(shared, x2.grad)
     np.testing.assert_array_equal(shared, [8.0 * 3.0])
@@ -199,6 +199,34 @@ def test_backward_accumulates_across_calls():
     T.tsum(x).backward()
     T.tsum(x).backward()
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("const", [0.5, 2, np.full((2, 2), 0.5)], ids=["float", "int", "float64_array"])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "matmul"])
+def test_constant_operand_takes_the_tensor_dtype(op, const, dtype):
+    # numpy alone would promote float32 with a Python float or a float64
+    # array to float64.
+    if op == "matmul" and np.ndim(const) == 0:
+        const = np.full((2, 2), const).tolist()  # nested Python numbers
+    for side in range(2):
+        x = Tensor(np.ones((2, 2), dtype), requires_grad=True)
+        out = getattr(T, op)(*((x, const) if side == 0 else (const, x)))
+        assert out.dtype == dtype
+        T.tsum(out).backward()
+        assert x.grad.dtype == dtype
+
+
+@pytest.mark.parametrize("s", [0.1, 1 / 3, -2.7])
+def test_mul_by_a_python_float_multiplies_by_its_float32(s):
+    rng = T.make_rng(0)
+    for side in range(2):
+        x = Tensor(rng.standard_normal((4, 5)).astype(np.float32), requires_grad=True)
+        g = rng.standard_normal((4, 5)).astype(np.float32)
+        out = T.mul(x, s) if side == 0 else T.mul(s, x)
+        out.backward(g)
+        assert out.data.tobytes() == (x.data * np.float32(s)).tobytes()
+        assert x.grad.tobytes() == (g * np.float32(s)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +286,10 @@ def test_backward_seed_is_copied_not_aliased():
 
 def test_zero_dim_gradient_is_an_array_updated_in_place():
     a = Tensor(np.float32(3), requires_grad=True)
-    T.scale(a, 2.0).backward()
+    T.mul(a, 2.0).backward()
     assert type(a.grad) is np.ndarray and a.grad.shape == () and a.grad == 2.0
     owned = a.grad
-    T.scale(a, 2.0).backward()
+    T.mul(a, 2.0).backward()
     assert a.grad is owned and owned == 4.0  # accumulated in place, not rebound
     # A gradient reduced by broadcasting down to 0-d is an array too.
     b = Tensor(np.float32(1), requires_grad=True)
@@ -677,10 +705,10 @@ MLP_W2 = Tensor(np.random.default_rng(4).standard_normal((4, 2)))
     "name,f,shape",
     [
         ("add", lambda t: T.tsum(T.square(T.add(t, t))), (3, 3)),
-        ("mul", lambda t: T.tsum(T.mul(t, T.scale(t, 0.5))), (3, 3)),
+        ("mul", lambda t: T.tsum(T.mul(t, T.mul(t, 0.5))), (3, 3)),
         ("matmul", lambda t: T.tsum(T.square(T.matmul(t, t))), (3, 3)),
         ("mean", lambda t: T.square(T.tmean(t)), (4, 2)),
-        ("exp", lambda t: T.tsum(T.texp(T.scale(t, 0.3))), (5,)),
+        ("exp", lambda t: T.tsum(T.texp(T.mul(t, 0.3))), (5,)),
         ("gelu", lambda t: T.tsum(T.mlp(t, MLP_W1, MLP_W2)), (2, 3)),
         # One input as q, k and v of 2 heads, under scale-causal spans.
         ("span_attention", lambda t: T.tsum(T.square(T.span_attention(
@@ -689,7 +717,7 @@ MLP_W2 = Tensor(np.random.default_rng(4).standard_normal((4, 2)))
             t, Tensor(np.arange(1.0, 5.0)), Tensor(np.zeros(4))))), (3, 4)),
         ("area_pool", lambda t: T.tsum(T.square(T.area_pool(t, 3, 3))), (1, 1, 4, 4)),
         ("concat_slice", lambda t: T.tsum(T.square(T.slice_axis(
-            T.concat([t, T.scale(t, 2.0)], axis=0), 0, 1, 4))), (2, 3)),
+            T.concat([t, T.mul(t, 2.0)], axis=0), 0, 1, 4))), (2, 3)),
         ("transpose", lambda t: T.tsum(T.square(T.transpose(t, (1, 0)))), (2, 4)),
         ("area_pool_integral", lambda t: T.tsum(T.square(T.area_pool(t, 2, 1))), (1, 2, 4, 4)),
     ],
