@@ -53,7 +53,7 @@ from .config import ConfigError, RunConfig, config_from_kv, load_run_config, rea
 from .data import load_dataset
 from .gradcheck import model_end_to_end_check, op_library_checks
 from .imageio import save_ppm
-from .latent_stats import analyze_latents, read_latents, write_latents
+from .latent_stats import KDE_GRID_SIZE, KDE_PAD_BANDWIDTHS, analyze_latents, read_latents, write_latents
 from .model import load_checkpoint
 from .parallel import run_shards, shard_bounds
 from .pyramid import build_schedule, tokens_to_images
@@ -97,9 +97,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze-latent", help="uniformity statistics of an HLAT latent dump")
     p.add_argument("latent_path")
-    p.add_argument("--grid", type=int, default=64, help="KDE grid side (default 64)")
+    p.add_argument("--grid", type=int, default=KDE_GRID_SIZE, help="KDE grid side (default %(default)s)")
     p.add_argument("--bandwidth", type=float, default=None, help="KDE bandwidth (default: Scott's rule)")
-    p.add_argument("--pad", type=float, default=3.0, help="bounding-box padding in bandwidths")
+    p.add_argument("--pad", type=float, default=KDE_PAD_BANDWIDTHS,
+                   help="bounding-box padding in bandwidths (default %(default)s)")
     p.add_argument("--out", help="also write the JSON report to a file")
 
     p = sub.add_parser("dump-mask", help="print the attention mask as rows of 0/1")
@@ -170,9 +171,7 @@ def _cmd_export_latents(args) -> int:
 
 def _cmd_analyze_latent(args) -> int:
     vectors = read_latents(args.latent_path)
-    stats = analyze_latents(vectors, grid_size=args.grid, bandwidth=args.bandwidth,
-                            pad_bandwidths=args.pad)
-    report = json.dumps(stats.to_dict(), indent=2)
+    report = json.dumps(analyze_latents(vectors, args.grid, args.bandwidth, args.pad), indent=2)
     print(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

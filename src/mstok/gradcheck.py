@@ -2,7 +2,8 @@
 
 Everything runs in double precision. The end-to-end check perturbs every
 parameter (a deterministic spread of coordinates for large ones) against
-central finite differences of the total training loss.
+central finite differences of the trainer's own shard loss
+(``train.train_shard``).
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import numpy as np
 from . import tensor as T
 from .attention import AttentionRegime, build_mask
 from .config import RunConfig, TokenizerConfig
-from .losses import multiscale_loss
 from .model import init_model
-from .pyramid import build_schedule, downsample_interp, image_pyramid
+from .pyramid import build_schedule, downsample_interp
 from .tensor import Tensor, make_rng, named_tensors
+from .train import train_shard
 
 TINY_CONFIG = TokenizerConfig(
     image_size=8, patch=4, enc_layers=1, dec_layers=1, enc_width=8, dec_width=8,
@@ -92,16 +93,15 @@ def model_end_to_end_check(eps: float = 1e-4, max_coords_per_param: int = 8) -> 
     cfg = TINY_CONFIG
     model = init_model(cfg, dtype=np.float64)
     rng = make_rng(12)
-    x = Tensor(rng.uniform(-1, 1, (2, 3, cfg.image_size, cfg.image_size)))
-    targets = image_pyramid(x, model.schedule, cfg.patch)
+    x = rng.uniform(-1, 1, (2, 3, cfg.image_size, cfg.image_size))
     run = RunConfig(tokenizer=cfg)
 
     def loss_fn() -> Tensor:
-        # A fresh same-seed generator draws the same latent noise on every
-        # call, so the reparameterized sample is under the check too.
-        px, code = model.reconstruct(x, deterministic=False, rng=make_rng(13))
-        total, _ = multiscale_loss(px, targets, model.schedule, run, code)
-        return total
+        # The trainer's own shard loss. A fresh same-seed generator draws the
+        # same latent noise on every call, so the reparameterized sample is
+        # under the check too; TINY_CONFIG's drop_path is 0, so it draws
+        # no masks.
+        return train_shard(run, model, x, make_rng(13))[0]
 
     params = named_tensors(model)
     loss_fn().backward()

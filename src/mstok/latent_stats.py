@@ -2,12 +2,17 @@
 estimation on a grid, and uniformity statistics (density CV, Gini
 coefficient, normalized entropy). Also the decode/downsample commutation
 residual and the "HLAT" latent dump format.
+
+``analyze_latents`` builds the one latent report, which ``mstok
+analyze-latent`` prints and the eval entry logs as ``uniformity``: a
+JSON-ready dict whose keys, in order, are ``density_cv``, ``gini``,
+``norm_entropy``, ``n_points``, ``grid_size``, ``bandwidth`` and
+``projected_axes``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,22 +22,15 @@ from .pyramid import ScaleSchedule, image_pyramid, segment_matrix, tokens_to_ima
 from .tensor import ConfigError, DataError, ShapeError, make_rng
 
 
+# The KDE defaults of ``analyze_latents`` and ``mstok analyze-latent``: grid
+# points per axis, and the bandwidths by which the grid's box extends past
+# the points.
+KDE_GRID_SIZE = 64
+KDE_PAD_BANDWIDTHS = 3.0
+
+
 class UndefinedMetricsError(DataError):
     """Uniformity metrics are undefined (e.g. all-zero densities)."""
-
-
-@dataclass(frozen=True)
-class LatentStats:
-    density_cv: float
-    gini: float
-    norm_entropy: float
-    n_points: int
-    grid_size: int
-    bandwidth: float
-    projected_axes: int           # projection axes that carry variance, 0 to 2
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _top2_eigh(apply, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +133,7 @@ def scott_bandwidth(points: np.ndarray) -> float:
     return float(pts.shape[0] ** (-1.0 / 6.0) * spread)
 
 
-def kde_grid(points: np.ndarray, grid_size: int, bandwidth: float, pad_bandwidths: float = 3.0):
+def kde_grid(points: np.ndarray, grid_size: int, bandwidth: float, pad_bandwidths: float):
     """Coordinates of the evaluation grid: ``grid_size`` evenly spaced points
     per axis from the padded box's lower edge to its upper edge, both
     included (``np.linspace``), so the outer points lie on the box's edges,
@@ -148,8 +146,7 @@ def kde_grid(points: np.ndarray, grid_size: int, bandwidth: float, pad_bandwidth
     return xs, ys
 
 
-def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
-                pad_bandwidths: float = 3.0) -> np.ndarray:
+def kde_density(points, grid_size: int, bandwidth: float, pad_bandwidths: float) -> np.ndarray:
     """Isotropic Gaussian KDE evaluated at the ``kde_grid`` points, normalized
     to sum 1.
 
@@ -169,8 +166,6 @@ def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
         raise ConfigError(f"kde_density: grid size must be at least 1, got {grid_size}")
     if not (np.isfinite(pad_bandwidths) and pad_bandwidths >= 0):
         raise ConfigError(f"kde_density: pad must be finite and nonnegative, got {pad_bandwidths}")
-    if bandwidth is None:
-        bandwidth = scott_bandwidth(pts)
     if not (bandwidth > 0 and 0 < bandwidth * bandwidth < np.inf):  # NaN fails too
         raise ConfigError(f"kde_density: bandwidth must be positive with a finite, nonzero square, got {bandwidth}")
     xs, ys = kde_grid(pts, grid_size, bandwidth, pad_bandwidths)
@@ -186,9 +181,10 @@ def kde_density(points, grid_size: int = 64, bandwidth: float | None = None,
     return density / total
 
 
-def uniformity_metrics(densities, n_points: int = 0, grid_size: int | None = None,
-                       bandwidth: float = float("nan"), projected_axes: int = 2) -> LatentStats:
-    """Density CV, Gini coefficient, and normalized entropy of a density grid."""
+def uniformity_metrics(densities) -> dict:
+    """Density CV, Gini coefficient and normalized entropy of a density
+    grid: a dict of the floats ``density_cv``, ``gini`` and ``norm_entropy``,
+    in that order."""
     d = np.asarray(densities, dtype=np.float64).reshape(-1)
     if d.size == 0 or (d < 0).any():
         raise UndefinedMetricsError("uniformity metrics need a nonempty, nonnegative density grid")
@@ -208,23 +204,25 @@ def uniformity_metrics(densities, n_points: int = 0, grid_size: int | None = Non
     nz = p[p > 0]
     entropy = float(-(nz * np.log(nz)).sum())
     norm_entropy = 1.0 if n == 1 else float(entropy / np.log(n))
-
-    side = grid_size if grid_size is not None else int(round(np.sqrt(n)))
-    return LatentStats(density_cv=cv, gini=gini, norm_entropy=norm_entropy,
-                       n_points=n_points, grid_size=side, bandwidth=float(bandwidth),
-                       projected_axes=projected_axes)
+    return {"density_cv": cv, "gini": gini, "norm_entropy": norm_entropy}
 
 
-def analyze_latents(vectors, grid_size: int = 64, bandwidth: float | None = None,
-                    pad_bandwidths: float = 3.0) -> LatentStats:
-    """Full pipeline: project to 2-D, estimate density, compute uniformity."""
+def analyze_latents(vectors, grid_size: int = KDE_GRID_SIZE, bandwidth: float | None = None,
+                    pad_bandwidths: float = KDE_PAD_BANDWIDTHS) -> dict:
+    """The latent report: project to 2-D, estimate the density on a grid
+    (Scott's bandwidth unless one is given), and score its uniformity.
+
+    Returns the JSON-ready dict of ``uniformity_metrics`` (``density_cv``,
+    ``gini``, ``norm_entropy``), then ``n_points`` (int), ``grid_size``
+    (int), ``bandwidth`` (float) and ``projected_axes`` (int, the
+    projection axes that carry variance, 0 to 2), in that order.
+    """
     points, axes = project2d(vectors)
     if bandwidth is None:
         bandwidth = scott_bandwidth(points)
-    densities = kde_density(points, grid_size=grid_size, bandwidth=bandwidth,
-                            pad_bandwidths=pad_bandwidths)
-    return uniformity_metrics(densities, n_points=points.shape[0], grid_size=grid_size,
-                              bandwidth=bandwidth, projected_axes=axes)
+    densities = kde_density(points, grid_size, bandwidth, pad_bandwidths)
+    return {**uniformity_metrics(densities), "n_points": points.shape[0], "grid_size": grid_size,
+            "bandwidth": float(bandwidth), "projected_axes": axes}
 
 
 def commutation_residuals(px, schedule: ScaleSchedule, patch: int) -> list[float]:

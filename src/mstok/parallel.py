@@ -52,11 +52,10 @@ A pool lives for one pass, such as one training step or one eval sweep, so
 between passes the calling thread runs with BLAS at its own thread count and
 no worker alive. Starting the threads again for each pass costs nothing
 measurable, in time or memory: glibc puts an exited thread's malloc arena on
-a free list that the next pass's new threads take from. On a 2-vCPU Xeon, a
-default ``train`` step that opened its own pool read a median of 220 ms
-(211-227 ms over 7 runs) against 223 ms (174-228 ms) with one pool held over
-the whole run, and the runs' peak resident memory 217-226 MB against
-218-226 MB.
+a free list that the next pass's new threads take from. On a 2-vCPU Xeon,
+default ``train`` runs that opened a pool per step and runs that held one
+pool over the whole run read the same median step time and the same peak
+resident memory, within their run-to-run spread.
 
 The shards, and so the results, do not depend on the worker count: a caller
 that fixes its shards by the batch alone gets the same results from one

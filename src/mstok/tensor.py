@@ -838,8 +838,12 @@ def span_attention(q, k, v, heads: int, spans) -> Tensor:
     return _result(out_data, (q, k, v), backward)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis, then apply an elementwise affine.
+LAYER_NORM_EPS = 1e-6
+
+
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalize over the last axis, then apply an elementwise affine, with
+    ``eps = LAYER_NORM_EPS``.
 
     The output has ``x``'s dtype. Forward and backward reuse their buffers in
     place; every float op keeps the operands and order of
@@ -863,7 +867,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     xhat = x.data - mu
     out_data = xhat * xhat
     var = out_data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     np.multiply(xhat, gain.data, out=out_data)
     out_data += bias.data
@@ -1016,7 +1020,7 @@ def _horner(coeffs, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
+def trunc_normal(rng: np.random.Generator, shape, std: float, dtype=np.float32) -> np.ndarray:
     """Normal(0, std) truncated to two standard deviations, via inverse CDF.
 
     The inverse CDF is Wichura's AS241 (Appl. Stat. 1988), vectorised with

@@ -30,8 +30,8 @@ from .pyramid import image_pyramid, tokens_to_images
 from .tensor import Tensor, replica
 
 
-def _train_shard(config: RunConfig, model: TokenizerModel, images: np.ndarray,
-                 rng: np.random.Generator) -> tuple[Tensor, dict]:
+def train_shard(config: RunConfig, model: TokenizerModel, images: np.ndarray,
+                rng: np.random.Generator) -> tuple[Tensor, dict]:
     """Forward and loss of one training shard on ``model``, a replica:
     ``rng`` gives the shard's latent noise, then its drop_path masks.
     Returns the shard's mean loss and its loss breakdown summed over its
@@ -86,7 +86,7 @@ def evaluate(model: TokenizerModel, dataset: Dataset, indices: np.ndarray, confi
     # The log keeps l1 first, then rec_loss, then the other means in order.
     metrics = {"n_images": n, "l1": means["l1"], "rec_loss": means["per_scale"][-1], **means}
     vectors = np.concatenate([mu for _, mu in results], axis=0)
-    metrics["uniformity"] = analyze_latents(vectors).to_dict() if len(vectors) >= 3 else None
+    metrics["uniformity"] = analyze_latents(vectors) if len(vectors) >= 3 else None
     return metrics
 
 
@@ -98,7 +98,7 @@ def train(config: RunConfig, echo: bool = False) -> dict:
     dataset = load_dataset(config.data_dir, tok.image_size, tok.seed)
     train_idx, eval_idx = dataset.split(config.eval_fraction)
     model = init_model(tok)
-    return loop.fit(model, lambda params, images, rng: _train_shard(config, params, images, rng),
+    return loop.fit(model, lambda params, images, rng: train_shard(config, params, images, rng),
                     model.schedule.total, dataset, train_idx, config,
                     lambda: save_checkpoint(model, config.checkpoint),
                     lambda: evaluate(model, dataset, eval_idx, config), echo)

@@ -62,13 +62,13 @@ def drop(branch, rate, rng):
     return T.mul(branch, Tensor(scale))
 
 
-def transformer_block(x, params, heads, mask, eps=1e-6, drop_rate=0.0, rng=None):
+def transformer_block(x, params, heads, mask, drop_rate=0.0, rng=None):
     """``attention.transformer_block``'s math, one graph node per op."""
     t = x.shape[1]
-    ln1 = T.layer_norm(x, params.ln1.gain, params.ln1.bias, eps)
+    ln1 = T.layer_norm(x, params.ln1.gain, params.ln1.bias)
     q, k, v = (matmul(ln1, w) for w in (params.attn.wq, params.attn.wk, params.attn.wv))
     merged = T.span_attention(q, k, v, heads, ((0, t, 0, t),) if mask is None else mask)
     h = T.add(x, drop(matmul(merged, params.attn.wo), drop_rate, rng))
-    ln2 = T.layer_norm(h, params.ln2.gain, params.ln2.bias, eps)
+    ln2 = T.layer_norm(h, params.ln2.gain, params.ln2.bias)
     branch = matmul(gelu(matmul(ln2, params.mlp.fc1)), params.mlp.fc2)
     return T.add(h, drop(branch, drop_rate, rng))

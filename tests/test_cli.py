@@ -330,7 +330,36 @@ def test_eval_uniformity_matches_analyze_latent_of_export(tmp_path):
     assert main(["export-latents", ckpt, hlat, "--set", "data_dir=synthetic:40"]) == 0
     ds = load_dataset("synthetic:40", model.config.image_size, model.config.seed)
     got = evaluate(model, ds, np.arange(40), RunConfig(tokenizer=model.config))["uniformity"]
-    assert got == analyze_latents(read_latents(hlat)).to_dict()
+    assert got == analyze_latents(read_latents(hlat))
+
+
+# The latent report's keys in order, each with its JSON value type.
+LATENT_REPORT = [("density_cv", float), ("gini", float), ("norm_entropy", float), ("n_points", int),
+                 ("grid_size", int), ("bandwidth", float), ("projected_axes", int)]
+
+
+def test_latent_report_key_order_and_value_types(tmp_path, capsys):
+    # The printed report's bytes, not just its values, are what a reader or
+    # a digest of the output sees: the analyze-latent JSON and the eval
+    # entry's uniformity keep one key order, ints as ints and floats as
+    # floats (a whole bandwidth prints as 2.0).
+    ckpt = small_checkpoint(tmp_path)
+    hlat = str(tmp_path / "latents.hlat")
+    assert main(["export-latents", ckpt, hlat, "--set", "data_dir=synthetic:12"]) == 0
+    capsys.readouterr()
+    report_path = tmp_path / "stats.json"
+    assert main(["analyze-latent", hlat, "--bandwidth", "2", "--out", str(report_path)]) == 0
+    printed = capsys.readouterr().out
+    assert report_path.read_text(encoding="utf-8") == printed
+    report = json.loads(printed)
+    assert [(key, type(value)) for key, value in report.items()] == LATENT_REPORT
+    assert report["bandwidth"] == 2.0 and report["n_points"] == 12 and report["grid_size"] == 64
+
+    lines = [json.loads(line) for line in Path(log_path_for(ckpt)).read_text(encoding="utf-8").splitlines()]
+    uniformity = [line["uniformity"] for line in lines if line.get("event") == "eval"]
+    assert uniformity
+    for report in uniformity:
+        assert [(key, type(value)) for key, value in report.items()] == LATENT_REPORT
 
 
 def test_reconstruct_rejects_config_options(tmp_path, capsys):

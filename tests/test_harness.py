@@ -30,7 +30,7 @@ TOKENS = SMALL_TOK.schedule().total
 
 def tokenizer_shard(run):
     """The tokenizer's shard function, as ``train`` hands it to the loop."""
-    return functools.partial(train_mod._train_shard, run)
+    return functools.partial(train_mod.train_shard, run)
 
 
 def small_run(tmp_path, **kw):
@@ -486,7 +486,7 @@ def test_default_training_shard_graph_is_float32():
     run = RunConfig()
     model = init_model(run.tokenizer)
     images = generate_synthetic(16, run.tokenizer.image_size, seed=3).images
-    loss, _ = train_mod._train_shard(run, model, images, make_rng(5))
+    loss, _ = train_mod.train_shard(run, model, images, make_rng(5))
     nodes, stack = {}, [loss]
     while stack:
         node = stack.pop()
@@ -560,7 +560,7 @@ def test_sharded_evaluate_matches_whole_batch_expression(tmp_path):
         "ssim": ssim(quant, x),
         "per_scale": breakdown["per_scale"],
         "commutation": commutation_residuals(px.data, schedule, patch),
-        "uniformity": analyze_latents(code.mu.data.reshape(40, -1)).to_dict(),
+        "uniformity": analyze_latents(code.mu.data.reshape(40, -1)),
     }
     assert got["n_images"] == 40
     for key, value in want.items():

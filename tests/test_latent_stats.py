@@ -203,7 +203,7 @@ def test_project2d_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_kde_single_point_peak_and_symmetry():
-    density = L.kde_density(np.zeros((1, 2)), grid_size=9, bandwidth=1.0)
+    density = L.kde_density(np.zeros((1, 2)), 9, 1.0, L.KDE_PAD_BANDWIDTHS)
     center = density[4, 4]
     assert center == density.max()
     np.testing.assert_allclose(density, density[::-1, :], rtol=1e-12)
@@ -213,17 +213,17 @@ def test_kde_single_point_peak_and_symmetry():
 def test_kde_normalization():
     rng = make_rng(3)
     pts = rng.standard_normal((40, 2))
-    density = L.kde_density(pts, grid_size=32)
+    density = L.kde_density(pts, 32, L.scott_bandwidth(pts), L.KDE_PAD_BANDWIDTHS)
     assert density.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_kde_two_separated_points_equal_modes():
     pts = np.array([[-10.0, 0.0], [10.0, 0.0]])
     g = 33
-    density = L.kde_density(pts, grid_size=g, bandwidth=0.5)
+    density = L.kde_density(pts, g, 0.5, L.KDE_PAD_BANDWIDTHS)
     mode_rows = density.max(axis=1)
     # Kernel-sum oracle at the two mode cells: both kernels contribute equally.
-    xs, ys = L.kde_grid(pts, g, 0.5)
+    xs, ys = L.kde_grid(pts, g, 0.5, L.KDE_PAD_BANDWIDTHS)
     vals = np.zeros((g, g))
     for i in range(g):
         for j in range(g):
@@ -243,21 +243,21 @@ def test_kde_separable_equals_direct_kernel_sum(n, grid, bandwidth, seed):
     # Points in [-3, 3] and bandwidth >= 0.5 keep every kernel value above
     # exp(-324), far from underflow, so the relative check holds everywhere.
     pts = make_rng(seed).uniform(-3.0, 3.0, (n, 2))
-    xs, ys = L.kde_grid(pts, grid, bandwidth)
+    xs, ys = L.kde_grid(pts, grid, bandwidth, L.KDE_PAD_BANDWIDTHS)
     direct = np.array([[np.exp(-((x - pts[:, 0]) ** 2 + (y - pts[:, 1]) ** 2) / (2 * bandwidth**2)).sum()
                         for y in ys] for x in xs])
-    np.testing.assert_allclose(L.kde_density(pts, grid_size=grid, bandwidth=bandwidth),
+    np.testing.assert_allclose(L.kde_density(pts, grid, bandwidth, L.KDE_PAD_BANDWIDTHS),
                                direct / direct.sum(), rtol=1e-9)
 
 
 def test_kde_rejects_points_that_are_not_n_by_2():
     with pytest.raises(ShapeError):
-        L.kde_density(np.zeros((4, 3)))
+        L.kde_density(np.zeros((4, 3)), L.KDE_GRID_SIZE, 1.0, L.KDE_PAD_BANDWIDTHS)
 
 
 def test_kde_rejects_bad_bandwidth():
     with pytest.raises(ValueError):
-        L.kde_density(np.zeros((3, 2)), bandwidth=0.0)
+        L.kde_density(np.zeros((3, 2)), L.KDE_GRID_SIZE, 0.0, L.KDE_PAD_BANDWIDTHS)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +266,9 @@ def test_kde_rejects_bad_bandwidth():
 
 def test_uniform_density_perfect_scores():
     stats = L.uniformity_metrics(np.full(64, 1.0 / 64))
-    assert stats.density_cv == pytest.approx(0.0, abs=1e-9)
-    assert stats.gini == pytest.approx(0.0, abs=1e-9)
-    assert stats.norm_entropy == pytest.approx(1.0, abs=1e-9)
+    assert stats["density_cv"] == pytest.approx(0.0, abs=1e-9)
+    assert stats["gini"] == pytest.approx(0.0, abs=1e-9)
+    assert stats["norm_entropy"] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [2, 5, 64])
@@ -276,17 +276,17 @@ def test_point_mass_closed_forms(n):
     d = np.zeros(n)
     d[n // 2] = 3.7
     stats = L.uniformity_metrics(d)
-    assert stats.gini == pytest.approx((n - 1) / n, abs=1e-9)
-    assert stats.norm_entropy == pytest.approx(0.0, abs=1e-9)
+    assert stats["gini"] == pytest.approx((n - 1) / n, abs=1e-9)
+    assert stats["norm_entropy"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_hand_computed_two_cell_case():
     stats = L.uniformity_metrics(np.array([1.0, 3.0]))
-    assert stats.density_cv == pytest.approx(0.5, abs=1e-9)
-    assert stats.gini == pytest.approx(0.25, abs=1e-9)
+    assert stats["density_cv"] == pytest.approx(0.5, abs=1e-9)
+    assert stats["gini"] == pytest.approx(0.25, abs=1e-9)
     expected_entropy = (-0.25 * np.log(0.25) - 0.75 * np.log(0.75)) / np.log(2)
-    assert stats.norm_entropy == pytest.approx(expected_entropy, abs=1e-9)
-    assert stats.norm_entropy == pytest.approx(0.8113, abs=1e-4)
+    assert stats["norm_entropy"] == pytest.approx(expected_entropy, abs=1e-9)
+    assert stats["norm_entropy"] == pytest.approx(0.8113, abs=1e-4)
 
 
 @settings(max_examples=50, deadline=None)
@@ -296,8 +296,8 @@ def test_hand_computed_two_cell_case():
 )
 def test_gini_scale_invariance(values, factor):
     d = np.array(values)
-    a = L.uniformity_metrics(d).gini
-    b = L.uniformity_metrics(d * factor).gini
+    a = L.uniformity_metrics(d)["gini"]
+    b = L.uniformity_metrics(d * factor)["gini"]
     assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -306,7 +306,7 @@ def test_gini_scale_invariance(values, factor):
 def test_entropy_strictly_below_one_off_uniform(idx, bump):
     d = np.ones(16)
     d[idx] += bump
-    assert L.uniformity_metrics(d).norm_entropy < 1.0
+    assert L.uniformity_metrics(d)["norm_entropy"] < 1.0
 
 
 def test_all_zero_densities_rejected():
@@ -320,7 +320,7 @@ def test_analyze_latents_deterministic():
     a = L.analyze_latents(vecs, grid_size=16)
     b = L.analyze_latents(vecs, grid_size=16)
     assert a == b
-    assert a.n_points == 64 and a.grid_size == 16
+    assert a["n_points"] == 64 and a["grid_size"] == 16
 
 
 # ---------------------------------------------------------------------------

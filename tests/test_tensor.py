@@ -445,7 +445,7 @@ def test_layer_norm_matches_direct_formula():
     eps = 1e-6
     expected = (x - x.mean()) / np.sqrt(x.var() + eps)  # direct formula
     out = T.layer_norm(Tensor(x, dtype=np.float64), Tensor(np.ones(2), dtype=np.float64),
-                       Tensor(np.zeros(2), dtype=np.float64), eps=eps)
+                       Tensor(np.zeros(2), dtype=np.float64))
     np.testing.assert_allclose(out.data, expected, rtol=1e-12)
     np.testing.assert_allclose(out.data, [-1.0, 1.0], atol=1e-5)
 
@@ -485,7 +485,7 @@ def test_layer_norm_matches_textbook_expressions_bitwise(dtype):
     want_x = (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv
 
     xt, gt, bt = (Tensor(v, requires_grad=True) for v in (x, gain, bias))
-    out = T.layer_norm(xt, gt, bt, eps=eps)
+    out = T.layer_norm(xt, gt, bt)
     out.backward(g)
     bits = f"u{np.dtype(dtype).itemsize}"
     for got, want in ((out.data, want_out), (xt.grad, want_x), (gt.grad, want_gain), (bt.grad, want_bias)):
