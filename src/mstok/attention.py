@@ -125,9 +125,10 @@ def masked_mha(x, params: AttentionParams, heads: int, mask: Spans | None,
     attention(x)`` as one node, leaving out whichever of the two is None;
     with neither it returns the attention output. That node keeps the rows
     of ``mixed``, a view, and the row scale; no ``wo`` product is kept apart
-    from the output. ``span_attention`` keeps its per-span probabilities,
-    and each of the q, k and v projections the rows of ``x``. One call
-    records five graph nodes.
+    from the output. ``span_attention`` keeps each span's softmax
+    statistics, the per-query max and sum, and rebuilds the probabilities
+    from q and k in its backward; each of the q, k and v projections keeps
+    the rows of ``x``. One call records five graph nodes.
     """
     x = as_tensor(x)
     if x.ndim != 3:
@@ -161,8 +162,10 @@ def transformer_block(
     ``span_attention`` output, a view, and the MLP branch's node keeps its
     input rows, a view of the second layer norm's output, and the
     ``(rows, hidden)`` pre-activation. The MLP node rebuilds the GELU
-    activation in its backward, so neither a branch's product nor the
-    activation is held between the forward and the backward.
+    activation in its backward, and ``span_attention`` the attention
+    probabilities from q, k and its per-query softmax max and sum, so
+    neither a branch's product, the activation nor the probabilities are
+    held between the forward and the backward.
     """
     x = as_tensor(x)
     h = masked_mha(layer_norm(x, params.ln1.gain, params.ln1.bias), params.attn, heads, mask,

@@ -146,6 +146,17 @@ def kde_grid(points: np.ndarray, grid_size: int, bandwidth: float, pad_bandwidth
     return xs, ys
 
 
+def _check_kde_settings(grid_size: int, bandwidth: float | None, pad_bandwidths: float) -> None:
+    """Raise ``ConfigError`` for a KDE grid size, pad or bandwidth that is
+    invalid; a ``None`` bandwidth, Scott's to be resolved, is not checked."""
+    if grid_size < 1:
+        raise ConfigError(f"kde: grid size must be at least 1, got {grid_size}")
+    if not (np.isfinite(pad_bandwidths) and pad_bandwidths >= 0):
+        raise ConfigError(f"kde: pad must be finite and nonnegative, got {pad_bandwidths}")
+    if bandwidth is not None and not (bandwidth > 0 and 0 < bandwidth * bandwidth < np.inf):  # NaN fails too
+        raise ConfigError(f"kde: bandwidth must be positive with a finite, nonzero square, got {bandwidth}")
+
+
 def kde_density(points, grid_size: int, bandwidth: float, pad_bandwidths: float) -> np.ndarray:
     """Isotropic Gaussian KDE evaluated at the ``kde_grid`` points, normalized
     to sum 1.
@@ -162,12 +173,7 @@ def kde_density(points, grid_size: int, bandwidth: float, pad_bandwidths: float)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ShapeError(f"kde_density: expected n x 2 points, got shape {pts.shape}")
-    if grid_size < 1:
-        raise ConfigError(f"kde_density: grid size must be at least 1, got {grid_size}")
-    if not (np.isfinite(pad_bandwidths) and pad_bandwidths >= 0):
-        raise ConfigError(f"kde_density: pad must be finite and nonnegative, got {pad_bandwidths}")
-    if not (bandwidth > 0 and 0 < bandwidth * bandwidth < np.inf):  # NaN fails too
-        raise ConfigError(f"kde_density: bandwidth must be positive with a finite, nonzero square, got {bandwidth}")
+    _check_kde_settings(grid_size, bandwidth, pad_bandwidths)
     xs, ys = kde_grid(pts, grid_size, bandwidth, pad_bandwidths)
     inv = -0.5 / (bandwidth * bandwidth)
     ex = np.exp(inv * (xs[None, :] - pts[:, 0, None]) ** 2)
@@ -215,8 +221,10 @@ def analyze_latents(vectors, grid_size: int = KDE_GRID_SIZE, bandwidth: float | 
     Returns the JSON-ready dict of ``uniformity_metrics`` (``density_cv``,
     ``gini``, ``norm_entropy``), then ``n_points`` (int), ``grid_size``
     (int), ``bandwidth`` (float) and ``projected_axes`` (int, the
-    projection axes that carry variance, 0 to 2), in that order.
+    projection axes that carry variance, 0 to 2), in that order. Invalid
+    KDE settings raise ``ConfigError`` before the projection runs.
     """
+    _check_kde_settings(grid_size, bandwidth, pad_bandwidths)
     points, axes = project2d(vectors)
     if bandwidth is None:
         bandwidth = scott_bandwidth(points)

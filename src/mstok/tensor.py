@@ -739,16 +739,25 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
 # Neural-network primitives
 # ---------------------------------------------------------------------------
 
-def _normalize(z: np.ndarray) -> None:
+def _normalize(z: np.ndarray, stats: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Softmax of the key-major logits ``z`` over the keys (axis -2), in place.
+
+    Returns its statistics ``(m, s)``: the per-query max of ``z`` and the sum
+    of the exps, each with a length-1 key axis. Handed the ``stats`` of an
+    earlier call on the same logits, it subtracts and divides by them in
+    place of its two reductions, and so rebuilds that call's result bit for
+    bit.
 
     Over axis -2 of a C-contiguous array numpy reduces with vector passes
     across the contiguous last axis, where a reduction over a short last axis
     would pay a per-row cost.
     """
-    z -= z.max(axis=-2, keepdims=True)
+    m = z.max(axis=-2, keepdims=True) if stats is None else stats[0]
+    z -= m
     np.exp(z, out=z)
-    z /= z.sum(axis=-2, keepdims=True)
+    s = z.sum(axis=-2, keepdims=True) if stats is None else stats[1]
+    z /= s
+    return m, s
 
 
 def _normalize_backward(g: np.ndarray, p: np.ndarray, scale: float) -> None:
@@ -782,10 +791,14 @@ def span_attention(q, k, v, heads: int, spans) -> Tensor:
     their weights underflow to zero, normalised over the keys and multiplied
     into ``v^T``. Every entry the spans skip adds an exact zero to the dense
     sums; the tests check this against a numpy reference of those steps.
-    Only the per-span probabilities are kept for the backward, which runs
-    the same steps per span and adds each span's key and value gradients
-    into its key range; those sum over the queries in another order than
-    the dense products, so they differ from them in the last bits.
+    For the backward each span keeps only its softmax statistics, the
+    per-query max and sum of ``_normalize``, ``(b, heads, 1, queries)``
+    each. The backward rebuilds the span's probabilities from the head
+    views of ``q`` and ``k``, whose arrays the graph holds anyway, by the
+    forward's own steps, so they equal the forward's bit for bit. It then
+    adds each span's key and value gradients into its key range; those sum
+    over the queries in another order than the dense products, so they
+    differ from them in the last bits.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if k.ndim != 3 or q.shape != k.shape or v.shape != k.shape or k.shape[-1] % heads:
@@ -808,20 +821,26 @@ def span_attention(q, k, v, heads: int, spans) -> Tensor:
     q_t, k_h, v_t = heads_of(q.data), heads_of(k.data, key_major), heads_of(v.data)
     out_data = np.empty(k.shape, dtype=np.result_type(q.dtype, k.dtype, v.dtype))
     out_t = heads_of(out_data)
-    probs = []
+
+    def logits(q_lo, q_hi, k_lo, k_hi):  # the span's scaled key-major scores
+        z = _product(k_h[..., k_lo:k_hi, :], q_t[..., q_lo:q_hi])
+        z *= scale
+        return z
+
+    stats = []
     for q_lo, q_hi, k_lo, k_hi in spans:
-        p = _product(k_h[..., k_lo:k_hi, :], q_t[..., q_lo:q_hi])
-        p *= scale
-        _normalize(p)
+        p = logits(q_lo, q_hi, k_lo, k_hi)
+        stats.append(_normalize(p))
         _product(v_t[..., k_lo:k_hi], p, out=out_t[..., q_lo:q_hi])
-        probs.append(p)
 
     def backward(g):
         g = heads_of(g)
         gq = np.empty(q.shape, q.dtype) if q.requires_grad else None
         gk = np.zeros(k.shape, k.dtype) if k.requires_grad else None
         gv = np.zeros(v.shape, v.dtype) if v.requires_grad else None
-        for (q_lo, q_hi, k_lo, k_hi), p in zip(spans, probs):
+        for (q_lo, q_hi, k_lo, k_hi), kept in zip(spans, stats):
+            p = logits(q_lo, q_hi, k_lo, k_hi)
+            _normalize(p, kept)
             g_out = g[..., q_lo:q_hi]
             if gv is not None:
                 heads_of(gv)[..., k_lo:k_hi] += _product(g_out, np.swapaxes(p, -1, -2))

@@ -10,11 +10,17 @@ heads as the package splits them: ``q^T`` and ``v^T`` are
 ``tensor.span_attention`` and normalises with its in-place steps, so it
 equals the package's forward bit for bit. The backward is the closed form,
 so its sums run in another order than the package's.
+
+``kept_span_backward`` is the other reference: ``span_attention``'s own
+per-span backward, run from probabilities kept by the forward, which the
+package's backward, rebuilding them, must equal bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from mstok import tensor as T
 
 # Large enough that exp() underflows to exactly 0.0 in float32 and float64,
 # yet small enough never to overflow.
@@ -81,3 +87,31 @@ def mha(x, weights, heads, allow):
         return (g_x.reshape(b, t, d), rows.T @ g_q, rows.T @ g_k, rows.T @ g_v, mixed.T @ g)
 
     return (mixed @ wo).reshape(b, t, d), backward
+
+
+def kept_span_backward(q, k, v, heads, spans):
+    """A function from the gradient of ``span_attention(q, k, v, heads,
+    spans)`` to those of ``q``, ``k`` and ``v``, by the op's per-span steps
+    and products, with each span's probabilities kept from a forward."""
+    scale = 1.0 / math.sqrt(q.shape[-1] // heads)
+    q_t, k_h, v_t = split(q, heads, TRANSPOSED), split(k, heads, KEY_MAJOR), split(v, heads, TRANSPOSED)
+    probs = []
+    for q_lo, q_hi, k_lo, k_hi in spans:
+        p = T._product(k_h[..., k_lo:k_hi, :], q_t[..., q_lo:q_hi])
+        p *= scale
+        T._normalize(p)
+        probs.append(p)
+
+    def backward(g):
+        g = split(g, heads, TRANSPOSED)
+        gq, gk, gv = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
+        for (q_lo, q_hi, k_lo, k_hi), p in zip(spans, probs):
+            g_out = g[..., q_lo:q_hi]
+            split(gv, heads, TRANSPOSED)[..., k_lo:k_hi] += T._product(g_out, np.swapaxes(p, -1, -2))
+            gs = T._product(np.swapaxes(v_t[..., k_lo:k_hi], -1, -2), g_out)
+            T._normalize_backward(gs, p, scale)
+            split(gk, heads, KEY_MAJOR)[..., k_lo:k_hi, :] += T._product(gs, np.swapaxes(q_t[..., q_lo:q_hi], -1, -2))
+            T._product(np.swapaxes(k_h[..., k_lo:k_hi, :], -1, -2), gs, out=split(gq, heads, TRANSPOSED)[..., q_lo:q_hi])
+        return gq, gk, gv
+
+    return backward

@@ -11,7 +11,7 @@ from mstok import latent_stats as L
 from mstok.config import TokenizerConfig
 from mstok.model import init_model
 from mstok.pyramid import build_schedule, image_pyramid, tokens_to_images
-from mstok.tensor import DataError, ShapeError, Tensor, area_pool, make_rng
+from mstok.tensor import ConfigError, DataError, ShapeError, Tensor, area_pool, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +321,18 @@ def test_analyze_latents_deterministic():
     b = L.analyze_latents(vecs, grid_size=16)
     assert a == b
     assert a["n_points"] == 64 and a["grid_size"] == 16
+
+
+@pytest.mark.parametrize("settings", [{"grid_size": 0}, {"pad_bandwidths": -1.0}, {"bandwidth": 0.0}],
+                         ids=["grid=0", "pad=-1", "bandwidth=0"])
+def test_analyze_latents_rejects_bad_kde_settings_before_the_projection(monkeypatch, settings):
+    # A bad flag fails at once, not after the Lanczos run of a large dump.
+    def project2d(vectors):
+        raise AssertionError("project2d ran")
+
+    monkeypatch.setattr(L, "project2d", project2d)
+    with pytest.raises(ConfigError):
+        L.analyze_latents(make_rng(4).standard_normal((64, 12)), **settings)
 
 
 # ---------------------------------------------------------------------------
