@@ -117,7 +117,10 @@ def masked_mha(x, params: AttentionParams, heads: int, mask: Spans | None,
     ``softmax(q k^T) v`` with the keys on the second-last axis, where
     numpy's max and sum reduce across the contiguous queries; the sums run
     in a different order, so results differ from the query-major form in
-    the last float32 bits.
+    the last float32 bits. They equal the key-major dense form over the
+    mask bit for bit on the OpenBLAS kernels ``span_attention`` was measured
+    on, ``SkylakeX`` and ``Sandybridge``, and not on ``Haswell`` or
+    ``Prescott``.
 
     The output projection is ``linear(mixed, wo, residual, rows)`` on the
     ``(b, t, d)`` attention output ``mixed``, so with a ``residual`` and a

@@ -1,13 +1,17 @@
-"""Thread count of the OpenBLAS that numpy ships with.
+"""Thread count and kernel set of the OpenBLAS that numpy ships with.
 
 numpy wheels bundle OpenBLAS as ``numpy.libs/libscipy_openblas64_-<hash>.so``
 and export its thread controls as ``scipy_openblas_{get,set}_num_threads64_``.
 The count is process-wide: OpenBLAS has no per-thread setting that leaves
 other threads alone (in 0.3.31 its ``_local`` setter changes the count that
 every thread sees).
+The library is built for many CPUs and picks its kernels (its core, such as
+``SkylakeX`` or ``Haswell``) when it loads, by the CPU or by the
+``OPENBLAS_CORETYPE`` environment variable; ``core`` names the one it runs.
+Products can give other bits on other cores, so a run's log names its core.
 A numpy built against another BLAS, or a wheel laid out differently, has no
-such library; then ``num_threads`` returns None and ``single_threaded``
-changes nothing.
+such library; then ``num_threads`` and ``core`` return None and
+``single_threaded`` changes nothing.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ import numpy as np
 _LIBRARY_GLOB = "libscipy_openblas64_-*.so"
 _GET = "scipy_openblas_get_num_threads64_"
 _SET = "scipy_openblas_set_num_threads64_"
+_CORE = "scipy_openblas_get_corename64_"
 
 
 @functools.cache
 def _controls():
-    """``(get, set)`` of numpy's OpenBLAS thread count, or None if missing.
+    """``(get, set, core)``: the getter and setter of numpy's OpenBLAS
+    thread count and the getter of its core name, or None if missing.
 
     Opening the library numpy has already loaded returns that same copy, so
     the calls act on the BLAS that numpy's matmul runs on.
@@ -37,12 +43,13 @@ def _controls():
     for path in sorted(glob.glob(os.path.join(libdir, _LIBRARY_GLOB))):
         try:
             lib = ctypes.CDLL(path)
-            get, set_ = getattr(lib, _GET), getattr(lib, _SET)
+            get, set_, core_ = getattr(lib, _GET), getattr(lib, _SET), getattr(lib, _CORE)
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        core_.argtypes, core_.restype = [], ctypes.c_char_p
+        return get, set_, core_
     return None
 
 
@@ -50,6 +57,13 @@ def num_threads() -> int | None:
     """numpy's BLAS thread count, or None when it cannot be read."""
     controls = _controls()
     return None if controls is None else controls[0]()
+
+
+def core() -> str | None:
+    """The core whose kernels numpy's BLAS runs, such as ``SkylakeX``, or
+    None when it cannot be read."""
+    controls = _controls()
+    return None if controls is None else controls[2]().decode()
 
 
 @contextlib.contextmanager
@@ -61,7 +75,7 @@ def single_threaded() -> Iterator[None]:
     if controls is None:
         yield
         return
-    get, set_ = controls
+    get, set_, _ = controls
     saved = get()
     set_(1)
     try:

@@ -31,7 +31,8 @@ next step's shards start, so no shard's gradients outlive their step.
 The log opens with a header entry that says what produced the run: the
 config, the package and numpy versions, the git commit of the checkout that
 holds the package (null outside one), the parameter count, the BLAS numpy
-runs on with its thread count (null when it cannot be read), and the shard
+runs on with its thread count and its core (each null when it cannot be
+read; products can give other bits on another core), and the shard
 size and the worker count of the first step's shards. Each logged step entry
 holds the learning rate, the shard sums' per-image means, the gradient norm
 before clipping, the step's wall time ``step_ms``, each shard's busy time on
@@ -92,7 +93,7 @@ def _log_header(config: RunConfig, tree, batch: int, tokens: int) -> dict:
         "parameters": sum(p.data.size for p in named_tensors(tree).values()),
         "numpy": np.__version__,
         "blas": {"name": blas_build.get("name"), "version": blas_build.get("version"),
-                 "threads": blas.num_threads()},
+                 "threads": blas.num_threads(), "core": blas.core()},
         "shard_size": images_per_shard(tokens),
         "workers": pool_size(len(shard_bounds(batch, tokens))),
     }

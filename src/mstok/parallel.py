@@ -25,9 +25,10 @@ against 289 ms with 3. Three 64 px training runs of 6 steps (scales
 1,2,4,8,16, batch 64, 2 workers) peaked at 238-241 MB resident with shards
 of 3 against 806-835 MB with 16, at 1056-1370 ms per step against
 1129-1598 ms. The outputs of the grad-free passes and ``image_pyramid``'s
-targets do not depend on the layout (see ``tensor._product``, which also
-runs a conv pyramid's 1 x 1 level in a shard of one image as a gemm); a
-training step's do, since each shard's generator is keyed by its index.
+targets do not depend on the layout: the token-wise forward products run one
+gemm per image (see ``tensor._product``), so a row's bits follow its own
+image; a training step's do, since each shard's generator is keyed by its
+index.
 Inputs of up to 3 64 px images run as one shard on one worker.
 
 ``export-latents`` runs its shards through ``run_shards``, and each writes

@@ -354,23 +354,20 @@ def _column_major(x: np.ndarray) -> bool:
 
 def _product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.matmul(x, y, out=out)``; every product in this module goes
-    through here. A column-major 2-D ``y``, always a kernel here, is copied
-    row-major first: OpenBLAS 0.3.31 forms a small product with a
-    column-major operand in another kernel, so at ``(rows, 48) @ (48, 16)``
-    a row's bits changed with the row count for 1 to 75 rows. With the
-    copy they do not, and a product with a 2-D ``y`` always comes back
-    C-contiguous. A 1-row ``x`` times such a kernel (with no ``out``, as at
-    every call here) runs as a 2-row gemm that keeps its first row: numpy
-    forms a 1-row product as a gemv, whose bits differ from a gemm row's.
-    When both operands are column-major (``span_attention``'s), the product
-    is the transpose of ``y^T @ x^T``, written into ``out``'s transpose when
-    ``out`` is given: numpy 2.4.6 on its OpenBLAS 0.3.31 returned wrong
-    values (or crashed) for two column-major operands while a product of
-    another shape ran on a second thread."""
-    if y.ndim == 2 and _column_major(y):
-        y = np.ascontiguousarray(y)
-        if x.ndim == 2 and len(x) == 1 and out is None:
-            return np.matmul(np.repeat(x, 2, axis=0), y)[:1]
+    through here. When both operands are column-major, as some of
+    ``span_attention``'s are, the product is the transpose of ``y^T @
+    x^T``, written into ``out``'s transpose when ``out`` is given: numpy
+    2.4.6 on its OpenBLAS 0.3.31 returned wrong values (or crashed) for two
+    column-major operands while a product of another shape ran on a second
+    thread.
+
+    A product's bits may depend on its shape: OpenBLAS picks its kernels by
+    CPU, and some give a row of an ``(r, n) @ (n, m)`` product other bits at
+    other row counts ``r``, and numpy forms a 1-row product as a gemv. So
+    the token-wise forwards (``linear``, ``mlp``) multiply one image at a
+    time, as a stacked ``(images, rows per image, n)`` product: numpy runs
+    one gemm (or gemv) of the same shape per image, so a row's bits follow
+    its own image, whatever the shard around it and on every kernel."""
     if _column_major(x) and _column_major(y):
         out_t = None if out is None else np.swapaxes(out, -1, -2)
         return np.swapaxes(np.matmul(np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2), out=out_t), -1, -2)
@@ -381,14 +378,14 @@ def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes, batched over the leading ones.
 
     The token-wise ``x @ W`` case (2-D ``b``, ``a`` of 3 or more dims) is
-    ``linear(a, b)``: one ``(rows, n) @ (n, m)`` gemm on ``a`` reshaped to
-    rows, in the forward and in both gradients, instead of one small gemm
-    per batch item; the result equals the batched product bit for bit.
+    ``linear(a, b)``: a forward of one gemm per image, ``a``'s first axis,
+    and gradients of one ``(rows, n) @ (n, m)`` gemm each on ``a`` reshaped
+    to rows.
 
     Every product, forward or backward, goes through ``_product``, so none
     multiplies two column-major operands. The forward's result is
-    C-contiguous unless both operands are column-major and ``b`` has more
-    than 2 dims: ``_product`` returns such a product as a transposed view.
+    C-contiguous unless both operands are column-major: ``_product`` returns
+    such a product as a transposed view.
     """
     a, b = _operands(a, b)
     if a.ndim < 2 or b.ndim < 2:
@@ -448,13 +445,22 @@ def _add_branch(p: np.ndarray, residual: Tensor | None, rows: np.ndarray | None)
         p += residual.data.reshape(p.shape)
 
 
+def _by_image(x: Tensor, x_rows: np.ndarray) -> np.ndarray:
+    """``x_rows``, the ``(rows, n)`` rows of an ``(..., n)`` token input
+    ``x``, as ``(images, rows per image, n)``: the images are ``x``'s first
+    axis when it has 3 or more dims, and a 1-D or 2-D ``x`` is one image."""
+    images, per_image = (x.shape[0], math.prod(x.shape[1:-1])) if x.ndim > 2 else (1, len(x_rows))
+    return x_rows.reshape(images, per_image, x.shape[-1])
+
+
 def linear(x, w, residual=None, rows=None) -> Tensor:
     """Token-wise product ``x @ w`` of an ``(..., n)`` input and an ``(n, m)``
-    kernel, as one ``(rows, n) @ (n, m)`` gemm on ``x`` reshaped to rows, in
-    the forward and in both gradients. With a ``residual`` of the output's
-    shape and a row scale ``rows`` of shape ``x.shape[:-1] + (1,)`` (as
-    ``drop_path`` draws it), either may be None, it is the residual branch
-    ``residual + rows * (x @ w)`` as one node.
+    kernel. The forward runs one gemm per image (``_by_image``), so a row's
+    bits follow its own image (see ``_product``); the gradients multiply
+    ``x``'s rows, and ``g``'s, as one ``(rows, ...)`` array each. With a
+    ``residual`` of the output's shape and a row scale ``rows`` of shape
+    ``x.shape[:-1] + (1,)`` (as ``drop_path`` draws it), either may be None,
+    it is the residual branch ``residual + rows * (x @ w)`` as one node.
 
     The product is scaled and the residual added in the product's own
     buffer, so no branch output is held apart from the node's output. The
@@ -476,7 +482,7 @@ def linear(x, w, residual=None, rows=None) -> Tensor:
     out_shape = x.shape[:-1] + (m,)
     residual, rows = _branch_operands("linear", x, out_shape, residual, rows)
     x_rows = x.data.reshape(math.prod(x.shape[:-1]), n)
-    out_data = _product(x_rows, w.data)
+    out_data = _product(_by_image(x, x_rows), w.data).reshape(len(x_rows), m)
     _add_branch(out_data, residual, rows)
 
     def backward(g):
@@ -625,24 +631,27 @@ def mlp(x, w1, w2, residual=None, rows=None) -> Tensor:
     gradient to the residual last. Every float op is that of
     ``add(residual, mul(matmul(gelu(matmul(x, w1)), w2), rows))``, up to
     swapping the operands of a commutative op, so results equal that
-    composition bit for bit; the products are ``linear``'s.
+    composition bit for bit; the products are ``linear``'s: one gemm per
+    image in the forward, one over all rows for each gradient.
     """
     x, w1, w2 = as_tensor(x), as_tensor(w1), as_tensor(w2)
     if (x.ndim < 1 or w1.ndim != 2 or w2.ndim != 2
             or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]):
         raise ShapeError(f"mlp: expected (..., n) input and (n, h), (h, m) kernels, "
                          f"got {x.shape}, {w1.shape} and {w2.shape}")
-    n, m = w1.shape[0], w2.shape[1]
+    n, h, m = w1.shape + w2.shape[1:]
     out_shape = x.shape[:-1] + (m,)
     residual, rows = _branch_operands("mlp", x, out_shape, residual, rows)
     parents = (x, w1, w2) + (() if residual is None else (residual,))
     x_rows = x.data.reshape(math.prod(x.shape[:-1]), n)
-    pre = _product(x_rows, w1.data)
-    # ``_product`` returns ``pre`` C-contiguous, so its flat views are views.
+    x_images = _by_image(x, x_rows)
+    # The GELU runs on flat arrays in row order: ``reshape(-1)`` is a view of
+    # a C-contiguous product and a copy of a transposed one (``_product``).
     # With no graph to record, the activation overwrites the pre-activation.
+    pre = _product(x_images, w1.data).reshape(-1)
     act = np.empty_like(pre) if any(p.requires_grad for p in parents) else pre
-    _gelu(pre.reshape(-1), act.reshape(-1))
-    out_data = _product(act, w2.data)
+    _gelu(pre, act)
+    out_data = _product(act.reshape(x_images.shape[:2] + (h,)), w2.data).reshape(len(x_rows), m)
     del act
     _add_branch(out_data, residual, rows)
 
@@ -650,11 +659,12 @@ def mlp(x, w1, w2, residual=None, rows=None) -> Tensor:
         gp = g.reshape(x_rows.shape[0], m)
         if rows is not None:
             gp = gp * rows
-        g_pre = _product(gp, w2.data.T)
+        g_pre = _product(gp, w2.data.T).reshape(-1)
         act = np.empty_like(pre)
-        _gelu(pre.reshape(-1), act.reshape(-1), g_pre.reshape(-1))
+        _gelu(pre, act, g_pre)
+        g_pre = g_pre.reshape(len(x_rows), h)
         if w2.requires_grad:
-            _accumulate(w2, _kernel_grad(act, gp))
+            _accumulate(w2, _kernel_grad(act.reshape(len(x_rows), h), gp))
         del act
         if x.requires_grad:
             _accumulate(x, _product(g_pre, w1.data.T).reshape(x.shape))
@@ -786,11 +796,15 @@ def span_attention(q, k, v, heads: int, spans) -> Tensor:
     and the gradients of ``q``, ``k`` and ``v`` are allocated ``(b, T, d)``
     and written through such views.
 
-    The forward equals dense attention bit for bit: the scores ``k @ q^T``,
-    scaled, with a large negative value added outside the spans so that
-    their weights underflow to zero, normalised over the keys and multiplied
-    into ``v^T``. Every entry the spans skip adds an exact zero to the dense
-    sums; the tests check this against a numpy reference of those steps.
+    On OpenBLAS's ``SkylakeX`` and ``Sandybridge`` kernels, the ones it was
+    measured on, the forward equals dense attention bit for bit: the scores
+    ``k @ q^T``, scaled, with a large negative value added outside the spans
+    so that their weights underflow to zero, normalised over the keys and
+    multiplied into ``v^T``. Every entry the spans skip adds an exact zero
+    to the dense sums; the tests check this against a numpy reference of
+    those steps. On the ``Haswell`` and ``Prescott`` kernels a span's
+    products, of other shapes than the dense ones, differ from them in the
+    last bits.
     For the backward each span keeps only its softmax statistics, the
     per-query max and sum of ``_normalize``, ``(b, heads, 1, queries)``
     each. The backward rebuilds the span's probabilities from the head

@@ -6,11 +6,11 @@ replace: ``add(x, drop(matmul(attention, wo)))`` and
 ``add(h, drop(matmul(gelu(matmul(ln2(h), fc1)), fc2)))``, where ``drop``
 multiplies the branch by a row scale drawn as ``tensor.drop_path`` draws it,
 attention branch first, and is left out without a generator or at rate 0.
-The token-wise products and the GELU are numpy nodes here: a product is one
-gemm on the input's rows, its input gradient multiplies by a row-major copy
-of the transposed kernel, and its kernel gradient reduces over the largest
-multiple of 32 rows and then the tail, as the package's do; the GELU is the
-textbook tanh form. The layer norms, the attention core
+The token-wise products and the GELU are numpy nodes here: a product's
+forward is one gemm per image, the input's first axis, its input gradient
+one gemm on the gradient's rows times the transposed kernel, and its kernel
+gradient reduces over the largest multiple of 32 rows and then the tail, as
+the package's do; the GELU is the textbook tanh form. The layer norms, the attention core
 (``tensor.span_attention`` on the token-major q, k and v products) and the
 elementwise ``mul`` and ``add`` are the package's own ops. Every node keeps
 what its backward reads, as separate nodes do.
@@ -30,7 +30,7 @@ def matmul(x, w):
     def backward(g):
         g = g.reshape(-1, m)
         if x.requires_grad:
-            T._accumulate(x, (g @ np.ascontiguousarray(w.data.T)).reshape(x.shape))
+            T._accumulate(x, (g @ w.data.T).reshape(x.shape))
         if w.requires_grad:
             k = len(rows) - len(rows) % 32 or len(rows)
             grad = rows[:k].T @ g[:k]
@@ -38,7 +38,7 @@ def matmul(x, w):
                 grad += rows[k:].T @ g[k:]
             T._accumulate(w, grad)
 
-    return T._result((rows @ w.data).reshape(x.shape[:-1] + (m,)), (x, w), backward)
+    return T._result((rows.reshape(len(x.data), -1, n) @ w.data).reshape(x.shape[:-1] + (m,)), (x, w), backward)
 
 
 def gelu(a):

@@ -492,7 +492,7 @@ def blas_at_two_threads():
     if controls is None:
         yield
         return
-    get, set_ = controls
+    get, set_, _ = controls
     saved = get()
     set_(2)
     try:
@@ -676,7 +676,7 @@ def test_export_latents_to_a_directory_exits_2(tmp_path, capsys):
 def test_reconstruct_without_blas_control_runs_one_worker(tmp_path, monkeypatch):
     monkeypatch.setattr(blas, "_controls", lambda: None)
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: pytest.fail("CPU set asked for"))
-    assert blas.num_threads() is None
+    assert blas.num_threads() is None and blas.core() is None
     assert parallel.pool_size(2) == 1
     ckpt = small_checkpoint(tmp_path)
     in_dir = str(tmp_path / "inputs")

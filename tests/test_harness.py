@@ -103,8 +103,9 @@ def test_log_lines_schema(tmp_path):
     model = load_checkpoint(summary["checkpoint"])
     assert header["parameters"] == sum(p.data.size for p in named_tensors(model).values())
     assert header["numpy"] == np.__version__
-    assert set(header["blas"]) == {"name", "version", "threads"}
+    assert set(header["blas"]) == {"name", "version", "threads", "core"}
     assert header["blas"]["name"] and header["blas"]["threads"] == blas.num_threads()
+    assert header["blas"]["core"] == blas.core()  # products' bits differ per core
     train_lines = [l for l in lines if "step" in l]
     assert train_lines, "expected per-interval train entries"
     n_train = len(generate_synthetic(24, 16, seed=SMALL_TOK.seed).split(0.25)[0])
@@ -289,7 +290,7 @@ def test_one_worker_fallback_checkpoint_independent_of_blas_threads(tmp_path, mo
     controls = blas._controls()
     if controls is None:
         pytest.skip("numpy's OpenBLAS thread controls are missing")
-    get, set_ = controls  # the real controls, still usable once patched away
+    get, set_, _ = controls  # the real controls, still usable once patched away
     saved = get()
     monkeypatch.setattr(blas, "_controls", lambda: None)
     blobs = []

@@ -3,8 +3,7 @@ another module's private name or a library other than numpy and the
 standard library, every top-level definition of the package is named
 somewhere in the package or the benchmark, no function rebinds a module-level
 name, only ``parallel`` starts threads or sets the BLAS thread count, and
-``tensor`` forms every matrix product, and every row-major copy, in
-``_product``.
+``tensor`` forms every matrix product in ``_product``.
 Also, at run time, the CLI and the analysis load no scipy."""
 
 import ast
@@ -261,14 +260,4 @@ def test_tensor_multiplies_matrices_only_in_product():
               "    return g\nclass K:\n    def m(self):\n        return self.w @ self.w\n")
     assert numpy_calls(source, "matmul") == ["<module> (line 2)", "f (line 5)", "K (line 9)"]
     found = numpy_calls((PACKAGE / "tensor.py").read_text(encoding="utf-8"), "matmul")
-    assert found and [site for site in found if not site.startswith("_product ")] == []
-
-
-def test_tensor_copies_to_row_major_only_in_product():
-    # ``tensor._product`` copies a column-major kernel row-major, so a
-    # product's rows do not depend on its row count; the one layout decision
-    # of the module is made there.
-    source = "import numpy as np\nc = a @ b\ndef f(x):\n    return np.ascontiguousarray(x.T)\n"
-    assert numpy_calls(source, "ascontiguousarray") == ["f (line 4)"]
-    found = numpy_calls((PACKAGE / "tensor.py").read_text(encoding="utf-8"), "ascontiguousarray")
     assert found and [site for site in found if not site.startswith("_product ")] == []

@@ -1,10 +1,14 @@
 import dataclasses
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+import mstok
 from mstok import blas, parallel
 from mstok.config import RunConfig, TokenizerConfig
 from mstok.data import generate_synthetic
@@ -57,18 +61,22 @@ def image_outputs(model, images):
 
 
 CONV = dataclasses.replace(TOK, downsample_mode="conv")
+# A base grid of 1: every token-wise product has one row per image.
+ONE_TOKEN = dataclasses.replace(TOK, image_size=8, patch=8, scales=(1,))
 
 
 @pytest.mark.parametrize("tok, kernel_std", [
     (TokenizerConfig(), 0.0), (dataclasses.replace(TOK, downsample_mode="interp"), 0.0), (CONV, 0.0), (CONV, 0.125),
-], ids=["default", "16px-interp", "16px-conv", "16px-conv-random-kernels"])
+    (ONE_TOKEN, 0.0),
+], ids=["default", "16px-interp", "16px-conv", "16px-conv-random-kernels", "8px-base-grid-1"])
 def test_grad_free_outputs_do_not_depend_on_the_shard_size(tok, kernel_std):
     # Every shard size from 1 to 16 over 17 images gives each image the same
-    # bytes, since tensor._product copies a column-major kernel row-major
-    # (area_pool's second product, conv2d's kernel) and runs a 1-row product
-    # with it as a 2-row gemm. The conv pyramid's last 2x2 -> 1x1
-    # convolution has one row per image; at init its kernels average, so
-    # random ones are tried too.
+    # bytes, since the token-wise forward products (tensor.linear and
+    # tensor.mlp, which conv2d, area_pool's second product and the heads
+    # reach) run one gemm per image, so a row's bits follow its own image.
+    # The conv pyramid's last 2x2 -> 1x1 convolution, and every product of
+    # the base-grid-1 model, has one row per image, which numpy forms as a
+    # gemv; at init the conv kernels average, so random ones are tried too.
     model = replica(init_model(tok), requires_grad=False)
     if kernel_std:
         rng = np.random.default_rng(4)
@@ -81,6 +89,31 @@ def test_grad_free_outputs_do_not_depend_on_the_shard_size(tok, kernel_std):
     differ = {size: [i for i, (got, want) in enumerate(zip(outs, by_size[16])) if got != want]
               for size, outs in by_size.items()}
     assert {size: ids for size, ids in differ.items() if ids} == {}
+
+
+# The per-image checks, for a child process on another OpenBLAS core.
+OTHER_CORE_TESTS = [
+    "tests/test_tensor.py::test_token_products_rows_follow_their_image",
+    "tests/test_parallel.py::test_grad_free_outputs_do_not_depend_on_the_shard_size[default]",
+    "tests/test_parallel.py::test_grad_free_outputs_do_not_depend_on_the_shard_size[16px-conv-random-kernels]",
+]
+
+
+def test_rows_follow_their_image_on_another_blas_core():
+    # numpy's OpenBLAS picks its kernels when it loads; OPENBLAS_CORETYPE
+    # makes a child load Haswell's, whose rows depend on a gemm's row count
+    # more than this machine's may. The per-image rule does not depend on
+    # the kernels, so its checks pass there too.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": str(pathlib.Path(mstok.__file__).parent.parent)}
+    core = subprocess.run([sys.executable, "-c", "from mstok import blas; print(blas.core())"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert core.returncode == 0, core.stderr
+    if core.stdout.strip() != "Haswell":
+        pytest.skip(f"the child's BLAS core is {core.stdout.strip()}, not Haswell")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *OTHER_CORE_TESTS],
+                         cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
 
 
 def test_more_workers_than_cores_give_the_one_worker_checkpoint(tmp_path, monkeypatch):
@@ -109,7 +142,7 @@ def test_train_runs_between_passes_with_blas_restored_and_no_workers(tmp_path, m
     controls = blas._controls()
     if controls is None:
         pytest.skip("numpy's OpenBLAS thread controls are missing")
-    get, set_ = controls
+    get, set_, _ = controls
     saved = get()
     seen = []
     real = loop_mod.clip_grad_norm

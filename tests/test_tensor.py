@@ -28,7 +28,7 @@ def test_matmul_kernel_gradient_independent_of_blas_threads():
     controls = blas._controls()
     if controls is None:
         pytest.skip("numpy's OpenBLAS thread controls are missing")
-    get, set_ = controls
+    get, set_, _ = controls
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal((63, 85, 64)).astype(np.float32))
     g = rng.standard_normal((63, 85, 256)).astype(np.float32)
@@ -83,9 +83,10 @@ def test_matmul_inner_dim_mismatch():
 @pytest.mark.parametrize("lead", [(4, 5), (2, 3, 5), (5, 13)])
 @pytest.mark.parametrize("transposed", [False, True])
 def test_matmul_flat_x_at_w_matches_einsum_oracle(lead, transposed):
-    # x @ W with a 3-D or 4-D x runs as one 2-D gemm, forward and backward;
-    # a transposed (non-contiguous) x exercises the reshape copy. 65 rows
-    # split the kernel gradient into 64 rows plus a 1-row tail.
+    # x @ W with a 3-D or 4-D x runs one gemm per image in the forward and
+    # one 2-D gemm on x's rows for each gradient; a transposed
+    # (non-contiguous) x exercises the reshape copy. 65 rows split the
+    # kernel gradient into 64 rows plus a 1-row tail.
     rng = np.random.default_rng(13)
     n, m = 6, 7
     x = rng.standard_normal(lead + (n,)).astype(np.float32)
@@ -109,22 +110,29 @@ def test_matmul_flat_x_at_w_matches_einsum_oracle(lead, transposed):
     np.testing.assert_allclose(wt.grad, want_gw, rtol=1e-5, atol=1e-4)
 
 
+@pytest.mark.parametrize("layout", ["row-major", "column-major"])
+@pytest.mark.parametrize("per_image", [1, 4, 64, 85])
 @pytest.mark.parametrize("n, m", [(48, 16), (64, 64), (256, 64), (64, 48)])
-def test_product_rows_do_not_depend_on_the_row_count(n, m):
-    # OpenBLAS 0.3.31 forms a small product with a column-major operand in
-    # another kernel: with this (n, m) kernel as a transposed view, the
-    # leading 1-75, 1-18, 1-18 and 1-25 rows gave other bits than those of
-    # the 256-row product, and so did every single row, which numpy forms as
-    # a gemv. _product copies such a kernel row-major, and runs one row as a
-    # 2-row gemm, so every leading block and every row gets its bits.
-    rng = np.random.default_rng(n * m)
-    x = rng.standard_normal((256, n)).astype(np.float32)
-    kernel = rng.standard_normal((m, n)).astype(np.float32).T
-    full = T._product(x, kernel)
-    assert full.flags.c_contiguous
-    differ = [rows for rows in range(1, 257) if T._product(x[:rows], kernel).tobytes() != full[:rows].tobytes()]
-    singles = [i for i in range(256) if T._product(x[i:i + 1], kernel).tobytes() != full[i].tobytes()]
-    assert differ == [] and singles == []
+def test_token_products_rows_follow_their_image(n, m, per_image, layout):
+    # Some OpenBLAS kernels give a row of an (r, n) @ (n, m) product other
+    # bits at other row counts r, and numpy forms a 1-row product as a gemv.
+    # linear's and mlp's forwards run one gemm per image, so an image's bits
+    # do not depend on the images beside it: every leading block of images,
+    # and every image alone, gets the bits of the 17-image product.
+    rng = np.random.default_rng(n * m + per_image)
+    x = rng.standard_normal((17, per_image, n)).astype(np.float32)
+
+    def kernel(rows, cols):
+        if layout == "row-major":
+            return rng.standard_normal((rows, cols)).astype(np.float32)
+        return rng.standard_normal((cols, rows)).astype(np.float32).T
+
+    w1, w2 = kernel(n, m), kernel(m, n)
+    for product in (lambda a: T.linear(a, w1), lambda a: T.mlp(a, w1, w2)):
+        full = product(x).data
+        leading = [k for k in range(1, 18) if product(x[:k]).data.tobytes() != full[:k].tobytes()]
+        alone = [i for i in range(17) if product(x[i:i + 1]).data.tobytes() != full[i:i + 1].tobytes()]
+        assert leading == [] and alone == []
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [((5, 4), (4, 6)), ((3, 5, 4), (3, 4, 6)), ((1, 5, 4), (4, 6))],
@@ -752,6 +760,24 @@ def test_clip_gradient_gate():
     x = Tensor(np.array([-5.0, 0.5, 5.0]), requires_grad=True)
     T.tsum(T.clip(x, -1.0, 1.0)).backward()
     np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
+
+
+def test_mlp_results_do_not_depend_on_operand_layout():
+    # Two column-major operands come back from _product as a transposed view
+    # (x and w1 here, then the gradient of the transposed output and w2.T);
+    # the GELU must still write the pre-activation's and its gradient's rows.
+    rng = np.random.default_rng(41)
+    x, w1, w2, g = (rng.standard_normal(shape) for shape in ((6, 5), (7, 6), (7, 6), (6, 5)))
+    assert T._column_major(x.T) and T._column_major(w1.T) and T._column_major(w2.T)
+    results = []
+    for arrays in ((x.T, w1.T, w2), (x.T.copy(), w1.T.copy(), w2)):
+        tensors = [Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+        out = T.mlp(*tensors)
+        T.transpose(out, (1, 0)).backward(g)
+        grad_free = T.mlp(*(Tensor(a, dtype=np.float64) for a in arrays)).data
+        results.append([out.data, grad_free] + [t.grad for t in tensors])
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_gelu_matches_textbook_expressions_bitwise():
